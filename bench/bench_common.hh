@@ -6,11 +6,11 @@
  *   --refs N         demand references per processor (default 100000)
  *   --procs N        processor count (default 16)
  *   --seed N         workload RNG seed (default 12345)
- *   --jobs N         sweep worker threads (0 = all cores; default 1)
+ *   --jobs N         sweep worker threads (0 = all cores, at most
+ *                    ThreadPool::kMaxThreads; default 1)
  *   --cache-dir PATH persist results to an on-disk cache at PATH
  *   --no-cache       ignore any --cache-dir; recompute everything
- *   --engine E       simulation core: event (default), cycle or parallel
- *   --shards N       worker shards per parallel-engine simulation
+ *   --engine E       simulation core: local (default) or cycle
  *   --csv            machine-readable CSV output (where supported)
  *   --quiet          suppress informational logging
  *   --log-level L    minimum log severity: error, warn, info, debug
@@ -39,14 +39,17 @@
 #ifndef PREFSIM_BENCH_BENCH_COMMON_HH
 #define PREFSIM_BENCH_BENCH_COMMON_HH
 
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/log.hh"
+#include "common/thread_pool.hh"
 #include "core/experiment.hh"
 #include "core/sweep.hh"
 #include "stats/table.hh"
@@ -90,46 +93,48 @@ parseBenchArgs(int argc, char **argv,
                 prefsim_fatal("missing value for option ", arg);
             return argv[++i];
         };
-        auto nextUint = [&]() -> std::uint64_t {
+        // A plain decimal no larger than @p max (the destination
+        // field's range). strtoull alone would skip leading blanks and
+        // accept a sign, silently wrapping "-5" to 2^64 - 5.
+        auto nextUint = [&](std::uint64_t max) -> std::uint64_t {
             const char *text = next();
             char *end = nullptr;
+            errno = 0;
             const std::uint64_t value = std::strtoull(text, &end, 10);
-            if (end == text || *end != '\0')
-                prefsim_fatal("option ", arg,
-                              " expects a non-negative integer, got '",
-                              text, "'");
+            if (*text < '0' || *text > '9' || *end != '\0' ||
+                errno == ERANGE || value > max)
+                prefsim_fatal("option ", arg, " expects an integer in 0..",
+                              max, ", got '", text, "'");
             return value;
         };
+        constexpr std::uint64_t kU64Max =
+            std::numeric_limits<std::uint64_t>::max();
+        constexpr std::uint64_t kUnsignedMax =
+            std::numeric_limits<unsigned>::max();
         if (arg == "--refs") {
-            opts.params.refsPerProc = nextUint();
+            opts.params.refsPerProc = nextUint(kU64Max);
         } else if (arg == "--procs") {
-            opts.params.numProcs = static_cast<unsigned>(nextUint());
+            opts.params.numProcs =
+                static_cast<unsigned>(nextUint(kUnsignedMax));
         } else if (arg == "--seed") {
-            opts.params.seed = nextUint();
+            opts.params.seed = nextUint(kU64Max);
         } else if (arg == "--jobs") {
-            opts.sweep.jobs = static_cast<unsigned>(nextUint());
+            opts.sweep.jobs =
+                static_cast<unsigned>(nextUint(ThreadPool::kMaxThreads));
         } else if (arg == "--cache-dir") {
             opts.sweep.cacheDir = next();
         } else if (arg == "--no-cache") {
             opts.sweep.useCache = false;
         } else if (arg == "--engine") {
             const std::string name = next();
-            if (name == "cycle") {
+            if (name == "local") {
+                opts.sweep.engine = SimEngine::LocalClock;
+            } else if (name == "cycle") {
                 opts.sweep.engine = SimEngine::CycleLoop;
-            } else if (name == "event") {
-                opts.sweep.engine = SimEngine::EventDriven;
-            } else if (name == "parallel") {
-                opts.sweep.engine = SimEngine::Parallel;
             } else {
-                prefsim_fatal("--engine expects cycle, event or "
-                              "parallel, got '",
+                prefsim_fatal("--engine expects local or cycle, got '",
                               name, "'");
             }
-        } else if (arg == "--shards") {
-            const std::uint64_t value = nextUint();
-            if (value == 0 || value > 1024)
-                prefsim_fatal("--shards expects 1..1024, got ", value);
-            opts.sweep.shards = static_cast<unsigned>(value);
         } else if (arg == "--csv") {
             opts.csv = true;
         } else if (arg == "--quiet") {
@@ -150,7 +155,7 @@ parseBenchArgs(int argc, char **argv,
             opts.sweep.tracing = true;
             opts.sweep.metrics = true;
         } else if (arg == "--sample-interval") {
-            opts.sweep.sampleInterval = nextUint();
+            opts.sweep.sampleInterval = nextUint(kU64Max);
         } else if (arg == "--timeseries-out") {
             opts.timeseriesOut = next();
         } else if (arg == "--profile-out") {
@@ -169,19 +174,17 @@ parseBenchArgs(int argc, char **argv,
                    "  --procs N        processor count\n"
                    "  --seed N         workload RNG seed\n"
                    "  --jobs N         sweep worker threads "
-                   "(0 = all cores; default 1)\n"
+                   "(0 = all cores, max "
+                << ThreadPool::kMaxThreads
+                << "; default 1)\n"
                    "  --cache-dir PATH persist results to an on-disk "
                    "cache\n"
                    "  --no-cache       ignore any --cache-dir\n"
-                   "  --engine E       simulation core: event (default), "
-                   "cycle (the\n"
-                   "                   reference loop) or parallel (the "
-                   "sharded\n"
-                   "                   conservative-PDES core); "
-                   "bit-identical results\n"
-                   "  --shards N       worker shards per parallel-engine "
-                   "simulation\n"
-                   "                   (1..1024; default 1)\n"
+                   "  --engine E       simulation core: local (default; "
+                   "per-processor\n"
+                   "                   local clocks) or cycle (the "
+                   "reference loop);\n"
+                   "                   bit-identical results\n"
                    "  --csv            machine-readable CSV output\n"
                    "  --quiet          suppress informational logging\n"
                    "  --log-level L    minimum severity: error, warn, "

@@ -117,7 +117,6 @@ BM_SimulateEngine(benchmark::State &state)
     SimConfig cfg;
     cfg.timing.dataTransfer = 8;
     cfg.engine = static_cast<SimEngine>(state.range(0));
-    cfg.shards = static_cast<unsigned>(state.range(1));
     std::uint64_t cycles = 0;
     for (auto _ : state) {
         const SimStats s = simulate(t, cfg);
@@ -125,11 +124,7 @@ BM_SimulateEngine(benchmark::State &state)
         benchmark::DoNotOptimize(s.cycles);
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(cycles));
-    std::string label = cfg.engine == SimEngine::CycleLoop ? "cycle"
-                        : cfg.engine == SimEngine::EventDriven
-                            ? "event"
-                            : "parallel-" + std::to_string(cfg.shards);
-    state.SetLabel(label);
+    state.SetLabel(cfg.engine == SimEngine::CycleLoop ? "cycle" : "local");
 }
 
 void
@@ -178,13 +173,11 @@ BENCHMARK(BM_SimulateCycleLoop)
     ->DenseRange(0, 4, 1)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SimulateSaturatedBus)->Unit(benchmark::kMillisecond);
-// Engine cross-section: {engine, shards}. Same simulated cycles per
-// iteration by the bit-identity contract, so items/s compare directly.
+// Engine cross-section. Same simulated cycles per iteration by the
+// bit-identity contract, so items/s compare directly.
 BENCHMARK(BM_SimulateEngine)
-    ->Args({0, 1}) // cycle
-    ->Args({1, 1}) // event
-    ->Args({2, 1}) // parallel, single-threaded
-    ->Args({2, 8}) // parallel, one shard per processor
+    ->Arg(static_cast<int>(SimEngine::CycleLoop))
+    ->Arg(static_cast<int>(SimEngine::LocalClock))
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SweepEngineGrid)
     ->Arg(1)

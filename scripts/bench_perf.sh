@@ -1,24 +1,20 @@
 #!/bin/sh
 # Simulation-core throughput benchmark: runs the paper's main result
-# (bench_fig2_exec_time) under all three engines — the reference cycle
-# loop, the event-driven core, and the sharded conservative-PDES core
-# (at --shards = nproc) — and records wall time and engine throughput
-# to a JSON report. A second, 3-processor micro run covers the
-# low-contention regime where fast-forward windows are long and the
-# event and parallel engines' advantage is largest.
+# (bench_fig2_exec_time) under both engines — the reference cycle loop
+# and the local-clock core — and records wall time and engine
+# throughput to a JSON report. A second, 3-processor micro run covers
+# the low-contention regime where inert spans are long.
 #
 # Single-run timing is noisy (15-30% VM jitter), so every
 # configuration runs --trials times (default 3) and the trial with the
 # median sim-only time is what the report records.
 #
 # Usage: scripts/bench_perf.sh [--refs N] [--out FILE] [--build DIR]
-#        [--shards N] [--trials N] [--history FILE]
+#        [--trials N] [--history FILE]
 #   --refs N    demand references per processor (default 100000, the
 #               acceptance configuration; use a small N for smoke runs)
 #   --out FILE  report destination (default BENCH_simcore.json)
 #   --build DIR build directory (default build)
-#   --shards N  worker shards for the parallel-engine runs
-#               (default: nproc)
 #   --trials N  runs per configuration; the median is reported
 #               (default 3)
 #   --history FILE  cumulative trend log (default BENCH_history.jsonl;
@@ -34,7 +30,6 @@ set -e
 REFS=100000
 OUT=BENCH_simcore.json
 BUILD=build
-SHARDS=$(nproc)
 TRIALS=3
 HISTORY=BENCH_history.jsonl
 while [ $# -gt 0 ]; do
@@ -42,7 +37,6 @@ while [ $# -gt 0 ]; do
         --refs) REFS=$2; shift 2 ;;
         --out) OUT=$2; shift 2 ;;
         --build) BUILD=$2; shift 2 ;;
-        --shards) SHARDS=$2; shift 2 ;;
         --trials) TRIALS=$2; shift 2 ;;
         --history) HISTORY=$2; shift 2 ;;
         *) echo "unknown option: $1" >&2; exit 1 ;;
@@ -65,19 +59,17 @@ trap 'rm -rf "$TMP" "$OUT.tmp"' EXIT
 # or zero parsed simulation volume aborts the script before a partial
 # or misleading report can be written (the report only moves into
 # place at the end).
-# $1 = label, $2 = engine, $3 = procs, $4 = shards (default 1)
+# $1 = label, $2 = engine, $3 = procs
 run_one() {
     label=$1
     engine=$2
     procs=$3
-    shards=${4:-1}
     : > "$TMP/$label.trials.txt"
     i=1
     while [ "$i" -le "$TRIALS" ]; do
         metrics="$TMP/$label.$i.metrics.json"
         start=$(date +%s.%N)
         if ! "$BENCH" --refs "$REFS" --procs "$procs" --engine "$engine" \
-            --shards "$shards" \
             --no-cache --quiet --metrics-out "$metrics" \
             > /dev/null; then
             echo "error: $label trial $i crashed (exit $?)" >&2
@@ -119,11 +111,10 @@ run_one() {
     wall=$2
     cycles=$3
     refs=$4
-    awk -v l="$label" -v e="$engine" -v p="$procs" -v h="$shards" \
-        -v k="$TRIALS" \
+    awk -v l="$label" -v e="$engine" -v p="$procs" -v k="$TRIALS" \
         -v w="$wall" -v c="$cycles" -v r="$refs" -v so="$simonly" 'BEGIN {
         printf "\"%s\":{\"engine\":\"%s\",\"procs\":%d,", l, e, p
-        printf "\"shards\":%d,\"trials\":%d,", h, k
+        printf "\"trials\":%d,", k
         printf "\"wall_s\":%.3f,\"sim_only_s\":%.3f,", w, so
         printf "\"sim_cycles\":%d,\"sim_refs\":%d,", c, r
         printf "\"cycles_per_s\":%.0f,\"refs_per_s\":%.0f}", c / w, r / w
@@ -136,11 +127,11 @@ run_one() {
     # One trend-log line per median row; held back until the report
     # publishes so an aborted run appends nothing.
     awk -v u="$STAMP" -v l="$label" -v e="$engine" -v p="$procs" \
-        -v h="$shards" -v rf="$REFS" \
+        -v rf="$REFS" \
         -v w="$wall" -v c="$cycles" -v r="$refs" -v so="$simonly" 'BEGIN {
         printf "{\"schema\":\"prefsim-bench-history-v1\",\"utc\":\"%s\",", u
         printf "\"label\":\"%s\",\"engine\":\"%s\",\"procs\":%d,", l, e, p
-        printf "\"shards\":%d,\"refs_per_proc\":%d,", h, rf
+        printf "\"refs_per_proc\":%d,", rf
         printf "\"wall_s\":%.3f,\"sim_only_s\":%.3f,", w, so
         printf "\"sim_cycles\":%d,\"cycles_per_s\":%.0f}\n", c, c / so
     }' >> "$TMP/history.jsonl"
@@ -150,38 +141,28 @@ run_one() {
 
 STAMP=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 
-echo "== simcore throughput (refs=$REFS, shards=$SHARDS, report: $OUT)"
-run_one fig2_event event 16
-printf ',' >> "$TMP/runs.json"
+echo "== simcore throughput (refs=$REFS, report: $OUT)"
 run_one fig2_cycle cycle 16
 printf ',' >> "$TMP/runs.json"
-run_one fig2_parallel parallel 16 "$SHARDS"
-printf ',' >> "$TMP/runs.json"
-run_one micro3_event event 3
+run_one fig2_local local 16
 printf ',' >> "$TMP/runs.json"
 run_one micro3_cycle cycle 3
 printf ',' >> "$TMP/runs.json"
-run_one micro3_parallel parallel 3 "$SHARDS"
+run_one micro3_local local 3
 
 {
     printf '{"schema":"prefsim-bench-simcore-v1",'
     printf '"bench":"bench_fig2_exec_time","refs_per_proc":%s,' "$REFS"
-    printf '"shards":%s,"trials":%s,' "$SHARDS" "$TRIALS"
+    printf '"trials":%s,' "$TRIALS"
     printf '"runs":{'
     cat "$TMP/runs.json"
     printf '},'
     # Headline speedups on sim-only time, keyed by run label: the
-    # reference cycle loop vs. the event core, and the event core vs.
-    # the sharded parallel core (the tentpole ratio — >= 1.5x
-    # single-threaded is the core-constrained acceptance bar).
+    # reference cycle loop vs. the local-clock core.
     awk '{ t[$1] = $2 } END {
-        printf "\"speedup_fig2_sim\":%.2f,", t["fig2_cycle"] / t["fig2_event"]
-        printf "\"speedup_micro3_sim\":%.2f,", \
-            t["micro3_cycle"] / t["micro3_event"]
-        printf "\"speedup_fig2_parallel_sim\":%.2f,", \
-            t["fig2_event"] / t["fig2_parallel"]
-        printf "\"speedup_micro3_parallel_sim\":%.2f", \
-            t["micro3_event"] / t["micro3_parallel"]
+        printf "\"speedup_fig2_sim\":%.2f,", t["fig2_cycle"] / t["fig2_local"]
+        printf "\"speedup_micro3_sim\":%.2f", \
+            t["micro3_cycle"] / t["micro3_local"]
     }' "$TMP/simonly.txt"
     printf '}\n'
 } > "$OUT.tmp"

@@ -2,14 +2,13 @@
 # Full verification pass over every supported configuration:
 #
 #   1. plain build + tests + bench/example smoke + determinism +
-#      the engine differential (event + sharded parallel cores vs. the
-#      reference cycle loop, byte-compared) + simulation-core throughput
-#      smoke + the
-#      perf-regression gate (fresh bench_perf.sh vs the checked-in
+#      the engine differential (the local-clock core vs. the reference
+#      cycle loop, byte-compared) + simulation-core throughput smoke +
+#      the perf-regression gate (fresh bench_perf.sh vs the checked-in
 #      BENCH_simcore.json, via prefsim_report --compare) + telemetry,
 #      interval time-series, per-line attribution-profile and
 #      critical-path validation (the latter two byte-compared cycle vs
-#      parallel, with the critpath what-if drift gated <= 15% on the
+#      local, with the critpath what-if drift gated <= 15% on the
 #      16-processor fig2 PREF points);
 #   2. the verification layer: exhaustive protocol model checking
 #      (2- and 3-cache), seeded-mutation detection, the trace linter
@@ -20,8 +19,8 @@
 #   3. clang-tidy over the static-analysis profile in .clang-tidy,
 #      hard-gated on the checked-in .clang-tidy-baseline count
 #      (skipped loudly when clang-tidy is not installed);
-#   4. ThreadSanitizer for the sweep engine's worker pool and the
-#      parallel simulation core's sharded catch-up;
+#   4. ThreadSanitizer for the sweep engine's worker pool (--jobs:
+#      the only threads; a simulation itself is single-threaded);
 #   5. AddressSanitizer+UBSan with the PREFSIM_VERIFY runtime invariant
 #      hooks compiled in, running the full test suite;
 #   6. the event-tracing build + Chrome trace validation.
@@ -81,29 +80,23 @@ cmp "$CACHE/serial.csv" "$CACHE/parallel.csv"
 echo "ok: parallel output identical to serial"
 
 stage "engine differential"
-# The event-driven and parallel cores must emit byte-identical results
-# to the reference cycle loop (docs/simcore.md). The engine (and shard
-# count) is deliberately not part of the experiment cache key, so
-# --no-cache is required: a cached run would compare one engine's
-# numbers against themselves.
+# The local-clock core must emit byte-identical results to the
+# reference cycle loop (docs/simcore.md). The engine is deliberately
+# not part of the experiment cache key, so --no-cache is required: a
+# cached run would compare one engine's numbers against themselves.
 "$BUILD"/bench/bench_fig2_exec_time --refs 10000 --procs 8 --csv \
-    --quiet --no-cache --jobs "$JOBS" --engine event > "$CACHE/event.csv"
+    --quiet --no-cache --jobs "$JOBS" --engine local > "$CACHE/local.csv"
 "$BUILD"/bench/bench_fig2_exec_time --refs 10000 --procs 8 --csv \
     --quiet --no-cache --jobs "$JOBS" --engine cycle > "$CACHE/cycle.csv"
-cmp "$CACHE/event.csv" "$CACHE/cycle.csv"
-echo "ok: event engine byte-identical to the cycle loop on fig2"
-"$BUILD"/bench/bench_fig2_exec_time --refs 10000 --procs 8 --csv \
-    --quiet --no-cache --jobs 1 --engine parallel --shards "$JOBS" \
-    > "$CACHE/parengine.csv"
-cmp "$CACHE/parengine.csv" "$CACHE/cycle.csv"
-echo "ok: parallel engine (shards=$JOBS) byte-identical on fig2"
+cmp "$CACHE/local.csv" "$CACHE/cycle.csv"
+echo "ok: local-clock engine byte-identical to the cycle loop on fig2"
 
 stage "simcore throughput smoke"
 # Reduced-refs run of the throughput benchmark: proves the report
-# machinery works and the event engine is not slower than the
+# machinery works and the local-clock engine is not slower than the
 # reference loop. The budget is generous — it guards against a
-# pathological regression (e.g. a fast-forward window that stopped
-# forming), not timing noise.
+# pathological regression (e.g. inert spans that stopped forming), not
+# timing noise.
 SMOKE_START=$(date +%s)
 scripts/bench_perf.sh --refs 3000 --out "$CACHE/bench_smoke.json" \
     --build "$BUILD"
@@ -169,20 +162,20 @@ echo "ok: interval time series validates in ${TS_ELAPSED}s (budget 300s)"
 stage "profile validation"
 # Per-line contention attribution over one fig2 config. The validator
 # checks the prefsim-profile-v1 shape and the totals-vs-rows
-# consistency; the cycle and parallel (--shards 4) engines must emit
-# byte-identical profile documents, which is what forces the parallel
-# core's sharded first-use replay to attribute correctly. --no-cache:
-# cached points would record only skip markers.
+# consistency; the cycle and local engines must emit byte-identical
+# profile documents, which is what forces the local-clock core's
+# deferred first-use replay to attribute correctly. --no-cache: cached
+# points would record only skip markers.
 PROF_START=$(date +%s)
 "$BUILD"/bench/bench_fig2_exec_time --refs 3000 --procs 8 --quiet \
     --jobs "$JOBS" --no-cache --engine cycle \
     --profile-out "$CACHE/profile_cycle.json" > /dev/null
 "$BUILD"/bench/bench_fig2_exec_time --refs 3000 --procs 8 --quiet \
-    --jobs "$JOBS" --no-cache --engine parallel --shards 4 \
-    --profile-out "$CACHE/profile_parallel.json" > /dev/null
+    --jobs "$JOBS" --no-cache --engine local \
+    --profile-out "$CACHE/profile_local.json" > /dev/null
 "$BUILD"/tools/validate_telemetry "$CACHE/profile_cycle.json"
-cmp "$CACHE/profile_cycle.json" "$CACHE/profile_parallel.json"
-echo "ok: profile byte-identical cycle vs parallel (shards=4)"
+cmp "$CACHE/profile_cycle.json" "$CACHE/profile_local.json"
+echo "ok: profile byte-identical cycle vs local"
 "$BUILD"/tools/prefsim_report --profile "$CACHE/profile_cycle.json" \
     --top 5 > /dev/null
 PROF_ELAPSED=$(($(date +%s) - PROF_START))
@@ -195,8 +188,8 @@ echo "ok: attribution profile validates in ${PROF_ELAPSED}s (budget 300s)"
 stage "critpath validation + what-if drift gate"
 # Critical-path analysis over the 16-processor fig2 sweep — the
 # paper's acceptance point. Three gates: the prefsim-critpath-v1 shape
-# must validate; the cycle and parallel (--shards 4) engines must emit
-# byte-identical documents (--whatif-validate included: the widened-bus
+# must validate; the cycle and local engines must emit byte-identical
+# documents (--whatif-validate included: the widened-bus
 # re-simulation is engine-invariant by the simcore contract); and on
 # every 16-proc PREF point at the bus-saturating 16-cycle transfer
 # latency the infinite-bus prediction must land within 15% of the
@@ -207,12 +200,11 @@ CRIT_START=$(date +%s)
     --jobs "$JOBS" --no-cache --engine cycle --whatif-validate \
     --critpath-out "$CACHE/critpath_cycle.json" > /dev/null
 "$BUILD"/bench/bench_fig2_exec_time --refs 2000 --procs 16 --quiet \
-    --jobs "$JOBS" --no-cache --engine parallel --shards 4 \
-    --whatif-validate \
-    --critpath-out "$CACHE/critpath_parallel.json" > /dev/null
+    --jobs "$JOBS" --no-cache --engine local --whatif-validate \
+    --critpath-out "$CACHE/critpath_local.json" > /dev/null
 "$BUILD"/tools/validate_telemetry "$CACHE/critpath_cycle.json"
-cmp "$CACHE/critpath_cycle.json" "$CACHE/critpath_parallel.json"
-echo "ok: critpath byte-identical cycle vs parallel (shards=4)"
+cmp "$CACHE/critpath_cycle.json" "$CACHE/critpath_local.json"
+echo "ok: critpath byte-identical cycle vs local"
 # Split the one-line document at each run label; the only "drift" keys
 # are the validated infinite-bus scenarios, so the first drift in a
 # record is that run's prediction error.
@@ -328,25 +320,10 @@ TSAN_BUILD="$BUILD-tsan"
 cmake -B "$TSAN_BUILD" -DPREFSIM_SANITIZE=thread -DPREFSIM_BUILD_BENCH=OFF \
     -DPREFSIM_BUILD_EXAMPLES=OFF
 cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_sweep \
-    --target test_obs --target test_simcore --target test_critpath
+    --target test_obs
 "$TSAN_BUILD"/tests/test_sweep
 "$TSAN_BUILD"/tests/test_obs
 echo "ok: test_sweep + test_obs clean under ThreadSanitizer"
-# The recorder's hooks all fire on the engine's main thread; the
-# identity suite (which replays the parallel core at shard counts 1, 2
-# and 4) must stay clean under TSan. The 16-proc what-if point is
-# excluded purely for budget — it is covered by the plain-build ctest.
-"$TSAN_BUILD"/tests/test_critpath --gtest_filter='-CritPathWhatIf.*'
-echo "ok: test_critpath (shards up to 4) clean under ThreadSanitizer"
-
-stage "tsan parallel-engine differential"
-# The sharded conservative-PDES core races its quiet catch-up work
-# across the shard pool; the differential suite (which runs the
-# parallel engine at shard counts 1, 2 and numProcs against the
-# oracle) must be clean under ThreadSanitizer.
-"$TSAN_BUILD"/tests/test_simcore \
-    --gtest_filter='*EngineDifferential*:BurstBoundary.*'
-echo "ok: parallel-engine differential clean under ThreadSanitizer"
 
 # --- configuration 3: ASan+UBSan with runtime invariant hooks ---------
 stage "asan+ubsan+verify-hooks build + tests"

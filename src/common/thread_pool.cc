@@ -1,5 +1,6 @@
 #include "common/thread_pool.hh"
 
+#include <algorithm>
 #include <utility>
 
 namespace prefsim
@@ -9,7 +10,7 @@ unsigned
 ThreadPool::resolveThreads(unsigned requested)
 {
     if (requested > 0)
-        return requested;
+        return std::min(requested, kMaxThreads);
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }

@@ -1,7 +1,6 @@
 /**
  * @file
- * A fixed-size worker pool shared by the sweep engine and the
- * parallel simulation core.
+ * A fixed-size worker pool: the sweep engine's `--jobs` workers.
  *
  * Deliberately minimal: FIFO task queue, submit-from-anywhere (including
  * from inside a running task, which is how the sweep DAG releases
@@ -54,7 +53,12 @@ class ThreadPool
         return static_cast<unsigned>(workers_.size());
     }
 
-    /** The worker count @p requested resolves to (0 = all cores). */
+    /** Largest worker count a pool is built with; larger requests are
+     *  clamped (the bench CLI rejects them outright). */
+    static constexpr unsigned kMaxThreads = 1024;
+
+    /** The worker count @p requested resolves to (0 = all cores;
+     *  at most kMaxThreads). */
     static unsigned resolveThreads(unsigned requested);
 
   private:

@@ -318,9 +318,6 @@ struct BenchDoc
     {
         std::string engine;
         std::uint64_t procs = 0;
-        /** Parallel-engine worker shards; 1 for the other engines and
-         *  for reports predating the field. */
-        std::uint64_t shards = 1;
         double simOnlySec = 0.0;
         std::uint64_t simCycles = 0;
     };
@@ -367,9 +364,6 @@ parseBenchDoc(const std::string &text, const std::string &which,
         BenchDoc::Run r;
         r.engine = engine->asString();
         r.procs = procs->asU64();
-        if (const JsonValue *shards = run.find("shards");
-            shards && shards->isNumber() && shards->asU64() > 0)
-            r.shards = shards->asU64();
         r.simOnlySec = sim_s->asDouble();
         r.simCycles = cycles->asU64();
         if (r.simOnlySec <= 0.0 || r.simCycles == 0) {
@@ -423,12 +417,11 @@ compareBenchReports(const std::string &baseline_text,
             continue;
         }
         const BenchDoc::Run &f = it->second;
-        if (b.engine != f.engine || b.procs != f.procs ||
-            b.shards != f.shards) {
+        if (b.engine != f.engine || b.procs != f.procs) {
             out.findings.push_back(
                 {"perf.config", verify::Severity::Warning,
                  "run \"" + label +
-                     "\" changed configuration (engine/procs/shards); "
+                     "\" changed configuration (engine/procs); "
                      "comparison is not apples-to-apples",
                  "fresh"});
         }

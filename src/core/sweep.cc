@@ -199,7 +199,6 @@ SweepEngine::executeBatch(const std::vector<ExperimentSpec> &specs)
         result->annotate = ann->stats;
         SimConfig cfg = node.spec->simConfig();
         cfg.engine = options_.engine;
-        cfg.shards = options_.shards;
         if (obs_) {
             cfg.obs = obs_.get();
             cfg.traceLabel = node.spec->label();
@@ -219,7 +218,6 @@ SweepEngine::executeBatch(const std::vector<ExperimentSpec> &specs)
             // commits no telemetry of its own.
             SimConfig wide = node.spec->simConfig();
             wide.engine = options_.engine;
-            wide.shards = options_.shards;
             wide.timing.dataChannels =
                 static_cast<unsigned>(ann->trace.numProcs());
             const SimStats actual = simulate(ann->trace, wide);

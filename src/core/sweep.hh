@@ -55,12 +55,7 @@ struct SweepOptions
      *  (docs/simcore.md), so this is not part of the experiment cache
      *  key: an engine-differential run must use --no-cache or separate
      *  cache directories. */
-    SimEngine engine = SimEngine::EventDriven;
-    /** Worker shards inside each Parallel-engine simulation
-     *  (--shards; ignored by the other cores). Like `engine`, results
-     *  are shard-count-invariant by contract, so this is not part of
-     *  the experiment cache key either. */
-    unsigned shards = 1;
+    SimEngine engine = SimEngine::LocalClock;
     /**
      * Interval time-series sampling period (--sample-interval; 0 = off).
      * Implies an ObsContext; each freshly simulated point commits one

@@ -124,8 +124,7 @@ SplitBus::pickNext(Cycle now)
     // processors always have distinct ranks — ownerless transactions
     // rank strictly after every processor, not as processor 0 — and
     // same-rank ties fall back to queue position, which for a single
-    // processor is its program order. The parallel engine relies on
-    // this to grant identically however its shards happened to race.
+    // processor is its program order.
     int best = -1;
     bool best_demand = false;
     std::uint32_t best_rank = ~std::uint32_t{0};
@@ -261,12 +260,6 @@ bool
 SplitBus::busy() const
 {
     return !active_.empty() || !waiting_.empty() || !addr_ops_.empty();
-}
-
-Cycle
-SplitBus::nextEventCycle(Cycle now) const
-{
-    return std::min(nextCompletionCycle(now), nextGrantCycle(now));
 }
 
 Cycle

@@ -106,7 +106,7 @@ struct BusTiming
     }
 
     /**
-     * Conservative-PDES lookahead: the minimum number of cycles between
+     * Request lookahead: the minimum number of cycles between
      * a request entering the bus and the earliest completion callback
      * it can fire, over every operation kind. Address-class ops
      * complete after their fixed occupancy; a writeback (ready
@@ -114,8 +114,8 @@ struct BusTiming
      * transfer later; data fills pay the whole uncontended latency.
      * Any cross-processor influence travels through a completion, so a
      * request issued at cycle t cannot affect another processor before
-     * t + requestLookahead() — the provable window the parallel engine
-     * leans on (docs/simcore.md).
+     * t + requestLookahead(): the contention-free latency floor (the
+     * prefetch-quality report's floor bound).
      */
     Cycle
     requestLookahead() const
@@ -191,23 +191,12 @@ class SplitBus
     bool busy() const;
 
     /**
-     * Earliest future cycle at which tick() could change bus state:
-     * an address op or transfer completing, or a queued operation
-     * becoming grantable (only counted while a data channel is free —
-     * with every channel busy the next grant is gated on a completion,
-     * which the active-transfer bound already covers). Ticks strictly
-     * before the returned cycle are provably no-ops; the event-driven
-     * simulator core skips them. @return kNoCycle when the bus is idle.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /**
      * Earliest cycle a completion callback could fire: an address op's
      * fixed latency or an active transfer's occupancy elapsing.
      * Completions install lines and wake processors, so they bound the
-     * event core's fast-forward windows; grants (nextGrantCycle) do
+     * local-clock core's frontier jumps; grants (nextGrantCycle) do
      * not — they touch only bus-internal queues and statistics, so the
-     * core folds them into the window by ticking the bus mid-gap.
+     * core folds them into the jump by ticking the bus mid-gap.
      * @return kNoCycle when nothing is in flight.
      */
     Cycle nextCompletionCycle(Cycle now) const;
@@ -222,25 +211,6 @@ class SplitBus
      * kNoCycle), so grant-folding loops terminate.
      */
     Cycle nextGrantCycle(Cycle now) const;
-
-    /**
-     * End of the epoch window opening at cycle @p now: the earliest
-     * cycle a completion could fire given everything already owned by
-     * the bus *plus* any request that might still enter at or after
-     * @p now (bounded by BusTiming::requestLookahead — the
-     * contention-free latency floor). Cycles in [now, window) are a
-     * provably completion-free span even against not-yet-issued
-     * requests: the conservative-PDES synchronisation bound the
-     * parallel engine's epochs are aligned to. Never returns a cycle
-     * before now + 1 (the lookahead is at least one cycle by
-     * construction: occupancies are validated non-zero).
-     */
-    Cycle
-    epochWindow(Cycle now) const
-    {
-        return std::min(nextCompletionCycle(now),
-                        now + timing_.requestLookahead());
-    }
 
     /**
      * Snapshot of every transaction currently owned by the bus, in a

@@ -44,14 +44,13 @@
  * re-simulates with a widened bus and reports the drift of the
  * infinite-bus prediction against ground truth.
  *
- * Thread model: every hook fires on the engine's main thread — bus
- * grants and completions are main-thread in all three engines, and the
- * processor-side transitions (lock, barrier, prefetch stall, miss
- * issue) are exact-cycle records that the parallel engine never
- * replays quietly on a worker. Recorded values depend only on
- * (cycle, ids) of exact-cycle events, which the byte-identical engine
- * contract already fixes, so recorder output is byte-identical across
- * cycle/event/parallel engines and shard counts by construction.
+ * Engine independence: every hook is an exact-cycle event — bus
+ * grants and completions, and processor-side transitions (lock,
+ * barrier, prefetch stall, miss issue) that the local-clock core never
+ * replays quietly. Recorded values depend only on (cycle, ids) of
+ * exact-cycle events, which the byte-identical engine contract already
+ * fixes, so recorder output is byte-identical across the cycle and
+ * local engines by construction.
  */
 
 #ifndef PREFSIM_OBS_CRITPATH_HH

@@ -160,8 +160,8 @@ class IntervalSampler
   public:
     IntervalSampler(Cycle interval, unsigned procs, std::string label);
 
-    /** The next cycle sample() expects (the event engine clamps its
-     *  fast-forward windows to this bound). */
+    /** The next cycle sample() expects (the local-clock core clamps
+     *  its frontier jumps to this bound). */
     Cycle nextSampleCycle() const { return next_; }
 
     /** Record the boundary sample @p f (f.cycle must equal

@@ -41,7 +41,6 @@ ProfileTotals::of(const ProfileRun &run)
 
 AttributionProfiler::AttributionProfiler(unsigned procs,
                                          std::string label)
-    : useful_(procs)
 {
     run_.label = std::move(label);
     run_.procs = procs;
@@ -114,6 +113,12 @@ AttributionProfiler::prefetchLateness(ProcId proc, Addr line_base,
 }
 
 void
+AttributionProfiler::prefetchUseful(ProcId proc, Addr line_base)
+{
+    ++line(line_base).prefetch[proc].useful;
+}
+
+void
 AttributionProfiler::prefetchKilled(ProcId proc, Addr line_base)
 {
     ++line(line_base).prefetch[proc].killed;
@@ -140,19 +145,11 @@ void
 AttributionProfiler::resetForWarmup()
 {
     run_.lines.clear();
-    for (auto &m : useful_)
-        m.clear();
 }
 
 ProfileRun
 AttributionProfiler::take(Cycle warmup_end)
 {
-    for (std::size_t p = 0; p < useful_.size(); ++p) {
-        for (const auto &[addr, n] : useful_[p])
-            run_.lines[addr].prefetch[static_cast<unsigned>(p)].useful +=
-                n;
-        useful_[p].clear();
-    }
     run_.warmupEnd = warmup_end;
     return std::move(run_);
 }

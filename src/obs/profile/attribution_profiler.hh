@@ -18,17 +18,13 @@
  *  - per-prefetch outcomes (issued / useful / late / killed /
  *    displaced), keyed by line and issuing processor.
  *
- * Thread-safety contract: every hook fires on the engine's main thread
- * — miss classification, coherence probes, bus grants, evictions and
- * prefetch issue are all non-quiet work — with ONE exception: prefetch
- * first-use fires inside quiet hit replay, which the parallel engine
- * runs on worker threads. That one counter is therefore sharded per
- * processor (workers own disjoint processors), and merged at take().
- * All counters are additive, so the profile is identical however the
- * engines interleave the work; serialisation sorts runs by label and
- * lines by address, giving byte-identical `prefsim-profile-v1` output
- * across the cycle, event and parallel engines (asserted by
- * tests/test_profile.cc).
+ * Every hook fires on the simulating thread; a profiler belongs to one
+ * run. All counters are additive, so the profile is identical however
+ * the engines order the work (the local-clock core replays quiet hits,
+ * and with them prefetch first uses, later than the oracle);
+ * serialisation sorts runs by label and lines by address, giving
+ * byte-identical `prefsim-profile-v1` output across the cycle and
+ * local engines (asserted by tests/test_profile.cc).
  */
 
 #ifndef PREFSIM_OBS_PROFILE_ATTRIBUTION_PROFILER_HH
@@ -39,7 +35,6 @@
 #include <map>
 #include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/types.hh"
@@ -153,7 +148,7 @@ class AttributionProfiler
         PrefetchInflight,       ///< Attached to an in-flight prefetch.
     };
 
-    /** @name Main-thread hooks (non-quiet work only). @{ */
+    /** @name Attribution hooks. @{ */
     void miss(Addr line, MissKind kind, bool false_sharing);
     void invalidation(Addr line, bool false_sharing);
     void downgrade(Addr line);
@@ -164,22 +159,13 @@ class AttributionProfiler
     void prefetchKilled(ProcId proc, Addr line);
     void prefetchDisplaced(ProcId proc, Addr line);
     void busGrant(Addr line, Cycle occupancy, bool demand_class);
+    /** First use of a prefetched line (also reached from quiet hit
+     *  replay). */
+    void prefetchUseful(ProcId proc, Addr line);
     /** @} */
 
-    /**
-     * First use of a prefetched line — the only hook reached from quiet
-     * hit replay, which the parallel engine runs on worker threads.
-     * Sharded per processor: workers own disjoint processors, so
-     * concurrent calls never touch the same slot.
-     */
-    void
-    prefetchUseful(ProcId proc, Addr line)
-    {
-        ++useful_[proc][line];
-    }
-
     /** Discard everything attributed so far (warmup statistics reset;
-     *  main thread, all processors caught up). */
+     *  all processors caught up). */
     void resetForWarmup();
 
     /** Move the finished run out (the profiler is spent afterwards). */
@@ -189,8 +175,6 @@ class AttributionProfiler
     ProfileLine &line(Addr addr) { return run_.lines[addr]; }
 
     ProfileRun run_;
-    /** Per-processor first-use tallies, merged into run_ at take(). */
-    std::vector<std::unordered_map<Addr, std::uint64_t>> useful_;
 };
 
 /**

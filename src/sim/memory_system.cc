@@ -253,8 +253,6 @@ MemorySystem::demandAccess(ProcId proc, Addr addr, bool is_write, Cycle now)
         f.accessMask |= 1u << word;
         if (f.broughtByPrefetch && !f.usedSinceFill) {
             ++prefetch_first_use_[proc]; // Prefetch proved useful.
-            // The one profiler hook quiet hit replay reaches: sharded
-            // per processor, safe from the parallel engine's workers.
             if (obs_.profile)
                 obs_.profile->prefetchUseful(proc, base);
         }

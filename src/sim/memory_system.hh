@@ -59,10 +59,8 @@ struct MemObs
     obs::Counter *deadFills = nullptr;
     /** Demand accesses that found their line's prefetch in flight. */
     obs::Counter *lateDemandAttach = nullptr;
-    /** Per-line attribution (SimConfig::profile). Every site below is
-     *  main-thread work except prefetch first-use, which fires inside
-     *  quiet hit replay and is sharded per processor (see
-     *  obs/profile/attribution_profiler.hh). */
+    /** Per-line attribution (SimConfig::profile). Every site fires on
+     *  the simulating thread (see obs/profile/attribution_profiler.hh). */
     obs::AttributionProfiler *profile = nullptr;
     /** Dependency-edge sink for the critical-path analyzer
      *  (SimConfig::critpath). Every site is main-thread work: miss
@@ -157,11 +155,10 @@ class MemorySystem
      * cycle-exact execution mutates its cache: a remote invalidation
      * or downgrade reaching one of its lines, parked entries, or
      * in-flight fills, and a fill completion installing into it. The
-     * parallel engine uses this to replay the processor's pending
+     * local-clock core uses this to replay the processor's pending
      * quiet work against the pre-mutation cache state (its quiet hits
-     * logically precede the mutation; see docs/simcore.md). Unset —
-     * the default, and the only configuration the other engines run —
-     * costs one null-check branch per site.
+     * logically precede the mutation; see docs/simcore.md). Left unset
+     * (the CycleLoop oracle), it costs one null-check branch per site.
      */
     using CatchUpFn = std::function<void(ProcId)>;
     void setCatchUp(CatchUpFn fn) { catch_up_ = std::move(fn); }
@@ -214,25 +211,16 @@ class MemorySystem
     /** True while any bus operation is outstanding. */
     bool busBusy() const { return bus_.busy(); }
 
-    /** Earliest future cycle at which tick() could do any work, or
-     *  kNoCycle when the bus is idle (see SplitBus::nextEventCycle).
-     *  The event-driven simulator core skips the cycles in between. */
-    Cycle
-    nextEventCycle(Cycle now) const
-    {
-        return bus_.nextEventCycle(now);
-    }
-
     /** Earliest future completion (wakes processors / installs lines;
-     *  bounds fast-forward windows — see SplitBus::nextCompletionCycle). */
+     *  bounds frontier jumps — see SplitBus::nextCompletionCycle). */
     Cycle
     nextCompletionCycle(Cycle now) const
     {
         return bus_.nextCompletionCycle(now);
     }
 
-    /** Earliest future data-bus grant (bus-internal only; the event
-     *  core folds these into fast-forward windows — see
+    /** Earliest future data-bus grant (bus-internal only; the
+     *  local-clock core folds these into frontier jumps — see
      *  SplitBus::nextGrantCycle). */
     Cycle
     nextGrantCycle(Cycle now) const
@@ -248,7 +236,7 @@ class MemorySystem
      * prefetch data buffer, promotes an in-flight prefetch, or issues
      * a bus operation (write hit on Shared). Such a *quiet hit*
      * mutates only the owning cache's local bookkeeping, so the
-     * event-driven core may execute it inside a fast-forward window:
+     * local-clock core may replay it while the processor lags:
      * nothing another processor or the bus does is affected by it, and
      * — because quiet hits never evict or change line residency — its
      * own later quiet-hit predictions stay valid too.
@@ -269,8 +257,8 @@ class MemorySystem
      * in flight, or already parked in the prefetch data buffer —
      * mirroring prefetchAccess()'s early-out order, with the
      * victim-buffer swap (which does mutate residency) excluded. A
-     * quiet drop lets the event-driven core keep a fast-forward window
-     * open across the prefetch instruction.
+     * quiet drop lets the local-clock core keep a processor's inert
+     * span open across the prefetch instruction.
      */
     bool
     wouldPrefetchDropQuietly(ProcId proc, Addr addr) const
@@ -295,8 +283,8 @@ class MemorySystem
      * retire an MSHR). The processor's own misses, swaps, and prefetch
      * issues need no bump: they execute in cycle-exact territory at
      * the point its cached inert walk already ends, so the cache
-     * expires by construction. The event-driven core uses this to
-     * reuse a processor's inert-walk result across windows.
+     * expires by construction. The inert walk uses this to reuse a
+     * processor's previous walk result (Processor::inertCycles).
      */
     std::uint64_t cacheVersion(ProcId proc) const
     {

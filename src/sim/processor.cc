@@ -88,7 +88,7 @@ Processor::tick(Cycle now)
         // passes and advance the anchor with it, so the settlement at
         // wake()/barrierRelease() degenerates to adding zero. The
         // CycleLoop oracle runs this mode so differential tests check
-        // the event engine's lazy settlement arithmetic against simple
+        // the local-clock core's lazy settlement arithmetic against simple
         // per-cycle counting instead of sharing it.
         if (eager_stalls_) {
             ++*stall_bucket_;
@@ -99,7 +99,7 @@ Processor::tick(Cycle now)
         // span is settled in one subtraction at wake()/barrierRelease()
         // against the bucket chosen at entry. (Skipping the per-cycle
         // cache stateOf() probe the old bucket attribution needed is a
-        // large share of the event-driven engine's speedup.)
+        // large share of the local-clock core's speedup.)
         return;
       case State::SpinLock: {
         const TraceRecord &r = trace_[index_];

@@ -13,7 +13,6 @@
 #ifndef PREFSIM_SIM_PROCESSOR_HH
 #define PREFSIM_SIM_PROCESSOR_HH
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 
@@ -82,8 +81,8 @@ class Processor
      * stays valid and later queries are O(1). @p now must be the
      * current simulation cycle.
      *
-     * The state dispatch is inline: the event loop calls this for
-     * every processor at every fast-forward window boundary.
+     * The state dispatch is inline: the local-clock core calls this
+     * whenever a processor's cached side-effect boundary expires.
      */
     Cycle
     inertCycles(Cycle now, Cycle limit) const
@@ -115,10 +114,9 @@ class Processor
             // successful retry.
             return kNoCycle;
           case State::Running:
-            // Memo fast path inline: the event loop queries every
-            // processor at every window boundary, and most queries
-            // re-read an unchanged walk (see runningInertCycles for
-            // the walk itself and the memo write-back).
+            // Memo fast path inline: most queries re-read an unchanged
+            // walk (see runningInertCycles for the walk itself and the
+            // memo write-back).
             if (inert_valid_ &&
                 inert_version_ == mem_.cacheVersion(id_) &&
                 inert_until_ > now) {
@@ -158,16 +156,14 @@ class Processor
     }
 
     /** Attach the simulator's finished-processor counter (incremented
-     *  once when this processor retires its last record — possibly
-     *  from a shard worker, when the parallel engine's catch-up
-     *  reaches the end of the trace; hence atomic). */
-    void setDoneCounter(std::atomic<std::size_t> *c) { done_counter_ = c; }
+     *  once when this processor retires its last record). */
+    void setDoneCounter(std::size_t *c) { done_counter_ = c; }
 
     /**
      * Select eager (per-cycle) stall accounting: every blocked tick
      * increments its bucket immediately and the wake-time settlement
      * adds zero. The CycleLoop oracle enables this so the differential
-     * suite verifies the event engine's lazy settlement against
+     * suite verifies the local-clock core's lazy settlement against
      * straightforward counting rather than sharing its arithmetic;
      * results are bit-identical by construction.
      */
@@ -175,8 +171,8 @@ class Processor
 
     /**
      * Install a hook fired right after this processor executes a
-     * LockRelease record, with the released lock's id. The parallel
-     * engine uses it to re-arm the spinners parked on that lock: their
+     * LockRelease record, with the released lock's id. The local-clock
+     * core uses it to re-arm the spinners parked on that lock: their
      * retries are provably futile while the lock is held, so the
      * engine stops servicing them at exact cycles and the release is
      * the one event that must put them back in the rotation.
@@ -329,7 +325,7 @@ class Processor
 
     /** Simulator's count of Done processors (may be null in unit
      *  tests driving a Processor directly). */
-    std::atomic<std::size_t> *done_counter_ = nullptr;
+    std::size_t *done_counter_ = nullptr;
 
     /** Count blocked cycles eagerly (CycleLoop oracle; see
      *  setEagerStalls). */

@@ -1,7 +1,6 @@
 #include "sim/simulator.hh"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <sstream>
 
@@ -13,16 +12,9 @@ namespace prefsim
 namespace
 {
 
-/// Cap on a single fast-forward / inert-walk window when the bus is
-/// idle. Wide enough that it never splits a real window (traces are
+/// Cap on a single frontier jump / inert walk when the bus is idle. Wide enough that it never splits a real window (traces are
 /// far shorter), small enough that cycle_ + cap cannot overflow.
 constexpr Cycle kMaxWindow = Cycle{1} << 30;
-
-/// Frontier distance between batched catch-up flushes of lagging local
-/// clocks when the Parallel engine has a shard pool: often enough that
-/// the flushed spans stay cache-warm, rarely enough that the pool
-/// hand-off cost amortises.
-constexpr Cycle kShardFlushInterval = 4096;
 
 /// Walk limit for a local clock's side-effect boundary (matches the
 /// inert walk's own memo lookahead). A boundary capped here is a safe
@@ -52,11 +44,11 @@ Simulator::Simulator(const ParallelTrace &trace, const SimConfig &config)
         config.victimEntries, config.prefetchDataBufferEntries,
         config.protocol);
 
-    const bool parallel = config.engine == SimEngine::Parallel;
+    const bool local = config.engine == SimEngine::LocalClock;
 
-    mem_->setWake([this, parallel](ProcId p, bool retry) {
+    mem_->setWake([this, local](ProcId p, bool retry) {
         procs_[p]->wake(retry, cycle_);
-        if (parallel) {
+        if (local) {
             // The woken processor is current as of the frontier (its
             // blocked span just settled) and must tick this very cycle
             // (completions fire before the rotation, as ever).
@@ -65,7 +57,7 @@ Simulator::Simulator(const ParallelTrace &trace, const SimConfig &config)
         }
     });
 
-    auto release_all = [this, parallel](Cycle now) {
+    auto release_all = [this, local](Cycle now) {
         // The release happens mid-rotation, from the last arriver's
         // tick: waiters whose service slot this cycle preceded the
         // releaser's have already spent the cycle waiting (lazy stall
@@ -78,7 +70,7 @@ Simulator::Simulator(const ParallelTrace &trace, const SimConfig &config)
                 const unsigned pos = (pr->id() + n - start) % n;
                 const bool before = pos < releaser_pos;
                 pr->barrierRelease(now, before);
-                if (parallel) {
+                if (local) {
                     // A waiter released before its slot resumes this
                     // very cycle; one whose slot already passed spent
                     // cycle `now` waiting (settled above) and resumes
@@ -96,13 +88,12 @@ Simulator::Simulator(const ParallelTrace &trace, const SimConfig &config)
     };
 
     // The reference loop services every processor every cycle with
-    // eager per-cycle stall counting; the event engine skips blocked
-    // processors and settles their stalls arithmetically at wake. Both
-    // produce bit-identical statistics — deliberately via different
-    // code paths, so the differential suite actually checks the lazy
-    // arithmetic against the straightforward accounting.
-    tick_all_ = config.engine == SimEngine::CycleLoop;
-    if (parallel) {
+    // eager per-cycle stall counting; the local-clock core skips
+    // blocked processors and settles their stalls arithmetically at
+    // wake. Both produce bit-identical statistics — deliberately via
+    // different code paths, so the differential suite actually checks
+    // the lazy arithmetic against the straightforward accounting.
+    if (local) {
         local_.assign(trace.numProcs(), 0);
         eff_.assign(trace.numProcs(), 0);
         rot_.assign(trace.numProcs(), 0);
@@ -115,11 +106,6 @@ Simulator::Simulator(const ParallelTrace &trace, const SimConfig &config)
         if ((np & (np - 1)) == 0)
             proc_mask_ = np - 1; // Rotation start by mask, not modulo.
         mem_->setCatchUp([this](ProcId p) { hookTouch(p); });
-        if (config.shards > 1) {
-            pool_ = std::make_unique<ThreadPool>(
-                std::min<unsigned>(config.shards,
-                                   static_cast<unsigned>(trace.numProcs())));
-        }
     }
     procs_.reserve(trace.numProcs());
     for (ProcId p = 0; p < trace.numProcs(); ++p) {
@@ -127,8 +113,8 @@ Simulator::Simulator(const ParallelTrace &trace, const SimConfig &config)
             p, trace.procs[p], *mem_, locks_, barriers_, proc_stats_[p],
             release_all));
         procs_.back()->setDoneCounter(&done_count_);
-        procs_.back()->setEagerStalls(tick_all_);
-        if (parallel) {
+        procs_.back()->setEagerStalls(!local);
+        if (local) {
             // A spinner on a held lock is dropped from the exact-cycle
             // rotation entirely (rot_ kNoCycle: its retries provably
             // fail); the release is the one event that must put it
@@ -200,7 +186,7 @@ Simulator::resetStatsForWarmup()
         sampler_->rebase(captureSampleFrame(warmup_end_), warmup_end_);
     // The profile covers the measured window only, so its totals match
     // the post-warmup aggregates (Table 3). The reset runs with every
-    // processor caught up to the barrier release in all three engines,
+    // processor caught up to the barrier release in both engines,
     // so the discarded warmup attribution is identical too.
     if (profiler_)
         profiler_->resetForWarmup();
@@ -253,23 +239,17 @@ Simulator::progressSum() const
 }
 
 void
-Simulator::runExactCycle(bool bus_may_act)
+Simulator::runExactCycle()
 {
-    if (bus_may_act)
-        mem_->tick(cycle_);
+    mem_->tick(cycle_);
     // Rotate the processor service order so no processor systematically
-    // wins same-cycle races for locks. Blocked processors are skipped —
-    // their ticks are no-ops under lazy stall accounting — but the skip
-    // is decided at visit time: a mid-rotation wake or barrier release
-    // makes a processor runnable in this very cycle, as before.
+    // wins same-cycle races for locks. Every live processor is ticked;
+    // blocked ones count their stall cycle eagerly.
     const auto n = static_cast<unsigned>(procs_.size());
     unsigned idx = static_cast<unsigned>(cycle_ % n);
     for (unsigned i = 0; i < n; ++i) {
         Processor &p = *procs_[idx];
-        // The reference loop ticks every live processor (blocked ones
-        // count their stall cycle eagerly); the event engine skips
-        // them — their ticks are no-ops under lazy settlement.
-        if (tick_all_ ? !p.done() : p.needsTick()) {
+        if (!p.done()) {
             ticking_ = idx;
             p.tick(cycle_);
         }
@@ -300,121 +280,14 @@ Simulator::closeExactCycle()
 bool
 Simulator::stepCycle()
 {
+    prefsim_assert(local_.empty(),
+                   "stepCycle() requires SimEngine::CycleLoop");
     if (allDone())
         return false;
     // A sample at cycle X captures state at the start of X, before the
     // bus tick and the processor rotation.
     maybeSample();
     runExactCycle();
-    return !allDone();
-}
-
-bool
-Simulator::stepEvent()
-{
-    if (allDone())
-        return false;
-
-    // The previous step may have left cycle_ exactly on a sample
-    // boundary (via its closing runExactCycle).
-    maybeSample();
-
-    // Fast-forward across inert windows, chaining consecutive ones: a
-    // burst that ends and advances into another Instr record (or into
-    // the instruction cycle of a two-phase reference) opens a new
-    // window immediately, with no exact cycle in between. The loop
-    // drops to cycle-exact execution only when some processor's next
-    // tick can have side effects (inert == 0) or a bus completion or
-    // grant is due this very cycle.
-    const std::size_t n = procs_.size();
-    bool bus_due = true;
-    for (;;) {
-        // The next interesting cycle: the earliest bus *completion*
-        // (fills and wakes touch processors, so it bounds the window)
-        // or the first cycle a Running processor could have a side
-        // effect. Grants touch only bus-internal queues and statistics
-        // — nothing a processor can observe before the completion they
-        // schedule — so they commute with the in-window quiet work and
-        // are folded into the gap below. Everything in between is
-        // provably inert (docs/simcore.md).
-        const Cycle bus_comp = mem_->nextCompletionCycle(cycle_);
-        if (bus_comp == cycle_)
-            break; // A completion is due this very cycle.
-        const Cycle bus_grant = mem_->nextGrantCycle(cycle_);
-        if (bus_grant == cycle_) {
-            // Grant-only cycle: tick the bus (no completion can fire —
-            // the earliest is bus_comp) and re-derive the bounds. The
-            // processors have not been serviced for this cycle yet;
-            // the window starting here covers them.
-            mem_->tick(cycle_);
-            continue;
-        }
-        Cycle target = bus_comp;
-        std::uint32_t ff_mask = 0; // Processors fastForward() advances.
-        for (std::size_t i = 0; i < n; ++i) {
-            const Processor &p = *procs_[i];
-            // The trace walk need not look past the current window end
-            // (the limit shrinks as earlier processors tighten it).
-            const Cycle limit =
-                target == kNoCycle ? kMaxWindow : target - cycle_;
-            const Cycle inert = p.inertCycles(cycle_, limit);
-            if (inert == 0) {
-                target = cycle_;
-                break;
-            }
-            if (p.needsTick())
-                ff_mask |= std::uint32_t{1} << i;
-            if (inert != kNoCycle && cycle_ + inert < target)
-                target = cycle_ + inert;
-        }
-        if (target == kNoCycle && bus_grant == kNoCycle) {
-            // Every processor is blocked and the bus is idle: nothing
-            // can ever wake anyone. The cycle loop would spin to the
-            // watchdog window and conclude the same.
-            reportDeadlock("no progress possible: every processor is "
-                           "blocked and the bus is idle");
-        }
-        if (target == cycle_) {
-            // A processor forces exactness before the next bus event:
-            // the bus provably does nothing this cycle.
-            bus_due = false;
-            break;
-        }
-        // A sample boundary bounds the window too: the frame must be
-        // captured at its exact cycle, never skipped by a
-        // fast-forward. Clamped after the deadlock check above — a
-        // boundary is not progress, and letting it rescue a dead
-        // machine would sample the same frame forever.
-        if (next_sample_ < target)
-            target = next_sample_;
-        // Fold grant cycles inside the window: each grant schedules a
-        // completion (no earlier than grant + occupancy), which may
-        // tighten the window end. nextGrantCycle() advances strictly
-        // after a tick performs the grants, so this terminates; it
-        // also rescues the target == kNoCycle case (all processors
-        // blocked, grants pending): the first folded grant schedules
-        // the completion that bounds the window.
-        for (Cycle g = bus_grant; g < target;
-             g = mem_->nextGrantCycle(g)) {
-            mem_->tick(g);
-            target = std::min(target, mem_->nextCompletionCycle(g));
-        }
-        const Cycle gap = target - cycle_;
-        for (std::uint32_t m = ff_mask; m != 0; m &= m - 1) {
-            const auto i =
-                static_cast<std::size_t>(std::countr_zero(m));
-            procs_[i]->fastForward(gap, cycle_);
-        }
-        cycle_ = target;
-        // A burst that ended exactly at the window boundary may have
-        // retired the last record of every trace. Checked before
-        // sampling, mirroring the cycle loop (a boundary coinciding
-        // with the end of the run is emitted by finish(), not here).
-        if (allDone())
-            return false;
-        maybeSample();
-    }
-    runExactCycle(bus_due);
     return !allDone();
 }
 
@@ -455,11 +328,11 @@ Simulator::refreshEff(ProcId p)
     rot_active_ |= bit;
 }
 
-bool
-Simulator::catchUpQuiet(ProcId p, Cycle to)
+void
+Simulator::catchUp(ProcId p, Cycle to)
 {
     if (to <= local_[p])
-        return false;
+        return;
     Processor &pr = *procs_[p];
     // Blocked and done processors need no replay at all: their stall
     // spans settle lazily at wake (fastForward would return without
@@ -468,51 +341,19 @@ Simulator::catchUpQuiet(ProcId p, Cycle to)
     if (pr.needsTick())
         pr.fastForward(to - local_[p], local_[p]);
     local_[p] = to;
-    return true;
-}
-
-void
-Simulator::catchUp(ProcId p, Cycle to)
-{
     // An advanced replay may have retired the trace's final record
     // (Done) or consumed memoised inert cycles; either way the cached
     // boundary is stale. (Skipping this lets a retirement keep a stale
     // finite eff_ and pin the frontier minimum below where it is.)
-    if (catchUpQuiet(p, to))
-        dirty_mask_ |= std::uint32_t{1} << p;
+    dirty_mask_ |= std::uint32_t{1} << p;
 }
 
 void
 Simulator::catchUpAll(Cycle to)
 {
     const auto n = static_cast<ProcId>(procs_.size());
-    if (!pool_) {
-        for (ProcId p = 0; p < n; ++p)
-            catchUp(p, to);
-        return;
-    }
-    // One task per shard, processors interleaved p % shards. The quiet
-    // replays of distinct processors touch disjoint state (their own
-    // cache, their own ProcStats slot, their own local_ element; the
-    // only shared write is the atomic done counter), so the partition
-    // needs no merge step — except the dirty flags, which live in one
-    // shared mask: each worker accumulates its own and the main thread
-    // folds them in after the join.
-    const unsigned shards = pool_->numThreads();
-    std::array<std::uint32_t, 32> worker_dirty{};
-    for (unsigned s = 0; s < shards; ++s) {
-        pool_->submit([this, s, n, shards, to, &worker_dirty] {
-            std::uint32_t m = 0;
-            for (ProcId p = s; p < n; p += shards) {
-                if (catchUpQuiet(p, to))
-                    m |= std::uint32_t{1} << p;
-            }
-            worker_dirty[s] = m;
-        });
-    }
-    pool_->waitAll();
-    for (unsigned s = 0; s < shards; ++s)
-        dirty_mask_ |= worker_dirty[s];
+    for (ProcId p = 0; p < n; ++p)
+        catchUp(p, to);
 }
 
 void
@@ -538,7 +379,7 @@ Simulator::hookTouch(ProcId p)
         if (pos_p < pos_t)
             to = cycle_ + 1;
     }
-    catchUpQuiet(p, to);
+    catchUp(p, to);
     // Even a zero-length catch-up expires the cached quiet promise:
     // the mutation may turn a promised quiet hit into a miss.
     dirty_mask_ |= std::uint32_t{1} << p;
@@ -554,9 +395,9 @@ Simulator::serviceSlot(unsigned idx)
     // cycle.
     if (dirty_mask_ & bit)
         refreshEff(idx);
-    // Spin/stall retries carry rot_ 0 (they retry every exact cycle,
-    // like the event engine); woken or touched processors and due
-    // local-clock boundaries land exactly on cycle_.
+    // Spin/stall retries carry rot_ 0 (they retry every exact cycle);
+    // woken or touched processors and due local-clock boundaries land
+    // exactly on cycle_.
     if (rot_[idx] > cycle_)
         return false;
     catchUp(idx, cycle_);
@@ -571,7 +412,7 @@ Simulator::serviceSlot(unsigned idx)
 }
 
 void
-Simulator::runExactCycleParallel(bool bus_may_act)
+Simulator::runExactCycleLocal(bool bus_may_act)
 {
     if (bus_may_act)
         mem_->tick(cycle_);
@@ -623,10 +464,10 @@ Simulator::runExactCycleParallel(bool bus_may_act)
 }
 
 bool
-Simulator::stepParallel()
+Simulator::stepLocal()
 {
     prefsim_assert(!local_.empty(),
-                   "stepParallel() requires SimEngine::Parallel");
+                   "stepLocal() requires SimEngine::LocalClock");
     if (allDone())
         return false;
 
@@ -634,7 +475,7 @@ Simulator::stepParallel()
     // boundary. The frame must capture every processor's state as of
     // the frontier, so lagging clocks settle first; a catch-up that
     // retires the last trace ends the run un-sampled, mirroring the
-    // other engines (finish() emits the final frame).
+    // oracle (finish() emits the final frame).
     if (cycle_ == next_sample_) {
         catchUpAll(cycle_);
         if (allDone())
@@ -643,13 +484,14 @@ Simulator::stepParallel()
     }
 
     // Advance the frontier to the next cycle that must execute
-    // exactly: a bus completion, or the earliest local-clock
-    // side-effect boundary. Unlike stepEvent, processors are NOT
-    // fast-forwarded as the frontier moves — their local clocks lag
-    // until a bus epoch, a snoop, a sample boundary or a shard flush
-    // forces the quiet replay (docs/simcore.md gives the safety
-    // argument; SplitBus::epochWindow is the analytical form of the
-    // completion/grant bound computed here).
+    // exactly, chaining consecutive inert windows: the earliest bus
+    // *completion* (fills and wakes touch processors, so it bounds the
+    // window) or the first cycle some processor could have a side
+    // effect (its local-clock boundary, from inertCycles()). Everything
+    // in between is provably inert (docs/simcore.md). Processors are
+    // NOT fast-forwarded as the frontier moves — their local clocks lag
+    // until a completion, a snoop or a sample boundary forces the quiet
+    // replay (fastForward, via catchUp).
     const auto n = static_cast<ProcId>(procs_.size());
     bool bus_due = true;
     for (;;) {
@@ -658,9 +500,11 @@ Simulator::stepParallel()
             break; // A completion is due this very cycle.
         const Cycle bus_grant = mem_->nextGrantCycle(cycle_);
         if (bus_grant == cycle_) {
-            // Grant-only cycle: tick the bus and re-derive the bounds
-            // (grants touch nothing a processor can observe before the
-            // completion they schedule, so lagging clocks are safe).
+            // Grant-only cycle: tick the bus (no completion can fire —
+            // the earliest is bus_comp) and re-derive the bounds.
+            // Grants touch only bus-internal queues and statistics —
+            // nothing a processor can observe before the completion
+            // they schedule — so lagging clocks are safe.
             mem_->tick(cycle_);
             continue;
         }
@@ -679,8 +523,8 @@ Simulator::stepParallel()
             // A boundary is due at the frontier. Catch the due
             // processors up; a walk that ended at the trace's final
             // record retires here with no exact cycle — the frontier
-            // is then the finish cycle, exactly as in the other
-            // engines — while a genuine side effect demands exactness.
+            // is then the finish cycle, exactly as in the oracle —
+            // while a genuine side effect demands exactness.
             bool exact = false;
             for (ProcId p = 0; p < n; ++p) {
                 if (eff_[p] != cycle_)
@@ -693,7 +537,9 @@ Simulator::stepParallel()
                 return false;
             if (!exact)
                 continue; // Pure retirements; re-derive the bounds.
-            bus_due = false; // nextEventCycle proved the bus idle.
+            // Neither a completion nor a grant is due this cycle (both
+            // were ruled out above): the bus provably does nothing.
+            bus_due = false;
             break;
         }
         Cycle target = std::min(bus_comp, e);
@@ -704,14 +550,20 @@ Simulator::stepParallel()
             reportDeadlock("no progress possible: every processor is "
                            "blocked and the bus is idle");
         }
-        // A sample boundary bounds the frontier jump too (clamped
-        // after the deadlock check: a boundary is not progress).
+        // A sample boundary bounds the frontier jump too: the frame
+        // must be captured at its exact cycle, never skipped. Clamped
+        // after the deadlock check above — a boundary is not progress,
+        // and letting it rescue a dead machine would sample the same
+        // frame forever.
         if (next_sample_ < target)
             target = next_sample_;
-        // Fold grant cycles inside the window, exactly as stepEvent
-        // does: each grant schedules a completion that may tighten the
-        // window end, and rescues the all-blocked-but-grants-pending
-        // case.
+        // Fold grant cycles inside the window: each grant schedules a
+        // completion (no earlier than grant + occupancy), which may
+        // tighten the window end. nextGrantCycle() advances strictly
+        // after a tick performs the grants, so this terminates; it
+        // also rescues the target == kNoCycle case (all processors
+        // blocked, grants pending): the first folded grant schedules
+        // the completion that bounds the window.
         Cycle bus_next = bus_comp;
         for (Cycle g = bus_grant; g < target;
              g = mem_->nextGrantCycle(g)) {
@@ -720,15 +572,6 @@ Simulator::stepParallel()
             target = std::min(target, bus_next);
         }
         cycle_ = target;
-        // With a shard pool, periodically flush the lagging clocks so
-        // the quiet replay runs wide across the workers instead of
-        // serially inside the next snoop hook or sample boundary.
-        if (pool_ && cycle_ - last_flush_ >= kShardFlushInterval) {
-            last_flush_ = cycle_;
-            catchUpAll(cycle_);
-            if (allDone())
-                return false;
-        }
         if (cycle_ == next_sample_) {
             catchUpAll(cycle_);
             if (allDone())
@@ -743,7 +586,7 @@ Simulator::stepParallel()
         if (cycle_ == bus_next)
             break;
     }
-    runExactCycleParallel(bus_due);
+    runExactCycleLocal(bus_due);
     return !allDone();
 }
 
@@ -753,11 +596,8 @@ Simulator::run()
     if (config_.engine == SimEngine::CycleLoop) {
         while (stepCycle()) {
         }
-    } else if (config_.engine == SimEngine::EventDriven) {
-        while (stepEvent()) {
-        }
     } else {
-        while (stepParallel()) {
+        while (stepLocal()) {
         }
     }
     const Cycle done_at = cycle_;

@@ -11,13 +11,11 @@
 #ifndef PREFSIM_SIM_SIMULATOR_HH
 #define PREFSIM_SIM_SIMULATOR_HH
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/cache_geometry.hh"
-#include "common/thread_pool.hh"
 #include "common/types.hh"
 #include "mem/split_bus.hh"
 #include "obs/obs.hh"
@@ -31,25 +29,22 @@ namespace prefsim
 {
 
 /**
- * Simulation core selection. All engines produce bit-identical
+ * Simulation core selection. Both engines produce bit-identical
  * SimStats on every input (asserted by tests/test_simcore.cc and a
  * scripts/check.sh stage); see docs/simcore.md for the safety
  * argument.
  */
 enum class SimEngine : std::uint8_t
 {
-    /** Tick the bus and every processor each cycle: the reference
-     *  implementation, kept as the differential-test oracle. */
+    /** Tick the bus and every processor each cycle with eager stall
+     *  accounting: the reference implementation, kept as the
+     *  differential-test oracle. */
     CycleLoop,
-    /** Compute the next cycle at which anything observable can happen
-     *  and fast-forward across the provably inert gap (default). */
-    EventDriven,
-    /** Conservative-PDES core: each processor advances on its own
-     *  local clock through provably inert work and synchronises only
-     *  at bus-epoch boundaries (SplitBus::epochWindow). With
-     *  SimConfig::shards > 1 the catch-up work is executed by a
-     *  ThreadPool, partitioned per processor. */
-    Parallel,
+    /** Each processor advances on its own local clock through provably
+     *  inert work; the frontier executes exactly only the cycles at
+     *  which a bus completion or some processor's side effect is due
+     *  (default). */
+    LocalClock,
 };
 
 /** Hardware configuration of one simulation (paper §3.3 defaults). */
@@ -95,18 +90,7 @@ struct SimConfig
      * deliberately excluded from the experiment cache key; CycleLoop
      * exists as the oracle for differential tests and debugging.
      */
-    SimEngine engine = SimEngine::EventDriven;
-    /**
-     * Worker shards for the Parallel engine (ignored by the others):
-     * processors are partitioned `proc % shards` across a ThreadPool
-     * and their local-clock catch-up work runs concurrently — the
-     * quiet work of distinct processors touches disjoint state, so the
-     * merge is a no-op and results are shard-count-invariant. 1 (the
-     * default) keeps every catch-up on the calling thread. Like
-     * `engine`, excluded from the experiment cache key: results are
-     * identical by contract at every shard count.
-     */
-    unsigned shards = 1;
+    SimEngine engine = SimEngine::LocalClock;
     /**
      * Instrumentation backplane (not owned; must outlive the run). Null
      * — the default — leaves every component uninstrumented: no
@@ -120,9 +104,10 @@ struct SimConfig
      * the per-processor stall breakdown into a
      * `prefsim-timeseries-v1` series committed to obs->timeseries.
      * Sampling never perturbs results: simulation statistics are
-     * byte-identical with it on or off, in both engines (the event
-     * core bounds its fast-forward windows at sample boundaries so
-     * frames are captured at exact cycles).
+     * byte-identical with it on or off, in both engines (the
+     * local-clock core bounds its frontier jumps at sample boundaries
+     * and catches every processor up there, so frames are captured at
+     * exact cycles).
      */
     Cycle sampleInterval = 0;
     /**
@@ -132,7 +117,7 @@ struct SimConfig
      * `prefsim-profile-v1` run to obs->profile. Profiling never
      * perturbs results: simulation statistics are byte-identical with
      * it on or off, and the profile itself is byte-identical across
-     * all three engines (asserted by tests/test_profile.cc).
+     * both engines (asserted by tests/test_profile.cc).
      */
     bool profile = false;
     /**
@@ -144,7 +129,7 @@ struct SimConfig
      * what-if speedup bounds) to obs->critpath. Recording never
      * perturbs results: simulation statistics are byte-identical with
      * it on or off, and the analysis itself is byte-identical across
-     * all three engines (asserted by tests/test_critpath.cc).
+     * both engines (asserted by tests/test_critpath.cc).
      */
     bool critpath = false;
     /** Label of this run's trace session (sweep spec label; shown as
@@ -168,27 +153,19 @@ class Simulator
     /** Run to completion and return the statistics. */
     SimStats run();
 
-    /** Single-step one cycle (testing). @return true while active. */
+    /** Single-step one cycle of the CycleLoop oracle (testing).
+     *  @return true while active. */
     bool stepCycle();
 
     /**
-     * Single-step the event-driven core: fast-forward to the next
-     * cycle at which anything observable can happen, then execute it
-     * exactly. Advances currentCycle() by at least one; statistics are
+     * Single-step the local-clock core: advance the frontier to the
+     * next bus completion or local-clock side-effect boundary without
+     * touching lagging processors, then execute that cycle exactly
+     * (catching up exactly the processors it involves). Statistics are
      * bit-identical to the equivalent stepCycle() sequence.
      * @return true while active.
      */
-    bool stepEvent();
-
-    /**
-     * Single-step the conservative-PDES core: advance the frontier to
-     * the next bus completion or local-clock side-effect boundary
-     * without touching lagging processors, then execute that cycle
-     * exactly (catching up exactly the processors it involves).
-     * Statistics are bit-identical to the equivalent stepCycle()
-     * sequence. @return true while active.
-     */
-    bool stepParallel();
+    bool stepLocal();
 
     Cycle currentCycle() const { return cycle_; }
     const MemorySystem &memory() const { return *mem_; }
@@ -208,12 +185,10 @@ class Simulator
         return done_count_ == procs_.size();
     }
 
-    /** Execute cycle_ exactly (bus tick + processor rotation), then
-     *  advance cycle_ and run the progress watchdog. Shared by both
-     *  engines. @p bus_may_act false skips the bus tick — only legal
-     *  when SplitBus::nextEventCycle() proved it a no-op this cycle
-     *  (nothing ready to complete, nothing grantable). */
-    void runExactCycle(bool bus_may_act = true);
+    /** Execute cycle_ exactly for the CycleLoop oracle: bus tick, then
+     *  every live processor in rotation order (blocked ones count their
+     *  stall cycle eagerly), then closeExactCycle(). */
+    void runExactCycle();
 
     /** Zero all statistics at the end of warmup. */
     void resetStatsForWarmup();
@@ -238,13 +213,16 @@ class Simulator
      *  progress watchdog (shared tail of every exact-cycle path). */
     void closeExactCycle();
 
-    /** Execute cycle_ exactly for the Parallel engine: bus tick, then
-     *  a rotation that services only the processors with business this
-     *  cycle — spin/stall retries, woken or hook-touched processors,
-     *  and local clocks whose side-effect boundary is due — catching
-     *  each up to the frontier first. Lagging quiet processors are
-     *  skipped entirely (the engine's speedup). */
-    void runExactCycleParallel(bool bus_may_act);
+    /** Execute cycle_ exactly for the local-clock core: bus tick
+     *  (skipped when @p bus_may_act is false — only legal when the
+     *  bus provably does nothing this cycle: no completion due, nothing
+     *  grantable), then a rotation that services only the processors
+     *  with business this cycle — spin/stall retries, woken or
+     *  hook-touched processors, and local clocks whose side-effect
+     *  boundary is due — catching each up to the frontier first.
+     *  Lagging quiet processors are skipped entirely (the engine's
+     *  speedup). */
+    void runExactCycleLocal(bool bus_may_act);
 
     /** Service one rotation slot of the current exact cycle: refresh a
      *  dirty boundary, run the due test, and when due catch the
@@ -254,20 +232,13 @@ class Simulator
     bool serviceSlot(unsigned idx);
 
     /** Retire processor @p p's provably quiet work over
-     *  [local_[p], to) in one step and move its local clock to @p to.
-     *  Legal whenever to <= eff_[p] (the promised side-effect
-     *  boundary); no-op when the clock is already there. Returns true
-     *  when the clock actually advanced (the caller owns marking the
-     *  boundary dirty — shard workers accumulate their own flags). */
-    bool catchUpQuiet(ProcId p, Cycle to);
-
-    /** catchUpQuiet() plus the dirty-boundary bookkeeping (main-thread
-     *  callers only: dirty_mask_ is not written from shard workers). */
+     *  [local_[p], to) in one step, move its local clock to @p to and,
+     *  when the clock actually advanced, mark its cached boundary
+     *  dirty. Legal whenever to <= eff_[p] (the promised side-effect
+     *  boundary); no-op when the clock is already there. */
     void catchUp(ProcId p, Cycle to);
 
-    /** Catch every processor up to @p to — on the shard pool when one
-     *  exists, processors partitioned p % shards (their quiet work is
-     *  disjoint, so the order and interleaving are unobservable). */
+    /** catchUp() every processor to @p to. */
     void catchUpAll(Cycle to);
 
     /** MemorySystem is about to mutate processor @p p's cache from
@@ -296,15 +267,8 @@ class Simulator
     std::vector<std::unique_ptr<Processor>> procs_;
     Cycle cycle_ = 0;
     /** Processors that have retired their whole trace (bumped by the
-     *  processors themselves via Processor::setDoneCounter). Atomic
-     *  because a sharded catch-up may retire a trace's final record on
-     *  a worker thread; the other engines pay one uncontended atomic
-     *  increment per processor per run. */
-    std::atomic<std::size_t> done_count_{0};
-    /** CycleLoop: service every live processor each cycle (blocked
-     *  ones count stalls eagerly). EventDriven: skip blocked
-     *  processors; their stalls settle lazily at wake. */
-    bool tick_all_ = false;
+     *  processors themselves via Processor::setDoneCounter). */
+    std::size_t done_count_ = 0;
     /** The processor currently being ticked in the service rotation
      *  (barrier releases need the releaser's slot to settle lazily
      *  accounted barrier waits; see Processor::barrierRelease). */
@@ -333,8 +297,8 @@ class Simulator
     bool warmup_done_ = false;
     Cycle warmup_end_ = 0;
 
-    /** @name Parallel-engine state (allocated only by the constructor
-     * when the engine is Parallel).
+    /** @name Local-clock state (allocated only by the constructor
+     * when the engine is LocalClock).
      * local_[p] is the cycle up to which p's work has actually been
      * executed (always <= cycle_, the frontier). eff_[p] caches the
      * absolute cycle of p's next possible side effect as the frontier
@@ -343,13 +307,10 @@ class Simulator
      * lock, stalled on the prefetch queue). rot_[p] caches the same
      * boundary as the exact-cycle rotation sees it: the boundary for
      * Running processors, 0 for spin/stall retries (serviced at every
-     * exact cycle, like the event engine ticks them) and kNoCycle for
-     * blocked/done processors — so the rotation's due test is a single
-     * compare against the frontier. Both are recomputed lazily when
-     * p's bit in dirty_mask_ is set (ticks, wakes, hook touches and
-     * catch-ups mark it). The mask is written only on the main thread;
-     * shard workers accumulate their own flags and catchUpAll() folds
-     * them in after the join. @{ */
+     * exact cycle) and kNoCycle for blocked/done processors — so the
+     * rotation's due test is a single compare against the frontier.
+     * Both are recomputed lazily when p's bit in dirty_mask_ is set
+     * (ticks, wakes, hook touches and catch-ups mark it). @{ */
     std::vector<Cycle> local_;
     std::vector<Cycle> eff_;
     std::vector<Cycle> rot_;
@@ -366,10 +327,6 @@ class Simulator
      *  (cycle_ % numProcs, cached so the snoop hook's slot-order test
      *  needs no divisions). Only meaningful while ticking_ != kNoProc. */
     unsigned rot_start_ = 0;
-    /** Shard pool (null when shards <= 1: catch-up stays inline). */
-    std::unique_ptr<ThreadPool> pool_;
-    /** Frontier cycle of the last batched catch-up flush. */
-    Cycle last_flush_ = 0;
     /** @} */
 };
 

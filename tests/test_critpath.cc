@@ -11,11 +11,10 @@
  *    per-class totals must sum exactly to the measured window on every
  *    run (the coverage invariant);
  *  - cross-engine identity: the serialised prefsim-critpath-v1
- *    document must be byte-identical across the cycle loop, the event
- *    core and the parallel core at shard counts 1, 2 and numProcs —
- *    every recorder hook is a main-thread exact-cycle event, so this
- *    holds by construction and regresses loudly if a hook ever moves
- *    into quiet replay;
+ *    document must be byte-identical across the cycle loop and the
+ *    local-clock core — every recorder hook is an exact-cycle event,
+ *    so this holds by construction and regresses loudly if a hook ever
+ *    moves into quiet replay;
  *  - neutrality: enabling the recorder must not perturb simulation
  *    statistics (byte-identical SimStats fingerprints on vs off);
  *  - the what-if contract on the paper's acceptance point (16-proc
@@ -263,15 +262,8 @@ expectIdenticalAcrossEngines(const ParallelTrace &trace, SimConfig cfg,
 {
     cfg.engine = SimEngine::CycleLoop;
     const std::string want = critpathJson(trace, cfg);
-    cfg.engine = SimEngine::EventDriven;
-    EXPECT_EQ(want, critpathJson(trace, cfg)) << what << " [event]";
-    cfg.engine = SimEngine::Parallel;
-    const unsigned nproc = static_cast<unsigned>(trace.numProcs());
-    for (unsigned shards : {1u, 2u, nproc}) {
-        cfg.shards = shards;
-        EXPECT_EQ(want, critpathJson(trace, cfg))
-            << what << " [parallel, shards=" << shards << "]";
-    }
+    cfg.engine = SimEngine::LocalClock;
+    EXPECT_EQ(want, critpathJson(trace, cfg)) << what << " [local]";
 }
 
 TEST(CritPathEngineIdentity, GeneratedWorkloads)
@@ -351,12 +343,10 @@ TEST(CritPathNeutrality, RecorderDoesNotPerturbStats)
     const AnnotatedTrace ann = annotateTrace(
         trace, Strategy::PWS, CacheGeometry::paperDefault());
     for (const SimEngine engine :
-         {SimEngine::CycleLoop, SimEngine::EventDriven,
-          SimEngine::Parallel}) {
+         {SimEngine::CycleLoop, SimEngine::LocalClock}) {
         SimConfig cfg;
         cfg.timing.dataTransfer = 8;
         cfg.engine = engine;
-        cfg.shards = engine == SimEngine::Parallel ? 2 : 1;
         const SimStats off = simulate(ann.trace, cfg);
         ObsContext obs;
         cfg.obs = &obs;

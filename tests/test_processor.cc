@@ -228,7 +228,9 @@ TEST(ProcessorSync, StepCycleStopsWhenDone)
     Trace t;
     t.appendInstrs(3);
     const ParallelTrace pt = makeTrace({std::move(t)});
-    Simulator sim(pt, config());
+    SimConfig cfg = config();
+    cfg.engine = SimEngine::CycleLoop; // stepCycle() is the oracle's step.
+    Simulator sim(pt, cfg);
     while (sim.stepCycle()) {
     }
     EXPECT_EQ(sim.currentCycle(), 3u);

@@ -7,10 +7,10 @@
  *  - neutrality: turning profiling on must not change simulation
  *    results by a single bit (the profiler only observes);
  *  - engine identity: the serialised `prefsim-profile-v1` document
- *    must be byte-identical across the cycle, event and parallel
- *    (--shards 4) engines for every generator × strategy — this is
- *    what forces the event core's bulk-replay and the parallel core's
- *    sharded first-use accounting to attribute correctly;
+ *    must be byte-identical across the cycle and local engines for
+ *    every generator × strategy — this is what forces the local-clock
+ *    core's deferred quiet replay (and the prefetch first uses it
+ *    reaches) to attribute correctly;
  *  - aggregate consistency: the profile totals (the sum of the
  *    per-line rows) must reproduce the run's Table 3 aggregates —
  *    miss taxonomy, false sharing, prefetch issues and data-bus
@@ -66,12 +66,11 @@ statsFingerprint(const SimStats &s)
  *  asked, the stats fingerprint and the committed ProfileRun. */
 std::string
 profiledRun(const ParallelTrace &trace, SimConfig cfg, SimEngine engine,
-            unsigned shards, std::string *stats_fp = nullptr,
+            std::string *stats_fp = nullptr,
             obs::ProfileRun *run_out = nullptr)
 {
     ObsContext obs;
     cfg.engine = engine;
-    cfg.shards = shards;
     cfg.obs = &obs;
     cfg.profile = true;
     cfg.traceLabel = "profiled";
@@ -123,16 +122,12 @@ TEST_P(ProfileDifferential, ByteIdenticalAcrossEngines)
 
     std::string on;
     const std::string oracle = profiledRun(
-        ann.trace, cfg, SimEngine::CycleLoop, 1, &on);
+        ann.trace, cfg, SimEngine::CycleLoop, &on);
     EXPECT_EQ(off, on) << what << " [profiling changed the simulation]";
 
-    // Identity: same profile bytes from all three engines.
-    EXPECT_EQ(oracle,
-              profiledRun(ann.trace, cfg, SimEngine::EventDriven, 1))
-        << what << " [event]";
-    EXPECT_EQ(oracle,
-              profiledRun(ann.trace, cfg, SimEngine::Parallel, 4))
-        << what << " [parallel, shards=4]";
+    // Identity: same profile bytes from both engines.
+    EXPECT_EQ(oracle, profiledRun(ann.trace, cfg, SimEngine::LocalClock))
+        << what << " [local]";
 }
 
 INSTANTIATE_TEST_SUITE_P(

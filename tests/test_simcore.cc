@@ -1,25 +1,23 @@
 /**
  * @file
- * Differential tests for the three simulation cores.
+ * Differential tests for the two simulation cores.
  *
- * The event-driven engine (SimEngine::EventDriven) and the
- * conservative-PDES engine (SimEngine::Parallel, run at shard counts
- * 1, 2 and numProcs) must produce statistics *bit-identical* to the
- * reference cycle loop (SimEngine::CycleLoop) on every input — that is
- * their contract (see docs/simcore.md). These tests enforce it two
- * ways:
+ * The local-clock engine (SimEngine::LocalClock) must produce
+ * statistics *bit-identical* to the reference cycle loop
+ * (SimEngine::CycleLoop) on every input — that is its contract (see
+ * docs/simcore.md). These tests enforce it two ways:
  *
  *  - a workload matrix: every generator × {NP, PREF, PWS}, plus
  *    configuration variants that exercise the folding paths the
  *    generators alone would miss (multiple data channels, write-update
  *    coherence, victim cache, non-snooping prefetch data buffer);
  *  - hand-built traces that pin the burst-boundary cases where the
- *    fast-forward window logic could plausibly go wrong: wakes and
+ *    frontier and catch-up logic could plausibly go wrong: wakes and
  *    barrier releases landing mid-burst, the warmup statistics reset,
  *    spin-lock windows, prefetch-buffer back-pressure, empty traces.
  *
  * The oracle counts blocked cycles eagerly (one bucket increment per
- * tick) while the event engine settles them arithmetically at wake, so
+ * tick) while the local-clock core settles them arithmetically at wake, so
  * equality here genuinely checks the lazy accounting rather than
  * comparing an implementation against itself.
  */
@@ -86,29 +84,16 @@ fingerprint(const SimStats &s)
     return os.str();
 }
 
-/** Run @p trace under all three engines — the parallel core at shard
- *  counts 1, 2 and numProcs — and require identical statistics. */
+/** Run @p trace under the oracle and the local-clock core and require
+ *  identical statistics. */
 void
 expectEnginesAgree(const ParallelTrace &trace, SimConfig cfg,
                    const std::string &what)
 {
     cfg.engine = SimEngine::CycleLoop;
-    const SimStats oracle = simulate(trace, cfg);
-    const std::string want = fingerprint(oracle);
-    cfg.engine = SimEngine::EventDriven;
-    const SimStats event = simulate(trace, cfg);
-    EXPECT_EQ(want, fingerprint(event)) << what << " [event]";
-    cfg.engine = SimEngine::Parallel;
-    const unsigned nproc = static_cast<unsigned>(trace.numProcs());
-    for (unsigned shards : {1u, 2u, nproc}) {
-        if (shards == 0)
-            continue; // Zero-proc traces are rejected upstream anyway.
-        cfg.shards = shards;
-        const SimStats par = simulate(trace, cfg);
-        EXPECT_EQ(want, fingerprint(par))
-            << what << " [parallel, shards=" << shards << "]";
-    }
-    cfg.shards = 1;
+    const std::string want = fingerprint(simulate(trace, cfg));
+    cfg.engine = SimEngine::LocalClock;
+    EXPECT_EQ(want, fingerprint(simulate(trace, cfg))) << what;
 }
 
 /* ------------------------------------------------------------------ */
@@ -220,7 +205,7 @@ twoProc(Trace a, Trace b, unsigned locks = 0, unsigned barriers = 0)
 }
 
 /** A fill completion (wake) lands in the middle of another processor's
- *  instruction burst: the fast-forward window must split there. */
+ *  instruction burst: the lagging processor must catch up there. */
 TEST(BurstBoundary, WakeMidBurst)
 {
     Trace a;
@@ -300,7 +285,8 @@ TEST(BurstBoundary, SpinLockGap)
 }
 
 /** Prefetch back-pressure: more outstanding prefetches than MSHRs force
- *  StallPrefetch, whose per-cycle reissues the event engine bulk-adds. */
+ *  StallPrefetch, whose per-cycle reissues the local-clock core
+ *  bulk-adds. */
 TEST(BurstBoundary, PrefetchBufferFull)
 {
     Trace a;
@@ -333,17 +319,16 @@ TEST(BurstBoundary, EmptyAndPureInstr)
     s.appendInstrs(1000);
     solo.procs.push_back(std::move(s));
     SimConfig cfg = plainConfig();
-    cfg.engine = SimEngine::EventDriven;
     const SimStats stats = simulate(solo, cfg);
     EXPECT_EQ(stats.cycles, 1000u);
     EXPECT_EQ(stats.procs[0].busy, 1000u);
     expectEnginesAgree(solo, plainConfig(), "single-proc-pure-instr");
 }
 
-/** stepEvent() must always make progress and never overshoot: each call
- *  advances the clock by at least one cycle, and the run ends at the
+/** stepLocal() must always make progress and never overshoot: each call
+ *  advances the frontier by at least one cycle, and the run ends at the
  *  same final cycle as the reference loop. */
-TEST(BurstBoundary, StepEventMonotonic)
+TEST(BurstBoundary, StepLocalMonotonic)
 {
     WorkloadParams p;
     p.numProcs = 4;
@@ -357,18 +342,18 @@ TEST(BurstBoundary, StepEventMonotonic)
     while (oracle.stepCycle()) {
     }
 
-    cfg.engine = SimEngine::EventDriven;
-    Simulator event(trace, cfg);
-    Cycle prev = event.currentCycle();
+    cfg.engine = SimEngine::LocalClock;
+    Simulator local(trace, cfg);
+    Cycle prev = local.currentCycle();
     std::uint64_t steps = 0;
-    while (event.stepEvent()) {
-        ASSERT_GT(event.currentCycle(), prev);
-        prev = event.currentCycle();
+    while (local.stepLocal()) {
+        ASSERT_GT(local.currentCycle(), prev);
+        prev = local.currentCycle();
         ++steps;
     }
-    EXPECT_EQ(event.currentCycle(), oracle.currentCycle());
+    EXPECT_EQ(local.currentCycle(), oracle.currentCycle());
     // The whole point: far fewer exact steps than simulated cycles.
-    EXPECT_LT(steps, static_cast<std::uint64_t>(event.currentCycle()));
+    EXPECT_LT(steps, static_cast<std::uint64_t>(local.currentCycle()));
 }
 
 /* ------------------------------------------------------------------ */
@@ -405,7 +390,6 @@ TEST(BusEventQueries, IdleBusHasNoEvents)
     BusProbe h(BusTiming{100, 8, 2});
     EXPECT_EQ(h.bus.nextCompletionCycle(0), kNoCycle);
     EXPECT_EQ(h.bus.nextGrantCycle(0), kNoCycle);
-    EXPECT_EQ(h.bus.nextEventCycle(0), kNoCycle);
 }
 
 TEST(BusEventQueries, DataOpGrantThenCompletion)
@@ -428,7 +412,7 @@ TEST(BusEventQueries, DataOpGrantThenCompletion)
 
     h.bus.tick(t.memoryPhase() + t.dataTransfer);
     EXPECT_EQ(h.completions, 1u);
-    EXPECT_EQ(h.bus.nextEventCycle(t.memoryPhase() + t.dataTransfer),
+    EXPECT_EQ(h.bus.nextCompletionCycle(t.memoryPhase() + t.dataTransfer),
               kNoCycle);
 }
 
@@ -442,7 +426,7 @@ TEST(BusEventQueries, ChannelGatingBlocksGrants)
     // The second op is ready but cannot be granted: the next event is
     // the active transfer's completion, which frees the channel.
     EXPECT_EQ(h.bus.nextGrantCycle(t.memoryPhase() + 1), kNoCycle);
-    EXPECT_EQ(h.bus.nextEventCycle(t.memoryPhase() + 1),
+    EXPECT_EQ(h.bus.nextCompletionCycle(t.memoryPhase() + 1),
               t.memoryPhase() + t.dataTransfer);
 }
 
@@ -458,7 +442,7 @@ TEST(BusEventQueries, AddressClassCompletesWithoutGrant)
 }
 
 /* ------------------------------------------------------------------ */
-/* Conservative-PDES lookahead and grant determinism                   */
+/* Request lookahead and grant determinism                             */
 /* ------------------------------------------------------------------ */
 
 TEST(ConservativeLookahead, RequestLookaheadIsContentionFreeFloor)
@@ -471,33 +455,10 @@ TEST(ConservativeLookahead, RequestLookaheadIsContentionFreeFloor)
     EXPECT_EQ((BusTiming{50, 3, 3}.requestLookahead()), Cycle{3});
 }
 
-TEST(ConservativeLookahead, EpochWindowOnIdleBusIsTheLookahead)
-{
-    const BusTiming t{100, 8, 2};
-    BusProbe h(t);
-    // Nothing owned by the bus: only a not-yet-issued request bounds
-    // the window, and it cannot complete before now + lookahead.
-    EXPECT_EQ(h.bus.epochWindow(0), t.requestLookahead());
-    EXPECT_EQ(h.bus.epochWindow(500), 500 + t.requestLookahead());
-    EXPECT_GT(h.bus.epochWindow(500), Cycle{500}); // Never empty.
-}
-
-TEST(ConservativeLookahead, EpochWindowClampsToPendingCompletion)
-{
-    const BusTiming t{100, 8, 2};
-    BusProbe h(t);
-    // An upgrade issued at cycle 10 completes at 12 — exactly the
-    // lookahead bound seen from 10, and strictly inside it seen
-    // from 11.
-    h.bus.request(h.make(BusOpKind::Upgrade, 1, 0x2000), 10);
-    EXPECT_EQ(h.bus.epochWindow(10), Cycle{12});
-    EXPECT_EQ(h.bus.epochWindow(11), Cycle{12});
-}
-
 TEST(ConservativeLookahead, GrantOrderIndependentOfArrivalOrder)
 {
-    // The parallel engine's shards may race their way into request()
-    // in any interleaving; arbitration must grant identically anyway.
+    // Requests from different processors may reach request() in any
+    // interleaving; arbitration must grant identically anyway.
     // Enqueue the same four same-cycle demand reads in opposite orders
     // and require the completion sequence (grant order: one channel,
     // equal transfer times) to match exactly.

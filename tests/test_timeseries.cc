@@ -6,13 +6,12 @@
  * The load-bearing contracts:
  *  - sampling must not perturb simulation results at all — statistics
  *    with sampling on (any interval) are bit-identical to sampling off;
- *  - all three engines emit *byte-identical* `prefsim-timeseries-v1`
- *    JSON: the event engine clamps its fast-forward windows to sample
- *    boundaries and settles lazy stall counters into exactly the
- *    frames the eager cycle loop captures, and the parallel engine
- *    (exercised sharded, at --shards 4) additionally catches every
- *    lagging local clock up to each boundary before the frame is
- *    taken. Interval 1 is the harshest
+ *  - both engines emit *byte-identical* `prefsim-timeseries-v1` JSON:
+ *    the local-clock core clamps its frontier jumps to sample
+ *    boundaries, catches every lagging local clock up to each boundary
+ *    before the frame is taken, and settles lazy stall counters into
+ *    exactly the frames the eager cycle loop captures. Interval 1 is
+ *    the harshest
  *    case (every cycle is a boundary, including the warmup rebase);
  *    a prime interval lands boundaries mid-burst; an interval longer
  *    than the run leaves only finish()'s partial row;
@@ -71,12 +70,11 @@ statsFingerprint(const SimStats &s)
 /** Simulate with sampling on and return (stats, timeseries JSON). */
 std::pair<SimStats, std::string>
 runSampled(const ParallelTrace &trace, SimConfig cfg, SimEngine engine,
-           Cycle interval, unsigned shards = 1)
+           Cycle interval)
 {
     ObsContext obs;
     cfg.obs = &obs;
     cfg.engine = engine;
-    cfg.shards = shards;
     cfg.sampleInterval = interval;
     cfg.traceLabel = "test";
     const SimStats stats = simulate(trace, cfg);
@@ -112,21 +110,13 @@ TEST_P(TimeseriesEngineIdentity, SeriesAndStatsBitIdentical)
 
     const auto [cycle_stats, cycle_json] =
         runSampled(trace, cfg, SimEngine::CycleLoop, interval);
-    const auto [event_stats, event_json] =
-        runSampled(trace, cfg, SimEngine::EventDriven, interval);
-    // Sharded parallel engine: local clocks must clamp their catch-up
-    // spans to sample boundaries just like the event core's windows.
-    const auto [par_stats, par_json] =
-        runSampled(trace, cfg, SimEngine::Parallel, interval, 4);
+    // Local clocks must clamp their catch-up spans to sample boundaries.
+    const auto [local_stats, local_json] =
+        runSampled(trace, cfg, SimEngine::LocalClock, interval);
 
-    EXPECT_EQ(statsFingerprint(cycle_stats),
-              statsFingerprint(event_stats));
-    EXPECT_EQ(cycle_json, event_json)
+    EXPECT_EQ(statsFingerprint(cycle_stats), statsFingerprint(local_stats));
+    EXPECT_EQ(cycle_json, local_json)
         << "engines emitted different series at interval " << interval;
-    EXPECT_EQ(statsFingerprint(cycle_stats), statsFingerprint(par_stats));
-    EXPECT_EQ(cycle_json, par_json)
-        << "parallel engine (shards=4) series diverged at interval "
-        << interval;
     EXPECT_NE(cycle_json.find("\"samples\""), std::string::npos);
 }
 
@@ -144,16 +134,13 @@ TEST(TimeseriesSampling, DoesNotPerturbSimulation)
     cfg.timing.dataTransfer = 8;
 
     for (const SimEngine engine :
-         {SimEngine::CycleLoop, SimEngine::EventDriven,
-          SimEngine::Parallel}) {
-        const unsigned shards = engine == SimEngine::Parallel ? 4 : 1;
+         {SimEngine::CycleLoop, SimEngine::LocalClock}) {
         SimConfig plain = cfg;
         plain.engine = engine;
-        plain.shards = shards;
         const std::string off = statsFingerprint(simulate(trace, plain));
         for (const Cycle interval : {Cycle{1}, Cycle{113}}) {
             const auto [stats, json] =
-                runSampled(trace, cfg, engine, interval, shards);
+                runSampled(trace, cfg, engine, interval);
             EXPECT_EQ(off, statsFingerprint(stats))
                 << "sampling at interval " << interval
                 << " changed the simulation";
@@ -341,12 +328,12 @@ benchDoc(double fig2_sim_s, double micro_sim_s)
     os << "{\"schema\":\"prefsim-bench-simcore-v1\","
           "\"bench\":\"bench_fig2_exec_time\",\"refs_per_proc\":1000,"
           "\"runs\":{"
-          "\"fig2_event\":{\"engine\":\"event\",\"procs\":16,"
+          "\"fig2_local\":{\"engine\":\"local\",\"procs\":16,"
           "\"wall_s\":1.0,\"sim_only_s\":"
        << fig2_sim_s
        << ",\"sim_cycles\":1000000,\"sim_refs\":500000,"
           "\"cycles_per_s\":1,\"refs_per_s\":1},"
-          "\"micro3_event\":{\"engine\":\"event\",\"procs\":3,"
+          "\"micro3_local\":{\"engine\":\"local\",\"procs\":3,"
           "\"wall_s\":1.0,\"sim_only_s\":"
        << micro_sim_s
        << ",\"sim_cycles\":1000000,\"sim_refs\":500000,"
@@ -397,7 +384,7 @@ TEST(PerfCompare, MissingRunAndBadSchemaAreErrors)
 {
     const std::string base = benchDoc(1.0, 1.0);
     std::string fresh = base;
-    const std::size_t micro = fresh.find(",\"micro3_event\"");
+    const std::size_t micro = fresh.find(",\"micro3_local\"");
     ASSERT_NE(micro, std::string::npos);
     fresh.resize(micro);
     fresh += "}}";
