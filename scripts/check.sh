@@ -112,10 +112,13 @@ stage "perf-regression gate"
 # A fresh full-scale bench_perf.sh run diffed against the checked-in
 # baseline. Short runs are not comparable (throughput at reduced refs
 # sits 15-25 % below full scale), so this runs at the baseline's own
-# refs_per_proc; the gate is on sim-only throughput with the shared
-# thresholds — warn at 2 %, fail at 10 % (wide enough to absorb
-# same-machine timing noise). After an intentional performance change
-# or a hardware move, regenerate the baseline:
+# refs_per_proc. The gate is on the same-run engine speedups
+# (speedup_fig2_sim, speedup_micro3_sim: cycle loop over local clocks),
+# in which host drift cancels — warn at 2 %, fail at 10 %. Absolute
+# sim-only throughput is compared too but only warns: run-to-run host
+# speed on a shared VM spreads 18-36 %, wider than any useful threshold.
+# After an intentional performance change or a hardware move,
+# regenerate the baseline:
 #   scripts/bench_perf.sh && git add BENCH_simcore.json
 BASE_REFS=$(grep -o '"refs_per_proc":[0-9]*' BENCH_simcore.json \
     | cut -d: -f2)

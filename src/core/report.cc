@@ -322,6 +322,8 @@ struct BenchDoc
         std::uint64_t simCycles = 0;
     };
     std::map<std::string, Run> runs; ///< Ordered: deterministic output.
+    /** Top-level `speedup_*` members, by key. */
+    std::map<std::string, double> speedups;
 };
 
 std::optional<BenchDoc>
@@ -375,6 +377,10 @@ parseBenchDoc(const std::string &text, const std::string &which,
             return std::nullopt;
         }
         out.runs.emplace(label, r);
+    }
+    for (const auto &[key, value] : doc->members()) {
+        if (key.rfind("speedup_", 0) == 0 && value.isNumber())
+            out.speedups.emplace(key, value.asDouble());
     }
     return out;
 }
@@ -434,26 +440,54 @@ compareBenchReports(const std::string &baseline_text,
         row.delta = (row.freshCyclesPerSec - row.baselineCyclesPerSec) /
                     row.baselineCyclesPerSec;
         out.rows.push_back(row);
-        if (row.delta <= -opts.failFrac) {
+        if (row.delta <= -opts.warnFrac) {
             out.findings.push_back(
-                {"perf.regression", verify::Severity::Error,
+                {"perf.throughput", verify::Severity::Warning,
                  "run \"" + label + "\" sim throughput fell " +
                      TextTable::percent(-row.delta, 1) + " (" +
                      TextTable::num(row.baselineCyclesPerSec / 1e6, 2) +
                      " -> " +
                      TextTable::num(row.freshCyclesPerSec / 1e6, 2) +
-                     " Mcycles/s)",
-                 label});
-        } else if (row.delta <= -opts.warnFrac) {
-            out.findings.push_back(
-                {"perf.regression", verify::Severity::Warning,
-                 "run \"" + label + "\" sim throughput fell " +
-                     TextTable::percent(-row.delta, 1) +
-                     " (below the " +
-                     TextTable::percent(opts.failFrac, 0) +
-                     " failure threshold)",
+                     " Mcycles/s; warn-only, host speed drifts between "
+                     "runs)",
                  label});
         }
+    }
+
+    if (base->speedups.empty()) {
+        out.findings.push_back({"perf.config", verify::Severity::Warning,
+                                "baseline has no speedup_* ratios: "
+                                "nothing to gate on",
+                                "baseline"});
+    }
+    for (const auto &[key, b] : base->speedups) {
+        const auto it = fresh->speedups.find(key);
+        if (it == fresh->speedups.end()) {
+            out.findings.push_back({"perf.missing_run",
+                                    verify::Severity::Error,
+                                    "baseline \"" + key +
+                                        "\" is absent from the fresh "
+                                        "report",
+                                    "fresh"});
+            continue;
+        }
+        SpeedupRow row{key, b, it->second,
+                       b > 0.0 ? it->second / b - 1.0 : 0.0};
+        out.speedups.push_back(row);
+        if (row.delta > -opts.warnFrac)
+            continue;
+        const bool fail = row.delta <= -opts.failFrac;
+        out.findings.push_back(
+            {"perf.regression",
+             fail ? verify::Severity::Error : verify::Severity::Warning,
+             "\"" + key + "\" fell " + TextTable::percent(-row.delta, 1) +
+                 " (" + TextTable::num(row.baseline, 2) + "x -> " +
+                 TextTable::num(row.fresh, 2) + "x" +
+                 (fail ? ")"
+                       : ", below the " +
+                             TextTable::percent(opts.failFrac, 0) +
+                             " failure threshold)"),
+             key});
     }
 
     for (const auto &[label, f] : fresh->runs) {

@@ -16,9 +16,11 @@
  *
  * Compare mode diffs two `prefsim-bench-simcore-v1` documents (the
  * checked-in BENCH_simcore.json baseline vs a fresh scripts/
- * bench_perf.sh run) and reports throughput regressions as verify
- * Findings, sharing the verification subsystem's severity and
- * exit-code vocabulary so check.sh can gate on it.
+ * bench_perf.sh run) and reports regressions as verify Findings,
+ * sharing the verification subsystem's severity and exit-code
+ * vocabulary so check.sh can gate on it. The gate is on same-run engine
+ * speedups, in which host speed cancels; absolute throughput only
+ * warns.
  */
 
 #ifndef PREFSIM_CORE_REPORT_HH
@@ -97,9 +99,9 @@ void writeTable3Report(std::ostream &os, const RunSet &rs);
 /** Thresholds of the perf-regression gate (fractions, not percent). */
 struct CompareOptions
 {
-    /** Throughput loss below this is noise; at or above it, a warning. */
+    /** A loss below this is noise; at or above it, a warning. */
     double warnFrac = 0.02;
-    /** At or above this, an error finding (check.sh fails). */
+    /** A speedup loss at or above this is an error (check.sh fails). */
     double failFrac = 0.10;
 };
 
@@ -113,24 +115,39 @@ struct CompareRow
     double delta = 0.0;
 };
 
+/** One same-run engine speedup (a top-level `speedup_*` member). */
+struct SpeedupRow
+{
+    std::string key; ///< e.g. "speedup_fig2_sim".
+    double baseline = 0.0;
+    double fresh = 0.0;
+    /** Fractional change; negative = regression. */
+    double delta = 0.0;
+};
+
 /** Outcome of compareBenchReports: rows for display, findings to gate. */
 struct CompareReport
 {
     std::vector<CompareRow> rows;
+    std::vector<SpeedupRow> speedups;
     std::vector<verify::Finding> findings;
 };
 
 /**
  * Diff two `prefsim-bench-simcore-v1` documents. The gate metric is
- * sim-only throughput (sim_cycles / sim_only_s) — wall time includes
- * trace generation and annotation, which the benchmark is not about.
- * Findings: malformed documents and runs missing from @p fresh_text
- * are errors (rule "perf.schema" / "perf.missing_run"); a throughput
- * loss in [warnFrac, failFrac) warns and one >= failFrac errors (rule
- * "perf.regression"); benchmark-configuration mismatches (refs_per_proc
- * or a run's procs) warn (rule "perf.config") since the comparison is
- * then not apples-to-apples. Use verify::findingsExitCode for the
- * 0/1 gate; reserve verify::kExitUsage for unreadable files.
+ * each same-run engine speedup (`speedup_fig2_sim`, `speedup_micro3_sim`:
+ * cycle-loop over local-clock sim-only time), because host drift
+ * between runs cancels within one run. Per-run sim-only throughput
+ * (sim_cycles / sim_only_s) is shown too but only warns. Findings:
+ * malformed documents, runs or speedups missing from @p fresh_text are
+ * errors (rule "perf.schema" / "perf.missing_run"); a speedup loss in
+ * [warnFrac, failFrac) warns and one >= failFrac errors (rule
+ * "perf.regression"); a throughput loss >= warnFrac warns (rule
+ * "perf.throughput"); benchmark-configuration mismatches (refs_per_proc,
+ * a run's procs, a baseline without speedups) warn (rule "perf.config")
+ * since the comparison is then not apples-to-apples. Use
+ * verify::findingsExitCode for the 0/1 gate; reserve verify::kExitUsage
+ * for unreadable files.
  */
 CompareReport compareBenchReports(const std::string &baseline_text,
                                   const std::string &fresh_text,

@@ -158,7 +158,15 @@ class ProcTraceBuilder
 
     ProcId proc() const { return proc_; }
     Rng &rng() { return rng_; }
-    Trace &&takeTrace() && { return std::move(trace_); }
+    /** The finished trace, trimmed to its size: a base trace lives as
+     *  long as its sweep, and doubling growth leaves a third of its
+     *  capacity idle on average. */
+    Trace &&
+    takeTrace() &&
+    {
+        trace_.records().shrink_to_fit();
+        return std::move(trace_);
+    }
     const Trace &trace() const { return trace_; }
 
   private:

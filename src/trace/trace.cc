@@ -3,28 +3,6 @@
 namespace prefsim
 {
 
-void
-Trace::append(const TraceRecord &rec)
-{
-    if (rec.kind == RecordKind::Instr) {
-        appendInstrs(rec.count);
-        return;
-    }
-    records_.push_back(rec);
-}
-
-void
-Trace::appendInstrs(std::uint32_t count)
-{
-    if (count == 0)
-        return;
-    if (!records_.empty() && records_.back().kind == RecordKind::Instr) {
-        records_.back().count += count;
-        return;
-    }
-    records_.push_back(TraceRecord::instr(count));
-}
-
 std::uint64_t
 Trace::demandRefs() const
 {

@@ -7,6 +7,8 @@
 #define PREFSIM_TRACE_TRACE_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -15,6 +17,13 @@
 
 namespace prefsim
 {
+
+/** Largest instruction count one Instr record holds. */
+inline constexpr std::uint32_t kMaxInstrCount =
+    std::numeric_limits<std::uint32_t>::max();
+
+/** Most processors a trace may have (readers reject more). */
+inline constexpr std::size_t kMaxTraceProcs = 32;
 
 /**
  * The event stream of a single simulated processor.
@@ -28,10 +37,32 @@ class Trace
     Trace() = default;
 
     /** Append a record. Adjacent Instr records are coalesced. */
-    void append(const TraceRecord &rec);
+    void
+    append(const TraceRecord &rec)
+    {
+        if (rec.kind == RecordKind::Instr) {
+            appendInstrs(rec.count);
+            return;
+        }
+        records_.push_back(rec);
+    }
 
-    /** Append @p count plain instructions. */
-    void appendInstrs(std::uint32_t count);
+    /**
+     * Append @p count plain instructions, folded into a trailing Instr
+     * record unless its 32-bit count would overflow.
+     */
+    void
+    appendInstrs(std::uint32_t count)
+    {
+        if (count == 0)
+            return;
+        if (!records_.empty() && records_.back().kind == RecordKind::Instr &&
+            records_.back().count <= kMaxInstrCount - count) {
+            records_.back().count += count;
+            return;
+        }
+        records_.push_back(TraceRecord::instr(count));
+    }
 
     /** Reserve capacity for @p n records. */
     void reserve(std::size_t n) { records_.reserve(n); }

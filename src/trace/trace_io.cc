@@ -73,6 +73,21 @@ bad(std::size_t line_no, const std::string &what)
     throw std::runtime_error(os.str());
 }
 
+/**
+ * Read an unsigned decimal field into @p out and check it against
+ * @p max. A leading '-' is an error: stream extraction would wrap it.
+ */
+template <typename T>
+bool
+readBounded(std::istream &ls, std::uint64_t max, T &out)
+{
+    ls >> std::ws;
+    if (ls.peek() == '-')
+        return false;
+    ls >> out;
+    return ls && out <= max;
+}
+
 } // namespace
 
 ParallelTrace
@@ -112,10 +127,21 @@ readTrace(std::istream &is)
         std::istringstream ls(line);
         std::string kw1, kw2, kw3;
         std::size_t nprocs = 0;
-        ls >> kw1 >> nprocs >> kw2 >> trace.numLocks >> kw3
-           >> trace.numBarriers;
+        ls >> kw1;
+        const bool procs_ok = readBounded(ls, kMaxTraceProcs, nprocs);
+        ls >> kw2;
+        const bool locks_ok = readBounded(ls, kMaxSyncId + 1, trace.numLocks);
+        ls >> kw3;
+        const bool barriers_ok =
+            readBounded(ls, kMaxSyncId + 1, trace.numBarriers);
         if (!ls || kw1 != "procs" || kw2 != "locks" || kw3 != "barriers")
             bad(line_no, "expected 'procs <n> locks <n> barriers <n>'");
+        if (!procs_ok)
+            bad(line_no, "processor count must be 0.." +
+                             std::to_string(kMaxTraceProcs));
+        if (!locks_ok || !barriers_ok)
+            bad(line_no, "lock and barrier counts must be 0.." +
+                             std::to_string(kMaxSyncId + 1));
         trace.procs.resize(nprocs);
     }
 
@@ -136,8 +162,7 @@ readTrace(std::istream &is)
         Trace &t = trace.procs[static_cast<std::size_t>(cur_proc)];
         if (tag == "I") {
             std::uint32_t n = 0;
-            ls >> n;
-            if (!ls)
+            if (!readBounded(ls, kMaxInstrCount, n))
                 bad(line_no, "bad instruction count");
             t.appendInstrs(n);
         } else if (tag == "R" || tag == "W" || tag == "P" || tag == "X") {
@@ -153,9 +178,9 @@ readTrace(std::istream &is)
                 t.append(TraceRecord::prefetch(a, tag == "X"));
         } else if (tag == "L" || tag == "U" || tag == "B") {
             SyncId id = 0;
-            ls >> id;
-            if (!ls)
-                bad(line_no, "bad sync id");
+            if (!readBounded(ls, kMaxSyncId, id))
+                bad(line_no, "bad sync id (must be 0.." +
+                                 std::to_string(kMaxSyncId) + ")");
             if (tag == "L")
                 t.append(TraceRecord::lockAcquire(id));
             else if (tag == "U")

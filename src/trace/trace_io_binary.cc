@@ -1,5 +1,6 @@
 #include "trace/trace_io_binary.hh"
 
+#include <algorithm>
 #include <fstream>
 #include <istream>
 #include <ostream>
@@ -44,18 +45,33 @@ getVarint(std::istream &is)
     }
 }
 
+// Address deltas wrap modulo 2^64 in both directions, so any pair of
+// addresses round-trips without signed overflow.
 constexpr std::uint64_t
-zigzag(std::int64_t v)
+zigzag(std::uint64_t delta)
 {
-    return (static_cast<std::uint64_t>(v) << 1) ^
-           static_cast<std::uint64_t>(v >> 63);
+    return (delta << 1) ^ (0 - (delta >> 63));
 }
 
-constexpr std::int64_t
+constexpr std::uint64_t
 unzigzag(std::uint64_t v)
 {
-    return static_cast<std::int64_t>(v >> 1) ^
-           -static_cast<std::int64_t>(v & 1);
+    return (v >> 1) ^ (0 - (v & 1));
+}
+
+/** Most records reserved up front: a count is only a hint until read. */
+constexpr std::uint64_t kMaxReserve = std::uint64_t{1} << 20;
+
+/** Read a varint and reject it when above @p max. */
+std::uint64_t
+getBounded(std::istream &is, std::uint64_t max, const char *what)
+{
+    const std::uint64_t v = getVarint(is);
+    if (v > max)
+        throw std::runtime_error(std::string("binary trace: ") + what +
+                                 " " + std::to_string(v) +
+                                 " out of range");
+    return v;
 }
 
 } // namespace
@@ -84,8 +100,7 @@ writeTraceBinary(std::ostream &os, const ParallelTrace &trace)
               case RecordKind::Write:
               case RecordKind::Prefetch:
               case RecordKind::PrefetchExcl:
-                putVarint(os, zigzag(static_cast<std::int64_t>(r.addr) -
-                                     static_cast<std::int64_t>(prev)));
+                putVarint(os, zigzag(r.addr - prev));
                 prev = r.addr;
                 break;
               case RecordKind::LockAcquire:
@@ -120,10 +135,12 @@ readTraceBinary(std::istream &is)
 
     ParallelTrace trace;
     const auto num_procs = getVarint(is);
-    if (num_procs > 32)
+    if (num_procs > kMaxTraceProcs)
         throw std::runtime_error("binary trace: too many processors");
-    trace.numLocks = static_cast<SyncId>(getVarint(is));
-    trace.numBarriers = static_cast<SyncId>(getVarint(is));
+    trace.numLocks =
+        static_cast<SyncId>(getBounded(is, kMaxSyncId + 1, "lock count"));
+    trace.numBarriers = static_cast<SyncId>(
+        getBounded(is, kMaxSyncId + 1, "barrier count"));
     const auto name_len = getVarint(is);
     if (name_len > 4096)
         throw std::runtime_error("binary trace: oversized name");
@@ -135,7 +152,7 @@ readTraceBinary(std::istream &is)
     trace.procs.resize(num_procs);
     for (auto &proc : trace.procs) {
         const auto count = getVarint(is);
-        proc.reserve(count);
+        proc.reserve(std::min(count, kMaxReserve));
         Addr prev = 0;
         for (std::uint64_t i = 0; i < count; ++i) {
             const int tag = is.get();
@@ -144,16 +161,15 @@ readTraceBinary(std::istream &is)
             const auto kind = static_cast<RecordKind>(tag);
             switch (kind) {
               case RecordKind::Instr:
-                proc.records().push_back(TraceRecord::instr(
-                    static_cast<std::uint32_t>(getVarint(is))));
+                proc.records().push_back(
+                    TraceRecord::instr(static_cast<std::uint32_t>(
+                        getBounded(is, kMaxInstrCount, "instr count"))));
                 break;
               case RecordKind::Read:
               case RecordKind::Write:
               case RecordKind::Prefetch:
               case RecordKind::PrefetchExcl: {
-                const Addr addr = static_cast<Addr>(
-                    static_cast<std::int64_t>(prev) +
-                    unzigzag(getVarint(is)));
+                const Addr addr = prev + unzigzag(getVarint(is));
                 prev = addr;
                 TraceRecord r;
                 r.kind = kind;
@@ -166,7 +182,8 @@ readTraceBinary(std::istream &is)
               case RecordKind::Barrier: {
                 TraceRecord r;
                 r.kind = kind;
-                r.sync = static_cast<SyncId>(getVarint(is));
+                r.sync = static_cast<std::uint16_t>(
+                    getBounded(is, kMaxSyncId, "sync id"));
                 proc.records().push_back(r);
                 break;
               }

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "common/log.hh"
 #include "common/types.hh"
 
 namespace prefsim
@@ -54,64 +55,70 @@ isSync(RecordKind k)
            k == RecordKind::Barrier;
 }
 
+/** Largest lock or barrier id a TraceRecord can carry (16-bit field). */
+inline constexpr SyncId kMaxSyncId = 0xffff;
+
 /**
  * One event in a per-processor trace.
  *
  * The struct is deliberately a flat 16-byte POD: whole experiments iterate
- * hundreds of millions of records.
+ * hundreds of millions of records, and trace storage is nearly all of a
+ * run's host memory. The fields are ordered so nothing pads; the sync id
+ * is stored in 16 bits, checked by the sync-record constructors (readers
+ * reject larger ids before they get here).
  */
 struct TraceRecord
 {
     RecordKind kind = RecordKind::Instr;
+    /** For sync records: lock or barrier identifier (<= kMaxSyncId). */
+    std::uint16_t sync = 0;
     /** For Instr: the number of instructions batched into this record. */
     std::uint32_t count = 0;
     /** For Read/Write/Prefetch*: byte address. For sync records: unused. */
     Addr addr = kNoAddr;
-    /** For sync records: lock or barrier identifier. */
-    SyncId sync = 0;
 
     /** @name Constructors for each record kind. @{ */
     static TraceRecord
     instr(std::uint32_t count)
     {
-        return {RecordKind::Instr, count, kNoAddr, 0};
+        return {RecordKind::Instr, 0, count, kNoAddr};
     }
 
     static TraceRecord
     read(Addr addr)
     {
-        return {RecordKind::Read, 0, addr, 0};
+        return {RecordKind::Read, 0, 0, addr};
     }
 
     static TraceRecord
     write(Addr addr)
     {
-        return {RecordKind::Write, 0, addr, 0};
+        return {RecordKind::Write, 0, 0, addr};
     }
 
     static TraceRecord
     prefetch(Addr addr, bool exclusive = false)
     {
         return {exclusive ? RecordKind::PrefetchExcl : RecordKind::Prefetch,
-                0, addr, 0};
+                0, 0, addr};
     }
 
     static TraceRecord
     lockAcquire(SyncId id)
     {
-        return {RecordKind::LockAcquire, 0, kNoAddr, id};
+        return syncRecord(RecordKind::LockAcquire, id);
     }
 
     static TraceRecord
     lockRelease(SyncId id)
     {
-        return {RecordKind::LockRelease, 0, kNoAddr, id};
+        return syncRecord(RecordKind::LockRelease, id);
     }
 
     static TraceRecord
     barrier(SyncId id)
     {
-        return {RecordKind::Barrier, 0, kNoAddr, id};
+        return syncRecord(RecordKind::Barrier, id);
     }
     /** @} */
 
@@ -121,7 +128,18 @@ struct TraceRecord
         return kind == o.kind && count == o.count && addr == o.addr &&
                sync == o.sync;
     }
+
+  private:
+    static TraceRecord
+    syncRecord(RecordKind kind, SyncId id)
+    {
+        prefsim_assert(id <= kMaxSyncId, "sync id ", id,
+                       " does not fit a trace record");
+        return {kind, static_cast<std::uint16_t>(id), 0, kNoAddr};
+    }
 };
+
+static_assert(sizeof(TraceRecord) == 16, "TraceRecord must stay 16 bytes");
 
 } // namespace prefsim
 

@@ -18,8 +18,9 @@
  *  - IntervalSampler's windowing arithmetic (partial final rows,
  *    warmup rebasing, zero-width boundary skips);
  *  - report::parseRunLabel / compareBenchReports, including the golden
- *    threshold cases check.sh's perf gate relies on (>= failFrac is an
- *    error => exit 1; a smaller dip only warns => exit 0).
+ *    threshold cases check.sh's perf gate relies on (an engine-speedup
+ *    loss >= failFrac is an error => exit 1; a smaller dip, or any loss
+ *    of absolute throughput, only warns => exit 0).
  */
 
 #include <gtest/gtest.h>
@@ -322,12 +323,17 @@ TEST(ReportWriters, Table2And3CoverEveryRun)
 /* ------------------------------------------------------------------ */
 
 std::string
-benchDoc(double fig2_sim_s, double micro_sim_s)
+benchDoc(double fig2_sim_s, double micro_sim_s, double fig2_speedup = 2.0,
+         double micro_speedup = 2.0)
 {
+    // The speedups precede "runs" so truncating the runs object keeps
+    // them (MissingRunAndBadSchemaAreErrors).
     std::ostringstream os;
     os << "{\"schema\":\"prefsim-bench-simcore-v1\","
           "\"bench\":\"bench_fig2_exec_time\",\"refs_per_proc\":1000,"
-          "\"runs\":{"
+          "\"speedup_fig2_sim\":"
+       << fig2_speedup << ",\"speedup_micro3_sim\":" << micro_speedup
+       << ",\"runs\":{"
           "\"fig2_local\":{\"engine\":\"local\",\"procs\":16,"
           "\"wall_s\":1.0,\"sim_only_s\":"
        << fig2_sim_s
@@ -348,16 +354,19 @@ TEST(PerfCompare, IdenticalReportsPassClean)
         report::compareBenchReports(doc, doc, {});
     EXPECT_TRUE(cmp.findings.empty());
     ASSERT_EQ(cmp.rows.size(), 2u);
+    ASSERT_EQ(cmp.speedups.size(), 2u);
+    EXPECT_EQ(cmp.speedups[0].key, "speedup_fig2_sim");
     EXPECT_EQ(verify::findingsExitCode(cmp.findings), verify::kExitOk);
 }
 
 TEST(PerfCompare, TenPercentRegressionFailsTheGate)
 {
-    // fig2 throughput falls 1.0 -> 1/1.2 ≈ -16.7 %: past failFrac.
+    // The fig2 engine speedup falls 2.0 -> 1.7 = -15 %: past failFrac.
     const report::CompareReport cmp = report::compareBenchReports(
-        benchDoc(1.0, 1.0), benchDoc(1.2, 1.0), {});
+        benchDoc(1.0, 1.0), benchDoc(1.0, 1.0, 1.7), {});
     ASSERT_EQ(cmp.findings.size(), 1u);
     EXPECT_EQ(cmp.findings[0].rule, "perf.regression");
+    EXPECT_EQ(cmp.findings[0].location, "speedup_fig2_sim");
     EXPECT_EQ(cmp.findings[0].severity, verify::Severity::Error);
     EXPECT_EQ(verify::findingsExitCode(cmp.findings),
               verify::kExitViolations);
@@ -365,19 +374,43 @@ TEST(PerfCompare, TenPercentRegressionFailsTheGate)
 
 TEST(PerfCompare, SmallDipOnlyWarns)
 {
-    // 1.0 -> 1/1.06 ≈ -5.7 %: between warnFrac and failFrac.
+    // Throughput 1.0 -> 1/1.06 ≈ -5.7 %: absolute throughput only warns.
     const report::CompareReport cmp = report::compareBenchReports(
         benchDoc(1.0, 1.0), benchDoc(1.06, 1.0), {});
     ASSERT_EQ(cmp.findings.size(), 1u);
+    EXPECT_EQ(cmp.findings[0].rule, "perf.throughput");
     EXPECT_EQ(cmp.findings[0].severity, verify::Severity::Warning);
+    EXPECT_EQ(verify::findingsExitCode(cmp.findings), verify::kExitOk);
+
+    // A speedup dip between warnFrac and failFrac (-5 %) warns as well.
+    const report::CompareReport ratio = report::compareBenchReports(
+        benchDoc(1.0, 1.0), benchDoc(1.0, 1.0, 2.0, 1.9), {});
+    ASSERT_EQ(ratio.findings.size(), 1u);
+    EXPECT_EQ(ratio.findings[0].rule, "perf.regression");
+    EXPECT_EQ(ratio.findings[0].severity, verify::Severity::Warning);
+}
+
+TEST(PerfCompare, HostDriftOnlyWarns)
+{
+    // Every run 1.5x slower (a slower host) with unchanged engine
+    // speedups: one warning per run, and the gate passes.
+    const report::CompareReport cmp = report::compareBenchReports(
+        benchDoc(1.0, 1.0), benchDoc(1.5, 1.5), {});
+    ASSERT_EQ(cmp.findings.size(), 2u);
+    for (const verify::Finding &f : cmp.findings) {
+        EXPECT_EQ(f.rule, "perf.throughput");
+        EXPECT_EQ(f.severity, verify::Severity::Warning);
+    }
     EXPECT_EQ(verify::findingsExitCode(cmp.findings), verify::kExitOk);
 }
 
 TEST(PerfCompare, SpeedupIsNotARegression)
 {
     const report::CompareReport cmp = report::compareBenchReports(
-        benchDoc(1.2, 1.0), benchDoc(1.0, 1.0), {});
+        benchDoc(1.2, 1.0), benchDoc(1.0, 1.0, 2.4, 2.2), {});
     EXPECT_TRUE(cmp.findings.empty());
+    ASSERT_EQ(cmp.speedups.size(), 2u);
+    EXPECT_NEAR(cmp.speedups[0].delta, 0.2, 1e-9);
 }
 
 TEST(PerfCompare, MissingRunAndBadSchemaAreErrors)
@@ -402,13 +435,45 @@ TEST(PerfCompare, MissingRunAndBadSchemaAreErrors)
               verify::kExitViolations);
 }
 
+TEST(PerfCompare, MissingSpeedupIsAnError)
+{
+    const std::string base = benchDoc(1.0, 1.0);
+    std::string fresh = base;
+    const std::string key = "\"speedup_micro3_sim\":2,";
+    const std::size_t at = fresh.find(key);
+    ASSERT_NE(at, std::string::npos) << fresh;
+    fresh.erase(at, key.size());
+    const report::CompareReport cmp =
+        report::compareBenchReports(base, fresh, {});
+    ASSERT_EQ(cmp.findings.size(), 1u);
+    EXPECT_EQ(cmp.findings[0].rule, "perf.missing_run");
+    EXPECT_EQ(verify::findingsExitCode(cmp.findings),
+              verify::kExitViolations);
+
+    // A baseline without speedups has nothing to gate on: a warning.
+    std::string bare = base;
+    const std::size_t first = bare.find("\"speedup_fig2_sim\"");
+    bare.erase(first, bare.find("\"runs\"") - first);
+    const report::CompareReport ungated =
+        report::compareBenchReports(bare, base, {});
+    ASSERT_EQ(ungated.findings.size(), 1u);
+    EXPECT_EQ(ungated.findings[0].rule, "perf.config");
+    EXPECT_EQ(verify::findingsExitCode(ungated.findings), verify::kExitOk);
+}
+
 TEST(PerfCompare, ThresholdsAreConfigurable)
 {
     report::CompareOptions opts;
     opts.warnFrac = 0.001;
     opts.failFrac = 0.03;
+    // A -6 % engine-speedup dip only warns by default ...
+    const report::CompareReport lax = report::compareBenchReports(
+        benchDoc(1.0, 1.0), benchDoc(1.0, 1.0, 1.88), {});
+    ASSERT_EQ(lax.findings.size(), 1u);
+    EXPECT_EQ(lax.findings[0].severity, verify::Severity::Warning);
+    // ... and fails a 3 % gate.
     const report::CompareReport cmp = report::compareBenchReports(
-        benchDoc(1.0, 1.0), benchDoc(1.06, 1.0), opts);
+        benchDoc(1.0, 1.0), benchDoc(1.0, 1.0, 1.88), opts);
     ASSERT_EQ(cmp.findings.size(), 1u);
     EXPECT_EQ(cmp.findings[0].severity, verify::Severity::Error);
 }

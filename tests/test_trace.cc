@@ -40,6 +40,12 @@ TEST(TraceRecord, Constructors)
     EXPECT_EQ(TraceRecord::barrier(9).sync, 9u);
 }
 
+TEST(TraceRecordDeathTest, SyncIdMustFitSixteenBits)
+{
+    EXPECT_EQ(TraceRecord::barrier(kMaxSyncId).sync, kMaxSyncId);
+    EXPECT_DEATH(TraceRecord::lockAcquire(kMaxSyncId + 1), "sync id");
+}
+
 TEST(TraceRecord, KindPredicates)
 {
     EXPECT_TRUE(isDemandRef(RecordKind::Read));
@@ -74,6 +80,25 @@ TEST(Trace, ZeroInstrsDropped)
     Trace t;
     t.appendInstrs(0);
     EXPECT_TRUE(t.empty());
+}
+
+TEST(Trace, InstrCountNeverWraps)
+{
+    Trace t;
+    t.appendInstrs(kMaxInstrCount);
+    t.appendInstrs(1);
+    ASSERT_EQ(t.size(), 2u);
+    EXPECT_EQ(t[0].count, kMaxInstrCount);
+    EXPECT_EQ(t[1].count, 1u);
+    EXPECT_EQ(t.instructions(), std::uint64_t{kMaxInstrCount} + 1);
+
+    // The text reader coalesces through the same path.
+    std::stringstream ss("prefsim-trace v1\nname x\n"
+                         "procs 1 locks 0 barriers 0\nproc 0\n"
+                         "I 4294967295\nI 1\n");
+    const ParallelTrace pt = readTrace(ss);
+    ASSERT_EQ(pt.procs[0].size(), 2u);
+    EXPECT_EQ(pt.procs[0].instructions(), std::uint64_t{1} << 32);
 }
 
 TEST(Trace, Counters)
@@ -191,6 +216,58 @@ TEST(TraceIo, RejectsBadAddress)
     EXPECT_THROW(readTrace(ss), std::runtime_error);
 }
 
+/** Parse a text trace whose single processor holds @p body. */
+ParallelTrace
+readTextBody(const std::string &header, const std::string &body)
+{
+    std::stringstream ss("prefsim-trace v1\nname x\n" + header +
+                         "\nproc 0\n" + body);
+    return readTrace(ss);
+}
+
+/** The runtime_error message readTrace throws, or "" if it parses. */
+std::string
+textError(const std::string &header, const std::string &body)
+{
+    try {
+        readTextBody(header, body);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
+
+const char *const kOneProc = "procs 1 locks 1 barriers 1";
+
+TEST(TraceIo, RejectsNegativeInstrCount)
+{
+    EXPECT_NE(textError(kOneProc, "I -5\n")
+                  .find("trace parse error at line 5"),
+              std::string::npos);
+    EXPECT_NE(textError(kOneProc, "I 4294967296\n"), "");
+}
+
+TEST(TraceIo, RejectsTooManyProcs)
+{
+    EXPECT_NE(textError("procs 100000000000 locks 0 barriers 0", "")
+                  .find("trace parse error at line 3"),
+              std::string::npos);
+    EXPECT_NE(textError("procs 33 locks 0 barriers 0", ""), "");
+    EXPECT_EQ(readTextBody("procs 32 locks 0 barriers 0", "").numProcs(),
+              32u);
+}
+
+TEST(TraceIo, RejectsWideSyncId)
+{
+    EXPECT_NE(textError(kOneProc, "L 65536\n")
+                  .find("trace parse error at line 5"),
+              std::string::npos);
+    EXPECT_NE(textError(kOneProc, "B -1\n"), "");
+    EXPECT_NE(textError("procs 1 locks 65537 barriers 0", ""), "");
+    const ParallelTrace pt = readTextBody(kOneProc, "U 65535\n");
+    EXPECT_EQ(pt.procs[0][0].sync, kMaxSyncId);
+}
+
 TEST(TraceIo, FileRoundTrip)
 {
     const ParallelTrace pt = makeSampleTrace();
@@ -290,13 +367,118 @@ TEST(TraceIoBinary, LargeDeltasAndAllKinds)
     t.append(TraceRecord::write(0x10));
     t.append(TraceRecord::prefetch(0x7fff'0000, true));
     t.appendInstrs(1 << 30);
-    t.append(TraceRecord::barrier(4000000));
+    t.append(TraceRecord::barrier(kMaxSyncId));
     std::stringstream ss;
     writeTraceBinary(ss, pt);
     const ParallelTrace back = readTraceBinary(ss);
     ASSERT_EQ(back.procs[0].size(), pt.procs[0].size());
     for (std::size_t i = 0; i < pt.procs[0].size(); ++i)
         EXPECT_EQ(back.procs[0][i], pt.procs[0][i]);
+}
+
+TEST(TraceIoBinary, DeltasWrapWithoutSignedOverflow)
+{
+    // Two deltas of 2^62 take the running address past INT64_MAX; the
+    // last one wraps back down through zero.
+    ParallelTrace pt;
+    pt.name = "wrap";
+    pt.procs.resize(1);
+    Trace &t = pt.procs[0];
+    t.append(TraceRecord::read(std::uint64_t{1} << 62));
+    t.append(TraceRecord::read(std::uint64_t{1} << 63));
+    t.append(TraceRecord::write(~std::uint64_t{0}));
+    t.append(TraceRecord::prefetch(0x40));
+    std::stringstream ss;
+    writeTraceBinary(ss, pt);
+    const ParallelTrace back = readTraceBinary(ss);
+    ASSERT_EQ(back.procs[0].size(), pt.procs[0].size());
+    for (std::size_t i = 0; i < pt.procs[0].size(); ++i)
+        EXPECT_EQ(back.procs[0][i], pt.procs[0][i]);
+}
+
+/** Appends LEB128 varints and raw bytes: a hand-forged binary trace. */
+struct BinaryForge
+{
+    std::string bytes = "PFS2";
+
+    BinaryForge &
+    varint(std::uint64_t v)
+    {
+        while (v >= 0x80) {
+            bytes.push_back(static_cast<char>((v & 0x7f) | 0x80));
+            v >>= 7;
+        }
+        bytes.push_back(static_cast<char>(v));
+        return *this;
+    }
+
+    BinaryForge &
+    tag(RecordKind k)
+    {
+        bytes.push_back(static_cast<char>(k));
+        return *this;
+    }
+
+    /** Header of a one-processor trace named "f". */
+    static BinaryForge
+    header(std::uint64_t locks, std::uint64_t barriers)
+    {
+        BinaryForge f;
+        f.varint(1).varint(locks).varint(barriers).varint(1);
+        f.bytes.push_back('f');
+        return f;
+    }
+
+    /** readTraceBinary's error message, or "" if it parses. */
+    std::string
+    error() const
+    {
+        std::stringstream ss(bytes);
+        try {
+            readTraceBinary(ss);
+        } catch (const std::runtime_error &e) {
+            return e.what();
+        }
+        return "";
+    }
+};
+
+TEST(TraceIoBinary, RejectsWideInstrCount)
+{
+    BinaryForge ok = BinaryForge::header(0, 0);
+    ok.varint(1).tag(RecordKind::Instr).varint(kMaxInstrCount);
+    EXPECT_EQ(ok.error(), "");
+    BinaryForge f = BinaryForge::header(0, 0);
+    f.varint(1).tag(RecordKind::Instr).varint(std::uint64_t{1} << 32);
+    EXPECT_NE(f.error().find("binary trace: instr count"),
+              std::string::npos);
+}
+
+TEST(TraceIoBinary, RejectsWideSyncId)
+{
+    BinaryForge f = BinaryForge::header(1, 0);
+    f.varint(1).tag(RecordKind::LockAcquire).varint(kMaxSyncId + 1);
+    EXPECT_NE(f.error().find("binary trace: sync id"), std::string::npos);
+}
+
+TEST(TraceIoBinary, RejectsTooManyLocksOrBarriers)
+{
+    EXPECT_EQ(BinaryForge::header(65536, 65536).varint(0).error(), "");
+    EXPECT_NE(BinaryForge::header(65537, 0).varint(0).error().find(
+                  "binary trace: lock count"),
+              std::string::npos);
+    EXPECT_NE(BinaryForge::header(0, 65537).varint(0).error().find(
+                  "binary trace: barrier count"),
+              std::string::npos);
+}
+
+TEST(TraceIoBinary, ForgedRecordCountDoesNotPreallocate)
+{
+    // A count of 2^40 records (16 TiB) followed by one record: the
+    // reader must run out of input, not try to reserve the count.
+    BinaryForge f = BinaryForge::header(0, 0);
+    f.varint(std::uint64_t{1} << 40).tag(RecordKind::Instr).varint(3);
+    EXPECT_NE(f.error().find("binary trace: truncated"), std::string::npos);
 }
 
 } // namespace

@@ -52,9 +52,12 @@
  *                  [--warn FRAC] [--fail FRAC] [--json]
  *
  * The two-file form diffs two scripts/bench_perf.sh reports
- * (prefsim-bench-simcore-v1) on sim-only throughput. A loss of at
- * least --warn (default 0.02) warns; at least --fail (default 0.10)
- * is an error. The one-file form reads the cumulative history that
+ * (prefsim-bench-simcore-v1) on their same-run engine speedups
+ * (speedup_fig2_sim, speedup_micro3_sim), in which host speed cancels.
+ * A speedup loss of at least --warn (default 0.02) warns; at least
+ * --fail (default 0.10) is an error. Per-run sim-only throughput is
+ * printed too and a loss of at least --warn only warns. The one-file
+ * form reads the cumulative history that
  * bench_perf.sh appends (one prefsim-bench-history-v1 JSON object per
  * line), prints the per-run throughput trend across entries, and
  * gates the newest entry against the one before it with the same
@@ -865,6 +868,16 @@ runCompare(const std::string &baseline_path,
             j.endObject();
         }
         j.endArray();
+        j.key("speedups").beginArray();
+        for (const report::SpeedupRow &row : cmp.speedups) {
+            j.beginObject();
+            j.key("key").value(row.key);
+            j.key("baseline").value(row.baseline);
+            j.key("fresh").value(row.fresh);
+            j.key("delta").value(row.delta);
+            j.endObject();
+        }
+        j.endArray();
         writeFindingsJson(j, cmp.findings);
         j.key("ok").value(!anyError(cmp.findings));
         j.endObject();
@@ -882,6 +895,17 @@ runCompare(const std::string &baseline_path,
                  TextTable::num(row.freshCyclesPerSec / 1e6, 2),
                  (row.delta >= 0.0 ? "+" : "") +
                      TextTable::percent(row.delta, 1)});
+        }
+        table.print(std::cout);
+    }
+    if (!cmp.speedups.empty()) {
+        TextTable table({"engine speedup (gated)", "baseline", "fresh",
+                         "delta"});
+        for (const report::SpeedupRow &row : cmp.speedups) {
+            table.addRow({row.key, TextTable::num(row.baseline, 2) + "x",
+                          TextTable::num(row.fresh, 2) + "x",
+                          (row.delta >= 0.0 ? "+" : "") +
+                              TextTable::percent(row.delta, 1)});
         }
         table.print(std::cout);
     }
