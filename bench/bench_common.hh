@@ -16,7 +16,6 @@
  *   --log-level L    minimum log severity: error, warn, info, debug
  *   --metrics-out F  write sweep telemetry + simulator metrics JSON to F
  *   --trace-out F    write a Chrome trace-event JSON document to F
- *                    (needs a -DPREFSIM_TRACING=ON build to carry events)
  *   --sample-interval N  capture an interval time-series sample every N
  *                    simulated cycles (0 = off)
  *   --timeseries-out F  write the prefsim-timeseries-v1 JSON document
@@ -39,7 +38,6 @@
 #ifndef PREFSIM_BENCH_BENCH_COMMON_HH
 #define PREFSIM_BENCH_BENCH_COMMON_HH
 
-#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -49,6 +47,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/parse_uint.hh"
 #include "common/thread_pool.hh"
 #include "core/experiment.hh"
 #include "core/sweep.hh"
@@ -94,18 +93,14 @@ parseBenchArgs(int argc, char **argv,
             return argv[++i];
         };
         // A plain decimal no larger than @p max (the destination
-        // field's range). strtoull alone would skip leading blanks and
-        // accept a sign, silently wrapping "-5" to 2^64 - 5.
+        // field's range; see parseUint).
         auto nextUint = [&](std::uint64_t max) -> std::uint64_t {
             const char *text = next();
-            char *end = nullptr;
-            errno = 0;
-            const std::uint64_t value = std::strtoull(text, &end, 10);
-            if (*text < '0' || *text > '9' || *end != '\0' ||
-                errno == ERANGE || value > max)
+            const std::optional<std::uint64_t> value = parseUint(text, max);
+            if (!value)
                 prefsim_fatal("option ", arg, " expects an integer in 0..",
                               max, ", got '", text, "'");
-            return value;
+            return *value;
         };
         constexpr std::uint64_t kU64Max =
             std::numeric_limits<std::uint64_t>::max();
@@ -191,8 +186,7 @@ parseBenchArgs(int argc, char **argv,
                    "info, debug\n"
                    "  --metrics-out F  write sweep telemetry + metrics "
                    "JSON to F\n"
-                   "  --trace-out F    write Chrome trace-event JSON to F "
-                   "(PREFSIM_TRACING builds)\n"
+                   "  --trace-out F    write Chrome trace-event JSON to F\n"
                    "  --sample-interval N  interval time-series sample "
                    "every N cycles (0 = off)\n"
                    "  --timeseries-out F  write prefsim-timeseries-v1 "
@@ -299,11 +293,7 @@ emitBenchTelemetry(const BenchOptions &opts, const SweepEngine &engine)
     if (!opts.traceOut.empty()) {
         const ObsContext *obs = engine.obs();
         if (obs == nullptr || obs->tracer.numSessions() == 0) {
-            prefsim_warn("--trace-out: no trace sessions recorded",
-                         PREFSIM_TRACING
-                             ? ""
-                             : " (this binary was built without "
-                               "-DPREFSIM_TRACING=ON)");
+            prefsim_warn("--trace-out: no trace sessions recorded");
         }
         std::ofstream out(opts.traceOut,
                           std::ios::binary | std::ios::trunc);

@@ -4,8 +4,9 @@
  *
  * Usage: miss_anatomy [workload] [strategy] [data-transfer] [--restructured]
  *
- * Uses the MemorySystem miss observer to attribute every CPU miss to an
- * address region (the workload's shared structures, per-processor
+ * Hangs a consumer on the run's instrumentation event stream
+ * (obs/event.hh) to attribute every classified CPU miss to an address
+ * region (the workload's shared structures, per-processor
  * private data, or the synthetic cold streams), split into invalidation
  * vs. non-sharing misses. This is the region-level view behind the
  * paper's Figure 3 discussion.
@@ -17,6 +18,7 @@
 #include <string>
 
 #include "core/experiment.hh"
+#include "obs/event.hh"
 #include "prefetch/inserter.hh"
 #include "stats/table.hh"
 #include "trace/layout.hh"
@@ -67,8 +69,10 @@ main(int argc, char **argv)
     const AnnotatedTrace ann =
         annotateTrace(base, strategy, CacheGeometry::paperDefault());
 
+    ObsContext obs;
     SimConfig cfg;
     cfg.timing.dataTransfer = transfer;
+    cfg.obs = &obs;
     Simulator sim(ann.trace, cfg);
 
     struct Counts
@@ -77,9 +81,11 @@ main(int argc, char **argv)
         std::uint64_t nonSharing = 0;
     };
     std::map<std::string, Counts> by_region;
-    sim.memory().setMissObserver([&](ProcId, Addr addr, bool inval) {
-        Counts &c = by_region[regionOf(addr)];
-        if (inval)
+    sim.sink()->setExtraConsumer([&](const obs::Event &e) {
+        if (e.kind != obs::EventKind::Miss)
+            return;
+        Counts &c = by_region[regionOf(e.line)];
+        if (e.invalidation)
             ++c.inval;
         else
             ++c.nonSharing;

@@ -257,9 +257,15 @@ class JsonParser
             return false;
         switch (text_[pos_]) {
           case '{':
-            return parseObject(out);
-          case '[':
-            return parseArray(out);
+          case '[': {
+            if (depth_ == kMaxJsonDepth)
+                return false;
+            ++depth_;
+            const bool ok = text_[pos_] == '{' ? parseObject(out)
+                                               : parseArray(out);
+            --depth_;
+            return ok;
+          }
           case '"':
             out.kind_ = JsonValue::Kind::String;
             return parseString(out.scalar_);
@@ -437,6 +443,7 @@ class JsonParser
 
     const std::string &text_;
     std::size_t pos_ = 0;
+    unsigned depth_ = 0; ///< Open arrays/objects (see kMaxJsonDepth).
 };
 
 std::optional<JsonValue>

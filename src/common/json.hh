@@ -106,10 +106,16 @@ class JsonValue
     std::vector<Member> members_;
 };
 
+/** Deepest array/object nesting parseJson accepts. The parser recurses
+ *  once per level, so an unbounded `[[[...` document would overflow the
+ *  stack; every prefsim document nests fewer than ten levels. */
+inline constexpr unsigned kMaxJsonDepth = 256;
+
 /**
  * Parse @p text as one JSON document. Strict: malformed syntax,
- * truncated input or trailing garbage all yield nullopt (which is how
- * the result cache detects corrupt entries).
+ * truncated input, trailing garbage or nesting deeper than
+ * kMaxJsonDepth all yield nullopt (which is how the result cache
+ * detects corrupt entries).
  */
 std::optional<JsonValue> parseJson(const std::string &text);
 

@@ -478,7 +478,6 @@ SweepEngine::writeTelemetryJson(std::ostream &os) const
         obs_->metrics.writeJson(j);
         j.key("tracing").beginObject();
         j.key("enabled").value(obs_->tracer.enabled());
-        j.key("compiled_in").value(PREFSIM_TRACING != 0);
         j.key("sessions").value(
             static_cast<std::uint64_t>(obs_->tracer.numSessions()));
         j.key("events").value(obs_->tracer.totalEvents());

@@ -48,8 +48,8 @@ struct SweepOptions
     /** Collect simulator metrics into an engine-owned ObsContext
      *  (--metrics-out). Off = the uninstrumented fast path. */
     bool metrics = false;
-    /** Additionally record event traces (--trace-out). Only effective
-     *  in a PREFSIM_TRACING build; implies metrics. */
+    /** Additionally record event traces (--trace-out); implies
+     *  metrics. */
     bool tracing = false;
     /** Simulation core (--engine). Results are identical by contract
      *  (docs/simcore.md), so this is not part of the experiment cache

@@ -3,7 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "obs/profile/attribution_profiler.hh"
+#include "obs/event.hh"
 
 namespace prefsim
 {
@@ -184,29 +184,24 @@ DataCache::victimWay(Addr addr) const
 }
 
 void
-DataCache::noteDisplaced(const CacheFrame &frame, EvictedLine &evicted,
-                         DataCache &owner_cache)
+DataCache::noteDisplaced(const CacheFrame &frame, EvictedLine &evicted)
 {
     if (frame.tag == kNoAddr || !isValid(frame.state))
         return;
-    if (owner_cache.obs_.evictions)
-        owner_cache.obs_.evictions->inc();
-    if (frame.state == LineState::Modified) {
+    const bool dirty = frame.state == LineState::Modified;
+    if (dirty) {
         evicted.lineBase = frame.tag;
         evicted.dirty = true;
-        if (owner_cache.obs_.dirtyEvictions)
-            owner_cache.obs_.dirtyEvictions->inc();
     }
-    if (frame.broughtByPrefetch && !frame.usedSinceFill) {
+    const bool unused = frame.broughtByPrefetch && !frame.usedSinceFill;
+    if (unused) {
         // Prefetched data displaced before use: remember so the next
         // miss on it is classified "non-sharing, prefetched".
-        owner_cache.markPrefetchLost(frame.tag);
-        if (owner_cache.obs_.prefetchLostEvictions)
-            owner_cache.obs_.prefetchLostEvictions->inc();
-        if (owner_cache.obs_.profile)
-            owner_cache.obs_.profile->prefetchDisplaced(
-                owner_cache.owner_, frame.tag);
+        markPrefetchLost(frame.tag);
     }
+    if (sink_)
+        sink_->emit({.kind = obs::EventKind::Evict, .proc = owner_,
+                     .line = frame.tag, .prefetch = unused, .dirty = dirty});
 }
 
 void
@@ -226,7 +221,7 @@ DataCache::pushToVictim(const CacheFrame &frame, EvictedLine &evicted)
             slot = i;
         }
     }
-    noteDisplaced(victim_[slot], evicted, *this);
+    noteDisplaced(victim_[slot], evicted);
     victim_[slot] = frame;
     victim_use_[slot] = ++use_clock_;
 }
@@ -250,7 +245,7 @@ DataCache::install(Addr line_base, LineState state, bool by_prefetch,
         if (victim_entries_ > 0)
             pushToVictim(f, evicted);
         else
-            noteDisplaced(f, evicted, *this);
+            noteDisplaced(f, evicted);
     }
     f.beginResidency(line_base, state, by_prefetch);
     last_use_[idx] = ++use_clock_;
@@ -315,8 +310,9 @@ DataCache::parkPrefetchedLine(Addr line_base, LineState state)
         // lines are clean by construction (never written while parked),
         // so no writeback is needed.
         markPrefetchLost(pdb_[slot].tag);
-        if (obs_.profile)
-            obs_.profile->prefetchDisplaced(owner_, pdb_[slot].tag);
+        if (sink_)
+            sink_->emit({.kind = obs::EventKind::ParkedDisplace,
+                         .proc = owner_, .line = pdb_[slot].tag});
     }
     pdb_[slot].beginResidency(line_base, state, /*by_prefetch=*/true);
     pdb_use_[slot] = ++use_clock_;

@@ -30,34 +30,14 @@
 #include "common/types.hh"
 #include "mem/bus_op.hh"
 #include "mem/cache_line.hh"
-#include "obs/metrics.hh"
 
 namespace prefsim
 {
 
 namespace obs
 {
-class AttributionProfiler;
+class Sink;
 } // namespace obs
-
-/**
- * Instrumentation hooks for one cache (see obs/obs.hh). The counters
- * are typically shared by every cache of one memory system (machine
- * totals); null pointers (the default) disable them.
- */
-struct CacheObs
-{
-    /** Valid lines displaced out of the cache + victim-buffer pair. */
-    obs::Counter *evictions = nullptr;
-    /** Subset of evictions that forced a writeback (Modified lines). */
-    obs::Counter *dirtyEvictions = nullptr;
-    /** Subset of evictions displacing prefetched-but-never-used data. */
-    obs::Counter *prefetchLostEvictions = nullptr;
-    /** Per-line displaced-prefetch attribution (SimConfig::profile).
-     *  Evictions only happen on fill/install paths, which are never
-     *  replayed quietly — every call lands on the engine main thread. */
-    obs::AttributionProfiler *profile = nullptr;
-};
 
 /** An outstanding miss (fill in flight on the bus). */
 struct Mshr
@@ -213,8 +193,10 @@ class DataCache
     /** Count of valid lines in the cache proper (tests/invariants). */
     std::size_t validLines() const;
 
-    /** Attach (or detach) instrumentation counters. */
-    void setObs(const CacheObs &o) { obs_ = o; }
+    /** Attach (or detach, with null) the run's event sink: evictions
+     *  and displaced parked prefetches. Evictions only happen on
+     *  fill/install paths, which are never replayed quietly. */
+    void setSink(obs::Sink *sink) { sink_ = sink; }
 
   private:
     /** Pick the victim way in @p addr's set (invalid before LRU). */
@@ -225,8 +207,7 @@ class DataCache
     void pushToVictim(const CacheFrame &frame, EvictedLine &evicted);
 
     /** Account an eviction (prefetch-lost marking, dirty reporting). */
-    static void noteDisplaced(const CacheFrame &frame, EvictedLine &evicted,
-                              DataCache &owner_cache);
+    void noteDisplaced(const CacheFrame &frame, EvictedLine &evicted);
 
     ProcId owner_;
     CacheGeometry geom_;
@@ -246,7 +227,7 @@ class DataCache
 
     std::vector<Mshr> mshrs_;
     std::unordered_set<Addr> lost_prefetch_;
-    CacheObs obs_;
+    obs::Sink *sink_ = nullptr;
 };
 
 } // namespace prefsim

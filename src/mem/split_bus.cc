@@ -3,41 +3,11 @@
 #include <algorithm>
 
 #include "common/log.hh"
-#include "obs/critpath/critpath.hh"
-#include "obs/profile/attribution_profiler.hh"
+#include "obs/event.hh"
 #include "verify/runtime.hh"
 
 namespace prefsim
 {
-
-namespace
-{
-
-/** Static-storage name for trace events (TraceEvent never owns). */
-[[maybe_unused]] constexpr const char *
-opCName(BusOpKind kind)
-{
-    switch (kind) {
-      case BusOpKind::ReadShared:
-        return "ReadShared";
-      case BusOpKind::ReadExclusive:
-        return "ReadExclusive";
-      case BusOpKind::Upgrade:
-        return "Upgrade";
-      case BusOpKind::WriteBack:
-        return "WriteBack";
-      case BusOpKind::WriteUpdate:
-        return "WriteUpdate";
-    }
-    return "BusOp";
-}
-
-/** Distinguishes data-transfer async spans from the transaction
- *  lifetime spans they overlap (async pairs match on category + id;
- *  transaction ids never reach this bit). */
-[[maybe_unused]] constexpr std::uint64_t kXferIdBit = 1ull << 63;
-
-} // namespace
 
 std::string
 busOpName(BusOpKind kind)
@@ -75,12 +45,7 @@ SplitBus::request(const Transaction &t, Cycle now)
     Pending p;
     p.txn = t;
     p.id = next_id_++;
-#if PREFSIM_TRACING
-    p.requestedAt = now;
-#endif
     ++stats_.opCount[static_cast<unsigned>(t.kind)];
-    if (!BusTiming::isAddressClass(t.kind) && obs_.queueDepth)
-        obs_.queueDepth->record(waiting_.size());
     if (BusTiming::isAddressClass(t.kind)) {
         // Address-class operations ride the conflict-free address bus:
         // fixed latency, never queued behind data transfers (3.3).
@@ -91,6 +56,10 @@ SplitBus::request(const Transaction &t, Cycle now)
     // Data-carrying operations pay the address + memory-access pipeline
     // first; writebacks are ready immediately (data already buffered).
     p.readyAt = transfersData(t.kind) ? now + timing_.memoryPhase() : now;
+    if (sink_)
+        sink_->emit({.kind = obs::EventKind::BusRequest, .cycle = now,
+                     .proc = t.requester, .line = t.lineBase, .busId = p.id,
+                     .arg = static_cast<std::uint32_t>(waiting_.size())});
     waiting_.push_back(p);
     return p.id;
 }
@@ -161,21 +130,26 @@ unsigned
 SplitBus::tick(Cycle now)
 {
     unsigned completed = 0;
+    // Retire a finished transaction, already out of its queue (the
+    // completion may enqueue more). Its lifetime, the trace's async
+    // span, runs from its request (Transaction::issuedAt) to now.
+    const auto complete = [&](const Pending &p) {
+        if (sink_)
+            sink_->emit({.kind = obs::EventKind::BusComplete, .cycle = now,
+                         .proc = p.txn.requester, .line = p.txn.lineBase,
+                         .busId = p.id, .aux = p.txn.issuedAt,
+                         .op = static_cast<std::uint8_t>(p.txn.kind)});
+        ++completed;
+        if (completion_)
+            completion_(p.txn, now);
+    };
     // Complete address-class operations whose fixed latency elapsed.
     for (std::size_t i = 0; i < addr_ops_.size();) {
         if (now >= addr_ops_[i].readyAt) {
-            const Transaction done = addr_ops_[i].txn;
-            PREFSIM_TRACE(obs_.trace,
-                          asyncSpan(obs_.trace->busTid(),
-                                    opCName(done.kind), obs::TraceCat::Bus,
-                                    addr_ops_[i].id,
-                                    addr_ops_[i].requestedAt, now,
-                                    done.lineBase, done.requester));
+            const Pending done = addr_ops_[i];
             addr_ops_.erase(addr_ops_.begin() +
                             static_cast<std::ptrdiff_t>(i));
-            ++completed;
-            if (completion_)
-                completion_(done, now);
+            complete(done);
         } else {
             ++i;
         }
@@ -183,18 +157,10 @@ SplitBus::tick(Cycle now)
     // Finish transfers whose occupancy has elapsed.
     for (std::size_t i = 0; i < active_.size();) {
         if (now >= active_[i].endsAt) {
-            const Transaction done = active_[i].pending.txn;
-            PREFSIM_TRACE(obs_.trace,
-                          asyncSpan(obs_.trace->busTid(),
-                                    opCName(done.kind), obs::TraceCat::Bus,
-                                    active_[i].pending.id,
-                                    active_[i].pending.requestedAt, now,
-                                    done.lineBase, done.requester));
+            const Pending done = active_[i].pending;
             active_.erase(active_.begin() +
                           static_cast<std::ptrdiff_t>(i));
-            ++completed;
-            if (completion_)
-                completion_(done, now);
+            complete(done);
         } else {
             ++i;
         }
@@ -213,39 +179,21 @@ SplitBus::tick(Cycle now)
         const Cycle wait = now - a.pending.readyAt;
         const bool demand =
             a.pending.txn.demandWaiting || !a.pending.txn.isPrefetch;
-        if (obs_.profile)
-            obs_.profile->busGrant(a.pending.txn.lineBase, occ, demand);
-        if (obs_.critpath)
-            obs_.critpath->busGrant(a.pending.id, a.pending.readyAt, now);
         if (demand) {
             stats_.queueWaitDemand += wait;
             ++stats_.grantsDemand;
-            if (obs_.arbWaitDemand)
-                obs_.arbWaitDemand->record(wait);
         } else {
             stats_.queueWaitPrefetch += wait;
             ++stats_.grantsPrefetch;
-            if (obs_.arbWaitPrefetch)
-                obs_.arbWaitPrefetch->record(wait);
         }
-        // Data-bus occupancy. With a single channel grants are strictly
-        // sequential, so a synchronous span nests; with parallel
-        // channels transfers overlap and need async pairing (the id bit
-        // keeps them distinct from the transaction-lifetime spans).
-        if (timing_.dataChannels == 1) {
-            PREFSIM_TRACE(obs_.trace,
-                          span(obs_.trace->busTid(), "transfer",
-                               obs::TraceCat::Bus, now, a.endsAt,
-                               a.pending.txn.lineBase,
-                               a.pending.txn.requester));
-        } else {
-            PREFSIM_TRACE(obs_.trace,
-                          asyncSpan(obs_.trace->busTid(), "transfer",
-                                    obs::TraceCat::Bus,
-                                    a.pending.id | kXferIdBit, now,
-                                    a.endsAt, a.pending.txn.lineBase,
-                                    a.pending.txn.requester));
-        }
+        if (sink_)
+            sink_->emit({.kind = obs::EventKind::BusGrant, .cycle = now,
+                         .proc = a.pending.txn.requester,
+                         .line = a.pending.txn.lineBase, .busId = a.pending.id,
+                         .aux = a.pending.readyAt,
+                         .arg = static_cast<std::uint32_t>(occ),
+                         .demand = demand,
+                         .parallel = timing_.dataChannels > 1});
         rr_next_ = (a.pending.txn.requester == kNoProc
                         ? rr_next_
                         : a.pending.txn.requester + 1) %

@@ -26,40 +26,14 @@
 
 #include "common/types.hh"
 #include "mem/bus_op.hh"
-#include "obs/metrics.hh"
-#include "obs/trace.hh"
 
 namespace prefsim
 {
 
 namespace obs
 {
-class AttributionProfiler;
-class CritPathRecorder;
+class Sink;
 } // namespace obs
-
-/**
- * Instrumentation hooks for one bus (see obs/obs.hh). All pointers
- * default to null = disabled; each update costs one predictable branch.
- */
-struct BusObs
-{
-    /** Data-bus requests already queued when a new one arrives. */
-    obs::Histogram *queueDepth = nullptr;
-    /** Cycles a ready demand-class op waited for the data bus. */
-    obs::Histogram *arbWaitDemand = nullptr;
-    /** Cycles a ready prefetch op waited for the data bus. */
-    obs::Histogram *arbWaitPrefetch = nullptr;
-    /** Per-line data-bus occupancy attribution (SimConfig::profile).
-     *  Address-class upgrades never reach the grant path, so the
-     *  per-line cycles sum exactly to BusStats::busyCycles. */
-    obs::AttributionProfiler *profile = nullptr;
-    /** Grant-edge sink for the critical-path analyzer
-     *  (SimConfig::critpath). */
-    obs::CritPathRecorder *critpath = nullptr;
-    /** Per-run event sink (only ever set when PREFSIM_TRACING=1). */
-    obs::TraceBuffer *trace = nullptr;
-};
 
 /** Timing parameters of the memory subsystem (paper §3.3). */
 struct BusTiming
@@ -261,9 +235,9 @@ class SplitBus
     /** Zero the accumulated statistics (warmup exclusion). */
     void resetStats() { stats_ = BusStats{}; }
 
-    /** Attach (or detach, with a default-constructed value)
-     *  instrumentation sinks. */
-    void setObs(const BusObs &o) { obs_ = o; }
+    /** Attach (or detach, with null) the run's event sink: requests
+     *  (queue depth), grants and completions. */
+    void setSink(obs::Sink *sink) { sink_ = sink; }
 
   private:
     struct Pending
@@ -271,13 +245,6 @@ class SplitBus
         Transaction txn;
         std::uint64_t id;
         Cycle readyAt;  ///< When the contention-free phase ends.
-#if PREFSIM_TRACING
-        /** When request() entered it. Compiled out by default: the
-         *  arbitration loop scans and shifts waiting_ constantly, so
-         *  Pending's size is hot-path real estate; only the trace
-         *  spans read this. */
-        Cycle requestedAt = 0;
-#endif
     };
 
     struct Active
@@ -300,7 +267,7 @@ class SplitBus
     ProcId rr_next_ = 0; ///< Round-robin arbitration pointer.
 
     BusStats stats_;
-    BusObs obs_;
+    obs::Sink *sink_ = nullptr;
 };
 
 } // namespace prefsim

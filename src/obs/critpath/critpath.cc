@@ -6,6 +6,7 @@
 
 #include "common/json.hh"
 #include "common/log.hh"
+#include "obs/event.hh"
 
 namespace prefsim
 {
@@ -30,11 +31,121 @@ resClassName(ResClass c)
 
 CritPathRecorder::CritPathRecorder(unsigned procs, std::string label)
     : procs_(procs), label_(std::move(label)), pieces_(procs),
-      upgradeStartAt_(procs, kNoCycle), upgradeId_(procs, 0),
-      upgradeData_(procs, false), upgradeLine_(procs, kNoAddr),
       spinStartAt_(procs, kNoCycle), barrierArriveAt_(procs, kNoCycle),
       stallPrefStartAt_(procs, kNoCycle)
 {
+}
+
+void
+CritPathRecorder::on(const Event &e)
+{
+    const Cycle t = e.cycle;
+    switch (e.kind) {
+      case EventKind::Miss:
+      case EventKind::PrefetchIssue: {
+        // A data-class transaction entered the queue. A demand miss
+        // blocks its requester from now on; an invalidation miss files
+        // its refetch latency under coherence, not raw memory latency.
+        const bool demand = e.kind == EventKind::Miss;
+        Txn x;
+        x.waiter = demand ? e.proc : kNoProc;
+        x.waitStart = demand ? t : kNoCycle;
+        x.line = e.line;
+        x.prefetch = !demand;
+        x.inval = e.invalidation;
+        txns_[e.busId] = x;
+        return;
+      }
+      case EventKind::BusGrant:
+        // Writebacks and other untracked traffic have no entry.
+        if (const auto it = txns_.find(e.busId); it != txns_.end()) {
+            it->second.readyAt = e.aux;
+            it->second.grantAt = t;
+        }
+        return;
+      case EventKind::LateAttach:
+        if (const auto it = txns_.find(e.busId); it != txns_.end()) {
+            it->second.waiter = e.proc;
+            it->second.waitStart = t;
+        }
+        return;
+      case EventKind::Fill:
+        if (e.demand)
+            demandWaitEnd(e.proc, e.busId, t);
+        else
+            txns_.erase(e.busId); // Nobody waited on it.
+        return;
+      case EventKind::UpgradeIssue: {
+        // The writer blocks until the operation completes. A WriteUpdate
+        // rides the data bus, so the grant splits its arbitration wait
+        // from the broadcast transfer.
+        Txn x;
+        x.waiter = e.proc;
+        x.waitStart = t;
+        x.line = e.line;
+        x.upgrade = true;
+        x.data = e.data;
+        txns_[e.busId] = x;
+        return;
+      }
+      case EventKind::BusComplete: {
+        const auto it = txns_.find(e.busId);
+        if (it == txns_.end() || !it->second.upgrade)
+            return; // Fills finish at their Fill event.
+        const Txn x = it->second;
+        txns_.erase(it);
+        if (!x.data) {
+            // Address-class upgrade: pure invalidation traffic.
+            emitPiece(x.waiter, x.waitStart, t, ResClass::CoherenceInval,
+                      x.line, kNoProc, false);
+            return;
+        }
+        const Cycle g = x.grantAt == kNoCycle ? t : x.grantAt;
+        const Cycle a_end = std::min(std::max(g, x.waitStart), t);
+        emitPiece(x.waiter, x.waitStart, a_end, ResClass::BusArb, x.line,
+                  kNoProc, false);
+        emitPiece(x.waiter, a_end, t, ResClass::DataTransfer, x.line,
+                  kNoProc, false);
+        return;
+      }
+      case EventKind::StallBegin:
+        if (e.stall == Stall::PrefetchBuffer)
+            stallPrefStartAt_[e.proc] = t;
+        else if (e.stall == Stall::Lock)
+            spinStartAt_[e.proc] = t;
+        return;
+      case EventKind::PrefetchStallEnd:
+        closeWait(stallPrefStartAt_, e.proc, t, ResClass::PrefetchStall,
+                  kNoProc, /*prefetch=*/true);
+        return;
+      case EventKind::LockAcquire: {
+        const auto it = lockReleaser_.find(e.arg);
+        const ProcId pred = it != lockReleaser_.end() && it->second != e.proc
+                                ? it->second
+                                : kNoProc;
+        closeWait(spinStartAt_, e.proc, t, ResClass::Lock, pred, false);
+        return;
+      }
+      case EventKind::LockRelease:
+        lockReleaser_[e.arg] = e.proc;
+        return;
+      case EventKind::BarrierArrive:
+        // The last arriver fires before the waiters are released, so
+        // their barrier pieces carry the right predecessor.
+        if (e.last) {
+            lastArriver_ = e.proc;
+            episodeEnds_.push_back(t);
+        } else {
+            barrierArriveAt_[e.proc] = t;
+        }
+        return;
+      case EventKind::BarrierRelease:
+        closeWait(barrierArriveAt_, e.proc, t, ResClass::Barrier,
+                  lastArriver_ == e.proc ? kNoProc : lastArriver_, false);
+        return;
+      default:
+        return;
+    }
 }
 
 void
@@ -51,37 +162,14 @@ CritPathRecorder::emitPiece(ProcId proc, Cycle start, Cycle end,
 }
 
 void
-CritPathRecorder::busRequest(std::uint64_t id, ProcId proc, Addr line,
-                             Cycle now, bool prefetch, bool invalidation,
-                             bool demand_wait)
+CritPathRecorder::closeWait(std::vector<Cycle> &open, ProcId proc, Cycle now,
+                            ResClass cls, ProcId pred, bool prefetch)
 {
-    Txn t;
-    t.waiter = demand_wait ? proc : kNoProc;
-    t.waitStart = demand_wait ? now : kNoCycle;
-    t.line = line;
-    t.prefetch = prefetch;
-    t.inval = invalidation;
-    txns_[id] = t;
-}
-
-void
-CritPathRecorder::busGrant(std::uint64_t id, Cycle ready_at, Cycle now)
-{
-    const auto it = txns_.find(id);
-    if (it == txns_.end())
-        return; // Writebacks and other untracked traffic.
-    it->second.readyAt = ready_at;
-    it->second.grantAt = now;
-}
-
-void
-CritPathRecorder::demandAttach(ProcId proc, std::uint64_t id, Cycle now)
-{
-    const auto it = txns_.find(id);
-    if (it == txns_.end())
+    const Cycle s = open[proc];
+    if (s == kNoCycle)
         return;
-    it->second.waiter = proc;
-    it->second.waitStart = now;
+    open[proc] = kNoCycle;
+    emitPiece(proc, s, now, cls, kNoAddr, pred, prefetch);
 }
 
 void
@@ -109,127 +197,6 @@ CritPathRecorder::demandWaitEnd(ProcId proc, std::uint64_t id, Cycle now)
               t.prefetch);
     emitPiece(proc, a_end, now, ResClass::DataTransfer, t.line, kNoProc,
               t.prefetch);
-}
-
-void
-CritPathRecorder::busRelease(std::uint64_t id)
-{
-    txns_.erase(id);
-}
-
-void
-CritPathRecorder::upgradeStart(ProcId proc, std::uint64_t id, Addr line,
-                               Cycle now, bool data)
-{
-    upgradeStartAt_[proc] = now;
-    upgradeId_[proc] = id;
-    upgradeData_[proc] = data;
-    upgradeLine_[proc] = line;
-    if (data) {
-        // WriteUpdate rides the data bus: track it so the grant hook
-        // can split arbitration wait from the broadcast transfer.
-        Txn t;
-        t.waiter = proc;
-        t.waitStart = now;
-        t.line = line;
-        txns_[id] = t;
-    }
-}
-
-void
-CritPathRecorder::upgradeComplete(ProcId proc, Cycle now)
-{
-    const Cycle s = upgradeStartAt_[proc];
-    if (s == kNoCycle)
-        return;
-    upgradeStartAt_[proc] = kNoCycle;
-    const Addr line = upgradeLine_[proc];
-    if (!upgradeData_[proc]) {
-        // Address-class upgrade: pure invalidation traffic.
-        emitPiece(proc, s, now, ResClass::CoherenceInval, line, kNoProc,
-                  false);
-        return;
-    }
-    Cycle g = now;
-    const auto it = txns_.find(upgradeId_[proc]);
-    if (it != txns_.end()) {
-        if (it->second.grantAt != kNoCycle)
-            g = it->second.grantAt;
-        txns_.erase(it);
-    }
-    const Cycle a_end = std::min(std::max(g, s), now);
-    emitPiece(proc, s, a_end, ResClass::BusArb, line, kNoProc, false);
-    emitPiece(proc, a_end, now, ResClass::DataTransfer, line, kNoProc,
-              false);
-}
-
-void
-CritPathRecorder::lockSpinStart(ProcId proc, SyncId lock, Cycle now)
-{
-    (void)lock;
-    spinStartAt_[proc] = now;
-}
-
-void
-CritPathRecorder::lockAcquired(ProcId proc, SyncId lock, Cycle now)
-{
-    const Cycle s = spinStartAt_[proc];
-    if (s == kNoCycle)
-        return;
-    spinStartAt_[proc] = kNoCycle;
-    ProcId pred = kNoProc;
-    const auto it = lockReleaser_.find(lock);
-    if (it != lockReleaser_.end() && it->second != proc)
-        pred = it->second;
-    emitPiece(proc, s, now, ResClass::Lock, kNoAddr, pred, false);
-}
-
-void
-CritPathRecorder::lockReleased(ProcId proc, SyncId lock, Cycle now)
-{
-    (void)now;
-    lockReleaser_[lock] = proc;
-}
-
-void
-CritPathRecorder::barrierArrive(ProcId proc, Cycle now)
-{
-    barrierArriveAt_[proc] = now;
-}
-
-void
-CritPathRecorder::barrierLast(ProcId proc, Cycle now)
-{
-    lastArriver_ = proc;
-    episodeEnds_.push_back(now);
-}
-
-void
-CritPathRecorder::barrierReleased(ProcId proc, Cycle now)
-{
-    const Cycle s = barrierArriveAt_[proc];
-    if (s == kNoCycle)
-        return;
-    barrierArriveAt_[proc] = kNoCycle;
-    const ProcId pred = lastArriver_ == proc ? kNoProc : lastArriver_;
-    emitPiece(proc, s, now, ResClass::Barrier, kNoAddr, pred, false);
-}
-
-void
-CritPathRecorder::prefetchStallStart(ProcId proc, Cycle now)
-{
-    stallPrefStartAt_[proc] = now;
-}
-
-void
-CritPathRecorder::prefetchStallEnd(ProcId proc, Cycle now)
-{
-    const Cycle s = stallPrefStartAt_[proc];
-    if (s == kNoCycle)
-        return;
-    stallPrefStartAt_[proc] = kNoCycle;
-    emitPiece(proc, s, now, ResClass::PrefetchStall, kNoAddr, kNoProc,
-              true);
 }
 
 namespace

@@ -6,10 +6,10 @@
  * The simulation layers already expose every side-effect boundary the
  * paper's argument turns on — bus request/grant/completion, upgrade
  * traffic, late demand attach to an in-flight prefetch, lock
- * release/acquire and barrier episodes. The recorder listens at those
- * boundaries (null-by-default pointers on the existing observer
- * structs, exactly like the tracer and the attribution profiler) and
- * partitions each processor's timeline into *pieces* tagged with a
+ * release/acquire and barrier episodes. The recorder consumes those
+ * boundaries from the run's event stream (obs/event.hh), exactly like
+ * the tracer and the attribution profiler, and partitions each
+ * processor's timeline into *pieces* tagged with a
  * closed set of resource classes:
  *
  *   compute          cycles not blocked on anything
@@ -75,6 +75,8 @@ class JsonWriter;
 namespace obs
 {
 
+struct Event;
+
 /** Closed resource-class enum; the JSON schema exposes exactly these. */
 enum class ResClass : std::uint8_t {
     Compute = 0,
@@ -134,8 +136,8 @@ struct CritPathRun
 
 /**
  * Per-run recorder. Created by the Simulator when SimConfig::critpath
- * is set, wired to the observer structs, and consumed once via take()
- * after the run drains. All hooks are main-thread only (see file
+ * is set, fed the run's events, and consumed once via take() after the
+ * run drains. Every event arrives on the main thread (see file
  * comment); no internal locking.
  */
 class CritPathRecorder
@@ -143,44 +145,9 @@ class CritPathRecorder
   public:
     CritPathRecorder(unsigned procs, std::string label);
 
-    // ---- memory-system / bus hooks ------------------------------------
-    /** A data-class bus transaction entered the queue. @p demand_wait
-     *  is true when the requester blocks on it from @p now (demand
-     *  miss); false for prefetch issues. @p invalidation marks a miss
-     *  classified as an invalidation miss (refetch latency belongs to
-     *  coherence, not raw memory latency). */
-    void busRequest(std::uint64_t id, ProcId proc, Addr line, Cycle now,
-                    bool prefetch, bool invalidation, bool demand_wait);
-    /** The bus granted transaction @p id at @p now; @p ready_at is when
-     *  its memory phase completed (requests with unknown ids —
-     *  writebacks — are ignored). */
-    void busGrant(std::uint64_t id, Cycle ready_at, Cycle now);
-    /** A demand access attached to in-flight transaction @p id. */
-    void demandAttach(ProcId proc, std::uint64_t id, Cycle now);
-    /** Transaction @p id completed with @p proc demand-blocked on it:
-     *  decompose the wait into memory/arb/transfer pieces. */
-    void demandWaitEnd(ProcId proc, std::uint64_t id, Cycle now);
-    /** Transaction @p id completed with nobody waiting; drop it. */
-    void busRelease(std::uint64_t id);
-    /** @p proc issued an Upgrade (@p data=false) or WriteUpdate
-     *  (@p data=true) for @p line and blocks until it completes. */
-    void upgradeStart(ProcId proc, std::uint64_t id, Addr line, Cycle now,
-                      bool data);
-    /** The pending upgrade/write-update of @p proc completed. */
-    void upgradeComplete(ProcId proc, Cycle now);
+    /** Record @p e (the stream's consumer). */
+    void on(const Event &e);
 
-    // ---- processor / sync hooks ---------------------------------------
-    void lockSpinStart(ProcId proc, SyncId lock, Cycle now);
-    void lockAcquired(ProcId proc, SyncId lock, Cycle now);
-    void lockReleased(ProcId proc, SyncId lock, Cycle now);
-    void barrierArrive(ProcId proc, Cycle now);
-    /** The last arriver (fires before the waiters are released). */
-    void barrierLast(ProcId proc, Cycle now);
-    void barrierReleased(ProcId proc, Cycle now);
-    void prefetchStallStart(ProcId proc, Cycle now);
-    void prefetchStallEnd(ProcId proc, Cycle now);
-
-    // ---- lifecycle -----------------------------------------------------
     /**
      * Run the backward walk and the what-if estimator over everything
      * recorded, clamped to [warmup_end, done_at), and return the
@@ -191,6 +158,10 @@ class CritPathRecorder
                      const std::vector<Cycle> &finished_at);
 
   private:
+    /** Transaction @p id completed with @p proc demand-blocked on it:
+     *  decompose the wait into memory/arb/transfer pieces. */
+    void demandWaitEnd(ProcId proc, std::uint64_t id, Cycle now);
+
     /** One attributed span of a processor's timeline. */
     struct Piece
     {
@@ -212,10 +183,15 @@ class CritPathRecorder
         Cycle grantAt = kNoCycle;
         bool prefetch = false;
         bool inval = false;
+        bool upgrade = false; ///< Upgrade or WriteUpdate (the waiter's).
+        bool data = false;    ///< ... a WriteUpdate, on the data bus.
     };
 
     void emitPiece(ProcId proc, Cycle start, Cycle end, ResClass cls,
                    Addr line, ProcId pred, bool prefetch);
+    /** End @p proc's wait opened in @p open (if any) as one piece. */
+    void closeWait(std::vector<Cycle> &open, ProcId proc, Cycle now,
+                   ResClass cls, ProcId pred, bool prefetch);
 
     unsigned procs_;
     std::string label_;
@@ -223,10 +199,6 @@ class CritPathRecorder
     std::unordered_map<std::uint64_t, Txn> txns_;
 
     // Per-processor open-wait state.
-    std::vector<Cycle> upgradeStartAt_;
-    std::vector<std::uint64_t> upgradeId_;
-    std::vector<bool> upgradeData_;
-    std::vector<Addr> upgradeLine_;
     std::vector<Cycle> spinStartAt_;
     std::vector<Cycle> barrierArriveAt_;
     std::vector<Cycle> stallPrefStartAt_;

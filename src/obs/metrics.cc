@@ -4,6 +4,7 @@
 
 #include "common/json.hh"
 #include "common/log.hh"
+#include "obs/event.hh"
 
 namespace prefsim
 {
@@ -265,6 +266,62 @@ MetricsRegistry::reset()
         g->set(0);
     for (auto &[name, h] : histograms_)
         h->reset();
+}
+
+MetricsTap::MetricsTap(MetricsRegistry &r)
+    : queueDepth_(r.histogram("bus.queue_depth", linearBounds(32))),
+      arbWaitDemand_(
+          r.histogram("bus.arb_wait_demand", powerOfTwoBounds(14))),
+      arbWaitPrefetch_(
+          r.histogram("bus.arb_wait_prefetch", powerOfTwoBounds(14))),
+      prefetchLateness_(
+          r.histogram("prefetch.lateness_cycles", powerOfTwoBounds(14))),
+      invalidations_(r.counter("coherence.invalidations")),
+      downgrades_(r.counter("coherence.downgrades")),
+      deadFills_(r.counter("coherence.dead_fills")),
+      lateDemandAttach_(r.counter("prefetch.late_demand_attach")),
+      evictions_(r.counter("cache.evictions")),
+      dirtyEvictions_(r.counter("cache.evictions_dirty")),
+      prefetchLostEvictions_(r.counter("cache.evictions_prefetch_unused"))
+{}
+
+void
+MetricsTap::on(const Event &e)
+{
+    switch (e.kind) {
+      case EventKind::BusRequest:
+        queueDepth_.record(e.arg);
+        return;
+      case EventKind::BusGrant:
+        (e.demand ? arbWaitDemand_ : arbWaitPrefetch_)
+            .record(e.cycle - e.aux);
+        return;
+      case EventKind::Fill:
+        if (e.prefetch && e.demand)
+            prefetchLateness_.record(e.cycle - e.aux);
+        if (e.dead)
+            deadFills_.inc();
+        return;
+      case EventKind::Invalidate:
+      case EventKind::InflightKill:
+        invalidations_.inc();
+        return;
+      case EventKind::Downgrade:
+        downgrades_.inc();
+        return;
+      case EventKind::LateAttach:
+        lateDemandAttach_.inc();
+        return;
+      case EventKind::Evict:
+        evictions_.inc();
+        if (e.dirty)
+            dirtyEvictions_.inc();
+        if (e.prefetch)
+            prefetchLostEvictions_.inc();
+        return;
+      default:
+        return;
+    }
 }
 
 std::vector<std::uint64_t>

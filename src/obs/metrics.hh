@@ -6,10 +6,11 @@
  *
  * Design constraints, in order:
  *
- *  1. **Zero cost when disabled.** Components hold plain pointers to
- *     their metrics and guard each update with a single predictable
- *     null check (`if (h) h->record(v)`); when no ObsContext is wired
- *     in, the pointers stay null and the hot path is untouched.
+ *  1. **Zero cost when disabled.** Simulator components never touch a
+ *     metric directly: they emit events into a per-run obs::Sink and
+ *     the MetricsTap below folds them into the registry. Without an
+ *     ObsContext there is no sink, and each hook site costs one
+ *     predictable null check.
  *  2. **Thread-safe updates.** A sweep runs many simulations
  *     concurrently into one shared registry, so every mutation is a
  *     relaxed atomic. Exact cross-thread ordering of reads taken while
@@ -212,6 +213,38 @@ class MetricsRegistry
     std::map<std::string, std::unique_ptr<Counter>> counters_;
     std::map<std::string, std::unique_ptr<Gauge>> gauges_;
     std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+};
+
+struct Event;
+
+/**
+ * The metrics view of the event stream (see obs/event.hh): resolves the
+ * simulator's counters and histograms in a registry once, at
+ * construction, and folds each event into them.
+ */
+class MetricsTap
+{
+  public:
+    explicit MetricsTap(MetricsRegistry &r);
+
+    void on(const Event &e);
+
+  private:
+    /** Data-bus requests already queued when a new one arrives. */
+    Histogram &queueDepth_;
+    /** Cycles a ready op of each class waited for the data bus. */
+    Histogram &arbWaitDemand_;
+    Histogram &arbWaitPrefetch_;
+    /** Cycles a blocked demand waited on the prefetch it attached to
+     *  (the latency the prefetch failed to hide). */
+    Histogram &prefetchLateness_;
+    Counter &invalidations_; ///< Remote copies or in-flight fills killed.
+    Counter &downgrades_;    ///< Remote private copies demoted.
+    Counter &deadFills_;     ///< Fills that arrived invalidated.
+    Counter &lateDemandAttach_;
+    Counter &evictions_;     ///< Valid lines displaced (machine total).
+    Counter &dirtyEvictions_;
+    Counter &prefetchLostEvictions_;
 };
 
 /** Cycle-valued histogram boundaries: powers of two from 1 to 2^20,

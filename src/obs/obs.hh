@@ -4,13 +4,12 @@
  * shared by every simulation a sweep runs.
  *
  * Ownership: a SweepEngine (or an embedder, or a test) creates an
- * ObsContext and points SimConfig::obs at it; each Simulator registers
- * its components' metrics in the registry and, when tracing is
- * compiled in (PREFSIM_TRACING) and enabled at runtime, records the
- * run into a per-run TraceBuffer committed back to the tracer. A null
- * ObsContext pointer — the default everywhere — means every
- * instrumentation pointer stays null and the simulator runs exactly
- * as before.
+ * ObsContext and points SimConfig::obs at it; each Simulator then
+ * builds one per-run event sink (obs/event.hh) whose consumers fold the
+ * run into the registry and, when the tracer is enabled, into a per-run
+ * TraceBuffer committed back to the tracer. A null ObsContext pointer —
+ * the default everywhere — means no sink exists and the simulator runs
+ * exactly as before.
  */
 
 #ifndef PREFSIM_OBS_OBS_HH

@@ -5,6 +5,7 @@
 
 #include "common/json.hh"
 #include "common/log.hh"
+#include "obs/event.hh"
 
 namespace prefsim
 {
@@ -47,104 +48,83 @@ AttributionProfiler::AttributionProfiler(unsigned procs,
 }
 
 void
-AttributionProfiler::miss(Addr line_base, MissKind kind,
-                          bool false_sharing)
+AttributionProfiler::on(const Event &e)
 {
-    ProfileLine &l = line(line_base);
-    switch (kind) {
-      case MissKind::NonSharing:
-        ++l.missNonSharing;
-        break;
-      case MissKind::NonSharingPrefetched:
-        ++l.missNonSharingPrefetched;
-        break;
-      case MissKind::Invalidation:
-        ++l.missInvalidation;
-        break;
-      case MissKind::InvalidationPrefetched:
-        ++l.missInvalidationPrefetched;
-        break;
-      case MissKind::PrefetchInflight:
-        ++l.missPrefetchInflight;
-        break;
+    switch (e.kind) {
+      case EventKind::Miss: {
+        ProfileLine &l = line(e.line);
+        if (e.invalidation)
+            ++(e.prefetchLost ? l.missInvalidationPrefetched
+                              : l.missInvalidation);
+        else
+            ++(e.prefetchLost ? l.missNonSharingPrefetched
+                              : l.missNonSharing);
+        if (e.falseSharing)
+            ++l.missFalseSharing;
+        return;
+      }
+      case EventKind::LateAttach:
+        // A demand MSHR always carries demandWaiting from allocation,
+        // so an attach is to an in-flight *prefetch*: the late outcome,
+        // plus its own miss row.
+        ++line(e.line).missPrefetchInflight;
+        ++prefetch(e.line, e.proc).late;
+        return;
+      case EventKind::Invalidate: {
+        ProfileLine &l = line(e.line);
+        ++l.invalidations;
+        if (e.falseSharing)
+            ++l.invalidationsFalse;
+        if (e.killedPrefetch)
+            ++prefetch(e.line, e.proc).killed;
+        return;
+      }
+      case EventKind::InflightKill:
+        ++line(e.line).inflightKills;
+        if (e.killedPrefetch)
+            ++prefetch(e.line, e.proc).killed;
+        return;
+      case EventKind::ParkedKill:
+        ++prefetch(e.line, e.proc).killed;
+        return;
+      case EventKind::Downgrade:
+        ++line(e.line).downgrades;
+        return;
+      case EventKind::PrefetchIssue:
+        ++prefetch(e.line, e.proc).issued;
+        return;
+      case EventKind::PrefetchUseful:
+        ++prefetch(e.line, e.proc).useful;
+        return;
+      case EventKind::Fill:
+        if (e.prefetch && e.demand)
+            prefetch(e.line, e.proc).latenessCycles += e.cycle - e.aux;
+        return;
+      case EventKind::Evict:
+        if (e.prefetch)
+            ++prefetch(e.line, e.proc).displaced;
+        return;
+      case EventKind::ParkedDisplace:
+        ++prefetch(e.line, e.proc).displaced;
+        return;
+      case EventKind::BusGrant: {
+        // Address-class upgrades never reach the grant path, so the
+        // per-line cycles sum exactly to BusStats::busyCycles.
+        ProfileLine &l = line(e.line);
+        l.busCycles += e.arg;
+        if (!e.demand)
+            l.busCyclesPrefetch += e.arg;
+        ++l.busOps;
+        return;
+      }
+      case EventKind::Warmup:
+        // The profile covers the measured window only, so its totals
+        // match the post-warmup aggregates (Table 3).
+        run_.lines.clear();
+        return;
+      default:
+        return;
     }
-    if (false_sharing)
-        ++l.missFalseSharing;
-}
-
-void
-AttributionProfiler::invalidation(Addr line_base, bool false_sharing)
-{
-    ProfileLine &l = line(line_base);
-    ++l.invalidations;
-    if (false_sharing)
-        ++l.invalidationsFalse;
-}
-
-void
-AttributionProfiler::downgrade(Addr line_base)
-{
-    ++line(line_base).downgrades;
-}
-
-void
-AttributionProfiler::inflightKill(Addr line_base)
-{
-    ++line(line_base).inflightKills;
-}
-
-void
-AttributionProfiler::prefetchIssued(ProcId proc, Addr line_base)
-{
-    ++line(line_base).prefetch[proc].issued;
-}
-
-void
-AttributionProfiler::prefetchLate(ProcId proc, Addr line_base)
-{
-    ++line(line_base).prefetch[proc].late;
-}
-
-void
-AttributionProfiler::prefetchLateness(ProcId proc, Addr line_base,
-                                      Cycle cycles)
-{
-    line(line_base).prefetch[proc].latenessCycles += cycles;
-}
-
-void
-AttributionProfiler::prefetchUseful(ProcId proc, Addr line_base)
-{
-    ++line(line_base).prefetch[proc].useful;
-}
-
-void
-AttributionProfiler::prefetchKilled(ProcId proc, Addr line_base)
-{
-    ++line(line_base).prefetch[proc].killed;
-}
-
-void
-AttributionProfiler::prefetchDisplaced(ProcId proc, Addr line_base)
-{
-    ++line(line_base).prefetch[proc].displaced;
-}
-
-void
-AttributionProfiler::busGrant(Addr line_base, Cycle occupancy,
-                              bool demand_class)
-{
-    ProfileLine &l = line(line_base);
-    l.busCycles += occupancy;
-    if (!demand_class)
-        l.busCyclesPrefetch += occupancy;
-    ++l.busOps;
-}
-
-void
-AttributionProfiler::resetForWarmup()
-{
-    run_.lines.clear();
 }
 
 ProfileRun

@@ -7,8 +7,8 @@
  * say *how much* the bus and the coherence protocol cost; this layer says
  * *which lines* cost it. An AttributionProfiler is created per simulation
  * run when SimConfig::profile is set (null-by-default, like the Tracer)
- * and hangs off the existing hook structs (MemObs / CacheObs / BusObs).
- * Each hook attributes one event to a cache-line record:
+ * and consumes the run's event stream (obs/event.hh), attributing each
+ * event to a cache-line record:
  *
  *  - demand misses, split by the Figure 3 taxonomy (non-sharing vs
  *    invalidation, prefetched-and-lost vs never-prefetched, plus the
@@ -18,8 +18,8 @@
  *  - per-prefetch outcomes (issued / useful / late / killed /
  *    displaced), keyed by line and issuing processor.
  *
- * Every hook fires on the simulating thread; a profiler belongs to one
- * run. All counters are additive, so the profile is identical however
+ * Every event arrives on the simulating thread; a profiler belongs to
+ * one run. All counters are additive, so the profile is identical however
  * the engines order the work (the local-clock core replays quiet hits,
  * and with them prefetch first uses, later than the oracle);
  * serialisation sorts runs by label and lines by address, giving
@@ -128,51 +128,32 @@ struct ProfileTotals
     static ProfileTotals of(const ProfileRun &run);
 };
 
+struct Event;
+
 /**
  * Accumulates one run's attribution. The owner (Simulator) creates it
- * when profiling is requested, resets it at the warmup statistics
- * boundary, and moves the finished run into the ProfileStore.
+ * when profiling is requested and moves the finished run into the
+ * ProfileStore; the Warmup event discards everything attributed before
+ * the measured window.
  */
 class AttributionProfiler
 {
   public:
     AttributionProfiler(unsigned procs, std::string label);
 
-    /** Demand-miss classification (MemorySystem::classifyMiss). */
-    enum class MissKind
-    {
-        NonSharing,             ///< Cold/replacement, never prefetched.
-        NonSharingPrefetched,   ///< ... but a prefetched copy was lost.
-        Invalidation,           ///< Coherence miss, never prefetched.
-        InvalidationPrefetched, ///< ... and the lost copy was prefetched.
-        PrefetchInflight,       ///< Attached to an in-flight prefetch.
-    };
-
-    /** @name Attribution hooks. @{ */
-    void miss(Addr line, MissKind kind, bool false_sharing);
-    void invalidation(Addr line, bool false_sharing);
-    void downgrade(Addr line);
-    void inflightKill(Addr line);
-    void prefetchIssued(ProcId proc, Addr line);
-    void prefetchLate(ProcId proc, Addr line);
-    void prefetchLateness(ProcId proc, Addr line, Cycle cycles);
-    void prefetchKilled(ProcId proc, Addr line);
-    void prefetchDisplaced(ProcId proc, Addr line);
-    void busGrant(Addr line, Cycle occupancy, bool demand_class);
-    /** First use of a prefetched line (also reached from quiet hit
-     *  replay). */
-    void prefetchUseful(ProcId proc, Addr line);
-    /** @} */
-
-    /** Discard everything attributed so far (warmup statistics reset;
-     *  all processors caught up). */
-    void resetForWarmup();
+    /** Attribute @p e (the stream's consumer). */
+    void on(const Event &e);
 
     /** Move the finished run out (the profiler is spent afterwards). */
     ProfileRun take(Cycle warmup_end);
 
   private:
     ProfileLine &line(Addr addr) { return run_.lines[addr]; }
+    ProfilePrefetch &
+    prefetch(Addr addr, ProcId proc)
+    {
+        return run_.lines[addr].prefetch[proc];
+    }
 
     ProfileRun run_;
 };

@@ -5,6 +5,7 @@
 
 #include "common/json.hh"
 #include "common/log.hh"
+#include "obs/event.hh"
 
 namespace prefsim
 {
@@ -32,7 +33,7 @@ traceCatName(TraceCat cat)
 TraceBuffer::TraceBuffer(std::uint32_t num_procs, std::size_t capacity,
                          std::uint32_t pid, std::string label)
     : num_procs_(num_procs), capacity_(capacity), pid_(pid),
-      label_(std::move(label))
+      label_(std::move(label)), open_(num_procs)
 {
     prefsim_assert(capacity_ > 0, "trace buffer needs capacity");
     ring_.reserve(std::min<std::size_t>(capacity_, 4096));
@@ -50,6 +51,109 @@ TraceBuffer::push(const TraceEvent &e)
     next_ = (next_ + 1) % capacity_;
     wrapped_ = true;
     ++dropped_;
+}
+
+namespace
+{
+
+/** Span names of Event::op (indexed by BusOpKind; static storage). */
+constexpr const char *kBusOpNames[] = {"ReadShared", "ReadExclusive",
+                                       "Upgrade", "WriteBack",
+                                       "WriteUpdate"};
+
+/** Span names of Stall (indexed by its value; static storage). */
+constexpr const char *kStallNames[] = {"stall_miss", "stall_upgrade",
+                                       "stall_inflight_prefetch",
+                                       "stall_prefetch_buffer", "spin_lock"};
+
+/** Distinguishes data-transfer async spans from the transaction
+ *  lifetime spans they overlap (async pairs match on category + id;
+ *  transaction ids never reach this bit). */
+constexpr std::uint64_t kXferIdBit = 1ull << 63;
+
+} // namespace
+
+void
+TraceBuffer::on(const Event &e)
+{
+    const Cycle t = e.cycle;
+    // Stalls are recorded once, as a span, when the event ending them
+    // arrives.
+    const auto open = [&](const char *name, TraceCat cat) {
+        open_[e.proc] = {name, cat, t};
+    };
+    const auto close = [&] {
+        OpenStall &s = open_[e.proc];
+        if (s.name != nullptr)
+            span(e.proc, s.name, s.cat, s.begin, t);
+        s.name = nullptr;
+    };
+    switch (e.kind) {
+      case EventKind::BusComplete:
+        asyncSpan(busTid(), kBusOpNames[e.op], TraceCat::Bus, e.busId, e.aux,
+                  t, e.line, e.proc);
+        return;
+      case EventKind::BusGrant:
+        // Data-bus occupancy. With a single channel grants are strictly
+        // sequential, so a synchronous span nests; with parallel
+        // channels transfers overlap and need async pairing.
+        if (e.parallel)
+            asyncSpan(busTid(), "transfer", TraceCat::Bus,
+                      e.busId | kXferIdBit, t, t + e.arg, e.line, e.proc);
+        else
+            span(busTid(), "transfer", TraceCat::Bus, t, t + e.arg, e.line,
+                 e.proc);
+        return;
+      case EventKind::Downgrade:
+        instant(e.proc, "downgrade", TraceCat::Coherence, t, e.line, e.peer);
+        return;
+      case EventKind::Invalidate:
+        instant(e.proc, "invalidate", TraceCat::Coherence, t, e.line,
+                e.peer);
+        return;
+      case EventKind::InflightKill:
+        instant(e.proc, "kill_inflight_fill", TraceCat::Coherence, t,
+                e.line, e.peer);
+        return;
+      case EventKind::LateAttach:
+        instant(e.proc, "late_demand_attach", TraceCat::Prefetch, t, e.line);
+        return;
+      case EventKind::PrefetchIssue:
+        instant(e.proc, e.exclusive ? "prefetch_excl_issue" : "prefetch_issue",
+                TraceCat::Prefetch, t, e.line);
+        return;
+      case EventKind::Fill:
+        instant(e.proc,
+                e.dead       ? "dead_fill"
+                : e.prefetch ? "prefetch_fill"
+                             : "fill",
+                e.prefetch ? TraceCat::Prefetch : TraceCat::Coherence, t,
+                e.line);
+        return;
+      case EventKind::StallBegin:
+        open(kStallNames[static_cast<unsigned>(e.stall)],
+             e.stall == Stall::Lock ? TraceCat::Sync : TraceCat::Exec);
+        return;
+      case EventKind::Wake:
+      case EventKind::PrefetchStallEnd:
+      case EventKind::BarrierRelease:
+        close();
+        return;
+      case EventKind::LockAcquire:
+        close(); // A spin, when the lock was held.
+        instant(e.proc, "lock_acquire", TraceCat::Sync, t, kNoAddr, e.arg);
+        return;
+      case EventKind::LockRelease:
+        instant(e.proc, "lock_release", TraceCat::Sync, t, kNoAddr, e.arg);
+        return;
+      case EventKind::BarrierArrive:
+        instant(e.proc, "barrier_arrive", TraceCat::Sync, t, kNoAddr, e.arg);
+        if (!e.last)
+            open("wait_barrier", TraceCat::Sync);
+        return;
+      default:
+        return;
+    }
 }
 
 std::vector<TraceEvent>

@@ -9,15 +9,12 @@
  * for the bus. exportChromeTrace() writes the whole collection as a
  * Chrome trace-event / Perfetto-loadable JSON document.
  *
- * Recording is double-gated:
- *
- *  - **compile time**: every emission site goes through the
- *    PREFSIM_TRACE macro, which compiles to nothing unless the build
- *    defines PREFSIM_TRACING=1 (CMake -DPREFSIM_TRACING=ON). A default
- *    build carries no tracing code in its hot paths at all.
- *  - **run time**: with tracing compiled in, nothing is recorded until
- *    a Tracer is wired in via ObsContext and enabled; components hold a
- *    TraceBuffer pointer that stays null otherwise.
+ * A TraceBuffer is one consumer of the run's event stream (see
+ * obs/event.hh): it exists only while a Tracer is wired in via
+ * ObsContext and enabled (--trace-out), and on() turns each event
+ * into the span or instant the viewer shows. It also keeps the one
+ * piece of state the stream leaves implicit — each processor's open
+ * stall — and emits the stall as a single span when it ends.
  *
  * Buffers are bounded rings: when full, the oldest events are dropped
  * (and counted), never the newest — the end of a run is usually where
@@ -38,28 +35,12 @@
 
 #include "common/types.hh"
 
-#ifndef PREFSIM_TRACING
-#define PREFSIM_TRACING 0
-#endif
-
-#if PREFSIM_TRACING
-/** Record an event iff @p buf is non-null; args evaluate only then. */
-#define PREFSIM_TRACE(buf, ...)                                              \
-    do {                                                                     \
-        if (buf)                                                             \
-            (buf)->__VA_ARGS__;                                              \
-    } while (0)
-#else
-/** Tracing compiled out: the whole site vanishes. */
-#define PREFSIM_TRACE(buf, ...)                                              \
-    do {                                                                     \
-    } while (0)
-#endif
-
 namespace prefsim
 {
 namespace obs
 {
+
+struct Event;
 
 /** Event category (Chrome "cat" field; filterable in the viewer). */
 enum class TraceCat : std::uint8_t
@@ -94,8 +75,8 @@ struct TraceEvent
 
 /**
  * Per-run, single-threaded bounded event ring. Create via
- * Tracer::beginSession; hand raw pointers to the components of one
- * Simulator only.
+ * Tracer::beginSession; one run's Sink owns it until the run commits
+ * it back.
  */
 class TraceBuffer
 {
@@ -158,6 +139,9 @@ class TraceBuffer
         push(e);
     }
 
+    /** Record @p e as the trace shows it (the stream's consumer). */
+    void on(const Event &e);
+
     std::uint32_t numProcs() const { return num_procs_; }
     /** The bus track id (== numProcs). */
     std::uint32_t busTid() const { return num_procs_; }
@@ -172,6 +156,15 @@ class TraceBuffer
   private:
     void push(const TraceEvent &e);
 
+    /** A processor's open stall (name null when none). A processor has
+     *  at most one, so the spans it closes into nest. */
+    struct OpenStall
+    {
+        const char *name = nullptr;
+        TraceCat cat = TraceCat::Exec;
+        Cycle begin = 0;
+    };
+
     std::uint32_t num_procs_;
     std::size_t capacity_;
     std::uint32_t pid_;
@@ -180,6 +173,7 @@ class TraceBuffer
     std::size_t next_ = 0;     ///< Ring write cursor once saturated.
     bool wrapped_ = false;
     std::uint64_t dropped_ = 0;
+    std::vector<OpenStall> open_; ///< Per processor.
 };
 
 /**

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
+#include "obs/event.hh"
 #include "verify/runtime.hh"
 
 namespace prefsim
@@ -34,45 +35,12 @@ MemorySystem::MemorySystem(unsigned num_procs, const CacheGeometry &geom,
 }
 
 void
-MemorySystem::attachObs(ObsContext &ctx, obs::TraceBuffer *trace,
-                        obs::AttributionProfiler *profiler,
-                        obs::CritPathRecorder *critpath)
+MemorySystem::setSink(obs::Sink *sink)
 {
-    // Bus: queue depth seen by arriving requests, and the arbitration
-    // wait of each class (paper §3.3's demand-first policy made visible).
-    BusObs bo;
-    bo.queueDepth =
-        &ctx.metrics.histogram("bus.queue_depth", obs::linearBounds(32));
-    bo.arbWaitDemand = &ctx.metrics.histogram("bus.arb_wait_demand",
-                                              obs::powerOfTwoBounds(14));
-    bo.arbWaitPrefetch = &ctx.metrics.histogram("bus.arb_wait_prefetch",
-                                                obs::powerOfTwoBounds(14));
-    bo.profile = profiler;
-    bo.critpath = critpath;
-    bo.trace = trace;
-    bus_.setObs(bo);
-
-    // Caches: machine-total eviction accounting (one shared set of
-    // counters; per-processor splits live in ProcStats already).
-    CacheObs co;
-    co.evictions = &ctx.metrics.counter("cache.evictions");
-    co.dirtyEvictions = &ctx.metrics.counter("cache.evictions_dirty");
-    co.prefetchLostEvictions =
-        &ctx.metrics.counter("cache.evictions_prefetch_unused");
-    co.profile = profiler;
+    sink_ = sink;
+    bus_.setSink(sink);
     for (auto &c : caches_)
-        c->setObs(co);
-
-    obs_.profile = profiler;
-    obs_.critpath = critpath;
-    obs_.prefetchLateness = &ctx.metrics.histogram(
-        "prefetch.lateness_cycles", obs::powerOfTwoBounds(14));
-    obs_.invalidations = &ctx.metrics.counter("coherence.invalidations");
-    obs_.downgrades = &ctx.metrics.counter("coherence.downgrades");
-    obs_.deadFills = &ctx.metrics.counter("coherence.dead_fills");
-    obs_.lateDemandAttach =
-        &ctx.metrics.counter("prefetch.late_demand_attach");
-    obs_.trace = trace;
+        c->setSink(sink);
 }
 
 MemorySystem::SnoopSummary
@@ -109,7 +77,6 @@ MemorySystem::probeOthers(ProcId requester, Addr line_base) const
 void
 MemorySystem::downgradeOthers(ProcId requester, Addr line_base, Cycle now)
 {
-    (void)now; // Only read by tracing emission sites.
     if (mutation_ == ProtocolMutation::SkipDowngrade)
         return; // Seeded bug (verification only): remote reads ignored.
     for (ProcId p = 0; p < caches_.size(); ++p) {
@@ -131,14 +98,10 @@ MemorySystem::downgradeOthers(ProcId requester, Addr line_base, Cycle now)
                 if (isPrivate(f->state)) {
                     // Losing M/E shrinks the owner's quiet-write set.
                     ++cache_version_[p];
-                    if (obs_.downgrades)
-                        obs_.downgrades->inc();
-                    if (obs_.profile)
-                        obs_.profile->downgrade(line_base);
-                    PREFSIM_TRACE(obs_.trace,
-                                  instant(p, "downgrade",
-                                          obs::TraceCat::Coherence, now,
-                                          line_base, requester));
+                    if (sink_)
+                        sink_->emit({.kind = obs::EventKind::Downgrade,
+                                     .cycle = now, .proc = p,
+                                     .peer = requester, .line = line_base});
                 }
                 // Illinois: an M owner flushes while supplying the line;
                 // the transfer itself is the requester's bus operation.
@@ -166,7 +129,6 @@ void
 MemorySystem::invalidateOthers(ProcId requester, Addr line_base,
                                std::uint32_t word, Cycle now)
 {
-    (void)now; // Only read by tracing emission sites.
     if (mutation_ == ProtocolMutation::SkipInvalidate)
         return; // Seeded bug (verification only): remote copies survive.
     for (ProcId p = 0; p < caches_.size(); ++p) {
@@ -187,23 +149,19 @@ MemorySystem::invalidateOthers(ProcId requester, Addr line_base,
         if (f != nullptr) {
             if (isValid(f->state)) {
                 ++cache_version_[p]; // The copy stops hitting quietly.
-                if (obs_.invalidations)
-                    obs_.invalidations->inc();
-                PREFSIM_TRACE(obs_.trace,
-                              instant(p, "invalidate",
-                                      obs::TraceCat::Coherence, now,
-                                      line_base, requester));
                 // False sharing: the invalidating write targets a word
                 // this processor never touched in the residency (§4.4).
                 f->invalFalseSharing = (f->accessMask >> word & 1u) == 0;
-                if (obs_.profile)
-                    obs_.profile->invalidation(line_base,
-                                               f->invalFalseSharing);
-                if (f->broughtByPrefetch && !f->usedSinceFill) {
+                const bool unused =
+                    f->broughtByPrefetch && !f->usedSinceFill;
+                if (unused)
                     c.markPrefetchLost(line_base);
-                    if (obs_.profile)
-                        obs_.profile->prefetchKilled(p, line_base);
-                }
+                if (sink_)
+                    sink_->emit({.kind = obs::EventKind::Invalidate,
+                                 .cycle = now, .proc = p, .peer = requester,
+                                 .line = line_base,
+                                 .falseSharing = f->invalFalseSharing,
+                                 .killedPrefetch = unused});
                 f->state = LineState::Invalid;
             }
         }
@@ -215,28 +173,23 @@ MemorySystem::invalidateOthers(ProcId requester, Addr line_base,
             ++cache_version_[p];
             parked->state = LineState::Invalid;
             c.markPrefetchLost(line_base);
-            if (obs_.profile)
-                obs_.profile->prefetchKilled(p, line_base);
+            if (sink_)
+                sink_->emit({.kind = obs::EventKind::ParkedKill, .cycle = now,
+                             .proc = p, .peer = requester, .line = line_base});
             ++stats_[p].bufferProtectionEvents;
         }
         if (m && !m->arriveInvalid) {
             m->arriveInvalid = true;
-            if (obs_.invalidations)
-                obs_.invalidations->inc();
-            PREFSIM_TRACE(obs_.trace,
-                          instant(p, "kill_inflight_fill",
-                                  obs::TraceCat::Coherence, now, line_base,
-                                  requester));
             // No word of the in-flight line has been accessed yet; the
             // only local interest we know of is a blocked demand access
             // to demandWord.
             m->invalFalseSharing =
                 !(m->demandWaiting && m->demandWord == word);
-            if (obs_.profile) {
-                obs_.profile->inflightKill(line_base);
-                if (m->isPrefetch)
-                    obs_.profile->prefetchKilled(p, line_base);
-            }
+            if (sink_)
+                sink_->emit({.kind = obs::EventKind::InflightKill,
+                             .cycle = now, .proc = p, .peer = requester,
+                             .line = line_base,
+                             .killedPrefetch = m->isPrefetch});
         }
     }
 }
@@ -253,8 +206,9 @@ MemorySystem::demandAccess(ProcId proc, Addr addr, bool is_write, Cycle now)
         f.accessMask |= 1u << word;
         if (f.broughtByPrefetch && !f.usedSinceFill) {
             ++prefetch_first_use_[proc]; // Prefetch proved useful.
-            if (obs_.profile)
-                obs_.profile->prefetchUseful(proc, base);
+            if (sink_)
+                sink_->emit({.kind = obs::EventKind::PrefetchUseful,
+                             .cycle = now, .proc = proc, .line = base});
         }
         f.usedSinceFill = true;
         c.touch(addr);
@@ -286,9 +240,10 @@ MemorySystem::demandAccess(ProcId proc, Addr addr, bool is_write, Cycle now)
             // broadcast, so the line stays clean-shared everywhere.
         }
         const std::uint64_t up_id = bus_.request(t, now);
-        if (obs_.critpath)
-            obs_.critpath->upgradeStart(proc, up_id, base, now,
-                                        t.kind == BusOpKind::WriteUpdate);
+        if (sink_)
+            sink_->emit({.kind = obs::EventKind::UpgradeIssue, .cycle = now,
+                         .proc = proc, .line = base, .busId = up_id,
+                         .data = t.kind == BusOpKind::WriteUpdate});
         ++stats_[proc].upgradesIssued;
         prefsim_assert(pending_upgrade_[proc] == kNoAddr,
                        "overlapping upgrades on proc ", proc);
@@ -310,23 +265,9 @@ MemorySystem::demandAccess(ProcId proc, Addr addr, bool is_write, Cycle now)
             m->demandWord = word;
             m->demandAttachedAt = now;
             bus_.promoteToDemand(m->busId);
-            if (obs_.critpath)
-                obs_.critpath->demandAttach(proc, m->busId, now);
-            if (obs_.lateDemandAttach)
-                obs_.lateDemandAttach->inc();
-            if (obs_.profile) {
-                // A demand MSHR always carries demandWaiting from
-                // allocation, so this attach is to an in-flight
-                // *prefetch*: the late outcome, plus its own miss row.
-                obs_.profile->miss(
-                    base,
-                    obs::AttributionProfiler::MissKind::PrefetchInflight,
-                    /*false_sharing=*/false);
-                obs_.profile->prefetchLate(proc, base);
-            }
-            PREFSIM_TRACE(obs_.trace,
-                          instant(proc, "late_demand_attach",
-                                  obs::TraceCat::Prefetch, now, base));
+            if (sink_)
+                sink_->emit({.kind = obs::EventKind::LateAttach, .cycle = now,
+                             .proc = proc, .line = base, .busId = m->busId});
         }
         return AccessResult::InProgressWait;
     }
@@ -399,10 +340,12 @@ MemorySystem::demandAccess(ProcId proc, Addr addr, bool is_write, Cycle now)
     m.demandWaiting = true;
     m.demandWord = word;
     m.busId = bus_.request(t, now);
-    if (obs_.critpath)
-        obs_.critpath->busRequest(m.busId, proc, base, now,
-                                  /*prefetch=*/false, inval_miss,
-                                  /*demand_wait=*/true);
+    if (sink_)
+        sink_->emit({.kind = obs::EventKind::Miss, .cycle = now, .proc = proc,
+                     .line = base, .busId = m.busId,
+                     .invalidation = inval_miss, .prefetchLost = lost,
+                     .falseSharing =
+                         inval_miss && matching->invalFalseSharing});
     PREFSIM_VERIFY_MEM_LINE(*this, base);
     return AccessResult::MissWait;
 }
@@ -459,19 +402,12 @@ MemorySystem::prefetchAccess(ProcId proc, Addr addr, bool exclusive,
     }
     Mshr &m = c.allocateMshr(base, target, /*is_prefetch=*/true);
     m.busId = bus_.request(t, now);
-    if (obs_.critpath)
-        obs_.critpath->busRequest(m.busId, proc, base, now,
-                                  /*prefetch=*/true, /*invalidation=*/false,
-                                  /*demand_wait=*/false);
     PREFSIM_VERIFY_MEM_LINE(*this, base);
     ++stats_[proc].prefetchMisses;
-    if (obs_.profile)
-        obs_.profile->prefetchIssued(proc, base);
-    PREFSIM_TRACE(obs_.trace,
-                  instant(proc,
-                          exclusive ? "prefetch_excl_issue"
-                                    : "prefetch_issue",
-                          obs::TraceCat::Prefetch, now, base));
+    if (sink_)
+        sink_->emit({.kind = obs::EventKind::PrefetchIssue, .cycle = now,
+                     .proc = proc, .line = base, .busId = m.busId,
+                     .exclusive = exclusive});
     return PrefetchResult::Issued;
 }
 
@@ -483,8 +419,6 @@ MemorySystem::classifyMiss(ProcId proc, const CacheFrame *frame,
     const bool invalidation =
         frame != nullptr && frame->tag == line_base &&
         frame->state == LineState::Invalid;
-    if (miss_observer_)
-        miss_observer_(proc, line_base, invalidation);
     if (invalidation) {
         if (frame->invalFalseSharing)
             ++m.falseSharing;
@@ -497,19 +431,6 @@ MemorySystem::classifyMiss(ProcId proc, const CacheFrame *frame,
             ++m.nonSharingPrefetched;
         else
             ++m.nonSharingNotPrefetched;
-    }
-    if (obs_.profile) {
-        using MissKind = obs::AttributionProfiler::MissKind;
-        MissKind kind;
-        if (invalidation) {
-            kind = prefetched_lost ? MissKind::InvalidationPrefetched
-                                   : MissKind::Invalidation;
-        } else {
-            kind = prefetched_lost ? MissKind::NonSharingPrefetched
-                                   : MissKind::NonSharing;
-        }
-        obs_.profile->miss(line_base, kind,
-                           invalidation && frame->invalFalseSharing);
     }
     return invalidation;
 }
@@ -533,8 +454,6 @@ MemorySystem::onBusComplete(const Transaction &txn, Cycle now)
         prefsim_assert(pending_upgrade_[txn.requester] == txn.lineBase,
                        "update completion mismatch");
         pending_upgrade_[txn.requester] = kNoAddr;
-        if (obs_.critpath)
-            obs_.critpath->upgradeComplete(txn.requester, now);
         if (wake_)
             wake_(txn.requester, /*retry=*/false);
         return;
@@ -544,8 +463,6 @@ MemorySystem::onBusComplete(const Transaction &txn, Cycle now)
         prefsim_assert(pending_upgrade_[txn.requester] == txn.lineBase,
                        "upgrade completion mismatch");
         pending_upgrade_[txn.requester] = kNoAddr;
-        if (obs_.critpath)
-            obs_.critpath->upgradeComplete(txn.requester, now);
         CacheFrame *f = c.findFrame(txn.lineBase);
         if (f && f->state == LineState::Shared) {
             // The write is ordered at the upgrade's request time. If a
@@ -574,33 +491,15 @@ MemorySystem::onBusComplete(const Transaction &txn, Cycle now)
         // retires, and the line installs, parks, or arrives dead.
         ++cache_version_[txn.requester];
         const Mshr m = c.releaseMshr(txn.lineBase);
-        if (obs_.critpath) {
-            if (m.demandWaiting)
-                obs_.critpath->demandWaitEnd(txn.requester, m.busId, now);
-            else
-                obs_.critpath->busRelease(m.busId);
-        }
-        // The prefetch was late: a demand access has been blocked on
-        // this fill since demandAttachedAt. (Demand misses record their
-        // full wait in ProcStats; this histogram isolates the residual
-        // latency prefetching failed to hide.)
-        if (m.isPrefetch && m.demandWaiting) {
-            if (obs_.prefetchLateness)
-                obs_.prefetchLateness->record(now - m.demandAttachedAt);
-            if (obs_.profile)
-                obs_.profile->prefetchLateness(txn.requester, txn.lineBase,
-                                               now - m.demandAttachedAt);
-        }
-        if (m.arriveInvalid && obs_.deadFills)
-            obs_.deadFills->inc();
-        PREFSIM_TRACE(obs_.trace,
-                      instant(txn.requester,
-                              m.arriveInvalid ? "dead_fill"
-                              : m.isPrefetch  ? "prefetch_fill"
-                                              : "fill",
-                              m.isPrefetch ? obs::TraceCat::Prefetch
-                                           : obs::TraceCat::Coherence,
-                              now, txn.lineBase));
+        // For a late prefetch (a demand access blocked on this fill
+        // since demandAttachedAt) now - aux is the residual latency
+        // prefetching failed to hide.
+        if (sink_)
+            sink_->emit({.kind = obs::EventKind::Fill, .cycle = now,
+                         .proc = txn.requester, .line = txn.lineBase,
+                         .busId = m.busId, .aux = m.demandAttachedAt,
+                         .demand = m.demandWaiting, .prefetch = m.isPrefetch,
+                         .dead = m.arriveInvalid});
         if (pdb_entries_ > 0 && m.isPrefetch && !m.demandWaiting) {
             // Buffer-target mode: the prefetched line parks beside the
             // cache instead of filling it (3.1). Dead arrivals are

@@ -34,42 +34,15 @@
 #include "common/types.hh"
 #include "mem/data_cache.hh"
 #include "mem/split_bus.hh"
-#include "obs/obs.hh"
 #include "sim/sim_stats.hh"
 
 namespace prefsim
 {
 
-/**
- * Instrumentation hooks for the memory system itself (the bus and the
- * caches carry their own; see attachObs). Null = disabled.
- */
-struct MemObs
+namespace obs
 {
-    /** Cycles a blocked demand access waited for the in-flight prefetch
-     *  fill it attached to (the latency the prefetch failed to hide).
-     *  A prefetch that completes before its demand access never records
-     *  here. */
-    obs::Histogram *prefetchLateness = nullptr;
-    /** Remote copies (or in-flight fills) invalidated. */
-    obs::Counter *invalidations = nullptr;
-    /** Remote private (M/E) copies downgraded to Shared. */
-    obs::Counter *downgrades = nullptr;
-    /** Fills that arrived dead (invalidated while in flight). */
-    obs::Counter *deadFills = nullptr;
-    /** Demand accesses that found their line's prefetch in flight. */
-    obs::Counter *lateDemandAttach = nullptr;
-    /** Per-line attribution (SimConfig::profile). Every site fires on
-     *  the simulating thread (see obs/profile/attribution_profiler.hh). */
-    obs::AttributionProfiler *profile = nullptr;
-    /** Dependency-edge sink for the critical-path analyzer
-     *  (SimConfig::critpath). Every site is main-thread work: miss
-     *  issue, late demand attach, upgrade traffic and bus completions
-     *  are all exact-cycle events the engines never replay quietly. */
-    obs::CritPathRecorder *critpath = nullptr;
-    /** Per-run event sink (only ever set when PREFSIM_TRACING=1). */
-    obs::TraceBuffer *trace = nullptr;
-};
+class Sink;
+} // namespace obs
 
 /**
  * Coherence protocol family.
@@ -163,28 +136,9 @@ class MemorySystem
     using CatchUpFn = std::function<void(ProcId)>;
     void setCatchUp(CatchUpFn fn) { catch_up_ = std::move(fn); }
 
-    /**
-     * Register this memory system's metrics in @p ctx and wire @p trace
-     * (may be null: metrics without event tracing), @p profiler (may
-     * be null: no per-line attribution) and @p critpath (may be null:
-     * no dependency recording) through to the bus and the caches.
-     * Idempotent; not called at all in the default uninstrumented
-     * configuration.
-     */
-    void attachObs(ObsContext &ctx, obs::TraceBuffer *trace,
-                   obs::AttributionProfiler *profiler = nullptr,
-                   obs::CritPathRecorder *critpath = nullptr);
-
-    /**
-     * Observer invoked on every classified CPU miss with the line base
-     * and whether it was an invalidation miss. Used by tests and the
-     * diagnostic tools; adds no cost when unset.
-     */
-    using MissObserverFn = std::function<void(ProcId, Addr, bool inval)>;
-    void setMissObserver(MissObserverFn fn)
-    {
-        miss_observer_ = std::move(fn);
-    }
+    /** Attach (or detach, with null) the run's event sink here, on the
+     *  bus and on every cache (see obs/event.hh). */
+    void setSink(obs::Sink *sink);
 
     /**
      * Execute a demand reference for @p proc at cycle @p now.
@@ -396,8 +350,7 @@ class MemorySystem
     std::vector<ProcStats> &stats_;
     WakeFn wake_;
     CatchUpFn catch_up_;
-    MissObserverFn miss_observer_;
-    MemObs obs_;
+    obs::Sink *sink_ = nullptr;
 
     /** Pending upgrade per processor (line base; kNoAddr when none). */
     std::vector<Addr> pending_upgrade_;

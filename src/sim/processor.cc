@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/log.hh"
+#include "obs/event.hh"
 
 namespace prefsim
 {
@@ -45,6 +46,8 @@ Processor::executeAccess(Cycle now)
     const TraceRecord &r = trace_[index_];
     const bool is_write = r.kind == RecordKind::Write;
     const AccessResult res = mem_.demandAccess(id_, r.addr, is_write, now);
+    Cycle *bucket = &stats_.stallDemand;
+    obs::Stall why = obs::Stall::Miss;
     switch (res) {
       case AccessResult::Hit:
         ++stats_.busy;
@@ -55,25 +58,22 @@ Processor::executeAccess(Cycle now)
         ++stats_.stallDemand;
         return false;
       case AccessResult::MissWait:
-        state_ = State::WaitMemory;
-        ++stats_.stallDemand;
-        beginLazyStall(&stats_.stallDemand, now);
-        markStall("stall_miss", obs::TraceCat::Exec, now);
-        return false;
+        break;
       case AccessResult::UpgradeWait:
-        state_ = State::WaitMemory;
-        ++stats_.stallUpgrade;
-        beginLazyStall(&stats_.stallUpgrade, now);
-        markStall("stall_upgrade", obs::TraceCat::Exec, now);
-        return false;
+        bucket = &stats_.stallUpgrade;
+        why = obs::Stall::Upgrade;
+        break;
       case AccessResult::InProgressWait:
-        state_ = State::WaitMemory;
-        ++stats_.stallDemand;
-        beginLazyStall(&stats_.stallDemand, now);
-        markStall("stall_inflight_prefetch", obs::TraceCat::Exec, now);
-        return false;
+        why = obs::Stall::InflightPrefetch;
+        break;
     }
-    prefsim_panic("unknown access result");
+    state_ = State::WaitMemory;
+    ++*bucket;
+    beginLazyStall(bucket, now);
+    if (sink_)
+        sink_->emit({.kind = obs::EventKind::StallBegin, .cycle = now,
+                     .proc = id_, .stall = why});
+    return false;
 }
 
 void
@@ -106,12 +106,9 @@ Processor::tick(Cycle now)
         if (locks_.tryAcquire(r.sync, id_)) {
             ++stats_.busy;
             state_ = State::Running;
-            endStall(now);
-            if (critpath_)
-                critpath_->lockAcquired(id_, r.sync, now);
-            PREFSIM_TRACE(trace_buf_,
-                          instant(id_, "lock_acquire", obs::TraceCat::Sync,
-                                  now, kNoAddr, r.sync));
+            if (sink_)
+                sink_->emit({.kind = obs::EventKind::LockAcquire, .cycle = now,
+                             .proc = id_, .arg = r.sync});
             advance(now);
         } else {
             ++stats_.spinLock;
@@ -130,9 +127,9 @@ Processor::tick(Cycle now)
             ++stats_.busy;
             ++stats_.prefetchesExecuted;
             state_ = State::Running;
-            endStall(now);
-            if (critpath_)
-                critpath_->prefetchStallEnd(id_, now);
+            if (sink_)
+                sink_->emit({.kind = obs::EventKind::PrefetchStallEnd,
+                             .cycle = now, .proc = id_});
             advance(now);
         }
         return;
@@ -186,9 +183,10 @@ Processor::tick(Cycle now)
         if (res == PrefetchResult::BufferFull) {
             ++stats_.stallPrefetchQueue;
             state_ = State::StallPrefetch;
-            if (critpath_)
-                critpath_->prefetchStallStart(id_, now);
-            markStall("stall_prefetch_buffer", obs::TraceCat::Exec, now);
+            if (sink_)
+                sink_->emit({.kind = obs::EventKind::StallBegin, .cycle = now,
+                             .proc = id_,
+                             .stall = obs::Stall::PrefetchBuffer});
         } else {
             ++stats_.busy;
             ++stats_.prefetchesExecuted;
@@ -200,54 +198,49 @@ Processor::tick(Cycle now)
       case RecordKind::LockAcquire:
         if (locks_.tryAcquire(r.sync, id_)) {
             ++stats_.busy;
-            PREFSIM_TRACE(trace_buf_,
-                          instant(id_, "lock_acquire", obs::TraceCat::Sync,
-                                  now, kNoAddr, r.sync));
+            if (sink_)
+                sink_->emit({.kind = obs::EventKind::LockAcquire, .cycle = now,
+                             .proc = id_, .arg = r.sync});
             advance(now);
         } else {
             ++stats_.spinLock;
             state_ = State::SpinLock;
-            if (critpath_)
-                critpath_->lockSpinStart(id_, r.sync, now);
-            markStall("spin_lock", obs::TraceCat::Sync, now);
+            if (sink_)
+                sink_->emit({.kind = obs::EventKind::StallBegin, .cycle = now,
+                             .proc = id_, .stall = obs::Stall::Lock});
         }
         return;
 
       case RecordKind::LockRelease:
         ++stats_.busy;
         locks_.release(r.sync, id_);
-        if (critpath_)
-            critpath_->lockReleased(id_, r.sync, now);
+        if (sink_)
+            sink_->emit({.kind = obs::EventKind::LockRelease, .cycle = now,
+                         .proc = id_, .arg = r.sync});
         if (lock_release_)
             lock_release_(r.sync);
-        PREFSIM_TRACE(trace_buf_,
-                      instant(id_, "lock_release", obs::TraceCat::Sync,
-                              now, kNoAddr, r.sync));
         advance(now);
         return;
 
-      case RecordKind::Barrier:
+      case RecordKind::Barrier: {
         ++stats_.busy;
-        PREFSIM_TRACE(trace_buf_,
-                      instant(id_, "barrier_arrive", obs::TraceCat::Sync,
-                              now, kNoAddr, r.sync));
-        if (barriers_.arrive(r.sync, id_)) {
-            // Last arrival: everyone proceeds. The recorder learns the
-            // episode's critical arriver before the waiters release, so
-            // their barrier pieces carry the right predecessor.
-            if (critpath_)
-                critpath_->barrierLast(id_, now);
+        const bool last = barriers_.arrive(r.sync, id_);
+        // Emitted before the release below: the critical-path recorder
+        // learns the episode's last arriver before the waiters leave.
+        if (sink_)
+            sink_->emit({.kind = obs::EventKind::BarrierArrive, .cycle = now,
+                         .proc = id_, .arg = r.sync, .last = last});
+        if (last) {
+            // Last arrival: everyone proceeds.
             advance(now);
             if (release_all_)
                 release_all_(now);
         } else {
             state_ = State::WaitBarrier;
             beginLazyStall(&stats_.waitBarrier, now);
-            if (critpath_)
-                critpath_->barrierArrive(id_, now);
-            markStall("wait_barrier", obs::TraceCat::Sync, now);
         }
         return;
+      }
     }
     prefsim_panic("unknown record kind");
 }
@@ -258,7 +251,8 @@ Processor::wake(bool retry, Cycle now)
     prefsim_assert(state_ == State::WaitMemory,
                    "wake() on proc ", id_, " in state ", describeState());
     state_ = State::Running;
-    endStall(now);
+    if (sink_)
+        sink_->emit({.kind = obs::EventKind::Wake, .cycle = now, .proc = id_});
     // Settle the blocked span [anchor, now) into the bucket chosen at
     // entry. Completions fire from the bus tick, which runs before the
     // processor rotation, so this processor never ticks at `now` while
@@ -280,9 +274,9 @@ Processor::barrierRelease(Cycle now, bool ticked_this_cycle)
                    "barrierRelease() on proc ", id_, " in state ",
                    describeState());
     state_ = State::Running;
-    endStall(now);
-    if (critpath_)
-        critpath_->barrierReleased(id_, now);
+    if (sink_)
+        sink_->emit({.kind = obs::EventKind::BarrierRelease, .cycle = now,
+                     .proc = id_});
     // Settle the waiting span. Releases happen mid-rotation (the last
     // arriver executes its Barrier record), so processors whose service
     // slot preceded the releaser's already spent cycle `now` waiting

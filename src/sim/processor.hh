@@ -17,7 +17,6 @@
 #include <functional>
 
 #include "common/types.hh"
-#include "obs/trace.hh"
 #include "sim/memory_system.hh"
 #include "sim/sim_stats.hh"
 #include "sim/sync.hh"
@@ -230,13 +229,10 @@ class Processor
     /** Human-readable state (deadlock diagnostics). */
     std::string describeState() const;
 
-    /** Attach this run's event sink (null detaches; no-op by default). */
-    void setTrace(obs::TraceBuffer *t) { trace_buf_ = t; }
-
-    /** Attach this run's critical-path recorder (null detaches). All
-     *  hook sites are exact-cycle state transitions on the engine's
-     *  main thread — never inside quiet fast-forward replay. */
-    void setCritPath(obs::CritPathRecorder *r) { critpath_ = r; }
+    /** Attach this run's event sink (null detaches). Every processor
+     *  event is an exact-cycle state transition on the engine's main
+     *  thread — never inside quiet fast-forward replay. */
+    void setSink(obs::Sink *sink) { sink_ = sink; }
 
   private:
     enum class State : std::uint8_t
@@ -268,33 +264,6 @@ class Processor
     /** Execute the data access of the current Read/Write record.
      *  @return true if the record completed. */
     bool executeAccess(Cycle now);
-
-    /** Note a stall beginning (tracing bookkeeping; compiled out by
-     *  default). The matching endStall() emits the stall as one span on
-     *  this processor's track — a processor has at most one stall open
-     *  at a time, so the spans nest trivially. */
-    void
-    markStall(const char *name, obs::TraceCat cat, Cycle now)
-    {
-#if PREFSIM_TRACING
-        stall_name_ = name;
-        stall_cat_ = cat;
-        stall_begin_ = now;
-#else
-        (void)name;
-        (void)cat;
-        (void)now;
-#endif
-    }
-
-    /** Emit the span opened by the last markStall(). */
-    void
-    endStall(Cycle now)
-    {
-        PREFSIM_TRACE(trace_buf_, span(id_, stall_name_, stall_cat_,
-                                       stall_begin_, now));
-        (void)now;
-    }
 
     ProcId id_;
     const Trace &trace_;
@@ -345,11 +314,7 @@ class Processor
     mutable bool inert_capped_ = false;
     /** @} */
 
-    obs::TraceBuffer *trace_buf_ = nullptr;
-    obs::CritPathRecorder *critpath_ = nullptr;
-    Cycle stall_begin_ = 0;       ///< Open-stall bookkeeping (tracing).
-    const char *stall_name_ = "stall";
-    obs::TraceCat stall_cat_ = obs::TraceCat::Exec;
+    obs::Sink *sink_ = nullptr;
 };
 
 } // namespace prefsim

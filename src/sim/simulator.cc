@@ -141,30 +141,23 @@ Simulator::Simulator(const ParallelTrace &trace, const SimConfig &config)
     if (config.obs) {
         // beginSession returns null when tracing is disabled or the
         // session budget is spent; metrics attach either way.
-        trace_buf_ = config.obs->tracer.beginSession(
-            static_cast<std::uint32_t>(trace.numProcs()),
-            config.traceLabel.empty() ? "run" : config.traceLabel);
-        if (config.profile) {
-            profiler_ = std::make_unique<obs::AttributionProfiler>(
-                static_cast<unsigned>(trace.numProcs()),
-                config.traceLabel.empty() ? "run" : config.traceLabel);
-        }
-        if (config.critpath) {
-            critpath_ = std::make_unique<obs::CritPathRecorder>(
-                static_cast<unsigned>(trace.numProcs()),
-                config.traceLabel.empty() ? "run" : config.traceLabel);
-        }
-        mem_->attachObs(*config.obs, trace_buf_.get(), profiler_.get(),
-                        critpath_.get());
-        for (auto &pr : procs_) {
-            pr->setTrace(trace_buf_.get());
-            pr->setCritPath(critpath_.get());
-        }
+        const auto np = static_cast<unsigned>(trace.numProcs());
+        const std::string label =
+            config.traceLabel.empty() ? "run" : config.traceLabel;
+        sink_ = std::make_unique<obs::Sink>(
+            config.obs->metrics, config.obs->tracer.beginSession(np, label),
+            config.profile
+                ? std::make_unique<obs::AttributionProfiler>(np, label)
+                : nullptr,
+            config.critpath
+                ? std::make_unique<obs::CritPathRecorder>(np, label)
+                : nullptr);
+        mem_->setSink(sink_.get());
+        for (auto &pr : procs_)
+            pr->setSink(sink_.get());
         if (config.sampleInterval > 0) {
             sampler_ = std::make_unique<obs::IntervalSampler>(
-                config.sampleInterval,
-                static_cast<unsigned>(trace.numProcs()),
-                config.traceLabel.empty() ? "run" : config.traceLabel);
+                config.sampleInterval, np, label);
             next_sample_ = sampler_->nextSampleCycle();
         }
     }
@@ -184,12 +177,11 @@ Simulator::resetStatsForWarmup()
     // zero (prefetch first uses) are carried at their running values.
     if (sampler_)
         sampler_->rebase(captureSampleFrame(warmup_end_), warmup_end_);
-    // The profile covers the measured window only, so its totals match
-    // the post-warmup aggregates (Table 3). The reset runs with every
-    // processor caught up to the barrier release in both engines,
+    // The profile covers the measured window only. The reset runs with
+    // every processor caught up to the barrier release in both engines,
     // so the discarded warmup attribution is identical too.
-    if (profiler_)
-        profiler_->resetForWarmup();
+    if (sink_)
+        sink_->emit({.kind = obs::EventKind::Warmup, .cycle = warmup_end_});
 }
 
 obs::SampleFrame
@@ -637,30 +629,29 @@ Simulator::run()
             ps.finishedAt > warmup_end_ ? ps.finishedAt - warmup_end_ : 0;
     }
     stats.bus = mem_->bus().stats();
-    // Commit the profile after the drain above: the drained writebacks'
+    // Commit the views after the drain above: the drained writebacks'
     // grants attributed their occupancy, so the per-line bus cycles sum
     // exactly to the final BusStats::busyCycles.
-    if (profiler_) {
-        config_.obs->profile.commit(profiler_->take(warmup_end_));
-        profiler_.reset();
-    }
-    // The critical-path walk wants absolute retirement cycles (the
-    // recorder clamps everything to the measured window itself, so no
-    // warmup reset is needed — pre-warmup pieces simply clip away).
-    if (critpath_) {
-        std::vector<Cycle> finished(proc_stats_.size());
-        for (std::size_t p = 0; p < proc_stats_.size(); ++p)
-            finished[p] = proc_stats_[p].finishedAt;
-        config_.obs->critpath.commit(
-            critpath_->take(warmup_end_, done_at, finished));
-        critpath_.reset();
-    }
-    if (config_.obs && trace_buf_) {
-        // Ring-buffer eviction is otherwise silent; the counter makes
-        // truncated traces detectable in the telemetry document.
-        config_.obs->metrics.counter("trace.dropped_events")
-            .inc(trace_buf_->dropped());
-        config_.obs->tracer.commit(std::move(trace_buf_));
+    if (sink_) {
+        if (obs::AttributionProfiler *p = sink_->profile())
+            config_.obs->profile.commit(p->take(warmup_end_));
+        // The critical-path walk wants absolute retirement cycles (the
+        // recorder clamps everything to the measured window itself, so
+        // pre-warmup pieces simply clip away).
+        if (obs::CritPathRecorder *c = sink_->critpath()) {
+            std::vector<Cycle> finished(proc_stats_.size());
+            for (std::size_t p = 0; p < proc_stats_.size(); ++p)
+                finished[p] = proc_stats_[p].finishedAt;
+            config_.obs->critpath.commit(
+                c->take(warmup_end_, done_at, finished));
+        }
+        if (std::unique_ptr<obs::TraceBuffer> t = sink_->takeTrace()) {
+            // Ring-buffer eviction is otherwise silent; the counter
+            // makes truncated traces detectable in the telemetry.
+            config_.obs->metrics.counter("trace.dropped_events")
+                .inc(t->dropped());
+            config_.obs->tracer.commit(std::move(t));
+        }
     }
     return stats;
 }

@@ -18,6 +18,7 @@
 #include "common/cache_geometry.hh"
 #include "common/types.hh"
 #include "mem/split_bus.hh"
+#include "obs/event.hh"
 #include "obs/obs.hh"
 #include "sim/memory_system.hh"
 #include "sim/processor.hh"
@@ -171,6 +172,8 @@ class Simulator
     const MemorySystem &memory() const { return *mem_; }
     MemorySystem &memory() { return *mem_; }
     const std::vector<ProcStats> &procStats() const { return proc_stats_; }
+    /** The run's event sink (null without SimConfig::obs). */
+    obs::Sink *sink() { return sink_.get(); }
     unsigned numProcs() const
     {
         return static_cast<unsigned>(procs_.size());
@@ -273,18 +276,12 @@ class Simulator
      *  (barrier releases need the releaser's slot to settle lazily
      *  accounted barrier waits; see Processor::barrierRelease). */
     ProcId ticking_ = kNoProc;
-    /** This run's trace session; committed to the tracer by run(). */
-    std::unique_ptr<obs::TraceBuffer> trace_buf_;
-
-    /** Per-line attribution profiler (null when profiling is off); the
-     *  finished run is committed to obs->profile by run(), after the
-     *  writeback drain so per-line bus cycles sum to the final
+    /** This run's event sink (null without SimConfig::obs). It owns
+     *  the run's views — trace session, profiler, critical-path
+     *  recorder — which run() commits to obs after the writeback
+     *  drain, so per-line bus cycles sum to the final
      *  BusStats::busyCycles. */
-    std::unique_ptr<obs::AttributionProfiler> profiler_;
-
-    /** Critical-path recorder (null when recording is off); the
-     *  finished analysis is committed to obs->critpath by run(). */
-    std::unique_ptr<obs::CritPathRecorder> critpath_;
+    std::unique_ptr<obs::Sink> sink_;
 
     /** Interval time-series sampler (null when sampling is off); the
      *  finished series is committed to obs->timeseries by run(). */

@@ -2,7 +2,7 @@
  * @file
  * Runtime invariant hooks, compiled into the memory system and the bus
  * behind -DPREFSIM_VERIFY=ON (CMake option PREFSIM_VERIFY) and to
- * nothing by default — the same pattern as PREFSIM_TRACE.
+ * nothing by default.
  *
  * The hooks evaluate the *same* predicates the offline verify library
  * uses (MemorySystem::checkLineInvariantDetail, SplitBus::checkInvariants),

@@ -1,15 +1,20 @@
 /**
  * @file
- * Unit tests for the common library: integer math, RNG, cache geometry.
+ * Unit tests for the common library: integer math, RNG, cache geometry,
+ * the strict integer parser and the JSON parser's nesting cap.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <set>
+#include <string>
 
 #include "common/cache_geometry.hh"
 #include "common/intmath.hh"
+#include "common/json.hh"
+#include "common/parse_uint.hh"
 #include "common/rng.hh"
 
 namespace prefsim
@@ -211,6 +216,65 @@ TEST(CacheGeometryDeathTest, RejectsBadConfigs)
     EXPECT_EXIT(CacheGeometry(1024, 48), testing::ExitedWithCode(1), "");
     EXPECT_EXIT(CacheGeometry(1024, 2), testing::ExitedWithCode(1), "");
     EXPECT_EXIT(CacheGeometry(32, 64), testing::ExitedWithCode(1), "");
+}
+
+TEST(ParseUint, AcceptsPlainDecimalsUpToTheBound)
+{
+    EXPECT_EQ(parseUint("0"), 0u);
+    EXPECT_EQ(parseUint("42"), 42u);
+    EXPECT_EQ(parseUint("007"), 7u);
+    EXPECT_EQ(parseUint("18446744073709551615"),
+              std::numeric_limits<std::uint64_t>::max());
+    EXPECT_EQ(parseUint("4294967295", std::numeric_limits<unsigned>::max()),
+              4294967295u);
+    EXPECT_EQ(parseUint("1024", 1024), 1024u);
+}
+
+TEST(ParseUint, RejectsSignsBlanksTrailingTextAndOverflow)
+{
+    for (const char *bad : {"", "-1", "+5", " 5", "5 ", "5x", "0x10", "1e3",
+                            "18446744073709551616", "99999999999999999999"})
+        EXPECT_FALSE(parseUint(bad).has_value()) << "'" << bad << "'";
+    // Past the destination's range: a cast would wrap 2^32 + 2 to 2.
+    EXPECT_FALSE(
+        parseUint("4294967298", std::numeric_limits<unsigned>::max()));
+    EXPECT_FALSE(parseUint("1025", 1024));
+}
+
+std::string
+nestedArrays(unsigned depth)
+{
+    return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(JsonParse, NestingAtTheLimitParses)
+{
+    const auto doc = parseJson(nestedArrays(kMaxJsonDepth));
+    ASSERT_TRUE(doc.has_value());
+    // Walk down: exactly kMaxJsonDepth arrays, the innermost empty.
+    const JsonValue *v = &*doc;
+    for (unsigned d = 1; d < kMaxJsonDepth; ++d) {
+        ASSERT_EQ(v->array().size(), 1u);
+        v = &v->array()[0];
+    }
+    EXPECT_TRUE(v->array().empty());
+    // Objects count toward the same limit.
+    std::string objects;
+    for (unsigned d = 1; d < kMaxJsonDepth; ++d)
+        objects += "{\"k\":";
+    objects += "[]" + std::string(kMaxJsonDepth - 1, '}');
+    EXPECT_TRUE(parseJson(objects).has_value());
+}
+
+TEST(JsonParse, TooDeepDocumentIsRejectedNotACrash)
+{
+    EXPECT_FALSE(parseJson(nestedArrays(kMaxJsonDepth + 1)).has_value());
+    EXPECT_FALSE(parseJson("{\"a\":" + nestedArrays(kMaxJsonDepth) + "}")
+                     .has_value());
+    // Deep enough to overflow the stack of an uncapped recursive
+    // descent; rejected after kMaxJsonDepth levels.
+    EXPECT_FALSE(parseJson(nestedArrays(200000)).has_value());
+    EXPECT_FALSE(parseJson(std::string(200000, '[')).has_value());
 }
 
 } // namespace

@@ -5,7 +5,8 @@
  * -DPREFSIM_SANITIZE=thread), tracer session/ring behaviour, and
  * structural validation of the exported Chrome trace-event JSON —
  * per-processor tracks, monotone timestamps, and paired begin/end
- * events, which is what makes the document loadable in Perfetto.
+ * events, which is what makes the document loadable in Perfetto — and
+ * the identities between the views, checked once on the event stream.
  */
 
 #include <gtest/gtest.h>
@@ -21,9 +22,13 @@
 
 #include "common/json.hh"
 #include "core/sweep.hh"
+#include "obs/event.hh"
 #include "obs/metrics.hh"
 #include "obs/obs.hh"
 #include "obs/trace.hh"
+#include "prefetch/inserter.hh"
+#include "sim/simulator.hh"
+#include "trace/workload.hh"
 
 namespace prefsim
 {
@@ -459,8 +464,8 @@ TEST(Tracer, ExportedDocumentIsStructurallyValid)
 
 TEST(Obs, InstrumentationDoesNotChangeSimulation)
 {
-    // The whole layer's core promise: attaching metrics (and tracing,
-    // when compiled in) must leave the simulated machine bit-identical.
+    // The whole layer's core promise: attaching metrics and tracing
+    // must leave the simulated machine bit-identical.
     WorkloadParams p;
     p.numProcs = 4;
     p.refsPerProc = 5000;
@@ -496,7 +501,6 @@ TEST(Obs, InstrumentationDoesNotChangeSimulation)
     ASSERT_NE(doc->find("metrics"), nullptr);
 }
 
-#if PREFSIM_TRACING
 TEST(Tracer, SimulatorDrivenTraceIsStructurallyValid)
 {
     // End-to-end acceptance: a real simulation's exported trace loads
@@ -534,7 +538,92 @@ TEST(Tracer, SimulatorDrivenTraceIsStructurallyValid)
     }
     EXPECT_EQ(tids.size(), p.numProcs + 1u); // cpus 0..3 + the bus.
 }
-#endif // PREFSIM_TRACING
+
+/** Running sums of the events the cross-view identities read. */
+struct StreamCounts
+{
+    std::uint64_t grants = 0;       ///< BusGrant, since the warmup reset.
+    std::uint64_t grantCycles = 0;  ///< Σ BusGrant occupancy, ditto.
+    std::uint64_t kills = 0;        ///< Invalidate + InflightKill, ditto.
+    std::uint64_t killsAllRun = 0;  ///< ... including the warmup.
+    unsigned warmups = 0;
+
+    void
+    on(const obs::Event &e)
+    {
+        switch (e.kind) {
+          case obs::EventKind::BusGrant:
+            ++grants;
+            grantCycles += e.arg;
+            return;
+          case obs::EventKind::Invalidate:
+          case obs::EventKind::InflightKill:
+            ++kills;
+            ++killsAllRun;
+            return;
+          case obs::EventKind::Warmup:
+            // BusStats and the profile restart here; the metrics
+            // registry does not.
+            ++warmups;
+            grants = grantCycles = kills = 0;
+            return;
+          default:
+            return;
+        }
+    }
+};
+
+class StreamIdentities : public ::testing::TestWithParam<SimEngine>
+{};
+
+TEST_P(StreamIdentities, ViewsAgreeOnOneFig2Point)
+{
+    // One 8-processor Figure 2 PREF point: every view of the run is
+    // derived from the same events, so the sums must agree exactly.
+    WorkloadParams p;
+    p.numProcs = 8;
+    p.refsPerProc = 4000;
+    const ParallelTrace base = generateWorkload(WorkloadKind::Mp3d, p);
+    const AnnotatedTrace ann =
+        annotateTrace(base, Strategy::PREF, CacheGeometry::paperDefault());
+    ObsContext ctx;
+    SimConfig cfg;
+    cfg.timing.dataTransfer = 8;
+    cfg.engine = GetParam();
+    cfg.obs = &ctx;
+    cfg.profile = true;
+
+    Simulator sim(ann.trace, cfg);
+    ASSERT_NE(sim.sink(), nullptr);
+    StreamCounts counts;
+    sim.sink()->setExtraConsumer(
+        [&counts](const obs::Event &e) { counts.on(e); });
+    const SimStats stats = sim.run();
+
+    ASSERT_EQ(counts.warmups, 1u);
+    EXPECT_GT(counts.grants, 0u);
+    EXPECT_GT(counts.kills, 0u);
+    EXPECT_EQ(counts.grantCycles, stats.bus.busyCycles);
+    EXPECT_EQ(counts.grants,
+              stats.bus.grantsDemand + stats.bus.grantsPrefetch);
+
+    EXPECT_EQ(counts.killsAllRun,
+              ctx.metrics.counter("coherence.invalidations").value());
+    const std::vector<obs::ProfileRun> runs = ctx.profile.snapshot();
+    ASSERT_EQ(runs.size(), 1u);
+    std::uint64_t profiled = 0;
+    std::uint64_t busCycles = 0;
+    for (const auto &[addr, line] : runs[0].lines) {
+        profiled += line.invalidations + line.inflightKills;
+        busCycles += line.busCycles;
+    }
+    EXPECT_EQ(counts.kills, profiled);
+    EXPECT_EQ(busCycles, stats.bus.busyCycles);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, StreamIdentities,
+                         ::testing::Values(SimEngine::CycleLoop,
+                                           SimEngine::LocalClock));
 
 } // namespace
 } // namespace prefsim

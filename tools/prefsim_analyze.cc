@@ -29,6 +29,7 @@
 
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -38,6 +39,7 @@
 #include "analysis/prefetch_quality.hh"
 #include "analysis/race_detect.hh"
 #include "common/cache_geometry.hh"
+#include "common/parse_uint.hh"
 #include "mem/split_bus.hh"
 #include "obs/obs.hh"
 #include "prefetch/inserter.hh"
@@ -66,16 +68,6 @@ usage(const std::string &complaint = "")
            "[--strategy S] [--transfer N]\n"
            "       ... --validate [--profile FILE] [--late-floor F]\n";
     std::exit(verify::kExitUsage);
-}
-
-std::uint64_t
-parseCount(const char *text, const char *what)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (!end || *end || end == text)
-        usage(std::string("bad ") + what + " \"" + text + "\"");
-    return v;
 }
 
 double
@@ -113,12 +105,23 @@ main(int argc, char **argv)
     WorkloadParams params;
     std::vector<std::string> files;
 
+    constexpr std::uint64_t kUnsignedMax =
+        std::numeric_limits<unsigned>::max();
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&]() -> const char * {
             if (i + 1 >= argc)
                 usage(arg + " needs a value");
             return argv[++i];
+        };
+        // The next argument as a count no larger than @p max.
+        auto nextCount = [&](const char *what, std::uint64_t max =
+                                 std::numeric_limits<std::uint64_t>::max()) {
+            const char *text = next();
+            const std::optional<std::uint64_t> v = parseUint(text, max);
+            if (!v)
+                usage(std::string("bad ") + what + " \"" + text + "\"");
+            return *v;
         };
         if (arg == "--json")
             json = true;
@@ -134,14 +137,14 @@ main(int argc, char **argv)
             late_floor = parseFraction(next(), "late floor");
         else if (arg == "--transfer")
             transfer = static_cast<unsigned>(
-                parseCount(next(), "transfer size"));
+                nextCount("transfer size", kUnsignedMax));
         else if (arg == "--procs")
             params.numProcs =
-                static_cast<unsigned>(parseCount(next(), "proc count"));
+                static_cast<unsigned>(nextCount("proc count", kUnsignedMax));
         else if (arg == "--refs")
-            params.refsPerProc = parseCount(next(), "refs per proc");
+            params.refsPerProc = nextCount("refs per proc");
         else if (arg == "--seed")
-            params.seed = parseCount(next(), "seed");
+            params.seed = nextCount("seed");
         else if (!arg.empty() && arg[0] == '-')
             usage("unknown argument \"" + arg + "\"");
         else

@@ -18,10 +18,13 @@
 
 #include <cstring>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/json.hh"
+#include "common/parse_uint.hh"
 #include "trace/trace.hh"
 #include "trace/trace_input.hh"
 #include "trace/workload.hh"
@@ -46,16 +49,6 @@ usage(const std::string &complaint = "")
     std::exit(kExitUsage);
 }
 
-std::uint64_t
-parseCount(const char *text, const char *what)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (!end || *end || end == text)
-        usage(std::string("bad ") + what + " \"" + text + "\"");
-    return v;
-}
-
 /** One linted trace with its provenance. */
 struct Target
 {
@@ -74,6 +67,8 @@ main(int argc, char **argv)
     params.refsPerProc = 20000;
     std::vector<std::string> files;
 
+    constexpr std::uint64_t kUnsignedMax =
+        std::numeric_limits<unsigned>::max();
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&]() -> const char * {
@@ -81,17 +76,26 @@ main(int argc, char **argv)
                 usage(arg + " needs a value");
             return argv[++i];
         };
+        // The next argument as a count no larger than @p max.
+        auto nextCount = [&](const char *what, std::uint64_t max =
+                                 std::numeric_limits<std::uint64_t>::max()) {
+            const char *text = next();
+            const std::optional<std::uint64_t> v = parseUint(text, max);
+            if (!v)
+                usage(std::string("bad ") + what + " \"" + text + "\"");
+            return *v;
+        };
         if (arg == "--json")
             json = true;
         else if (arg == "--gen")
             gen = next();
         else if (arg == "--procs")
             params.numProcs =
-                static_cast<unsigned>(parseCount(next(), "proc count"));
+                static_cast<unsigned>(nextCount("proc count", kUnsignedMax));
         else if (arg == "--refs")
-            params.refsPerProc = parseCount(next(), "refs per proc");
+            params.refsPerProc = nextCount("refs per proc");
         else if (arg == "--seed")
-            params.seed = parseCount(next(), "seed");
+            params.seed = nextCount("seed");
         else if (!arg.empty() && arg[0] == '-')
             usage("unknown argument \"" + arg + "\"");
         else

@@ -73,6 +73,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -81,6 +82,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "common/parse_uint.hh"
 #include "core/report.hh"
 #include "stats/table.hh"
 #include "verify/finding.hh"
@@ -950,16 +952,15 @@ main(int argc, char **argv)
             drift_path = next();
         } else if (arg == "--top") {
             const char *text = next();
-            char *end = nullptr;
-            const unsigned long long v =
-                std::strtoull(text, &end, 10);
-            if (end == text || *end != '\0' || v == 0) {
+            const std::optional<std::uint64_t> v =
+                parseUint(text, std::numeric_limits<std::size_t>::max());
+            if (!v || *v == 0) {
                 std::cerr << "prefsim_report: --top expects a positive "
                              "integer, got '"
                           << text << "'\n";
                 return kExitUsage;
             }
-            top_n = static_cast<std::size_t>(v);
+            top_n = static_cast<std::size_t>(*v);
         } else if (arg == "--compare") {
             // One path = a BENCH_history.jsonl trend; two = the
             // classic baseline-vs-fresh diff.

@@ -19,9 +19,12 @@
 #include <chrono>
 #include <cstring>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "common/json.hh"
+#include "common/parse_uint.hh"
 #include "verify/model_checker.hh"
 
 namespace
@@ -72,16 +75,6 @@ mutationName(ProtocolMutation m)
     return "?";
 }
 
-std::uint64_t
-parseCount(const char *text, const char *what)
-{
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (!end || *end || end == text)
-        usage(std::string("bad ") + what + " \"" + text + "\"");
-    return v;
-}
-
 } // namespace
 
 int
@@ -90,6 +83,8 @@ main(int argc, char **argv)
     ModelCheckerConfig cfg;
     bool json = false;
 
+    constexpr std::uint64_t kUnsignedMax =
+        std::numeric_limits<unsigned>::max();
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&]() -> const char * {
@@ -97,19 +92,28 @@ main(int argc, char **argv)
                 usage(arg + " needs a value");
             return argv[++i];
         };
+        // The next argument as a count no larger than @p max.
+        auto nextCount = [&](const char *what, std::uint64_t max =
+                                 std::numeric_limits<std::uint64_t>::max()) {
+            const char *text = next();
+            const std::optional<std::uint64_t> v = parseUint(text, max);
+            if (!v)
+                usage(std::string("bad ") + what + " \"" + text + "\"");
+            return *v;
+        };
         if (arg == "--json") {
             json = true;
         } else if (arg == "--caches") {
             cfg.numCaches =
-                static_cast<unsigned>(parseCount(next(), "cache count"));
+                static_cast<unsigned>(nextCount("cache count", kUnsignedMax));
             if (cfg.numCaches < 2 || cfg.numCaches > 4)
                 usage("--caches must be 2..4");
         } else if (arg == "--mutation") {
             cfg.mutation = mutationFromName(next());
         } else if (arg == "--max-states") {
-            cfg.maxStates = parseCount(next(), "state limit");
+            cfg.maxStates = nextCount("state limit");
         } else if (arg == "--max-drain") {
-            cfg.maxDrainCycles = parseCount(next(), "drain limit");
+            cfg.maxDrainCycles = nextCount("drain limit");
         } else {
             usage("unknown argument \"" + arg + "\"");
         }
