@@ -9,7 +9,8 @@
 #      Chrome trace, interval time-series, per-line attribution-profile
 #      and critical-path validation (the latter two byte-compared cycle vs
 #      local, with the critpath what-if drift gated <= 15% on the
-#      16-processor fig2 PREF points);
+#      16-processor fig2 PREF points), and the malformed documents of
+#      tests/malformed/ through every reading tool (no crash exits);
 #   2. the verification layer: exhaustive protocol model checking
 #      (2- and 3-cache), seeded-mutation detection, the trace linter
 #      over all five workload generators, the static analyzer
@@ -145,6 +146,27 @@ stage "telemetry validation"
 "$BUILD"/tools/validate_telemetry --json "$CACHE/metrics.json" \
     | grep -q '"schema":"prefsim-findings-v1"'
 echo "ok: telemetry + Chrome trace JSON validate (default build)"
+# Malformed documents (tests/malformed/: wrong-kind values where a
+# reader expects another) must end in a diagnostic, not a crash: every
+# tool and mode that reads them must exit below 128 (an assertion abort
+# is 134).
+no_crash() {
+    rc=0
+    "$@" > /dev/null 2>&1 || rc=$?
+    if [ "$rc" -ge 128 ]; then
+        echo "FAIL: exit $rc (crash) from: $*" >&2
+        exit 1
+    fi
+}
+for f in tests/malformed/*; do
+    no_crash "$BUILD"/tools/validate_telemetry "$f"
+    for mode in --profile --critpath --drift --compare; do
+        no_crash "$BUILD"/tools/prefsim_report "$mode" "$f"
+    done
+    no_crash "$BUILD"/tools/prefsim_analyze --gen mp3d --procs 2 \
+        --refs 500 --validate --profile "$f"
+done
+echo "ok: malformed documents end in diagnostics, not crashes"
 
 stage "timeseries validation"
 # Interval sampling over a real sweep. Cached results skip simulation

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <fstream>
 #include <sstream>
 
-#include "common/json.hh"
 #include "common/log.hh"
 #include "obs/profile/attribution_profiler.hh"
 
@@ -281,89 +279,6 @@ crossValidate(const QualityReport &report,
              profile.label});
     }
     return result;
-}
-
-std::vector<obs::ProfileRun>
-loadProfileRuns(const std::string &path, std::string &error)
-{
-    std::vector<obs::ProfileRun> runs;
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        error = "cannot open " + path;
-        return runs;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::optional<JsonValue> doc = parseJson(buf.str());
-    if (!doc) {
-        error = path + ": malformed JSON";
-        return runs;
-    }
-    const JsonValue *schema = doc->find("schema");
-    if (!schema || !schema->isString() ||
-        schema->asString() != "prefsim-profile-v1") {
-        error = path + ": not a prefsim-profile-v1 document";
-        return runs;
-    }
-    const JsonValue *jruns = doc->find("runs");
-    if (!jruns || !jruns->isArray()) {
-        error = path + ": missing runs array";
-        return runs;
-    }
-    for (const JsonValue &jr : jruns->array()) {
-        obs::ProfileRun run;
-        const JsonValue *label = jr.find("label");
-        if (!label || !label->isString()) {
-            error = path + ": run without label";
-            return {};
-        }
-        run.label = label->asString();
-        if (jr.find("skipped")) {
-            run.skipped = true;
-            runs.push_back(std::move(run));
-            continue;
-        }
-        if (const JsonValue *procs = jr.find("procs"))
-            run.procs = static_cast<unsigned>(procs->asU64());
-        if (const JsonValue *we = jr.find("warmup_end"))
-            run.warmupEnd = we->asU64();
-        const JsonValue *lines = jr.find("lines");
-        if (lines && lines->isArray()) {
-            for (const JsonValue &jl : lines->array()) {
-                const JsonValue *addr = jl.find("addr");
-                if (!addr || !addr->isNumber()) {
-                    error = path + ": line without addr";
-                    return {};
-                }
-                obs::ProfileLine &line = run.lines[addr->asU64()];
-                const JsonValue *pfs = jl.find("pf");
-                if (!pfs || !pfs->isArray())
-                    continue;
-                for (const JsonValue &jp : pfs->array()) {
-                    const JsonValue *proc = jp.find("proc");
-                    if (!proc || !proc->isNumber()) {
-                        error = path + ": pf entry without proc";
-                        return {};
-                    }
-                    obs::ProfilePrefetch &pf =
-                        line.prefetch[static_cast<unsigned>(
-                            proc->asU64())];
-                    const auto field = [&jp](const char *k) {
-                        const JsonValue *v = jp.find(k);
-                        return v ? v->asU64() : std::uint64_t{0};
-                    };
-                    pf.issued = field("issued");
-                    pf.useful = field("useful");
-                    pf.late = field("late");
-                    pf.latenessCycles = field("lateness_cycles");
-                    pf.killed = field("killed");
-                    pf.displaced = field("displaced");
-                }
-            }
-        }
-        runs.push_back(std::move(run));
-    }
-    return runs;
 }
 
 const obs::ProfileRun *

@@ -142,16 +142,6 @@ ValidationResult crossValidate(const QualityReport &report,
                                const obs::ProfileRun &profile,
                                double late_floor);
 
-/**
- * Load the runs of a `prefsim-profile-v1` document from @p path.
- * Only the fields cross-validation consumes are reconstructed (label,
- * procs, per-line per-processor prefetch outcomes); skipped runs are
- * preserved with their marker. On failure @p error is set and the
- * result is empty.
- */
-std::vector<obs::ProfileRun>
-loadProfileRuns(const std::string &path, std::string &error);
-
 /** Find a loaded run by label; nullptr when absent or skipped. */
 const obs::ProfileRun *
 findProfileRun(const std::vector<obs::ProfileRun> &runs,

@@ -3,9 +3,12 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <ostream>
+#include <sstream>
 
 #include "common/log.hh"
+#include "common/parse_uint.hh"
 
 namespace prefsim
 {
@@ -450,6 +453,127 @@ std::optional<JsonValue>
 parseJson(const std::string &text)
 {
     return JsonParser(text).parse();
+}
+
+std::optional<std::string>
+readTextFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        return std::nullopt;
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+}
+
+JsonValue
+loadJsonDocument(const std::string &path, const std::string &schema)
+{
+    const std::optional<std::string> text = readTextFile(path);
+    if (!text)
+        throw std::runtime_error("cannot open " + path);
+    std::optional<JsonValue> doc = parseJson(*text);
+    if (!doc)
+        throw std::runtime_error(path + " is not strict JSON");
+    const JsonValue *tag = doc->find("schema");
+    if (!tag || !tag->isString() || tag->asString() != schema)
+        throw std::runtime_error(path + " is not a " + schema +
+                                 " document");
+    return std::move(*doc);
+}
+
+JsonField::JsonField(const JsonValue &value, std::string path)
+    : value_(&value), path_(std::move(path))
+{}
+
+void
+JsonField::fail(const std::string &what) const
+{
+    throw JsonError((path_.empty() ? "document" : path_) + ": " + what);
+}
+
+const JsonValue &
+JsonField::expect(JsonValue::Kind kind, const char *what) const
+{
+    if (value_->kind() != kind)
+        fail(std::string("expected ") + what);
+    return *value_;
+}
+
+JsonField
+JsonField::operator[](const std::string &key) const
+{
+    std::optional<JsonField> member = find(key);
+    if (!member)
+        fail("missing \"" + key + "\"");
+    return std::move(*member);
+}
+
+std::optional<JsonField>
+JsonField::find(const std::string &key) const
+{
+    expect(JsonValue::Kind::Object, "an object");
+    const JsonValue *member = value_->find(key);
+    if (!member)
+        return std::nullopt;
+    return JsonField(*member, path_.empty() ? key : path_ + "." + key);
+}
+
+std::vector<std::pair<std::string, JsonField>>
+JsonField::members() const
+{
+    std::vector<std::pair<std::string, JsonField>> out;
+    for (const auto &[key, member] :
+         expect(JsonValue::Kind::Object, "an object").members_) {
+        out.emplace_back(key, JsonField(member, path_.empty()
+                                                    ? key
+                                                    : path_ + "." + key));
+    }
+    return out;
+}
+
+std::vector<JsonField>
+JsonField::items() const
+{
+    const auto &elems = expect(JsonValue::Kind::Array, "an array").elems_;
+    std::vector<JsonField> out;
+    out.reserve(elems.size());
+    for (std::size_t i = 0; i < elems.size(); ++i)
+        out.emplace_back(elems[i], path_ + "[" + std::to_string(i) + "]");
+    return out;
+}
+
+std::uint64_t
+JsonField::u64(std::uint64_t max) const
+{
+    const std::string &token =
+        expect(JsonValue::Kind::Number, "an unsigned integer").scalar_;
+    const std::optional<std::uint64_t> v = parseUint(token.c_str(), max);
+    if (!v)
+        fail("expected an unsigned integer" +
+             (max == std::numeric_limits<std::uint64_t>::max()
+                  ? std::string()
+                  : " in 0.." + std::to_string(max)) +
+             ", got " + token);
+    return *v;
+}
+
+double
+JsonField::number() const
+{
+    return expect(JsonValue::Kind::Number, "a number").asDouble();
+}
+
+const std::string &
+JsonField::str() const
+{
+    return expect(JsonValue::Kind::String, "a string").scalar_;
+}
+
+bool
+JsonField::boolean() const
+{
+    return expect(JsonValue::Kind::Bool, "a bool").bool_;
 }
 
 } // namespace prefsim

@@ -14,7 +14,9 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -98,6 +100,7 @@ class JsonValue
 
   private:
     friend class JsonParser;
+    friend class JsonField;
 
     Kind kind_ = Kind::Null;
     bool bool_ = false;
@@ -118,6 +121,68 @@ inline constexpr unsigned kMaxJsonDepth = 256;
  * detects corrupt entries).
  */
 std::optional<JsonValue> parseJson(const std::string &text);
+
+/** The whole content of file @p path; nullopt when it cannot be read. */
+std::optional<std::string> readTextFile(const std::string &path);
+
+/** Parse file @p path as a document whose "schema" member is @p schema.
+ *  @throws std::runtime_error when the file cannot be read, is not
+ *  strict JSON or carries another schema. */
+JsonValue loadJsonDocument(const std::string &path,
+                           const std::string &schema);
+
+/**
+ * A document that parses but lacks a member its reader needs or holds
+ * a value of the wrong kind. what() starts with the key path of the
+ * offending value ("runs[2].lines[0].addr: ...").
+ */
+class JsonError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
+
+/**
+ * Checked access into a parsed document: a JsonValue plus its key path
+ * from the root. Every accessor checks presence and kind and throws
+ * JsonError naming the path, so a reader ends in a diagnostic instead
+ * of an assertion on a wrong-kind value. Unsigned fields follow the
+ * command-line rule (parseUint): a plain decimal token in range, so
+ * "-1", "1.5" and "1e3" are rejected rather than wrapped or truncated.
+ * A JsonField refers into its document, which must outlive it.
+ */
+class JsonField
+{
+  public:
+    explicit JsonField(const JsonValue &value, std::string path = "");
+
+    const JsonValue &value() const { return *value_; }
+    const std::string &path() const { return path_; }
+
+    /** Member @p key; throws unless this is an object holding it. */
+    JsonField operator[](const std::string &key) const;
+    /** Member @p key, or nullopt when absent (this must be an object). */
+    std::optional<JsonField> find(const std::string &key) const;
+    /** The members of an object, in document order. */
+    std::vector<std::pair<std::string, JsonField>> members() const;
+    /** The elements of an array. */
+    std::vector<JsonField> items() const;
+
+    std::uint64_t
+    u64(std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) const;
+    double number() const;
+    const std::string &str() const;
+    bool boolean() const;
+
+    /** Throw JsonError for this value: "<path>: <what>". */
+    [[noreturn]] void fail(const std::string &what) const;
+
+  private:
+    const JsonValue &expect(JsonValue::Kind kind, const char *what) const;
+
+    const JsonValue *value_;
+    std::string path_;
+};
 
 } // namespace prefsim
 

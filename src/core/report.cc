@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <map>
 #include <ostream>
-#include <sstream>
 #include <tuple>
 
 #include "common/json.hh"
@@ -171,10 +169,9 @@ loadRunDirectory(const std::string &dir)
             entry.path().extension() != ".json")
             continue;
         ++rs.filesScanned;
-        std::ifstream in(entry.path(), std::ios::binary);
-        std::ostringstream text;
-        text << in.rdbuf();
-        const auto sim = readResultSimJson(text.str());
+        const std::optional<std::string> text =
+            readTextFile(entry.path().string());
+        const auto sim = text ? readResultSimJson(*text) : std::nullopt;
         if (!sim) {
             ++rs.filesSkipped;
             continue;
@@ -340,47 +337,34 @@ parseBenchDoc(const std::string &text, const std::string &which,
         return std::nullopt;
     }
     BenchDoc out;
-    if (const JsonValue *refs = doc->find("refs_per_proc");
-        refs && refs->isNumber())
-        out.refsPerProc = refs->asU64();
-    const JsonValue *runs = doc->find("runs");
-    if (!runs || !runs->isObject()) {
-        findings.push_back({"perf.schema", verify::Severity::Error,
-                            "missing \"runs\" object", which});
+    try {
+        const JsonField root(*doc);
+        if (const std::optional<JsonField> refs = root.find("refs_per_proc"))
+            out.refsPerProc = refs->u64();
+        for (const auto &[label, run] : root["runs"].members()) {
+            BenchDoc::Run r;
+            r.engine = run["engine"].str();
+            r.procs = run["procs"].u64();
+            r.simOnlySec = run["sim_only_s"].number();
+            r.simCycles = run["sim_cycles"].u64();
+            if (r.simOnlySec <= 0.0 || r.simCycles == 0) {
+                findings.push_back({"perf.schema", verify::Severity::Error,
+                                    "run \"" + label +
+                                        "\" has no simulation volume "
+                                        "(crashed or truncated run?)",
+                                    which});
+                return std::nullopt;
+            }
+            out.runs.emplace(label, r);
+        }
+        for (const auto &[key, value] : root.members()) {
+            if (key.rfind("speedup_", 0) == 0 && value.value().isNumber())
+                out.speedups.emplace(key, value.number());
+        }
+    } catch (const JsonError &e) {
+        findings.push_back(
+            {"perf.schema", verify::Severity::Error, e.what(), which});
         return std::nullopt;
-    }
-    for (const auto &[label, run] : runs->members()) {
-        const JsonValue *engine = run.find("engine");
-        const JsonValue *procs = run.find("procs");
-        const JsonValue *sim_s = run.find("sim_only_s");
-        const JsonValue *cycles = run.find("sim_cycles");
-        if (!engine || !engine->isString() || !procs ||
-            !procs->isNumber() || !sim_s || !sim_s->isNumber() ||
-            !cycles || !cycles->isNumber()) {
-            findings.push_back({"perf.schema", verify::Severity::Error,
-                                "run \"" + label +
-                                    "\" is missing required fields",
-                                which});
-            return std::nullopt;
-        }
-        BenchDoc::Run r;
-        r.engine = engine->asString();
-        r.procs = procs->asU64();
-        r.simOnlySec = sim_s->asDouble();
-        r.simCycles = cycles->asU64();
-        if (r.simOnlySec <= 0.0 || r.simCycles == 0) {
-            findings.push_back({"perf.schema", verify::Severity::Error,
-                                "run \"" + label +
-                                    "\" has no simulation volume "
-                                    "(crashed or truncated run?)",
-                                which});
-            return std::nullopt;
-        }
-        out.runs.emplace(label, r);
-    }
-    for (const auto &[key, value] : doc->members()) {
-        if (key.rfind("speedup_", 0) == 0 && value.isNumber())
-            out.speedups.emplace(key, value.asDouble());
     }
     return out;
 }

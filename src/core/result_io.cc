@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <iterator>
 #include <ostream>
 #include <sstream>
 
@@ -150,91 +151,65 @@ writeMisses(JsonWriter &j, const MissBreakdown &m)
     j.endObject();
 }
 
-bool
-readU64(const JsonValue &obj, const char *name, std::uint64_t &out)
+MissBreakdown
+readMisses(const JsonField &m)
 {
-    const JsonValue *v = obj.find(name);
-    if (!v || !v->isNumber())
-        return false;
-    out = v->asU64();
-    return true;
+    MissBreakdown out;
+    out.nonSharingNotPrefetched = m["nonSharingNotPrefetched"].u64();
+    out.nonSharingPrefetched = m["nonSharingPrefetched"].u64();
+    out.invalNotPrefetched = m["invalNotPrefetched"].u64();
+    out.invalPrefetched = m["invalPrefetched"].u64();
+    out.prefetchInProgress = m["prefetchInProgress"].u64();
+    out.falseSharing = m["falseSharing"].u64();
+    return out;
 }
 
-bool
-readMisses(const JsonValue &obj, MissBreakdown &m)
+/** Read the "sim" object of a result document. */
+SimStats
+readSimStats(const JsonField &sim)
 {
-    return readU64(obj, "nonSharingNotPrefetched",
-                   m.nonSharingNotPrefetched) &&
-           readU64(obj, "nonSharingPrefetched", m.nonSharingPrefetched) &&
-           readU64(obj, "invalNotPrefetched", m.invalNotPrefetched) &&
-           readU64(obj, "invalPrefetched", m.invalPrefetched) &&
-           readU64(obj, "prefetchInProgress", m.prefetchInProgress) &&
-           readU64(obj, "falseSharing", m.falseSharing);
-}
+    SimStats s;
+    s.cycles = sim["cycles"].u64();
 
-/** Parse the "sim" object of a result document into @p s. */
-bool
-parseSimStats(const JsonValue &sim, SimStats &s)
-{
-    if (!sim.isObject())
-        return false;
-    if (!readU64(sim, "cycles", s.cycles))
-        return false;
+    const JsonField bus = sim["bus"];
+    s.bus.busyCycles = bus["busyCycles"].u64();
+    s.bus.queueWaitDemand = bus["queueWaitDemand"].u64();
+    s.bus.queueWaitPrefetch = bus["queueWaitPrefetch"].u64();
+    s.bus.grantsDemand = bus["grantsDemand"].u64();
+    s.bus.grantsPrefetch = bus["grantsPrefetch"].u64();
+    const JsonField ops = bus["ops"];
+    const std::vector<JsonField> op_counts = ops.items();
+    if (op_counts.size() != std::size(s.bus.opCount))
+        ops.fail("expected " + std::to_string(std::size(s.bus.opCount)) +
+                 " entries");
+    for (std::size_t i = 0; i < op_counts.size(); ++i)
+        s.bus.opCount[i] = op_counts[i].u64();
 
-    const JsonValue *bus = sim.find("bus");
-    if (!bus || !bus->isObject())
-        return false;
-    if (!readU64(*bus, "busyCycles", s.bus.busyCycles) ||
-        !readU64(*bus, "queueWaitDemand", s.bus.queueWaitDemand) ||
-        !readU64(*bus, "queueWaitPrefetch", s.bus.queueWaitPrefetch) ||
-        !readU64(*bus, "grantsDemand", s.bus.grantsDemand) ||
-        !readU64(*bus, "grantsPrefetch", s.bus.grantsPrefetch))
-        return false;
-    const JsonValue *ops = bus->find("ops");
-    if (!ops || !ops->isArray() || ops->array().size() != 5)
-        return false;
-    for (std::size_t i = 0; i < 5; ++i) {
-        if (!ops->array()[i].isNumber())
-            return false;
-        s.bus.opCount[i] = ops->array()[i].asU64();
-    }
-
-    const JsonValue *procs = sim.find("procs");
-    if (!procs || !procs->isArray())
-        return false;
-    s.procs.reserve(procs->array().size());
-    for (const JsonValue &pv : procs->array()) {
-        if (!pv.isObject())
-            return false;
+    for (const JsonField &pv : sim["procs"].items()) {
         ProcStats p;
-        const JsonValue *misses = pv.find("misses");
-        if (!readU64(pv, "busy", p.busy) ||
-            !readU64(pv, "stallDemand", p.stallDemand) ||
-            !readU64(pv, "stallUpgrade", p.stallUpgrade) ||
-            !readU64(pv, "stallPrefetchQueue", p.stallPrefetchQueue) ||
-            !readU64(pv, "spinLock", p.spinLock) ||
-            !readU64(pv, "waitBarrier", p.waitBarrier) ||
-            !readU64(pv, "demandRefs", p.demandRefs) ||
-            !readU64(pv, "reads", p.reads) ||
-            !readU64(pv, "writes", p.writes) ||
-            !readU64(pv, "prefetchesExecuted", p.prefetchesExecuted) ||
-            !readU64(pv, "prefetchMisses", p.prefetchMisses) ||
-            !readU64(pv, "prefetchesDroppedResident",
-                     p.prefetchesDroppedResident) ||
-            !readU64(pv, "prefetchesDroppedDuplicate",
-                     p.prefetchesDroppedDuplicate) ||
-            !readU64(pv, "upgradesIssued", p.upgradesIssued) ||
-            !readU64(pv, "victimHits", p.victimHits) ||
-            !readU64(pv, "prefetchBufferHits", p.prefetchBufferHits) ||
-            !readU64(pv, "bufferProtectionEvents",
-                     p.bufferProtectionEvents) ||
-            !readU64(pv, "finishedAt", p.finishedAt) ||
-            !misses || !misses->isObject() ||
-            !readMisses(*misses, p.misses))
-            return false;
+        p.busy = pv["busy"].u64();
+        p.stallDemand = pv["stallDemand"].u64();
+        p.stallUpgrade = pv["stallUpgrade"].u64();
+        p.stallPrefetchQueue = pv["stallPrefetchQueue"].u64();
+        p.spinLock = pv["spinLock"].u64();
+        p.waitBarrier = pv["waitBarrier"].u64();
+        p.demandRefs = pv["demandRefs"].u64();
+        p.reads = pv["reads"].u64();
+        p.writes = pv["writes"].u64();
+        p.prefetchesExecuted = pv["prefetchesExecuted"].u64();
+        p.prefetchMisses = pv["prefetchMisses"].u64();
+        p.prefetchesDroppedResident = pv["prefetchesDroppedResident"].u64();
+        p.prefetchesDroppedDuplicate =
+            pv["prefetchesDroppedDuplicate"].u64();
+        p.upgradesIssued = pv["upgradesIssued"].u64();
+        p.victimHits = pv["victimHits"].u64();
+        p.prefetchBufferHits = pv["prefetchBufferHits"].u64();
+        p.bufferProtectionEvents = pv["bufferProtectionEvents"].u64();
+        p.finishedAt = pv["finishedAt"].u64();
+        p.misses = readMisses(pv["misses"]);
         s.procs.push_back(p);
     }
-    return true;
+    return s;
 }
 
 } // namespace
@@ -312,57 +287,47 @@ std::optional<ExperimentResult>
 readResultJson(const std::string &text, const ExperimentSpec &spec,
                const std::string &key)
 {
-    const std::optional<JsonValue> doc = parseJson(text);
-    if (!doc || !doc->isObject())
+    const std::optional<JsonValue> parsed = parseJson(text);
+    if (!parsed)
         return std::nullopt;
-
-    const JsonValue *format = doc->find("format");
-    if (!format || !format->isString() || format->asString() != kFormatTag)
+    // Any shape failure rejects the entry; the sweep recomputes it.
+    try {
+        const JsonField doc(*parsed);
+        if (doc["format"].str() != kFormatTag || doc["key"].str() != key)
+            return std::nullopt;
+        ExperimentResult result;
+        result.spec = spec;
+        const JsonField ann = doc["annotate"];
+        AnnotateStats &a = result.annotate;
+        a.oracleCandidates = ann["oracleCandidates"].u64();
+        a.pwsCandidates = ann["pwsCandidates"].u64();
+        a.inserted = ann["inserted"].u64();
+        a.insertedExclusive = ann["insertedExclusive"].u64();
+        a.rtwExclusive = ann["rtwExclusive"].u64();
+        a.droppedShared = ann["droppedShared"].u64();
+        a.demandRefs = ann["demandRefs"].u64();
+        result.sim = readSimStats(doc["sim"]);
+        return result;
+    } catch (const JsonError &) {
         return std::nullopt;
-    const JsonValue *stored_key = doc->find("key");
-    if (!stored_key || !stored_key->isString() ||
-        stored_key->asString() != key)
-        return std::nullopt;
-
-    ExperimentResult result;
-    result.spec = spec;
-
-    const JsonValue *ann = doc->find("annotate");
-    if (!ann || !ann->isObject())
-        return std::nullopt;
-    AnnotateStats &a = result.annotate;
-    if (!readU64(*ann, "oracleCandidates", a.oracleCandidates) ||
-        !readU64(*ann, "pwsCandidates", a.pwsCandidates) ||
-        !readU64(*ann, "inserted", a.inserted) ||
-        !readU64(*ann, "insertedExclusive", a.insertedExclusive) ||
-        !readU64(*ann, "rtwExclusive", a.rtwExclusive) ||
-        !readU64(*ann, "droppedShared", a.droppedShared) ||
-        !readU64(*ann, "demandRefs", a.demandRefs))
-        return std::nullopt;
-
-    const JsonValue *sim = doc->find("sim");
-    if (!sim || !parseSimStats(*sim, result.sim))
-        return std::nullopt;
-    return result;
+    }
 }
 
 std::optional<std::pair<std::string, SimStats>>
 readResultSimJson(const std::string &text)
 {
-    const std::optional<JsonValue> doc = parseJson(text);
-    if (!doc || !doc->isObject())
+    const std::optional<JsonValue> parsed = parseJson(text);
+    if (!parsed)
         return std::nullopt;
-    const JsonValue *format = doc->find("format");
-    if (!format || !format->isString() || format->asString() != kFormatTag)
+    try {
+        const JsonField doc(*parsed);
+        if (doc["format"].str() != kFormatTag)
+            return std::nullopt;
+        return std::make_pair(doc["label"].str(),
+                              readSimStats(doc["sim"]));
+    } catch (const JsonError &) {
         return std::nullopt;
-    const JsonValue *label = doc->find("label");
-    if (!label || !label->isString())
-        return std::nullopt;
-    const JsonValue *sim = doc->find("sim");
-    SimStats s;
-    if (!sim || !parseSimStats(*sim, s))
-        return std::nullopt;
-    return std::make_pair(label->asString(), std::move(s));
+    }
 }
 
 } // namespace prefsim

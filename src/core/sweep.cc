@@ -4,7 +4,6 @@
 #include <filesystem>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <utility>
 
 #include "common/json.hh"
@@ -291,40 +290,25 @@ SweepEngine::tryLoadFromDisk(const ExperimentSpec &spec,
                              const std::string &key)
 {
     const fs::path path = fs::path(options_.cacheDir) / cacheFileName(key);
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const std::optional<std::string> text = readTextFile(path.string());
+    if (!text)
         return false;
-    std::ostringstream text;
-    text << in.rdbuf();
     std::optional<ExperimentResult> result =
-        readResultJson(text.str(), spec, key);
+        readResultJson(*text, spec, key);
     if (!result) {
         ++counters_.cacheRejected;
         return false;
     }
     runs_[key] = std::make_unique<ExperimentResult>(std::move(*result));
     ++counters_.cacheHits;
-    // A cache hit skips simulation, so it produces no time series and
-    // no profile run. Commit explicit `"skipped": "cache-hit"` markers
-    // so downstream tooling can tell "not sampled" from "lost".
-    if (obs_ && options_.sampleInterval > 0) {
-        obs::TimeSeries marker;
-        marker.label = spec.label();
-        marker.skipped = true;
-        obs_->timeseries.commit(std::move(marker));
-    }
-    if (obs_ && options_.profile) {
-        obs::ProfileRun marker;
-        marker.label = spec.label();
-        marker.skipped = true;
-        obs_->profile.commit(std::move(marker));
-    }
-    if (obs_ && options_.critpath) {
-        obs::CritPathRun marker;
-        marker.label = spec.label();
-        marker.skipped = true;
-        obs_->critpath.commit(std::move(marker));
-    }
+    // A cache hit skips simulation, so it produces no time series,
+    // profile or critical path: record skip markers instead.
+    if (obs_ && options_.sampleInterval > 0)
+        obs_->timeseries.commitSkipped(spec.label());
+    if (obs_ && options_.profile)
+        obs_->profile.commitSkipped(spec.label());
+    if (obs_ && options_.critpath)
+        obs_->critpath.commitSkipped(spec.label());
     return true;
 }
 
@@ -487,7 +471,7 @@ SweepEngine::writeTelemetryJson(std::ostream &os) const
         j.key("timeseries").beginObject();
         j.key("interval").value(options_.sampleInterval);
         j.key("runs").value(
-            static_cast<std::uint64_t>(obs_->timeseries.numSeries()));
+            static_cast<std::uint64_t>(obs_->timeseries.numRuns()));
         j.key("samples").value(obs_->timeseries.totalSamples());
         j.endObject();
         j.key("profile").beginObject();
@@ -507,36 +491,35 @@ SweepEngine::writeTelemetryJson(std::ostream &os) const
     os << "\n";
 }
 
+// Without an ObsContext the recording was never enabled: still emit a
+// valid (empty) document so downstream tooling can treat the file
+// uniformly.
+
 void
 SweepEngine::writeTimeseriesJson(std::ostream &os) const
 {
-    if (obs_) {
+    if (obs_)
         obs_->timeseries.writeJson(os);
-        return;
-    }
-    // Sampling was never enabled: still emit a valid (empty) document
-    // so downstream tooling can treat the file uniformly.
-    os << "{\"schema\":\"prefsim-timeseries-v1\",\"runs\":[]}\n";
+    else
+        obs::TimeSeriesStore().writeJson(os);
 }
 
 void
 SweepEngine::writeProfileJson(std::ostream &os) const
 {
-    if (obs_) {
+    if (obs_)
         obs_->profile.writeJson(os);
-        return;
-    }
-    os << "{\"schema\":\"prefsim-profile-v1\",\"runs\":[]}\n";
+    else
+        obs::ProfileStore().writeJson(os);
 }
 
 void
 SweepEngine::writeCritPathJson(std::ostream &os) const
 {
-    if (obs_) {
+    if (obs_)
         obs_->critpath.writeJson(os);
-        return;
-    }
-    os << "{\"schema\":\"prefsim-critpath-v1\",\"runs\":[]}\n";
+    else
+        obs::CritPathStore().writeJson(os);
 }
 
 } // namespace prefsim

@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <ostream>
+#include <limits>
 
-#include "common/json.hh"
 #include "common/log.hh"
 #include "obs/event.hh"
 
@@ -27,6 +26,16 @@ resClassName(ResClass c)
     case ResClass::PrefetchStall: return "prefetch_stall";
     }
     return "unknown";
+}
+
+std::optional<ResClass>
+resClassFromName(const std::string &name)
+{
+    for (std::size_t c = 0; c < kNumResClasses; ++c) {
+        if (name == resClassName(static_cast<ResClass>(c)))
+            return static_cast<ResClass>(c);
+    }
+    return std::nullopt;
 }
 
 CritPathRecorder::CritPathRecorder(unsigned procs, std::string label)
@@ -436,13 +445,6 @@ CritPathRecorder::take(Cycle warmup_end, Cycle done_at,
 }
 
 void
-CritPathStore::commit(CritPathRun run)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    runs_.push_back(std::move(run));
-}
-
-void
 CritPathStore::attachValidation(const std::string &label,
                                 std::uint64_t actual_cycles)
 {
@@ -450,43 +452,22 @@ CritPathStore::attachValidation(const std::string &label,
     for (CritPathRun &run : runs_) {
         if (run.label != label || run.skipped)
             continue;
-        for (WhatIf &w : run.whatif)
-            if (w.scenario == "infinite_bus")
-                w.actualCycles = actual_cycles;
+        for (WhatIf &w : run.whatif) {
+            if (w.scenario != "infinite_bus")
+                continue;
+            w.actualCycles = actual_cycles;
+            w.drift = std::abs(static_cast<double>(w.predictedCycles) -
+                               static_cast<double>(actual_cycles)) /
+                      static_cast<double>(actual_cycles);
+        }
     }
-}
-
-bool
-CritPathStore::empty() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return runs_.empty();
-}
-
-std::size_t
-CritPathStore::numRuns() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return runs_.size();
-}
-
-std::vector<CritPathRun>
-CritPathStore::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return runs_;
 }
 
 void
-CritPathStore::writeRunJson(JsonWriter &j, const CritPathRun &run)
+writeRunJson(JsonWriter &j, const CritPathRun &run)
 {
-    j.beginObject();
-    j.key("label").value(run.label);
-    if (run.skipped) {
-        j.key("skipped").value("cache-hit");
-        j.endObject();
+    if (!beginRunJson(j, run))
         return;
-    }
     j.key("procs").value(static_cast<std::uint64_t>(run.procs));
     j.key("warmup_end").value(run.warmupEnd);
     j.key("end_cycle").value(run.endCycle);
@@ -507,11 +488,7 @@ CritPathStore::writeRunJson(JsonWriter &j, const CritPathRun &run)
         j.key("speedup").value(w.speedup);
         if (w.actualCycles > 0) {
             j.key("actual_cycles").value(w.actualCycles);
-            const double drift =
-                std::abs(static_cast<double>(w.predictedCycles) -
-                         static_cast<double>(w.actualCycles)) /
-                static_cast<double>(w.actualCycles);
-            j.key("drift").value(drift);
+            j.key("drift").value(w.drift);
         }
         j.endObject();
     }
@@ -540,23 +517,89 @@ CritPathStore::writeRunJson(JsonWriter &j, const CritPathRun &run)
     j.endObject();
 }
 
-void
-CritPathStore::writeJson(std::ostream &os) const
+namespace
 {
-    std::vector<CritPathRun> runs = snapshot();
-    std::stable_sort(runs.begin(), runs.end(),
-                     [](const CritPathRun &a, const CritPathRun &b) {
-                         return a.label < b.label;
-                     });
-    JsonWriter j(os);
-    j.beginObject();
-    j.key("schema").value("prefsim-critpath-v1");
-    j.key("runs").beginArray();
-    for (const CritPathRun &run : runs)
-        writeRunJson(j, run);
-    j.endArray();
-    j.endObject();
-    os << "\n";
+
+/** The class named by string field @p f; FormatError if unknown. */
+ResClass
+readClass(const JsonField &f, const char *what)
+{
+    const std::optional<ResClass> cls = resClassFromName(f.str());
+    if (!cls)
+        throw FormatError(f.path() + ": unknown " + what + " \"" +
+                          f.str() + "\"");
+    return *cls;
+}
+
+void
+readRunBody(const JsonField &j, CritPathRun &run)
+{
+    run.procs = static_cast<unsigned>(
+        j["procs"].u64(std::numeric_limits<unsigned>::max()));
+    run.warmupEnd = j["warmup_end"].u64();
+    run.endCycle = j["end_cycle"].u64();
+    run.totalCycles = j["total_cycles"].u64();
+
+    // Exactly the closed class set: no unknown key, none missing.
+    const JsonField resources = j["resources"];
+    for (const auto &[name, r] : resources.members()) {
+        if (!resClassFromName(name))
+            throw FormatError(r.path() + ": unknown resource class");
+    }
+    for (std::size_t c = 0; c < kNumResClasses; ++c) {
+        const char *name = resClassName(static_cast<ResClass>(c));
+        const std::optional<JsonField> r = resources.find(name);
+        if (!r)
+            throw FormatError(resources.path() +
+                              ": missing resource class \"" + name +
+                              "\"");
+        run.pathCycles[c] = (*r)["cycles"].u64();
+        run.slackCycles[c] = (*r)["slack"].u64();
+    }
+
+    for (const JsonField &jw : formatArray(j, "whatif")) {
+        WhatIf w;
+        w.scenario = jw["scenario"].str();
+        w.predictedCycles = jw["predicted_cycles"].u64();
+        w.speedup = jw["speedup"].number();
+        if (const std::optional<JsonField> drift = jw.find("drift")) {
+            w.drift = drift->number();
+            w.actualCycles = jw["actual_cycles"].u64();
+        }
+        run.whatif.push_back(std::move(w));
+    }
+
+    for (const JsonField &js : formatArray(j, "chain")) {
+        CritChainSeg seg;
+        seg.start = js["start"].u64();
+        seg.end = js["end"].u64();
+        if (js["cycles"].u64() != seg.end - seg.start)
+            throw FormatError(js.path() +
+                              ": chain segment cycles != end - start");
+        seg.cls = readClass(js["class"], "chain class");
+        seg.proc = static_cast<ProcId>(
+            js["proc"].u64(std::numeric_limits<ProcId>::max()));
+        if (const std::optional<JsonField> line = js.find("line"))
+            seg.line = line->u64();
+        run.chain.push_back(seg);
+    }
+
+    for (const JsonField &jl : formatArray(j, "lines"))
+        run.lines.emplace_back(jl["line"].u64(), jl["cycles"].u64());
+}
+
+} // namespace
+
+std::vector<CritPathRun>
+readCritPathJson(const JsonValue &doc)
+{
+    return readRunsJson<CritPathRun>(doc, readRunBody);
+}
+
+std::vector<CritPathRun>
+loadCritPathJson(const std::string &path)
+{
+    return loadRunsJson<CritPathRun>(path, readRunBody);
 }
 
 } // namespace obs

@@ -58,20 +58,17 @@
 
 #include <array>
 #include <cstdint>
-#include <iosfwd>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "common/types.hh"
+#include "obs/run_store.hh"
 
 namespace prefsim
 {
-
-class JsonWriter;
-
 namespace obs
 {
 
@@ -94,6 +91,9 @@ inline constexpr std::size_t kNumResClasses = 8;
 /** Stable JSON name for a resource class. */
 const char *resClassName(ResClass c);
 
+/** The class named @p name (resClassName's inverse); nullopt if none. */
+std::optional<ResClass> resClassFromName(const std::string &name);
+
 /** One merged segment of the critical path (output form). */
 struct CritChainSeg
 {
@@ -111,11 +111,15 @@ struct WhatIf
     std::uint64_t predictedCycles = 0;
     double speedup = 1.0;
     std::uint64_t actualCycles = 0; ///< 0 = not validated.
+    /** |predicted - actual| / actual, when validated. */
+    double drift = 0.0;
 };
 
 /** The finished analysis of one simulation run. */
 struct CritPathRun
 {
+    static constexpr const char *kSchema = "prefsim-critpath-v1";
+
     std::string label;
     unsigned procs = 0;
     Cycle warmupEnd = 0;
@@ -209,32 +213,31 @@ class CritPathRecorder
     std::vector<Cycle> episodeEnds_; ///< Barrier release cycles.
 };
 
-/**
- * Thread-safe accumulator for finished runs; one per SweepEngine via
- * ObsContext, serialised as label-sorted `prefsim-critpath-v1` JSON.
- */
-class CritPathStore
+/** Emit one run as a JSON object into an open writer. */
+void writeRunJson(JsonWriter &j, const CritPathRun &run);
+
+/** Finished critical-path analyses, owned by the ObsContext. */
+class CritPathStore : public RunStore<CritPathRun>
 {
   public:
-    void commit(CritPathRun run);
     /** Attach the validated infinite-bus re-simulation result to the
      *  run with @p label (no-op when the label is unknown). */
     void attachValidation(const std::string &label,
                           std::uint64_t actual_cycles);
-
-    bool empty() const;
-    std::size_t numRuns() const;
-    std::vector<CritPathRun> snapshot() const;
-
-    /** Full document: {"schema":"prefsim-critpath-v1","runs":[...]}. */
-    void writeJson(std::ostream &os) const;
-    /** One run object (shared with validate/report tooling tests). */
-    static void writeRunJson(JsonWriter &j, const CritPathRun &run);
-
-  private:
-    mutable std::mutex mu_;
-    std::vector<CritPathRun> runs_;
 };
+
+/**
+ * The strict inverse of writeRunJson over a whole `prefsim-critpath-v1`
+ * document. Besides kinds it checks what the writer guarantees: exactly
+ * the closed resource-class set, known chain classes and chain segment
+ * lengths equal to end - start.
+ * @throws JsonError / FormatError naming the key path.
+ */
+std::vector<CritPathRun> readCritPathJson(const JsonValue &doc);
+
+/** readCritPathJson over the file @p path.
+ *  @throws std::runtime_error naming the file and the key path. */
+std::vector<CritPathRun> loadCritPathJson(const std::string &path);
 
 } // namespace obs
 } // namespace prefsim

@@ -1,7 +1,5 @@
 #include "obs/interval_sampler.hh"
 
-#include <algorithm>
-#include <ostream>
 
 #include "common/json.hh"
 #include "common/log.hh"
@@ -96,33 +94,12 @@ IntervalSampler::finish(const SampleFrame &f)
         emitRow(f);
 }
 
-void
-TimeSeriesStore::commit(TimeSeries series)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    series_.push_back(std::move(series));
-}
-
-bool
-TimeSeriesStore::empty() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return series_.empty();
-}
-
-std::size_t
-TimeSeriesStore::numSeries() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return series_.size();
-}
-
 std::uint64_t
 TimeSeriesStore::totalSamples() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     std::uint64_t n = 0;
-    for (const TimeSeries &s : series_)
+    for (const TimeSeries &s : runs_)
         n += s.samples();
     return n;
 }
@@ -158,15 +135,10 @@ writeProcColumn(JsonWriter &j, const char *name,
 } // namespace
 
 void
-TimeSeriesStore::writeSeriesJson(JsonWriter &j, const TimeSeries &s)
+writeRunJson(JsonWriter &j, const TimeSeries &s)
 {
-    j.beginObject();
-    j.key("label").value(s.label);
-    if (s.skipped) {
-        j.key("skipped").value("cache-hit");
-        j.endObject();
+    if (!beginRunJson(j, s))
         return;
-    }
     j.key("interval").value(s.interval);
     j.key("procs").value(std::uint64_t{s.procs});
     j.key("warmup_end").value(s.warmupEnd);
@@ -205,34 +177,6 @@ TimeSeriesStore::writeSeriesJson(JsonWriter &j, const TimeSeries &s)
                     &ProcSeries::waitBarrier);
     j.endObject();
     j.endObject();
-}
-
-void
-TimeSeriesStore::writeJson(std::ostream &os) const
-{
-    // Sort a view by label: concurrent sweeps commit in completion
-    // order, and the document must be deterministic (check.sh diffs
-    // engine outputs byte-for-byte).
-    std::vector<const TimeSeries *> ordered;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ordered.reserve(series_.size());
-        for (const TimeSeries &s : series_)
-            ordered.push_back(&s);
-    }
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [](const TimeSeries *a, const TimeSeries *b) {
-                         return a->label < b->label;
-                     });
-    JsonWriter j(os);
-    j.beginObject();
-    j.key("schema").value("prefsim-timeseries-v1");
-    j.key("runs").beginArray();
-    for (const TimeSeries *s : ordered)
-        writeSeriesJson(j, *s);
-    j.endArray();
-    j.endObject();
-    os << "\n";
 }
 
 } // namespace obs

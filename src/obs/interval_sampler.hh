@@ -34,18 +34,14 @@
 #define PREFSIM_OBS_INTERVAL_SAMPLER_HH
 
 #include <cstdint>
-#include <iosfwd>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/types.hh"
+#include "obs/run_store.hh"
 
 namespace prefsim
 {
-
-class JsonWriter;
-
 namespace obs
 {
 
@@ -112,6 +108,8 @@ struct ProcSeries
 /** One finished run's columnar time series. */
 struct TimeSeries
 {
+    static constexpr const char *kSchema = "prefsim-timeseries-v1";
+
     std::string label;
     Cycle interval = 0;
     unsigned procs = 0;
@@ -193,33 +191,16 @@ class IntervalSampler
     TimeSeries series_;
 };
 
-/**
- * Thread-safe collection of finished series, owned by the ObsContext.
- * Simulations running concurrently under one sweep commit here; the
- * JSON writer orders runs by label so output is deterministic
- * regardless of completion order.
- */
-class TimeSeriesStore
+/** Emit one series as a JSON object into an open writer. */
+void writeRunJson(JsonWriter &j, const TimeSeries &s);
+
+/** Finished series, owned by the ObsContext. Simulations running
+ *  concurrently under one sweep commit here. */
+class TimeSeriesStore : public RunStore<TimeSeries>
 {
   public:
-    void commit(TimeSeries series);
-
-    bool empty() const;
-    std::size_t numSeries() const;
-
     /** Total samples across all committed series (telemetry summary). */
     std::uint64_t totalSamples() const;
-
-    /** Write the full `prefsim-timeseries-v1` document. */
-    void writeJson(std::ostream &os) const;
-
-    /** Emit one series as a JSON object into an open writer (shared by
-     *  writeJson and tests). */
-    static void writeSeriesJson(JsonWriter &j, const TimeSeries &s);
-
-  private:
-    mutable std::mutex mu_;
-    std::vector<TimeSeries> series_;
 };
 
 } // namespace obs

@@ -1,9 +1,8 @@
 #include "obs/profile/attribution_profiler.hh"
 
-#include <algorithm>
-#include <ostream>
+#include <limits>
+#include <utility>
 
-#include "common/json.hh"
 #include "common/log.hh"
 #include "obs/event.hh"
 
@@ -134,27 +133,6 @@ AttributionProfiler::take(Cycle warmup_end)
     return std::move(run_);
 }
 
-void
-ProfileStore::commit(ProfileRun run)
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    runs_.push_back(std::move(run));
-}
-
-bool
-ProfileStore::empty() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return runs_.empty();
-}
-
-std::size_t
-ProfileStore::numRuns() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return runs_.size();
-}
-
 std::uint64_t
 ProfileStore::totalLines() const
 {
@@ -165,26 +143,13 @@ ProfileStore::totalLines() const
     return n;
 }
 
-std::vector<ProfileRun>
-ProfileStore::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return runs_;
-}
-
 void
-ProfileStore::writeRunJson(JsonWriter &j, const ProfileRun &run)
+writeRunJson(JsonWriter &j, const ProfileRun &run)
 {
-    j.beginObject();
-    j.key("label").value(run.label);
-    if (run.skipped) {
-        // A cached sweep result: simulation (and therefore profiling)
-        // was skipped. The explicit marker keeps "no data" and "run
-        // never happened" distinguishable downstream.
-        j.key("skipped").value("cache-hit");
-        j.endObject();
+    // A skipped run is a cached sweep result: simulation (and therefore
+    // profiling) never happened.
+    if (!beginRunJson(j, run))
         return;
-    }
     j.key("procs").value(std::uint64_t{run.procs});
     j.key("warmup_end").value(run.warmupEnd);
     j.key("lines").beginArray();
@@ -240,32 +205,83 @@ ProfileStore::writeRunJson(JsonWriter &j, const ProfileRun &run)
     j.endObject();
 }
 
-void
-ProfileStore::writeJson(std::ostream &os) const
+namespace
 {
-    // Sort a view by label: concurrent sweeps commit in completion
-    // order, and the document must be deterministic (check.sh diffs
-    // engine outputs byte-for-byte).
-    std::vector<const ProfileRun *> ordered;
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ordered.reserve(runs_.size());
-        for (const ProfileRun &r : runs_)
-            ordered.push_back(&r);
+
+void
+readRunBody(const JsonField &j, ProfileRun &run)
+{
+    run.procs = static_cast<unsigned>(
+        j["procs"].u64(std::numeric_limits<unsigned>::max()));
+    run.warmupEnd = j["warmup_end"].u64();
+    for (const JsonField &jl : formatArray(j, "lines")) {
+        const Addr addr = jl["addr"].u64();
+        if (!run.lines.empty() && addr <= run.lines.rbegin()->first)
+            throw FormatError(jl.path() +
+                              ": line addresses are not strictly "
+                              "ascending");
+        ProfileLine &l = run.lines[addr];
+        l.missNonSharing = jl["miss_nonsharing"].u64();
+        l.missNonSharingPrefetched = jl["miss_nonsharing_prefetched"].u64();
+        l.missInvalidation = jl["miss_invalidation"].u64();
+        l.missInvalidationPrefetched =
+            jl["miss_invalidation_prefetched"].u64();
+        l.missPrefetchInflight = jl["miss_prefetch_inflight"].u64();
+        l.missFalseSharing = jl["miss_false_sharing"].u64();
+        l.invalidations = jl["invalidations"].u64();
+        l.invalidationsFalse = jl["invalidations_false"].u64();
+        l.downgrades = jl["downgrades"].u64();
+        l.inflightKills = jl["inflight_kills"].u64();
+        l.busCycles = jl["bus_cycles"].u64();
+        l.busCyclesPrefetch = jl["bus_cycles_prefetch"].u64();
+        l.busOps = jl["bus_ops"].u64();
+        for (const JsonField &jp : formatArray(jl, "pf")) {
+            const std::uint64_t proc = jp["proc"].u64();
+            if (proc >= run.procs)
+                throw FormatError(jp.path() + ": pf proc out of range");
+            // A repeated processor adds up, as the totals block does.
+            ProfilePrefetch &pf = l.prefetch[static_cast<unsigned>(proc)];
+            pf.issued += jp["issued"].u64();
+            pf.useful += jp["useful"].u64();
+            pf.late += jp["late"].u64();
+            pf.latenessCycles += jp["lateness_cycles"].u64();
+            pf.killed += jp["killed"].u64();
+            pf.displaced += jp["displaced"].u64();
+        }
     }
-    std::stable_sort(ordered.begin(), ordered.end(),
-                     [](const ProfileRun *a, const ProfileRun *b) {
-                         return a->label < b->label;
-                     });
-    JsonWriter j(os);
-    j.beginObject();
-    j.key("schema").value("prefsim-profile-v1");
-    j.key("runs").beginArray();
-    for (const ProfileRun *r : ordered)
-        writeRunJson(j, *r);
-    j.endArray();
-    j.endObject();
-    os << "\n";
+    const ProfileTotals t = ProfileTotals::of(run);
+    const JsonField totals = j["totals"];
+    for (const auto &[key, sum] :
+         {std::pair{"misses", t.misses},
+          {"miss_invalidation", t.missInvalidation},
+          {"miss_false_sharing", t.missFalseSharing},
+          {"invalidations", t.invalidations},
+          {"downgrades", t.downgrades},
+          {"bus_cycles", t.busCycles},
+          {"bus_cycles_prefetch", t.busCyclesPrefetch},
+          {"pf_issued", t.pfIssued},
+          {"pf_useful", t.pfUseful},
+          {"pf_late", t.pfLate},
+          {"pf_killed", t.pfKilled},
+          {"pf_displaced", t.pfDisplaced}}) {
+        if (totals[key].u64() != sum)
+            throw FormatError(totals.path() + "." + key +
+                              ": does not equal the sum of the rows");
+    }
+}
+
+} // namespace
+
+std::vector<ProfileRun>
+readProfileJson(const JsonValue &doc)
+{
+    return readRunsJson<ProfileRun>(doc, readRunBody);
+}
+
+std::vector<ProfileRun>
+loadProfileJson(const std::string &path)
+{
+    return loadRunsJson<ProfileRun>(path, readRunBody);
 }
 
 } // namespace obs

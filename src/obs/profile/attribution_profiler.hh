@@ -31,19 +31,15 @@
 #define PREFSIM_OBS_PROFILE_ATTRIBUTION_PROFILER_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/types.hh"
+#include "obs/run_store.hh"
 
 namespace prefsim
 {
-
-class JsonWriter;
-
 namespace obs
 {
 
@@ -95,6 +91,8 @@ struct ProfileLine
 /** One finished run's profile, committed to the ProfileStore. */
 struct ProfileRun
 {
+    static constexpr const char *kSchema = "prefsim-profile-v1";
+
     std::string label;
     unsigned procs = 0;
     /** Cycle the warmup statistics reset happened (0 = none). */
@@ -158,36 +156,30 @@ class AttributionProfiler
     ProfileRun run_;
 };
 
-/**
- * Thread-safe collection of finished profile runs, owned by the
- * ObsContext. The JSON writer orders runs by label so output is
- * deterministic regardless of completion order.
- */
-class ProfileStore
+/** Emit one run as a JSON object into an open writer. */
+void writeRunJson(JsonWriter &j, const ProfileRun &run);
+
+/** Finished profile runs, owned by the ObsContext. */
+class ProfileStore : public RunStore<ProfileRun>
 {
   public:
-    void commit(ProfileRun run);
-
-    bool empty() const;
-    std::size_t numRuns() const;
-
     /** Distinct attributed lines across all runs (telemetry summary). */
     std::uint64_t totalLines() const;
-
-    /** Copy of the committed runs (tests and report tooling). */
-    std::vector<ProfileRun> snapshot() const;
-
-    /** Write the full `prefsim-profile-v1` document. */
-    void writeJson(std::ostream &os) const;
-
-    /** Emit one run as a JSON object into an open writer (shared by
-     *  writeJson and tests). */
-    static void writeRunJson(JsonWriter &j, const ProfileRun &run);
-
-  private:
-    mutable std::mutex mu_;
-    std::vector<ProfileRun> runs_;
 };
+
+/**
+ * The strict inverse of writeRunJson over a whole `prefsim-profile-v1`
+ * document. Besides kinds it checks what the writer guarantees: lines
+ * in strictly ascending address order, prefetch processors below
+ * `procs`, and a totals block equal to the sum of the rows (the
+ * Table 3 consistency contract).
+ * @throws JsonError / FormatError naming the key path.
+ */
+std::vector<ProfileRun> readProfileJson(const JsonValue &doc);
+
+/** readProfileJson over the file @p path.
+ *  @throws std::runtime_error naming the file and the key path. */
+std::vector<ProfileRun> loadProfileJson(const std::string &path);
 
 } // namespace obs
 } // namespace prefsim

@@ -486,10 +486,8 @@ TEST(CrossValidate, ProfileRoundTrip)
         out << os.str();
     }
 
-    std::string error;
     const std::vector<obs::ProfileRun> loaded =
-        loadProfileRuns(path, error);
-    ASSERT_TRUE(error.empty()) << error;
+        obs::loadProfileJson(path);
     ASSERT_EQ(loaded.size(), 2u);
     const obs::ProfileRun *found =
         findProfileRun(loaded, "hand/PREF@8");
@@ -505,10 +503,7 @@ TEST(CrossValidate, ProfileRoundTrip)
     // Skipped runs load with their marker but are never "found".
     EXPECT_EQ(findProfileRun(loaded, "hand/NP@8"), nullptr);
 
-    std::string missing_error;
-    EXPECT_TRUE(
-        loadProfileRuns(path + ".nope", missing_error).empty());
-    EXPECT_FALSE(missing_error.empty());
+    EXPECT_THROW(obs::loadProfileJson(path + ".nope"), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the common library: integer math, RNG, cache geometry,
- * the strict integer parser and the JSON parser's nesting cap.
+ * the strict integer parser, the JSON parser's nesting cap and the
+ * checked JSON accessors.
  */
 
 #include <gtest/gtest.h>
@@ -275,6 +276,64 @@ TEST(JsonParse, TooDeepDocumentIsRejectedNotACrash)
     // descent; rejected after kMaxJsonDepth levels.
     EXPECT_FALSE(parseJson(nestedArrays(200000)).has_value());
     EXPECT_FALSE(parseJson(std::string(200000, '[')).has_value());
+}
+
+/** The JsonError message @p read throws, or "" when it throws none. */
+template <typename Read>
+std::string
+errorOf(Read read)
+{
+    try {
+        read();
+    } catch (const JsonError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(JsonField, ErrorsNameTheKeyPath)
+{
+    const auto doc = parseJson(
+        "{\"runs\":[{\"label\":\"a\",\"lines\":[{\"addr\":\"7\"}]}],"
+        "\"n\":3}");
+    ASSERT_TRUE(doc.has_value());
+    const JsonField root(*doc);
+    const JsonField line = root["runs"].items()[0]["lines"].items()[0];
+    EXPECT_EQ(line.path(), "runs[0].lines[0]");
+    EXPECT_EQ(errorOf([&] { line["addr"].u64(); }),
+              "runs[0].lines[0].addr: expected an unsigned integer");
+    EXPECT_EQ(errorOf([&] { line["bus"]; }),
+              "runs[0].lines[0]: missing \"bus\"");
+    EXPECT_EQ(errorOf([&] { root["n"].items(); }), "n: expected an array");
+    EXPECT_EQ(errorOf([&] { root["n"]["x"]; }), "n: expected an object");
+    EXPECT_EQ(errorOf([&] { root["runs"].str(); }),
+              "runs: expected a string");
+    EXPECT_FALSE(root.find("absent").has_value());
+    EXPECT_EQ(root["n"].u64(), 3u);
+    EXPECT_EQ(root["runs"].items()[0]["label"].str(), "a");
+}
+
+TEST(JsonField, UnsignedFieldsFollowTheParseUintRule)
+{
+    const auto u64 = [](const std::string &token, std::uint64_t max) {
+        const auto doc = parseJson("{\"v\":" + token + "}");
+        return errorOf([&] { JsonField(*doc)["v"].u64(max); });
+    };
+    const std::uint64_t any = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_EQ(u64("0", any), "");
+    EXPECT_EQ(u64("18446744073709551615", any), "");
+    EXPECT_EQ(u64("4294967295", 4294967295u), "");
+    // Wrapped, truncated or out of range: all rejected, never coerced.
+    for (const char *bad : {"-1", "1.5", "1e3", "18446744073709551616"})
+        EXPECT_EQ(u64(bad, any),
+                  "v: expected an unsigned integer, got " +
+                      std::string(bad));
+    EXPECT_EQ(u64("4294967296", 4294967295u),
+              "v: expected an unsigned integer in 0..4294967295, got "
+              "4294967296");
+    const auto doc = parseJson("{\"d\":-2.5,\"b\":true}");
+    EXPECT_DOUBLE_EQ(JsonField(*doc)["d"].number(), -2.5);
+    EXPECT_TRUE(JsonField(*doc)["b"].boolean());
 }
 
 } // namespace

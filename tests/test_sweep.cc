@@ -208,6 +208,36 @@ TEST(SweepEngine, TruncatedCacheFileIsDetectedAndRecomputed)
     fs::remove_all(dir);
 }
 
+TEST(SweepEngine, CacheEntryWithWrappedCounterIsRecomputed)
+{
+    // "-1" used to wrap to 2^64 - 1 and load as a cache hit.
+    const fs::path dir = scratchDir("sweep_cache_negative");
+    SweepOptions opts;
+    opts.cacheDir = dir.string();
+
+    SweepEngine first(tinyParams(), CacheGeometry::paperDefault(), opts);
+    const ExperimentResult &good =
+        first.run(WorkloadKind::Mp3d, false, Strategy::PREF, 8);
+    const std::string key = experimentCacheKey(
+        first.makeSpec(WorkloadKind::Mp3d, false, Strategy::PREF, 8));
+    std::string text = serialize(good, key);
+    const std::size_t at = text.find("\"cycles\":") + 9;
+    text = text.substr(0, at) + "-1" + text.substr(text.find(',', at));
+    {
+        std::ofstream out(dir / cacheFileName(key),
+                          std::ios::binary | std::ios::trunc);
+        out << text;
+    }
+
+    SweepEngine second(tinyParams(), CacheGeometry::paperDefault(), opts);
+    const ExperimentResult &redone =
+        second.run(WorkloadKind::Mp3d, false, Strategy::PREF, 8);
+    EXPECT_EQ(second.counters().cacheRejected, 1u);
+    EXPECT_EQ(second.counters().simulationsRun, 1u);
+    EXPECT_EQ(redone.sim.cycles, good.sim.cycles);
+    fs::remove_all(dir);
+}
+
 TEST(SweepEngine, CacheFileWithForeignKeyIsRejected)
 {
     const fs::path dir = scratchDir("sweep_cache_foreign");
@@ -306,6 +336,27 @@ TEST(ResultJson, RejectsMalformedDocuments)
     EXPECT_TRUE(readResultJson(text, spec, key).has_value());
     EXPECT_FALSE(
         readResultJson(text + "trailing", spec, key).has_value());
+}
+
+TEST(ResultJson, RejectsNonPlainUnsignedTokens)
+{
+    ExperimentSpec spec;
+    spec.params = tinyParams();
+    const std::string key = experimentCacheKey(spec);
+    const std::string text = serialize(runExperiment(spec), key);
+    const std::size_t at = text.find("\"busyCycles\":") + 13;
+    const std::size_t len = text.find(',', at) - at;
+    // A negative count would wrap; a fraction or exponent would be
+    // truncated to a different count.
+    for (const char *token : {"-1", "1.5", "1e3", "18446744073709551616"}) {
+        const std::string bad =
+            text.substr(0, at) + token + text.substr(at + len);
+        EXPECT_FALSE(readResultJson(bad, spec, key).has_value()) << token;
+        EXPECT_FALSE(readResultSimJson(bad).has_value()) << token;
+    }
+    const std::string plain =
+        text.substr(0, at) + "7" + text.substr(at + len);
+    EXPECT_TRUE(readResultJson(plain, spec, key).has_value());
 }
 
 TEST(JsonParser, ParsesScalarsArraysAndObjects)

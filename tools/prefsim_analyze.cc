@@ -23,8 +23,9 @@
  * "validation" block; drift findings use analysis.drift.* rules.
  *
  * Exit codes: 0 no violations (warnings allowed), 1 violations,
- * 2 usage or I/O error — the convention shared by prefsim_lint and
- * validate_telemetry.
+ * 2 usage or I/O error or a malformed --profile document (the
+ * diagnostic names the key path) — the convention shared by
+ * prefsim_lint and validate_telemetry.
  */
 
 #include <cstring>
@@ -170,9 +171,10 @@ main(int argc, char **argv)
 
     std::vector<obs::ProfileRun> profile_runs;
     if (!profile_path.empty()) {
-        profile_runs = loadProfileRuns(profile_path, error);
-        if (!error.empty()) {
-            std::cerr << "prefsim_analyze: " << error << "\n";
+        try {
+            profile_runs = obs::loadProfileJson(profile_path);
+        } catch (const std::runtime_error &e) {
+            std::cerr << "prefsim_analyze: " << e.what() << "\n";
             return verify::kExitUsage;
         }
     }

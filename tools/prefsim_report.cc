@@ -63,15 +63,15 @@
  * gates the newest entry against the one before it with the same
  * thresholds. Findings use the shared verification vocabulary; --json
  * emits prefsim-findings-v1. Exit codes: 0 clean, 1 at least one
- * error finding, 2 usage/IO — the convention shared by prefsim_lint /
- * prefsim_verify / validate_telemetry, which is what lets
- * scripts/check.sh gate on it.
+ * error finding, 2 usage/IO or a malformed input document (the
+ * diagnostic names the key path) — the convention shared by
+ * prefsim_lint / prefsim_verify / validate_telemetry, which is what
+ * lets scripts/check.sh gate on it.
  */
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -84,6 +84,8 @@
 #include "common/json.hh"
 #include "common/parse_uint.hh"
 #include "core/report.hh"
+#include "obs/critpath/critpath.hh"
+#include "obs/profile/attribution_profiler.hh"
 #include "stats/table.hh"
 #include "verify/finding.hh"
 
@@ -108,17 +110,6 @@ usage()
            "       prefsim_report --compare BENCH_history.jsonl\n"
            "                      [--warn FRAC] [--fail FRAC] [--json]\n";
     std::exit(kExitUsage);
-}
-
-std::optional<std::string>
-slurp(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        return std::nullopt;
-    std::ostringstream os;
-    os << in.rdbuf();
-    return os.str();
 }
 
 double
@@ -175,119 +166,50 @@ hexAddr(std::uint64_t addr)
     return os.str();
 }
 
+/** Print a load failure and return the usage exit code. */
+int
+loadFailed(const std::exception &e)
+{
+    std::cerr << "prefsim_report: " << e.what() << "\n";
+    return kExitUsage;
+}
+
 int
 runProfile(const std::string &path, std::size_t top_n)
 {
-    const std::optional<std::string> text = slurp(path);
-    if (!text) {
-        std::cerr << "prefsim_report: cannot open " << path << "\n";
-        return kExitUsage;
+    std::vector<obs::ProfileRun> runs;
+    try {
+        runs = obs::loadProfileJson(path);
+    } catch (const std::runtime_error &e) {
+        return loadFailed(e);
     }
-    const std::optional<JsonValue> doc = parseJson(*text);
-    if (!doc) {
-        std::cerr << "prefsim_report: " << path
-                  << " is not strict JSON\n";
-        return kExitUsage;
-    }
-    const JsonValue *schema = doc->find("schema");
-    if (!schema || !schema->isString() ||
-        schema->asString() != "prefsim-profile-v1") {
-        std::cerr << "prefsim_report: " << path
-                  << " is not a prefsim-profile-v1 document\n";
-        return kExitUsage;
-    }
-    const JsonValue *runs = doc->find("runs");
-    if (!runs || !runs->isArray()) {
-        std::cerr << "prefsim_report: " << path << " has no runs\n";
-        return kExitUsage;
-    }
-
-    const auto u64 = [](const JsonValue &obj, const char *key) {
-        const JsonValue *v = obj.find(key);
-        return v ? v->asU64() : std::uint64_t{0};
-    };
 
     struct LineRow
     {
-        std::string label;
-        std::uint64_t addr = 0;
-        std::uint64_t misses = 0;
-        std::uint64_t invalMisses = 0;
-        std::uint64_t falseSharing = 0;
-        std::uint64_t invalidations = 0;
-        std::uint64_t busCycles = 0;
-        std::uint64_t busOps = 0;
+        const std::string *label;
+        Addr addr;
+        const obs::ProfileLine *line;
     };
-    struct RunRow
-    {
-        std::string label;
-        std::uint64_t misses = 0;
-        std::uint64_t invalMisses = 0;
-        std::uint64_t falseSharing = 0;
-        std::uint64_t busCycles = 0;
-        std::uint64_t busCyclesPrefetch = 0;
-        std::uint64_t pfIssued = 0;
-        std::uint64_t pfUseful = 0;
-        std::uint64_t pfLate = 0;
-        std::uint64_t pfKilled = 0;
-        std::uint64_t pfDisplaced = 0;
-    };
-
     std::vector<LineRow> lines;
-    std::vector<RunRow> run_rows;
+    std::vector<const obs::ProfileRun *> profiled;
     std::size_t skipped = 0;
-    for (const JsonValue &run : runs->array()) {
-        const JsonValue *label = run.find("label");
-        const std::string name =
-            label && label->isString() ? label->asString() : "?";
-        if (run.find("skipped")) {
+    for (const obs::ProfileRun &run : runs) {
+        if (run.skipped) {
             ++skipped;
             continue;
         }
-        RunRow rr;
-        rr.label = name;
-        if (const JsonValue *totals = run.find("totals")) {
-            rr.misses = u64(*totals, "misses");
-            rr.invalMisses = u64(*totals, "miss_invalidation");
-            rr.falseSharing = u64(*totals, "miss_false_sharing");
-            rr.busCycles = u64(*totals, "bus_cycles");
-            rr.busCyclesPrefetch = u64(*totals, "bus_cycles_prefetch");
-            rr.pfIssued = u64(*totals, "pf_issued");
-            rr.pfUseful = u64(*totals, "pf_useful");
-            rr.pfLate = u64(*totals, "pf_late");
-            rr.pfKilled = u64(*totals, "pf_killed");
-            rr.pfDisplaced = u64(*totals, "pf_displaced");
-        }
-        run_rows.push_back(std::move(rr));
-        const JsonValue *run_lines = run.find("lines");
-        if (!run_lines || !run_lines->isArray())
-            continue;
-        for (const JsonValue &l : run_lines->array()) {
-            LineRow row;
-            row.label = name;
-            row.addr = u64(l, "addr");
-            row.misses = u64(l, "miss_nonsharing") +
-                         u64(l, "miss_nonsharing_prefetched") +
-                         u64(l, "miss_invalidation") +
-                         u64(l, "miss_invalidation_prefetched") +
-                         u64(l, "miss_prefetch_inflight");
-            row.invalMisses = u64(l, "miss_invalidation") +
-                              u64(l, "miss_invalidation_prefetched");
-            row.falseSharing = u64(l, "miss_false_sharing");
-            row.invalidations = u64(l, "invalidations");
-            row.busCycles = u64(l, "bus_cycles");
-            row.busOps = u64(l, "bus_ops");
-            lines.push_back(std::move(row));
-        }
+        profiled.push_back(&run);
+        for (const auto &[addr, l] : run.lines)
+            lines.push_back({&run.label, addr, &l});
     }
-    if (run_rows.empty()) {
+    if (profiled.empty()) {
         std::cerr << "prefsim_report: " << path
                   << " holds no profiled runs ("
                   << skipped << " cache-hit skips)\n";
         return kExitUsage;
     }
 
-    std::cout << "profile: " << run_rows.size() << " runs, "
+    std::cout << "profile: " << profiled.size() << " runs, "
               << lines.size() << " attributed lines";
     if (skipped)
         std::cout << " (" << skipped << " cache-hit skips)";
@@ -296,10 +218,10 @@ runProfile(const std::string &path, std::size_t top_n)
     // 1. Hot lines: the addresses that bought the most bus time.
     std::stable_sort(lines.begin(), lines.end(),
                      [](const LineRow &a, const LineRow &b) {
-                         if (a.busCycles != b.busCycles)
-                             return a.busCycles > b.busCycles;
-                         if (a.label != b.label)
-                             return a.label < b.label;
+                         if (a.line->busCycles != b.line->busCycles)
+                             return a.line->busCycles > b.line->busCycles;
+                         if (*a.label != *b.label)
+                             return *a.label < *b.label;
                          return a.addr < b.addr;
                      });
     std::cout << "Top " << std::min(top_n, lines.size())
@@ -307,13 +229,18 @@ runProfile(const std::string &path, std::size_t top_n)
     TextTable hot({"line", "run", "misses", "inval miss", "false",
                    "invals", "bus cyc", "bus ops"});
     for (std::size_t i = 0; i < lines.size() && i < top_n; ++i) {
-        const LineRow &r = lines[i];
-        hot.addRow({hexAddr(r.addr), r.label, std::to_string(r.misses),
-                    std::to_string(r.invalMisses),
-                    std::to_string(r.falseSharing),
-                    std::to_string(r.invalidations),
-                    std::to_string(r.busCycles),
-                    std::to_string(r.busOps)});
+        const obs::ProfileLine &l = *lines[i].line;
+        const std::uint64_t inval_misses =
+            l.missInvalidation + l.missInvalidationPrefetched;
+        const std::uint64_t misses = l.missNonSharing +
+                                     l.missNonSharingPrefetched +
+                                     inval_misses + l.missPrefetchInflight;
+        hot.addRow({hexAddr(lines[i].addr), *lines[i].label,
+                    std::to_string(misses), std::to_string(inval_misses),
+                    std::to_string(l.missFalseSharing),
+                    std::to_string(l.invalidations),
+                    std::to_string(l.busCycles),
+                    std::to_string(l.busOps)});
     }
     hot.print(std::cout);
 
@@ -323,17 +250,18 @@ runProfile(const std::string &path, std::size_t top_n)
     std::cout << "\nSharing classification per run\n";
     TextTable share({"run", "misses", "cold/repl", "true shr",
                      "false shr", "false %"});
-    for (const RunRow &r : run_rows) {
-        const std::uint64_t non = r.misses - r.invalMisses;
-        const std::uint64_t true_shr = r.invalMisses - r.falseSharing;
+    for (const obs::ProfileRun *run : profiled) {
+        const obs::ProfileTotals t = obs::ProfileTotals::of(*run);
         const double false_pct =
-            r.invalMisses
-                ? static_cast<double>(r.falseSharing) /
-                      static_cast<double>(r.invalMisses)
+            t.missInvalidation
+                ? static_cast<double>(t.missFalseSharing) /
+                      static_cast<double>(t.missInvalidation)
                 : 0.0;
-        share.addRow({r.label, std::to_string(r.misses),
-                      std::to_string(non), std::to_string(true_shr),
-                      std::to_string(r.falseSharing),
+        share.addRow({run->label, std::to_string(t.misses),
+                      std::to_string(t.misses - t.missInvalidation),
+                      std::to_string(t.missInvalidation -
+                                     t.missFalseSharing),
+                      std::to_string(t.missFalseSharing),
                       TextTable::percent(false_pct, 1)});
     }
     share.print(std::cout);
@@ -344,18 +272,19 @@ runProfile(const std::string &path, std::size_t top_n)
     std::cout << "\nPrefetch outcome decomposition per run\n";
     TextTable waste({"run", "issued", "useful", "late", "killed",
                      "displaced", "useful %", "pf bus cyc"});
-    for (const RunRow &r : run_rows) {
+    for (const obs::ProfileRun *run : profiled) {
+        const obs::ProfileTotals t = obs::ProfileTotals::of(*run);
         const double useful_pct =
-            r.pfIssued ? static_cast<double>(r.pfUseful) /
-                             static_cast<double>(r.pfIssued)
+            t.pfIssued ? static_cast<double>(t.pfUseful) /
+                             static_cast<double>(t.pfIssued)
                        : 0.0;
-        waste.addRow({r.label, std::to_string(r.pfIssued),
-                      std::to_string(r.pfUseful),
-                      std::to_string(r.pfLate),
-                      std::to_string(r.pfKilled),
-                      std::to_string(r.pfDisplaced),
+        waste.addRow({run->label, std::to_string(t.pfIssued),
+                      std::to_string(t.pfUseful),
+                      std::to_string(t.pfLate),
+                      std::to_string(t.pfKilled),
+                      std::to_string(t.pfDisplaced),
                       TextTable::percent(useful_pct, 1),
-                      std::to_string(r.busCyclesPrefetch)});
+                      std::to_string(t.busCyclesPrefetch)});
     }
     waste.print(std::cout);
     return kExitOk;
@@ -365,199 +294,115 @@ int
 runCritPath(const std::string &path, std::size_t top_n,
             const std::string &profile_path)
 {
-    const std::optional<std::string> text = slurp(path);
-    if (!text) {
-        std::cerr << "prefsim_report: cannot open " << path << "\n";
-        return kExitUsage;
-    }
-    const std::optional<JsonValue> doc = parseJson(*text);
-    if (!doc) {
-        std::cerr << "prefsim_report: " << path
-                  << " is not strict JSON\n";
-        return kExitUsage;
-    }
-    const JsonValue *schema = doc->find("schema");
-    if (!schema || !schema->isString() ||
-        schema->asString() != "prefsim-critpath-v1") {
-        std::cerr << "prefsim_report: " << path
-                  << " is not a prefsim-critpath-v1 document\n";
-        return kExitUsage;
-    }
-    const JsonValue *runs = doc->find("runs");
-    if (!runs || !runs->isArray()) {
-        std::cerr << "prefsim_report: " << path << " has no runs\n";
-        return kExitUsage;
-    }
-
-    // Optional per-(label, addr) bus-occupancy join source: the PR 7
+    std::vector<obs::CritPathRun> runs;
+    // Optional per-(label, addr) bus-occupancy join source: the
     // attribution profile of the same sweep.
-    std::map<std::pair<std::string, std::uint64_t>, std::uint64_t>
-        profile_bus;
-    if (!profile_path.empty()) {
-        const std::optional<std::string> ptext = slurp(profile_path);
-        if (!ptext) {
-            std::cerr << "prefsim_report: cannot open " << profile_path
-                      << "\n";
-            return kExitUsage;
-        }
-        const std::optional<JsonValue> pdoc = parseJson(*ptext);
-        const JsonValue *pschema = pdoc ? pdoc->find("schema") : nullptr;
-        if (!pdoc || !pschema || !pschema->isString() ||
-            pschema->asString() != "prefsim-profile-v1") {
-            std::cerr << "prefsim_report: " << profile_path
-                      << " is not a prefsim-profile-v1 document\n";
-            return kExitUsage;
-        }
-        if (const JsonValue *pruns = pdoc->find("runs")) {
-            for (const JsonValue &run : pruns->array()) {
-                const JsonValue *label = run.find("label");
-                const JsonValue *plines = run.find("lines");
-                if (!label || !label->isString() || !plines ||
-                    !plines->isArray())
-                    continue;
-                for (const JsonValue &l : plines->array()) {
-                    const JsonValue *addr = l.find("addr");
-                    const JsonValue *bus = l.find("bus_cycles");
-                    if (addr && bus)
-                        profile_bus[{label->asString(),
-                                     addr->asU64()}] = bus->asU64();
-                }
+    std::map<std::pair<std::string, Addr>, std::uint64_t> profile_bus;
+    try {
+        runs = obs::loadCritPathJson(path);
+        if (!profile_path.empty()) {
+            for (const obs::ProfileRun &run :
+                 obs::loadProfileJson(profile_path)) {
+                for (const auto &[addr, l] : run.lines)
+                    profile_bus[{run.label, addr}] = l.busCycles;
             }
         }
+    } catch (const std::runtime_error &e) {
+        return loadFailed(e);
     }
 
-    const auto u64 = [](const JsonValue &obj, const char *key) {
-        const JsonValue *v = obj.find(key);
-        return v ? v->asU64() : std::uint64_t{0};
-    };
-
-    static const char *kClasses[] = {
-        "compute",       "bus_arb", "data_transfer", "memory_latency",
-        "coherence_inval", "lock",  "barrier",       "prefetch_stall"};
-
     std::size_t shown = 0, skipped = 0;
-    for (const JsonValue &run : runs->array()) {
-        const JsonValue *label = run.find("label");
-        const std::string name =
-            label && label->isString() ? label->asString() : "?";
-        if (run.find("skipped")) {
+    for (const obs::CritPathRun &run : runs) {
+        if (run.skipped) {
             ++skipped;
             continue;
         }
         if (shown++)
             std::cout << "\n";
-        const std::uint64_t total = u64(run, "total_cycles");
-        std::cout << "Critical path, run " << name << ": " << total
-                  << " cycles (" << u64(run, "procs") << " procs, "
-                  << "cycles " << u64(run, "warmup_end") << ".."
-                  << u64(run, "end_cycle") << ")\n";
+        const std::uint64_t total = run.totalCycles;
+        std::cout << "Critical path, run " << run.label << ": " << total
+                  << " cycles (" << run.procs << " procs, "
+                  << "cycles " << run.warmupEnd << ".." << run.endCycle
+                  << ")\n";
 
         // 1. Per-resource path breakdown: where the binding chain
         // spent its time, and how much of each resource ran off-path.
-        if (const JsonValue *res = run.find("resources")) {
-            TextTable t({"resource", "on-path cyc", "% of path",
-                         "slack cyc"});
-            for (const char *c : kClasses) {
-                const JsonValue *r = res->find(c);
-                if (!r)
-                    continue;
-                const std::uint64_t cyc = u64(*r, "cycles");
-                t.addRow({c, std::to_string(cyc),
-                          TextTable::percent(
-                              total ? static_cast<double>(cyc) /
-                                          static_cast<double>(total)
-                                    : 0.0,
-                              1),
-                          std::to_string(u64(*r, "slack"))});
-            }
-            t.print(std::cout);
+        TextTable res({"resource", "on-path cyc", "% of path",
+                       "slack cyc"});
+        for (std::size_t c = 0; c < obs::kNumResClasses; ++c) {
+            const std::uint64_t cyc = run.pathCycles[c];
+            res.addRow({obs::resClassName(static_cast<obs::ResClass>(c)),
+                        std::to_string(cyc),
+                        TextTable::percent(
+                            total ? static_cast<double>(cyc) /
+                                        static_cast<double>(total)
+                                  : 0.0,
+                            1),
+                        std::to_string(run.slackCycles[c])});
         }
+        res.print(std::cout);
 
         // 2. What-if speedup bounds (with drift when validated).
-        if (const JsonValue *whatif = run.find("whatif")) {
-            std::cout << "\nWhat-if speedup bounds\n";
-            TextTable t({"scenario", "predicted cyc", "speedup",
-                         "actual cyc", "drift"});
-            for (const JsonValue &w : whatif->array()) {
-                const JsonValue *scenario = w.find("scenario");
-                const JsonValue *speedup = w.find("speedup");
-                const JsonValue *drift = w.find("drift");
-                const std::uint64_t actual = u64(w, "actual_cycles");
-                t.addRow({scenario && scenario->isString()
-                              ? scenario->asString()
-                              : "?",
-                          std::to_string(u64(w, "predicted_cycles")),
-                          TextTable::num(
-                              speedup ? speedup->asDouble() : 0.0, 2) +
-                              "x",
-                          actual ? std::to_string(actual) : "-",
-                          drift ? TextTable::percent(drift->asDouble(),
-                                                     1)
-                                : "-"});
-            }
-            t.print(std::cout);
+        std::cout << "\nWhat-if speedup bounds\n";
+        TextTable whatif({"scenario", "predicted cyc", "speedup",
+                          "actual cyc", "drift"});
+        for (const obs::WhatIf &w : run.whatif) {
+            const bool validated = w.actualCycles > 0;
+            whatif.addRow(
+                {w.scenario, std::to_string(w.predictedCycles),
+                 TextTable::num(w.speedup, 2) + "x",
+                 validated ? std::to_string(w.actualCycles) : "-",
+                 validated ? TextTable::percent(w.drift, 1) : "-"});
         }
+        whatif.print(std::cout);
 
         // 3. The longest chain segments: contiguous stretches where
         // one processor's one resource bound the whole machine.
-        if (const JsonValue *chain = run.find("chain")) {
-            std::vector<const JsonValue *> segs;
-            for (const JsonValue &seg : chain->array())
-                segs.push_back(&seg);
-            std::stable_sort(segs.begin(), segs.end(),
-                             [&](const JsonValue *a, const JsonValue *b) {
-                                 return u64(*a, "cycles") >
-                                        u64(*b, "cycles");
-                             });
-            std::cout << "\nTop " << std::min(top_n, segs.size())
-                      << " chain segments by length\n";
-            TextTable t({"start", "cycles", "proc", "class", "line"});
-            for (std::size_t i = 0; i < segs.size() && i < top_n; ++i) {
-                const JsonValue &seg = *segs[i];
-                const JsonValue *cls = seg.find("class");
-                const JsonValue *line = seg.find("line");
-                t.addRow({std::to_string(u64(seg, "start")),
-                          std::to_string(u64(seg, "cycles")),
-                          std::to_string(u64(seg, "proc")),
-                          cls && cls->isString() ? cls->asString()
-                                                 : "?",
-                          line ? hexAddr(line->asU64()) : "-"});
-            }
-            t.print(std::cout);
+        std::vector<obs::CritChainSeg> segs = run.chain;
+        std::stable_sort(segs.begin(), segs.end(),
+                         [](const obs::CritChainSeg &a,
+                            const obs::CritChainSeg &b) {
+                             return a.end - a.start > b.end - b.start;
+                         });
+        std::cout << "\nTop " << std::min(top_n, segs.size())
+                  << " chain segments by length\n";
+        TextTable chain({"start", "cycles", "proc", "class", "line"});
+        for (std::size_t i = 0; i < segs.size() && i < top_n; ++i) {
+            const obs::CritChainSeg &seg = segs[i];
+            chain.addRow({std::to_string(seg.start),
+                          std::to_string(seg.end - seg.start),
+                          std::to_string(seg.proc),
+                          obs::resClassName(seg.cls),
+                          seg.line == kNoAddr ? "-" : hexAddr(seg.line)});
         }
+        chain.print(std::cout);
 
         // 4. Hot lines by on-path cycles, joined against the profile's
         // attributed bus occupancy when one was given.
-        if (const JsonValue *lines = run.find("lines")) {
-            std::vector<const JsonValue *> rows;
-            for (const JsonValue &l : lines->array())
-                rows.push_back(&l);
-            std::stable_sort(rows.begin(), rows.end(),
-                             [&](const JsonValue *a, const JsonValue *b) {
-                                 return u64(*a, "cycles") >
-                                        u64(*b, "cycles");
-                             });
-            std::cout << "\nTop " << std::min(top_n, rows.size())
-                      << " lines by on-path cycles\n";
-            std::vector<std::string> head = {"line", "path cyc"};
-            if (!profile_path.empty())
-                head.push_back("profile bus cyc");
-            TextTable t(head);
-            for (std::size_t i = 0; i < rows.size() && i < top_n; ++i) {
-                const std::uint64_t addr = u64(*rows[i], "line");
-                std::vector<std::string> row = {
-                    hexAddr(addr),
-                    std::to_string(u64(*rows[i], "cycles"))};
-                if (!profile_path.empty()) {
-                    const auto it = profile_bus.find({name, addr});
-                    row.push_back(it == profile_bus.end()
-                                      ? "-"
-                                      : std::to_string(it->second));
-                }
-                t.addRow(row);
+        std::vector<std::pair<Addr, std::uint64_t>> rows = run.lines;
+        std::stable_sort(rows.begin(), rows.end(),
+                         [](const auto &a, const auto &b) {
+                             return a.second > b.second;
+                         });
+        std::cout << "\nTop " << std::min(top_n, rows.size())
+                  << " lines by on-path cycles\n";
+        std::vector<std::string> head = {"line", "path cyc"};
+        if (!profile_path.empty())
+            head.push_back("profile bus cyc");
+        TextTable lines(head);
+        for (std::size_t i = 0; i < rows.size() && i < top_n; ++i) {
+            const auto [addr, cycles] = rows[i];
+            std::vector<std::string> row = {hexAddr(addr),
+                                            std::to_string(cycles)};
+            if (!profile_path.empty()) {
+                const auto it = profile_bus.find({run.label, addr});
+                row.push_back(it == profile_bus.end()
+                                  ? "-"
+                                  : std::to_string(it->second));
             }
-            t.print(std::cout);
+            lines.addRow(row);
         }
+        lines.print(std::cout);
     }
     if (skipped)
         std::cout << "\n(" << skipped
@@ -571,18 +416,11 @@ runCritPath(const std::string &path, std::size_t top_n,
     return kExitOk;
 }
 
-/** One BENCH_history.jsonl entry for one benchmark configuration. */
-struct HistoryPoint
-{
-    std::string utc;
-    double cyclesPerSec = 0.0;
-};
-
 int
 runHistory(const std::string &path, const report::CompareOptions &opts,
            bool json)
 {
-    const std::optional<std::string> text = slurp(path);
+    const std::optional<std::string> text = readTextFile(path);
     if (!text) {
         std::cerr << "prefsim_report: cannot open " << path << "\n";
         return kExitUsage;
@@ -591,7 +429,7 @@ runHistory(const std::string &path, const report::CompareOptions &opts,
     // One JSON object per line (JSONL); blank lines are permitted.
     // Insertion order is the trend axis, so labels keep their
     // append order per configuration.
-    std::map<std::string, std::vector<HistoryPoint>> trend;
+    std::map<std::string, std::vector<double>> trend; ///< cycles/s.
     std::vector<std::string> order;
     std::istringstream in(*text);
     std::string line;
@@ -600,33 +438,25 @@ runHistory(const std::string &path, const report::CompareOptions &opts,
         ++lineno;
         if (line.empty())
             continue;
-        const std::optional<JsonValue> doc = parseJson(line);
-        if (!doc) {
+        std::string label;
+        double cycles_per_s = 0.0;
+        try {
+            const std::optional<JsonValue> doc = parseJson(line);
+            if (!doc)
+                throw JsonError("not strict JSON");
+            const JsonField entry(*doc);
+            if (entry["schema"].str() != "prefsim-bench-history-v1")
+                throw JsonError("not a prefsim-bench-history-v1 entry");
+            label = entry["label"].str();
+            cycles_per_s = entry["cycles_per_s"].number();
+        } catch (const JsonError &e) {
             std::cerr << "prefsim_report: " << path << ":" << lineno
-                      << " is not strict JSON\n";
+                      << ": " << e.what() << "\n";
             return kExitUsage;
         }
-        const JsonValue *schema = doc->find("schema");
-        if (!schema || !schema->isString() ||
-            schema->asString() != "prefsim-bench-history-v1") {
-            std::cerr << "prefsim_report: " << path << ":" << lineno
-                      << " is not a prefsim-bench-history-v1 entry\n";
-            return kExitUsage;
-        }
-        const JsonValue *label = doc->find("label");
-        const JsonValue *cps = doc->find("cycles_per_s");
-        if (!label || !label->isString() || !cps) {
-            std::cerr << "prefsim_report: " << path << ":" << lineno
-                      << " lacks label/cycles_per_s\n";
-            return kExitUsage;
-        }
-        HistoryPoint p;
-        if (const JsonValue *utc = doc->find("utc"))
-            p.utc = utc->isString() ? utc->asString() : "";
-        p.cyclesPerSec = cps->asDouble();
-        if (!trend.count(label->asString()))
-            order.push_back(label->asString());
-        trend[label->asString()].push_back(p);
+        if (!trend.count(label))
+            order.push_back(label);
+        trend[label].push_back(cycles_per_s);
         ++entries;
     }
     if (trend.empty()) {
@@ -640,14 +470,13 @@ runHistory(const std::string &path, const report::CompareOptions &opts,
     std::vector<Finding> findings;
     std::vector<report::CompareRow> rows;
     for (const std::string &label : order) {
-        const std::vector<HistoryPoint> &points = trend[label];
+        const std::vector<double> &points = trend[label];
         report::CompareRow row;
         row.label = label;
-        row.freshCyclesPerSec = points.back().cyclesPerSec;
+        row.freshCyclesPerSec = points.back();
         row.baselineCyclesPerSec = points.size() > 1
                                        ? points[points.size() - 2]
-                                             .cyclesPerSec
-                                       : points.back().cyclesPerSec;
+                                       : points.back();
         row.delta = row.baselineCyclesPerSec > 0.0
                         ? row.freshCyclesPerSec /
                                   row.baselineCyclesPerSec -
@@ -698,10 +527,10 @@ runHistory(const std::string &path, const report::CompareOptions &opts,
     TextTable table({"run", "entries", "first Mcyc/s", "prev Mcyc/s",
                      "last Mcyc/s", "vs prev"});
     for (const report::CompareRow &row : rows) {
-        const std::vector<HistoryPoint> &points = trend[row.label];
+        const std::vector<double> &points = trend[row.label];
         table.addRow(
             {row.label, std::to_string(points.size()),
-             TextTable::num(points.front().cyclesPerSec / 1e6, 2),
+             TextTable::num(points.front() / 1e6, 2),
              points.size() > 1
                  ? TextTable::num(row.baselineCyclesPerSec / 1e6, 2)
                  : "-",
@@ -718,120 +547,94 @@ runHistory(const std::string &path, const report::CompareOptions &opts,
     return findingsExitCode(findings);
 }
 
+/** Write the drift tables of an analysis document to @p out.
+ *  @return the exit code its findings imply. */
 int
-runDrift(const std::string &path)
+writeDrift(std::ostream &out, const JsonField &doc)
 {
-    const std::optional<std::string> text = slurp(path);
-    if (!text) {
-        std::cerr << "prefsim_report: cannot open " << path << "\n";
-        return kExitUsage;
-    }
-    const std::optional<JsonValue> doc = parseJson(*text);
-    if (!doc) {
-        std::cerr << "prefsim_report: " << path
-                  << " is not strict JSON\n";
-        return kExitUsage;
-    }
-    const JsonValue *schema = doc->find("schema");
-    if (!schema || !schema->isString() ||
-        schema->asString() != "prefsim-analysis-v1") {
-        std::cerr << "prefsim_report: " << path
-                  << " is not a prefsim-analysis-v1 document\n";
-        return kExitUsage;
-    }
-    const JsonValue *runs = doc->find("runs");
-    if (!runs || !runs->isArray() || runs->array().empty()) {
-        std::cerr << "prefsim_report: " << path << " has no runs\n";
-        return kExitUsage;
-    }
-
-    const auto u64 = [](const JsonValue &obj, const char *key) {
-        const JsonValue *v = obj.find(key);
-        return v ? v->asU64() : std::uint64_t{0};
-    };
+    const std::vector<JsonField> runs = doc["runs"].items();
+    if (runs.empty())
+        throw JsonError("runs: empty");
 
     // 1. Static prediction summary, every analyzed run.
-    std::cout << "Static prefetch-quality prediction per run\n";
+    out << "Static prefetch-quality prediction per run\n";
     TextTable pred({"run", "prefetches", "timely", "late", "useless",
                     "redundant"});
-    for (const JsonValue &run : runs->array()) {
-        const JsonValue *label = run.find("label");
-        pred.addRow({label && label->isString() ? label->asString()
-                                                : "?",
-                     std::to_string(u64(run, "prefetches")),
-                     std::to_string(u64(run, "pf_timely")),
-                     std::to_string(u64(run, "pf_late")),
-                     std::to_string(u64(run, "pf_useless")),
-                     std::to_string(u64(run, "pf_redundant"))});
+    for (const JsonField &run : runs) {
+        pred.addRow({run["label"].str(),
+                     std::to_string(run["prefetches"].u64()),
+                     std::to_string(run["pf_timely"].u64()),
+                     std::to_string(run["pf_late"].u64()),
+                     std::to_string(run["pf_useless"].u64()),
+                     std::to_string(run["pf_redundant"].u64())});
     }
-    pred.print(std::cout);
+    pred.print(out);
 
     // 2. Prediction-vs-profile drift, runs that carried a validation
     // block (prefsim_analyze --validate).
     bool validated = false;
-    for (const JsonValue &run : runs->array()) {
-        const JsonValue *v = run.find("validation");
+    for (const JsonField &run : runs) {
+        const std::optional<JsonField> v = run.find("validation");
         if (!v)
             continue;
         validated = true;
-        const JsonValue *label = run.find("label");
-        std::cout << "\nDrift vs profile, run "
-                  << (label && label->isString() ? label->asString()
-                                                 : "?")
-                  << ": " << u64(*v, "pf_issued")
-                  << " issued prefetches, late recall ";
-        const JsonValue *recall = v->find("late_recall");
-        std::cout << TextTable::percent(
-                         recall ? recall->asDouble() : 0.0, 1)
-                  << " (floor ";
-        const JsonValue *floor = v->find("late_floor");
-        std::cout << TextTable::percent(
-                         floor ? floor->asDouble() : 0.0, 0)
-                  << "), " << u64(*v, "uncovered") << " uncovered\n";
-        const JsonValue *matrix = v->find("matrix");
-        if (!matrix || !matrix->isArray())
-            continue;
+        out << "\nDrift vs profile, run " << run["label"].str()
+                  << ": " << (*v)["pf_issued"].u64()
+                  << " issued prefetches, late recall "
+                  << TextTable::percent((*v)["late_recall"].number(), 1)
+                  << " (floor "
+                  << TextTable::percent((*v)["late_floor"].number(), 0)
+                  << "), " << (*v)["uncovered"].u64() << " uncovered\n";
         TextTable cm({"predicted \\ observed", "late", "useless",
                       "timely", "other"});
-        for (const JsonValue &row : matrix->array()) {
-            const JsonValue *name = row.find("predicted");
-            cm.addRow({name && name->isString() ? name->asString()
-                                                : "?",
-                       std::to_string(u64(row, "late")),
-                       std::to_string(u64(row, "useless")),
-                       std::to_string(u64(row, "timely")),
-                       std::to_string(u64(row, "other"))});
+        for (const JsonField &row : (*v)["matrix"].items()) {
+            cm.addRow({row["predicted"].str(),
+                       std::to_string(row["late"].u64()),
+                       std::to_string(row["useless"].u64()),
+                       std::to_string(row["timely"].u64()),
+                       std::to_string(row["other"].u64())});
         }
-        cm.print(std::cout);
+        cm.print(out);
     }
     if (!validated)
-        std::cout << "\n(no validation blocks — run prefsim_analyze "
+        out << "\n(no validation blocks — run prefsim_analyze "
                      "--validate for drift tables)\n";
 
     // Findings travel with the document; surface them here too.
-    if (const JsonValue *findings = doc->find("findings")) {
-        std::vector<Finding> parsed;
-        for (const JsonValue &f : findings->array()) {
-            Finding out;
-            if (const JsonValue *rule = f.find("rule"))
-                out.rule = rule->asString();
-            if (const JsonValue *sev = f.find("severity"))
-                out.severity = sev->asString() == "error"
-                                   ? Severity::Error
-                                   : Severity::Warning;
-            if (const JsonValue *msg = f.find("message"))
-                out.message = msg->asString();
-            if (const JsonValue *loc = f.find("location"))
-                out.location = loc->asString();
-            parsed.push_back(std::move(out));
-        }
-        if (!parsed.empty()) {
-            std::cout << "\n";
-            writeFindingsText(std::cout, parsed);
-        }
-        return findingsExitCode(parsed);
+    std::vector<Finding> findings;
+    for (const JsonField &f : doc["findings"].items()) {
+        findings.push_back({f["rule"].str(),
+                            f["severity"].str() == "error"
+                                ? Severity::Error
+                                : Severity::Warning,
+                            f["message"].str(), f["location"].str()});
     }
-    return kExitOk;
+    if (!findings.empty()) {
+        out << "\n";
+        writeFindingsText(out, findings);
+    }
+    return findingsExitCode(findings);
+}
+
+int
+runDrift(const std::string &path)
+{
+    try {
+        // Render fully before printing: a malformed document ends in
+        // a diagnostic alone, not in half a table.
+        const JsonValue doc =
+            loadJsonDocument(path, "prefsim-analysis-v1");
+        std::ostringstream out;
+        const int code = writeDrift(out, JsonField(doc));
+        std::cout << out.str();
+        return code;
+    } catch (const JsonError &e) {
+        std::cerr << "prefsim_report: " << path << ": " << e.what()
+                  << "\n";
+    } catch (const std::runtime_error &e) {
+        std::cerr << "prefsim_report: " << e.what() << "\n";
+    }
+    return kExitUsage;
 }
 
 int
@@ -839,13 +642,13 @@ runCompare(const std::string &baseline_path,
            const std::string &fresh_path,
            const report::CompareOptions &opts, bool json)
 {
-    const std::optional<std::string> baseline = slurp(baseline_path);
+    const std::optional<std::string> baseline = readTextFile(baseline_path);
     if (!baseline) {
         std::cerr << "prefsim_report: cannot open " << baseline_path
                   << "\n";
         return kExitUsage;
     }
-    const std::optional<std::string> fresh = slurp(fresh_path);
+    const std::optional<std::string> fresh = readTextFile(fresh_path);
     if (!fresh) {
         std::cerr << "prefsim_report: cannot open " << fresh_path
                   << "\n";
