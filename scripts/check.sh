@@ -146,6 +146,22 @@ stage "telemetry validation"
 "$BUILD"/tools/validate_telemetry --json "$CACHE/metrics.json" \
     | grep -q '"schema":"prefsim-findings-v1"'
 echo "ok: telemetry + Chrome trace JSON validate (default build)"
+# Each run folds its metrics into the shared registry when it commits,
+# in completion order; every field is a sum or a max, so the metrics
+# object must not depend on --jobs. The one-line document holds it
+# between "sweep" (whose *_nanos timings differ run to run) and
+# "tracing". 16 processors at --no-cache reach the overflow buckets,
+# so the merged maxima are compared too.
+for j in 1 "$JOBS"; do
+    "$BUILD"/bench/bench_fig2_exec_time --refs 2000 --procs 16 --quiet \
+        --jobs "$j" --no-cache --metrics-out "$CACHE/merge_$j.json" \
+        > /dev/null
+    sed -e 's/.*"metrics":\(.*\),"tracing":.*/\1/' "$CACHE/merge_$j.json" \
+        > "$CACHE/merge_$j.metrics"
+done
+grep -q '"overflow":[1-9]' "$CACHE/merge_1.metrics"
+cmp "$CACHE/merge_1.metrics" "$CACHE/merge_$JOBS.metrics"
+echo "ok: metrics object identical at --jobs 1 and --jobs $JOBS"
 # Malformed documents (tests/malformed/: wrong-kind values where a
 # reader expects another) must end in a diagnostic, not a crash: every
 # tool and mode that reads them must exit below 128 (an assertion abort

@@ -202,42 +202,25 @@ crossValidate(const QualityReport &report,
     // Union of slots: walk the prediction ledger, then profile slots
     // the prediction never saw.
     for (const auto &[line, procs] : report.lines) {
-        const obs::ProfileLine *pl = nullptr;
-        if (const auto it = profile.lines.find(line);
-            it != profile.lines.end()) {
-            pl = &it->second;
-        }
+        const obs::ProfileLine *pl = profile.findLine(line);
         for (const auto &[proc, counts] : procs) {
-            const obs::ProfilePrefetch *pf = &kNoProfile;
-            if (pl) {
-                if (const auto it = pl->prefetch.find(proc);
-                    it != pl->prefetch.end()) {
-                    pf = &it->second;
-                }
-            }
-            fold(result.matrix,
-                 reconcile(counts, *pf, result.uncovered));
+            const obs::ProfilePrefetch *pf =
+                pl ? pl->findPrefetch(proc) : nullptr;
+            fold(result.matrix, reconcile(counts, pf ? *pf : kNoProfile,
+                                          result.uncovered));
         }
     }
-    for (const auto &[line, pl] : profile.lines) {
-        const auto predicted = report.lines.find(line);
-        for (const auto &[proc, pf] : pl.prefetch) {
+    std::uint64_t issued = 0;
+    for (const obs::ProfileLine &pl : profile.lines) {
+        const auto predicted = report.lines.find(pl.addr);
+        for (const obs::ProfilePrefetch &pf : pl.prefetch) {
+            issued += pf.issued;
             if (predicted != report.lines.end() &&
-                predicted->second.find(proc) !=
-                    predicted->second.end()) {
+                predicted->second.count(pf.proc) != 0) {
                 continue; // already folded above
             }
             fold(result.matrix,
                  reconcile(kNoPrediction, pf, result.uncovered));
-        }
-    }
-
-    std::uint64_t issued = 0;
-    for (const auto &[line, pl] : profile.lines) {
-        (void)line;
-        for (const auto &[proc, pf] : pl.prefetch) {
-            (void)proc;
-            issued += pf.issued;
         }
     }
     result.pfIssued = issued;

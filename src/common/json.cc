@@ -1,6 +1,8 @@
 #include "common/json.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -25,7 +27,7 @@ JsonWriter::separate()
         return; // The key already emitted its separator.
     }
     if (!has_.empty() && has_.back() == '1')
-        os_ << ",";
+        os_.put(',');
     if (!has_.empty())
         has_.back() = '1';
 }
@@ -34,7 +36,7 @@ JsonWriter &
 JsonWriter::beginObject()
 {
     separate();
-    os_ << "{";
+    os_.put('{');
     state_.push_back('o');
     has_.push_back('0');
     return *this;
@@ -45,7 +47,7 @@ JsonWriter::endObject()
 {
     prefsim_assert(!state_.empty() && state_.back() == 'o',
                    "endObject outside object");
-    os_ << "}";
+    os_.put('}');
     state_.pop_back();
     has_.pop_back();
     return *this;
@@ -55,7 +57,7 @@ JsonWriter &
 JsonWriter::beginArray()
 {
     separate();
-    os_ << "[";
+    os_.put('[');
     state_.push_back('a');
     has_.push_back('0');
     return *this;
@@ -66,35 +68,54 @@ JsonWriter::endArray()
 {
     prefsim_assert(!state_.empty() && state_.back() == 'a',
                    "endArray outside array");
-    os_ << "]";
+    os_.put(']');
     state_.pop_back();
     has_.pop_back();
     return *this;
 }
 
+namespace
+{
+
+/** Whether JSON requires @p ch to be escaped inside a string. */
+bool
+needsEscape(char ch)
+{
+    return ch == '"' || ch == '\\' || static_cast<unsigned char>(ch) < 0x20;
+}
+
+} // namespace
+
+void
+JsonWriter::writeString(std::string_view s)
+{
+    if (std::any_of(s.begin(), s.end(), needsEscape)) {
+        os_ << escape(s);
+        return;
+    }
+    os_.put('"');
+    os_.write(s.data(), static_cast<std::streamsize>(s.size()));
+    os_.put('"');
+}
+
 JsonWriter &
-JsonWriter::key(const std::string &name)
+JsonWriter::key(std::string_view name)
 {
     prefsim_assert(!state_.empty() && state_.back() == 'o',
                    "key outside object");
     separate();
-    os_ << escape(name) << ":";
+    writeString(name);
+    os_.put(':');
     pending_key_ = true;
     return *this;
 }
 
 JsonWriter &
-JsonWriter::value(const std::string &v)
+JsonWriter::value(std::string_view v)
 {
     separate();
-    os_ << escape(v);
+    writeString(v);
     return *this;
-}
-
-JsonWriter &
-JsonWriter::value(const char *v)
-{
-    return value(std::string(v));
 }
 
 JsonWriter &
@@ -102,8 +123,8 @@ JsonWriter::value(double v)
 {
     separate();
     char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    os_ << buf;
+    const int n = std::snprintf(buf, sizeof(buf), "%.6g", v);
+    os_.write(buf, n);
     return *this;
 }
 
@@ -111,7 +132,9 @@ JsonWriter &
 JsonWriter::value(std::uint64_t v)
 {
     separate();
-    os_ << v;
+    char buf[20]; // UINT64_MAX has 20 digits.
+    const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
+    os_.write(buf, r.ptr - buf);
     return *this;
 }
 
@@ -124,7 +147,7 @@ JsonWriter::value(bool v)
 }
 
 std::string
-JsonWriter::escape(const std::string &s)
+JsonWriter::escape(std::string_view s)
 {
     std::string out = "\"";
     for (char ch : s) {

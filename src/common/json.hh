@@ -18,6 +18,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -27,7 +28,10 @@ namespace prefsim
 /**
  * Minimal JSON value writer (objects, arrays, numbers, strings).
  *
- * Emits compact, valid JSON; strings are escaped per RFC 8259. Usage:
+ * Emits compact, valid JSON; strings are escaped per RFC 8259. Tokens
+ * go straight to the stream: a string that needs no escaping is written
+ * as is, and integers are formatted on the stack, so writing a document
+ * allocates nothing per token. Usage:
  *
  *   JsonWriter j(os);
  *   j.beginObject();
@@ -44,19 +48,22 @@ class JsonWriter
     JsonWriter &endObject();
     JsonWriter &beginArray();
     JsonWriter &endArray();
-    JsonWriter &key(const std::string &name);
-    JsonWriter &value(const std::string &v);
-    JsonWriter &value(const char *v);
+    JsonWriter &key(std::string_view name);
+    JsonWriter &value(std::string_view v);
+    /** A literal would otherwise convert to bool, not string_view. */
+    JsonWriter &value(const char *v) { return value(std::string_view(v)); }
     JsonWriter &value(double v);
     JsonWriter &value(std::uint64_t v);
     JsonWriter &value(bool v);
 
     /** Escape a string per JSON rules (quotes included). */
-    static std::string escape(const std::string &s);
+    static std::string escape(std::string_view s);
 
   private:
     /** Emit a comma if the current container already has an element. */
     void separate();
+    /** Write @p s as a JSON string (escaped only when it must be). */
+    void writeString(std::string_view s);
 
     std::ostream &os_;
     /** Per-depth flag: something was emitted at this level. */

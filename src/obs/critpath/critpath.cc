@@ -62,20 +62,20 @@ CritPathRecorder::on(const Event &e)
         x.line = e.line;
         x.prefetch = !demand;
         x.inval = e.invalidation;
-        txns_[e.busId] = x;
+        txns_.put(e.busId, x);
         return;
       }
       case EventKind::BusGrant:
         // Writebacks and other untracked traffic have no entry.
-        if (const auto it = txns_.find(e.busId); it != txns_.end()) {
-            it->second.readyAt = e.aux;
-            it->second.grantAt = t;
+        if (Txn *x = txns_.find(e.busId)) {
+            x->readyAt = e.aux;
+            x->grantAt = t;
         }
         return;
       case EventKind::LateAttach:
-        if (const auto it = txns_.find(e.busId); it != txns_.end()) {
-            it->second.waiter = e.proc;
-            it->second.waitStart = t;
+        if (Txn *x = txns_.find(e.busId)) {
+            x->waiter = e.proc;
+            x->waitStart = t;
         }
         return;
       case EventKind::Fill:
@@ -94,15 +94,15 @@ CritPathRecorder::on(const Event &e)
         x.line = e.line;
         x.upgrade = true;
         x.data = e.data;
-        txns_[e.busId] = x;
+        txns_.put(e.busId, x);
         return;
       }
       case EventKind::BusComplete: {
-        const auto it = txns_.find(e.busId);
-        if (it == txns_.end() || !it->second.upgrade)
+        const Txn *found = txns_.find(e.busId);
+        if (!found || !found->upgrade)
             return; // Fills finish at their Fill event.
-        const Txn x = it->second;
-        txns_.erase(it);
+        const Txn x = *found;
+        txns_.erase(e.busId);
         if (!x.data) {
             // Address-class upgrade: pure invalidation traffic.
             emitPiece(x.waiter, x.waitStart, t, ResClass::CoherenceInval,
@@ -157,6 +157,68 @@ CritPathRecorder::on(const Event &e)
     }
 }
 
+CritPathRecorder::Txn *
+CritPathRecorder::TxnTable::find(std::uint64_t id)
+{
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = id & mask; slots_[i].id; i = (i + 1) & mask) {
+        if (slots_[i].id == id)
+            return &slots_[i].txn;
+    }
+    return nullptr;
+}
+
+void
+CritPathRecorder::TxnTable::put(std::uint64_t id, const Txn &txn)
+{
+    if (Txn *x = find(id)) {
+        *x = txn;
+        return;
+    }
+    if (2 * (size_ + 1) > slots_.size()) {
+        std::vector<Slot> old(2 * slots_.size());
+        old.swap(slots_);
+        size_ = 0;
+        for (const Slot &s : old) {
+            if (s.id)
+                put(s.id, s.txn);
+        }
+    }
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = id & mask;
+    while (slots_[i].id)
+        i = (i + 1) & mask;
+    slots_[i] = Slot{id, txn};
+    ++size_;
+}
+
+void
+CritPathRecorder::TxnTable::erase(std::uint64_t id)
+{
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t hole = id & mask;
+    while (slots_[hole].id != id) {
+        if (!slots_[hole].id)
+            return;
+        hole = (hole + 1) & mask;
+    }
+    // Backward-shift deletion: move each later entry of the probe run
+    // into the hole unless its home slot lies cyclically in
+    // (hole, j], where moving it would put it before its home.
+    for (std::size_t j = (hole + 1) & mask; slots_[j].id;
+         j = (j + 1) & mask) {
+        const std::size_t home = slots_[j].id & mask;
+        const bool stays = hole <= j ? hole < home && home <= j
+                                     : hole < home || home <= j;
+        if (!stays) {
+            slots_[hole] = slots_[j];
+            hole = j;
+        }
+    }
+    slots_[hole].id = 0;
+    --size_;
+}
+
 void
 CritPathRecorder::emitPiece(ProcId proc, Cycle start, Cycle end,
                             ResClass cls, Addr line, ProcId pred,
@@ -184,11 +246,11 @@ CritPathRecorder::closeWait(std::vector<Cycle> &open, ProcId proc, Cycle now,
 void
 CritPathRecorder::demandWaitEnd(ProcId proc, std::uint64_t id, Cycle now)
 {
-    const auto it = txns_.find(id);
-    if (it == txns_.end())
+    const Txn *found = txns_.find(id);
+    if (!found)
         return;
-    const Txn t = it->second;
-    txns_.erase(it);
+    const Txn t = *found;
+    txns_.erase(id);
     if (t.waitStart == kNoCycle)
         return;
     // Decompose [waitStart, now) into the memory phase, the arbitration
@@ -266,24 +328,25 @@ CritPathRecorder::take(Cycle warmup_end, Cycle done_at,
         return run;
     }
 
-    // Clamp every piece to the measured region and compute machine-wide
-    // per-class totals (for slack).
-    std::vector<std::vector<Piece>> clamped(procs_);
+    // Clamp every piece to the measured region, in place (the recorder
+    // is spent), and compute machine-wide per-class totals (for slack).
+    std::vector<std::vector<Piece>> &clamped = pieces_;
     std::vector<Cycle> finish(procs_);
     std::array<std::uint64_t, kNumResClasses> machine{};
     for (ProcId p = 0; p < procs_; ++p) {
         finish[p] = std::min(std::max(finished_at[p], warmup_end), done_at);
         std::uint64_t waits = 0;
-        for (const Piece &pc : pieces_[p]) {
-            Piece c = pc;
+        std::size_t kept = 0;
+        for (Piece c : clamped[p]) {
             c.start = std::max(c.start, warmup_end);
             c.end = std::min(c.end, done_at);
             if (c.end <= c.start)
                 continue;
             machine[static_cast<std::size_t>(c.cls)] += c.end - c.start;
             waits += c.end - c.start;
-            clamped[p].push_back(c);
+            clamped[p][kept++] = c;
         }
+        clamped[p].resize(kept);
         const std::uint64_t span = finish[p] - warmup_end;
         machine[static_cast<std::size_t>(ResClass::Compute)] +=
             span > waits ? span - waits : 0;
@@ -343,6 +406,8 @@ CritPathRecorder::take(Cycle warmup_end, Cycle done_at,
         if (e > warmup_end && e < done_at)
             bounds.push_back(e);
     bounds.push_back(done_at);
+    prefsim_assert(std::is_sorted(bounds.begin(), bounds.end()),
+                   "critpath barrier episodes out of order");
     const std::size_t num_ep = bounds.size() - 1;
 
     enum { kInfBus = 0, kZeroMem = 1, kFreePref = 2, kNumScen = 3 };
@@ -356,8 +421,14 @@ CritPathRecorder::take(Cycle warmup_end, Cycle done_at,
             const Cycle hi = std::min(bounds[e + 1], finish[p]);
             active[e * procs_ + p] = hi > lo ? hi - lo : 0;
         }
+        // A processor's pieces and the episode bounds both ascend, so
+        // each piece scans only the episodes it overlaps.
+        std::size_t first = 0;
         for (const Piece &pc : clamped[p]) {
-            for (std::size_t e = 0; e < num_ep; ++e) {
+            while (first < num_ep && bounds[first + 1] <= pc.start)
+                ++first;
+            for (std::size_t e = first; e < num_ep && bounds[e] < pc.end;
+                 ++e) {
                 const Cycle lo = std::max(pc.start, bounds[e]);
                 const Cycle hi = std::min(pc.end, bounds[e + 1]);
                 if (hi <= lo)
@@ -415,12 +486,19 @@ CritPathRecorder::take(Cycle warmup_end, Cycle done_at,
     }
 
     // --- Chain and per-line output ------------------------------------
+    // Both keep their top K under a strict total order (ties broken by
+    // start or address), so selecting them needs no full sort.
     std::reverse(acc.chain.begin(), acc.chain.end());
     constexpr std::size_t kTopChain = 64;
     if (acc.chain.size() > kTopChain) {
-        std::stable_sort(acc.chain.begin(), acc.chain.end(),
+        // Longest first; equally long segments keep their time order
+        // (the segments tile the path, so starts are distinct).
+        std::nth_element(acc.chain.begin(), acc.chain.begin() + kTopChain,
+                         acc.chain.end(),
                          [](const CritChainSeg &a, const CritChainSeg &b) {
-                             return (a.end - a.start) > (b.end - b.start);
+                             const Cycle la = a.end - a.start;
+                             const Cycle lb = b.end - b.start;
+                             return la != lb ? la > lb : a.start < b.start;
                          });
         acc.chain.resize(kTopChain);
         std::sort(acc.chain.begin(), acc.chain.end(),
@@ -431,14 +509,17 @@ CritPathRecorder::take(Cycle warmup_end, Cycle done_at,
     run.chain = std::move(acc.chain);
 
     run.lines.assign(acc.lineCycles.begin(), acc.lineCycles.end());
-    std::sort(run.lines.begin(), run.lines.end(),
-              [](const auto &a, const auto &b) {
-                  return a.second != b.second ? a.second > b.second
-                                              : a.first < b.first;
-              });
     constexpr std::size_t kTopLines = 256;
-    if (run.lines.size() > kTopLines)
+    if (run.lines.size() > kTopLines) {
+        std::nth_element(run.lines.begin(),
+                         run.lines.begin() + kTopLines, run.lines.end(),
+                         [](const auto &a, const auto &b) {
+                             return a.second != b.second
+                                        ? a.second > b.second
+                                        : a.first < b.first;
+                         });
         run.lines.resize(kTopLines);
+    }
     std::sort(run.lines.begin(), run.lines.end(),
               [](const auto &a, const auto &b) { return a.first < b.first; });
     return run;

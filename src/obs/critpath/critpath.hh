@@ -191,6 +191,34 @@ class CritPathRecorder
         bool data = false;    ///< ... a WriteUpdate, on the data bus.
     };
 
+    /**
+     * In-flight transactions by bus id. Every tracked data transaction
+     * passes through it (three lookups each), so it is a flat linear-
+     * probing table: bus ids count up from 1, and id & mask spreads a
+     * window of consecutive ids over distinct slots. Deletion shifts
+     * the probe run back, so the table never fills with tombstones.
+     */
+    class TxnTable
+    {
+      public:
+        /** The transaction @p id, or null. */
+        Txn *find(std::uint64_t id);
+        /** Insert or overwrite transaction @p id. */
+        void put(std::uint64_t id, const Txn &txn);
+        /** Remove transaction @p id if present. */
+        void erase(std::uint64_t id);
+
+      private:
+        struct Slot
+        {
+            std::uint64_t id = 0; ///< 0 = empty (bus ids start at 1).
+            Txn txn;
+        };
+        /** At most half full. */
+        std::vector<Slot> slots_ = std::vector<Slot>(64);
+        std::size_t size_ = 0;
+    };
+
     void emitPiece(ProcId proc, Cycle start, Cycle end, ResClass cls,
                    Addr line, ProcId pred, bool prefetch);
     /** End @p proc's wait opened in @p open (if any) as one piece. */
@@ -200,7 +228,7 @@ class CritPathRecorder
     unsigned procs_;
     std::string label_;
     std::vector<std::vector<Piece>> pieces_; ///< Per proc, time-sorted.
-    std::unordered_map<std::uint64_t, Txn> txns_;
+    TxnTable txns_;
 
     // Per-processor open-wait state.
     std::vector<Cycle> spinStartAt_;

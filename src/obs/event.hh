@@ -160,6 +160,9 @@ class Sink
     CritPathRecorder *critpath() { return critpath_.get(); }
     /** @} */
 
+    /** Fold the run's metrics into the registry (once, at the end). */
+    void commitMetrics() { metrics_.commit(); }
+
     /** Hand the finished trace session back (to Tracer::commit). */
     std::unique_ptr<TraceBuffer> takeTrace() { return std::move(trace_); }
 

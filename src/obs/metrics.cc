@@ -23,6 +23,40 @@ Histogram::Histogram(std::vector<std::uint64_t> bounds)
                    "histogram boundaries must be strictly ascending");
 }
 
+namespace
+{
+
+/** The interior bucket of @p v, which lies in [bounds.front(),
+ *  bounds.back()): the last boundary <= v opens it, so a value equal to
+ *  a boundary lands in the bucket that boundary opens. */
+std::size_t
+interiorBucket(const std::vector<std::uint64_t> &bounds, std::uint64_t v)
+{
+    // Branch-free binary search: bucket indices of successive records
+    // are unpredictable, and a mispredicted step costs more than the
+    // step itself.
+    const std::uint64_t *base = bounds.data();
+    for (std::size_t n = bounds.size(); n > 1;) {
+        const std::size_t half = n / 2;
+        base = base[half] <= v ? base + half : base;
+        n -= half;
+    }
+    return static_cast<std::size_t>(base - bounds.data());
+}
+
+/** Raise @p max to at least @p v. */
+void
+fetchMax(std::atomic<std::uint64_t> &max, std::uint64_t v)
+{
+    std::uint64_t cur = max.load(std::memory_order_relaxed);
+    while (v > cur &&
+           !max.compare_exchange_weak(cur, v, std::memory_order_relaxed,
+                                      std::memory_order_relaxed)) {
+    }
+}
+
+} // namespace
+
 void
 Histogram::record(std::uint64_t v)
 {
@@ -34,24 +68,57 @@ Histogram::record(std::uint64_t v)
     }
     if (v >= bounds_.back()) {
         overflow_.fetch_add(1, std::memory_order_relaxed);
-        // Fetch-max: the overflow bucket is unbounded above, so the
-        // summary needs the actual extreme to anchor its percentiles.
-        std::uint64_t cur =
-            overflowMax_.load(std::memory_order_relaxed);
-        while (v > cur &&
-               !overflowMax_.compare_exchange_weak(
-                   cur, v, std::memory_order_relaxed,
-                   std::memory_order_relaxed)) {
-        }
+        // The overflow bucket is unbounded above, so the summary needs
+        // the actual extreme to anchor its percentiles.
+        fetchMax(overflowMax_, v);
         return;
     }
-    // First boundary strictly greater than v opens the bucket after the
-    // one v belongs to; a value equal to a boundary lands in the bucket
-    // that boundary opens.
-    const auto it = std::upper_bound(bounds_.begin(), bounds_.end(), v);
-    const std::size_t idx =
-        static_cast<std::size_t>(it - bounds_.begin()) - 1;
-    counts_[idx].fetch_add(1, std::memory_order_relaxed);
+    counts_[interiorBucket(bounds_, v)].fetch_add(
+        1, std::memory_order_relaxed);
+}
+
+void
+Histogram::merge(const RunHistogram &run)
+{
+    prefsim_assert(run.counts_.size() == counts_.size(),
+                   "histogram merged with different boundaries");
+    for (std::size_t i = 0; i < counts_.size(); ++i) {
+        if (run.counts_[i])
+            counts_[i].fetch_add(run.counts_[i], std::memory_order_relaxed);
+    }
+    underflow_.fetch_add(run.underflow_, std::memory_order_relaxed);
+    overflow_.fetch_add(run.overflow_, std::memory_order_relaxed);
+    fetchMax(overflowMax_, run.overflowMax_);
+    count_.fetch_add(run.count_, std::memory_order_relaxed);
+    sum_.fetch_add(run.sum_, std::memory_order_relaxed);
+}
+
+RunHistogram::RunHistogram(Histogram &shared)
+    : shared_(shared), counts_(shared.numBuckets())
+{}
+
+void
+RunHistogram::record(std::uint64_t v)
+{
+    ++count_;
+    sum_ += v;
+    const std::vector<std::uint64_t> &bounds = shared_.bounds();
+    if (v < bounds.front()) {
+        ++underflow_;
+    } else if (v >= bounds.back()) {
+        ++overflow_;
+        overflowMax_ = std::max(overflowMax_, v);
+    } else {
+        ++counts_[interiorBucket(bounds, v)];
+    }
+}
+
+void
+RunHistogram::commit()
+{
+    shared_.merge(*this);
+    std::fill(counts_.begin(), counts_.end(), 0);
+    underflow_ = overflow_ = overflowMax_ = count_ = sum_ = 0;
 }
 
 void
@@ -276,13 +343,13 @@ MetricsTap::MetricsTap(MetricsRegistry &r)
           r.histogram("bus.arb_wait_prefetch", powerOfTwoBounds(14))),
       prefetchLateness_(
           r.histogram("prefetch.lateness_cycles", powerOfTwoBounds(14))),
-      invalidations_(r.counter("coherence.invalidations")),
-      downgrades_(r.counter("coherence.downgrades")),
-      deadFills_(r.counter("coherence.dead_fills")),
-      lateDemandAttach_(r.counter("prefetch.late_demand_attach")),
-      evictions_(r.counter("cache.evictions")),
-      dirtyEvictions_(r.counter("cache.evictions_dirty")),
-      prefetchLostEvictions_(r.counter("cache.evictions_prefetch_unused"))
+      invalidations_{r.counter("coherence.invalidations")},
+      downgrades_{r.counter("coherence.downgrades")},
+      deadFills_{r.counter("coherence.dead_fills")},
+      lateDemandAttach_{r.counter("prefetch.late_demand_attach")},
+      evictions_{r.counter("cache.evictions")},
+      dirtyEvictions_{r.counter("cache.evictions_dirty")},
+      prefetchLostEvictions_{r.counter("cache.evictions_prefetch_unused")}
 {}
 
 void
@@ -300,27 +367,41 @@ MetricsTap::on(const Event &e)
         if (e.prefetch && e.demand)
             prefetchLateness_.record(e.cycle - e.aux);
         if (e.dead)
-            deadFills_.inc();
+            ++deadFills_.n;
         return;
       case EventKind::Invalidate:
       case EventKind::InflightKill:
-        invalidations_.inc();
+        ++invalidations_.n;
         return;
       case EventKind::Downgrade:
-        downgrades_.inc();
+        ++downgrades_.n;
         return;
       case EventKind::LateAttach:
-        lateDemandAttach_.inc();
+        ++lateDemandAttach_.n;
         return;
       case EventKind::Evict:
-        evictions_.inc();
+        ++evictions_.n;
         if (e.dirty)
-            dirtyEvictions_.inc();
+            ++dirtyEvictions_.n;
         if (e.prefetch)
-            prefetchLostEvictions_.inc();
+            ++prefetchLostEvictions_.n;
         return;
       default:
         return;
+    }
+}
+
+void
+MetricsTap::commit()
+{
+    for (RunHistogram *h : {&queueDepth_, &arbWaitDemand_,
+                            &arbWaitPrefetch_, &prefetchLateness_})
+        h->commit();
+    for (RunCounter *c :
+         {&invalidations_, &downgrades_, &deadFills_, &lateDemandAttach_,
+          &evictions_, &dirtyEvictions_, &prefetchLostEvictions_}) {
+        c->shared.inc(c->n);
+        c->n = 0;
     }
 }
 

@@ -11,11 +11,16 @@
  *     the MetricsTap below folds them into the registry. Without an
  *     ObsContext there is no sink, and each hook site costs one
  *     predictable null check.
- *  2. **Thread-safe updates.** A sweep runs many simulations
- *     concurrently into one shared registry, so every mutation is a
- *     relaxed atomic. Exact cross-thread ordering of reads taken while
- *     writers are active is not guaranteed (snapshots are taken after
- *     runPending() joins the workers).
+ *  2. **Thread-safe updates, paid once per run.** A sweep runs many
+ *     simulations concurrently into one shared registry, so every
+ *     mutation of a registry metric is a relaxed atomic. The simulator
+ *     does not pay that per event: its MetricsTap counts into plain
+ *     per-run counters and histograms and folds them into the registry
+ *     when the run commits. Every field is a sum or a max, so the
+ *     merged registry is exact in any commit order. Exact cross-thread
+ *     ordering of reads taken while writers are active is not
+ *     guaranteed (snapshots are taken after runPending() joins the
+ *     workers).
  *  3. **Stable identity.** Metrics are created once by name and live as
  *     long as the registry; pointers handed to components never move
  *     (the registry stores them behind unique_ptr).
@@ -92,6 +97,8 @@ class Gauge
   private:
     std::atomic<std::int64_t> value_{0};
 };
+
+class RunHistogram;
 
 /** Fixed-bucket histogram with underflow and overflow buckets. */
 class Histogram
@@ -170,6 +177,9 @@ class Histogram
     /** Zero every bucket and the count/sum (the boundaries stay). */
     void reset();
 
+    /** Add @p run's counts (same boundaries) into this histogram. */
+    void merge(const RunHistogram &run);
+
   private:
     std::vector<std::uint64_t> bounds_;
     std::vector<std::atomic<std::uint64_t>> counts_;
@@ -178,6 +188,33 @@ class Histogram
     std::atomic<std::uint64_t> overflowMax_{0};
     std::atomic<std::uint64_t> count_{0};
     std::atomic<std::uint64_t> sum_{0};
+};
+
+/**
+ * One run's share of a registry Histogram: the same buckets as plain
+ * integers, recorded on the simulating thread without atomics and
+ * folded into the shared histogram by commit().
+ */
+class RunHistogram
+{
+  public:
+    explicit RunHistogram(Histogram &shared);
+
+    void record(std::uint64_t v);
+
+    /** Merge into the shared histogram and start over from zero. */
+    void commit();
+
+  private:
+    friend class Histogram;
+
+    Histogram &shared_;
+    std::vector<std::uint64_t> counts_;
+    std::uint64_t underflow_ = 0;
+    std::uint64_t overflow_ = 0;
+    std::uint64_t overflowMax_ = 0;
+    std::uint64_t count_ = 0;
+    std::uint64_t sum_ = 0;
 };
 
 /**
@@ -220,7 +257,8 @@ struct Event;
 /**
  * The metrics view of the event stream (see obs/event.hh): resolves the
  * simulator's counters and histograms in a registry once, at
- * construction, and folds each event into them.
+ * construction, counts each event into per-run copies of them, and
+ * folds those into the registry once, at commit().
  */
 class MetricsTap
 {
@@ -229,22 +267,32 @@ class MetricsTap
 
     void on(const Event &e);
 
+    /** Fold the run into the registry (once, when the run commits). */
+    void commit();
+
   private:
+    /** A registry counter and the run's increments not yet folded. */
+    struct RunCounter
+    {
+        Counter &shared;
+        std::uint64_t n = 0;
+    };
+
     /** Data-bus requests already queued when a new one arrives. */
-    Histogram &queueDepth_;
+    RunHistogram queueDepth_;
     /** Cycles a ready op of each class waited for the data bus. */
-    Histogram &arbWaitDemand_;
-    Histogram &arbWaitPrefetch_;
+    RunHistogram arbWaitDemand_;
+    RunHistogram arbWaitPrefetch_;
     /** Cycles a blocked demand waited on the prefetch it attached to
      *  (the latency the prefetch failed to hide). */
-    Histogram &prefetchLateness_;
-    Counter &invalidations_; ///< Remote copies or in-flight fills killed.
-    Counter &downgrades_;    ///< Remote private copies demoted.
-    Counter &deadFills_;     ///< Fills that arrived invalidated.
-    Counter &lateDemandAttach_;
-    Counter &evictions_;     ///< Valid lines displaced (machine total).
-    Counter &dirtyEvictions_;
-    Counter &prefetchLostEvictions_;
+    RunHistogram prefetchLateness_;
+    RunCounter invalidations_; ///< Remote copies or in-flight fills killed.
+    RunCounter downgrades_;    ///< Remote private copies demoted.
+    RunCounter deadFills_;     ///< Fills that arrived invalidated.
+    RunCounter lateDemandAttach_;
+    RunCounter evictions_;     ///< Valid lines displaced (machine total).
+    RunCounter dirtyEvictions_;
+    RunCounter prefetchLostEvictions_;
 };
 
 /** Cycle-valued histogram boundaries: powers of two from 1 to 2^20,

@@ -1,5 +1,6 @@
 #include "obs/profile/attribution_profiler.hh"
 
+#include <algorithm>
 #include <limits>
 #include <utility>
 
@@ -11,12 +12,55 @@ namespace prefsim
 namespace obs
 {
 
+namespace
+{
+
+/** Put a line's prefetch records in serialisation order. */
+void
+sortByProc(std::vector<ProfilePrefetch> &records)
+{
+    std::sort(records.begin(), records.end(),
+              [](const ProfilePrefetch &a, const ProfilePrefetch &b) {
+                  return a.proc < b.proc;
+              });
+}
+
+} // namespace
+
+ProfilePrefetch &
+ProfileLine::prefetchFor(unsigned proc)
+{
+    for (ProfilePrefetch &pf : prefetch) {
+        if (pf.proc == proc)
+            return pf;
+    }
+    return prefetch.emplace_back(ProfilePrefetch{.proc = proc});
+}
+
+const ProfilePrefetch *
+ProfileLine::findPrefetch(unsigned proc) const
+{
+    for (const ProfilePrefetch &pf : prefetch) {
+        if (pf.proc == proc)
+            return &pf;
+    }
+    return nullptr;
+}
+
+const ProfileLine *
+ProfileRun::findLine(Addr addr) const
+{
+    const auto it = std::lower_bound(
+        lines.begin(), lines.end(), addr,
+        [](const ProfileLine &l, Addr a) { return l.addr < a; });
+    return it != lines.end() && it->addr == addr ? &*it : nullptr;
+}
+
 ProfileTotals
 ProfileTotals::of(const ProfileRun &run)
 {
     ProfileTotals t;
-    for (const auto &[addr, l] : run.lines) {
-        (void)addr;
+    for (const ProfileLine &l : run.lines) {
         t.misses += l.missNonSharing + l.missNonSharingPrefetched +
                     l.missInvalidation + l.missInvalidationPrefetched +
                     l.missPrefetchInflight;
@@ -27,8 +71,7 @@ ProfileTotals::of(const ProfileRun &run)
         t.downgrades += l.downgrades;
         t.busCycles += l.busCycles;
         t.busCyclesPrefetch += l.busCyclesPrefetch;
-        for (const auto &[proc, pf] : l.prefetch) {
-            (void)proc;
+        for (const ProfilePrefetch &pf : l.prefetch) {
             t.pfIssued += pf.issued;
             t.pfUseful += pf.useful;
             t.pfLate += pf.late;
@@ -119,7 +162,8 @@ AttributionProfiler::on(const Event &e)
       case EventKind::Warmup:
         // The profile covers the measured window only, so its totals
         // match the post-warmup aggregates (Table 3).
-        run_.lines.clear();
+        lines_.clear();
+        prefetches_.clear();
         return;
       default:
         return;
@@ -129,6 +173,19 @@ AttributionProfiler::on(const Event &e)
 ProfileRun
 AttributionProfiler::take(Cycle warmup_end)
 {
+    // Each prefetch record joins its line; a line that only saw
+    // prefetches is created here.
+    const std::vector<PrefetchKey> &keys = prefetches_.keys();
+    const std::vector<ProfilePrefetch> &records = prefetches_.records();
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        line(keys[i].first).prefetch.push_back(records[i]);
+    run_.lines = std::move(lines_.records());
+    std::sort(run_.lines.begin(), run_.lines.end(),
+              [](const ProfileLine &a, const ProfileLine &b) {
+                  return a.addr < b.addr;
+              });
+    for (ProfileLine &l : run_.lines)
+        sortByProc(l.prefetch);
     run_.warmupEnd = warmup_end;
     return std::move(run_);
 }
@@ -153,9 +210,9 @@ writeRunJson(JsonWriter &j, const ProfileRun &run)
     j.key("procs").value(std::uint64_t{run.procs});
     j.key("warmup_end").value(run.warmupEnd);
     j.key("lines").beginArray();
-    for (const auto &[addr, l] : run.lines) {
+    for (const ProfileLine &l : run.lines) {
         j.beginObject();
-        j.key("addr").value(addr);
+        j.key("addr").value(l.addr);
         j.key("miss_nonsharing").value(l.missNonSharing);
         j.key("miss_nonsharing_prefetched")
             .value(l.missNonSharingPrefetched);
@@ -172,9 +229,9 @@ writeRunJson(JsonWriter &j, const ProfileRun &run)
         j.key("bus_cycles_prefetch").value(l.busCyclesPrefetch);
         j.key("bus_ops").value(l.busOps);
         j.key("pf").beginArray();
-        for (const auto &[proc, pf] : l.prefetch) {
+        for (const ProfilePrefetch &pf : l.prefetch) {
             j.beginObject();
-            j.key("proc").value(std::uint64_t{proc});
+            j.key("proc").value(std::uint64_t{pf.proc});
             j.key("issued").value(pf.issued);
             j.key("useful").value(pf.useful);
             j.key("late").value(pf.late);
@@ -216,11 +273,12 @@ readRunBody(const JsonField &j, ProfileRun &run)
     run.warmupEnd = j["warmup_end"].u64();
     for (const JsonField &jl : formatArray(j, "lines")) {
         const Addr addr = jl["addr"].u64();
-        if (!run.lines.empty() && addr <= run.lines.rbegin()->first)
+        if (!run.lines.empty() && addr <= run.lines.back().addr)
             throw FormatError(jl.path() +
                               ": line addresses are not strictly "
                               "ascending");
-        ProfileLine &l = run.lines[addr];
+        ProfileLine &l = run.lines.emplace_back();
+        l.addr = addr;
         l.missNonSharing = jl["miss_nonsharing"].u64();
         l.missNonSharingPrefetched = jl["miss_nonsharing_prefetched"].u64();
         l.missInvalidation = jl["miss_invalidation"].u64();
@@ -240,7 +298,8 @@ readRunBody(const JsonField &j, ProfileRun &run)
             if (proc >= run.procs)
                 throw FormatError(jp.path() + ": pf proc out of range");
             // A repeated processor adds up, as the totals block does.
-            ProfilePrefetch &pf = l.prefetch[static_cast<unsigned>(proc)];
+            ProfilePrefetch &pf =
+                l.prefetchFor(static_cast<unsigned>(proc));
             pf.issued += jp["issued"].u64();
             pf.useful += jp["useful"].u64();
             pf.late += jp["late"].u64();
@@ -248,6 +307,7 @@ readRunBody(const JsonField &j, ProfileRun &run)
             pf.killed += jp["killed"].u64();
             pf.displaced += jp["displaced"].u64();
         }
+        sortByProc(l.prefetch);
     }
     const ProfileTotals t = ProfileTotals::of(run);
     const JsonField totals = j["totals"];

@@ -21,21 +21,22 @@
  * Every event arrives on the simulating thread; a profiler belongs to
  * one run. All counters are additive, so the profile is identical however
  * the engines order the work (the local-clock core replays quiet hits,
- * and with them prefetch first uses, later than the oracle);
- * serialisation sorts runs by label and lines by address, giving
- * byte-identical `prefsim-profile-v1` output across the cycle and
- * local engines (asserted by tests/test_profile.cc).
+ * and with them prefetch first uses, later than the oracle); the
+ * finished run sorts its lines by address and serialisation sorts runs
+ * by label, giving byte-identical `prefsim-profile-v1` output across
+ * the cycle and local engines (asserted by tests/test_profile.cc).
  */
 
 #ifndef PREFSIM_OBS_PROFILE_ATTRIBUTION_PROFILER_HH
 #define PREFSIM_OBS_PROFILE_ATTRIBUTION_PROFILER_HH
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
+#include "obs/profile/flat_table.hh"
 #include "obs/run_store.hh"
 
 namespace prefsim
@@ -46,6 +47,7 @@ namespace obs
 /** Outcome record of every prefetch one processor issued for one line. */
 struct ProfilePrefetch
 {
+    unsigned proc = 0;           ///< The issuing processor.
     std::uint64_t issued = 0;    ///< Went to the bus.
     std::uint64_t useful = 0;    ///< Line used before being lost.
     std::uint64_t late = 0;      ///< Demand attached while in flight.
@@ -57,6 +59,8 @@ struct ProfilePrefetch
 /** Everything attributed to one cache line. */
 struct ProfileLine
 {
+    Addr addr = 0;
+
     /** @name Demand-miss taxonomy (MissBreakdown at line granularity).
      *  prefetchInflight counts demands that attached to an in-flight
      *  prefetch (the "late" path) rather than missing outright. @{ */
@@ -83,9 +87,15 @@ struct ProfileLine
     std::uint64_t busOps = 0;            ///< Data-bus grants.
     /** @} */
 
-    /** Per-processor prefetch outcomes (ordered: serialisation emits
-     *  the map directly). */
-    std::map<unsigned, ProfilePrefetch> prefetch;
+    /** One record per issuing processor, ascending by proc in a taken
+     *  or loaded run (serialisation emits them in order). A line sees
+     *  few prefetching processors, so lookup is a linear scan. */
+    std::vector<ProfilePrefetch> prefetch;
+
+    /** The record of @p proc, appended when absent. */
+    ProfilePrefetch &prefetchFor(unsigned proc);
+    /** The record of @p proc, or null. */
+    const ProfilePrefetch *findPrefetch(unsigned proc) const;
 };
 
 /** One finished run's profile, committed to the ProfileStore. */
@@ -101,8 +111,11 @@ struct ProfileRun
      *  with this marker instead of silently missing (check.sh /
      *  validate_telemetry treat absence as an error). */
     bool skipped = false;
-    /** Ordered by address: serialisation iterates directly. */
-    std::map<Addr, ProfileLine> lines;
+    /** Strictly ascending by addr: serialisation iterates directly. */
+    std::vector<ProfileLine> lines;
+
+    /** The line at @p addr (binary search), or null. */
+    const ProfileLine *findLine(Addr addr) const;
 };
 
 /** Sums over a run's lines (recomputed at write time so the totals
@@ -133,6 +146,12 @@ struct Event;
  * when profiling is requested and moves the finished run into the
  * ProfileStore; the Warmup event discards everything attributed before
  * the measured window.
+ *
+ * Nearly every event looks a line up, so nothing is ordered during the
+ * run: lines and (line, processor) prefetch records each live in a
+ * FlatTable, a dense vector in first-use order. take() hands each line
+ * its prefetch records and sorts the line vector once, in place, into
+ * ProfileRun::lines.
  */
 class AttributionProfiler
 {
@@ -145,15 +164,53 @@ class AttributionProfiler
     /** Move the finished run out (the profiler is spent afterwards). */
     ProfileRun take(Cycle warmup_end);
 
+    /** Fibonacci hash of a line address. With 2^b slots a line's probe
+     *  sequence starts at the top b bits (public so that tests can
+     *  build colliding addresses). */
+    static std::uint64_t
+    lineHash(Addr addr)
+    {
+        return addr * 0x9e37'79b9'7f4a'7c15ULL;
+    }
+
   private:
-    ProfileLine &line(Addr addr) { return run_.lines[addr]; }
+    struct LineHash
+    {
+        std::uint64_t
+        operator()(Addr addr) const
+        {
+            return lineHash(addr);
+        }
+    };
+    /** A (line, issuing processor) pair. */
+    using PrefetchKey = std::pair<Addr, unsigned>;
+    struct PrefetchHash
+    {
+        std::uint64_t
+        operator()(const PrefetchKey &k) const
+        {
+            // Addresses stay below 2^48, so the processor lands in bits
+            // the address leaves clear.
+            return lineHash(k.first ^ (std::uint64_t{k.second} << 48));
+        }
+    };
+
+    ProfileLine &
+    line(Addr addr)
+    {
+        return lines_.get(addr, [addr](ProfileLine &l) { l.addr = addr; });
+    }
     ProfilePrefetch &
     prefetch(Addr addr, ProcId proc)
     {
-        return run_.lines[addr].prefetch[proc];
+        return prefetches_.get({addr, proc}, [proc](ProfilePrefetch &pf) {
+            pf.proc = proc;
+        });
     }
 
     ProfileRun run_;
+    FlatTable<Addr, ProfileLine, LineHash> lines_;
+    FlatTable<PrefetchKey, ProfilePrefetch, PrefetchHash> prefetches_;
 };
 
 /** Emit one run as a JSON object into an open writer. */
@@ -163,7 +220,8 @@ void writeRunJson(JsonWriter &j, const ProfileRun &run);
 class ProfileStore : public RunStore<ProfileRun>
 {
   public:
-    /** Distinct attributed lines across all runs (telemetry summary). */
+    /** Attributed lines summed over the runs (telemetry summary). A
+     *  line profiled in several runs counts once per run. */
     std::uint64_t totalLines() const;
 };
 

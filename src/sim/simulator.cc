@@ -633,6 +633,7 @@ Simulator::run()
     // grants attributed their occupancy, so the per-line bus cycles sum
     // exactly to the final BusStats::busyCycles.
     if (sink_) {
+        sink_->commitMetrics();
         if (obs::AttributionProfiler *p = sink_->profile())
             config_.obs->profile.commit(p->take(warmup_end_));
         // The critical-path walk wants absolute retirement cycles (the

@@ -214,9 +214,9 @@ checkProfile(const JsonField &doc)
     std::uint64_t total_lines = 0;
     for (const obs::ProfileRun &run : runs) {
         total_lines += run.lines.size();
-        for (const auto &[addr, l] : run.lines) {
+        for (const obs::ProfileLine &l : run.lines) {
             const std::string where = "run \"" + run.label + "\" line " +
-                                      std::to_string(addr);
+                                      std::to_string(l.addr);
             if (l.invalidationsFalse > l.invalidations)
                 fail("telemetry.profile",
                      where + ": invalidations_false exceeds "

@@ -94,6 +94,15 @@ hasRule(const std::vector<verify::Finding> &findings,
     return false;
 }
 
+/** Append the profile line @p addr to @p run (lines ascend). */
+obs::ProfileLine &
+addLine(obs::ProfileRun &run, Addr addr)
+{
+    obs::ProfileLine &l = run.lines.emplace_back();
+    l.addr = addr;
+    return l;
+}
+
 QualityReport
 classify(const ParallelTrace &t)
 {
@@ -384,7 +393,7 @@ TEST(CrossValidate, PerfectAgreement)
     q.prefetches = 5;
     obs::ProfileRun run;
     run.label = "t";
-    obs::ProfilePrefetch &pf = run.lines[kLineA].prefetch[0];
+    obs::ProfilePrefetch &pf = addLine(run, kLineA).prefetchFor(0);
     pf.issued = 5;
     pf.late = 5;
     pf.useful = 5; // late fills still get used: the overlap case
@@ -403,7 +412,7 @@ TEST(CrossValidate, MissedLatenessFailsTheFloor)
     q.prefetches = 4;
     obs::ProfileRun run;
     run.label = "t";
-    obs::ProfilePrefetch &pf = run.lines[kLineA].prefetch[0];
+    obs::ProfilePrefetch &pf = addLine(run, kLineA).prefetchFor(0);
     pf.issued = 4;
     pf.late = 4;
     const ValidationResult v = crossValidate(q, run, 0.8);
@@ -420,7 +429,7 @@ TEST(CrossValidate, UncoveredIssuesWarn)
     const QualityReport q; // the static pass saw nothing
     obs::ProfileRun run;
     run.label = "t";
-    obs::ProfilePrefetch &pf = run.lines[kLineA].prefetch[2];
+    obs::ProfilePrefetch &pf = addLine(run, kLineA).prefetchFor(2);
     pf.issued = 3;
     pf.useful = 3;
     const ValidationResult v = crossValidate(q, run, 0.8);
@@ -446,7 +455,7 @@ TEST(CrossValidate, QuietDropsShedRedundantFirst)
     q.prefetches = 3;
     obs::ProfileRun run;
     run.label = "t";
-    obs::ProfilePrefetch &pf = run.lines[kLineA].prefetch[1];
+    obs::ProfilePrefetch &pf = addLine(run, kLineA).prefetchFor(1);
     pf.issued = 1;
     pf.late = 1;
     const ValidationResult v = crossValidate(q, run, 0.8);
@@ -461,10 +470,10 @@ TEST(CrossValidate, ProfileRoundTrip)
     obs::ProfileRun run;
     run.label = "hand/PREF@8";
     run.procs = 2;
-    obs::ProfileLine &line = run.lines[kLineA];
+    obs::ProfileLine &line = addLine(run, kLineA);
     line.busOps = 1;
     line.busCycles = 8;
-    obs::ProfilePrefetch &pf = line.prefetch[1];
+    obs::ProfilePrefetch &pf = line.prefetchFor(1);
     pf.issued = 7;
     pf.useful = 4;
     pf.late = 2;
@@ -492,9 +501,11 @@ TEST(CrossValidate, ProfileRoundTrip)
     const obs::ProfileRun *found =
         findProfileRun(loaded, "hand/PREF@8");
     ASSERT_NE(found, nullptr);
-    const auto it = found->lines.find(kLineA);
-    ASSERT_NE(it, found->lines.end());
-    const obs::ProfilePrefetch &back = it->second.prefetch.at(1);
+    const obs::ProfileLine *line_back = found->findLine(kLineA);
+    ASSERT_NE(line_back, nullptr);
+    const obs::ProfilePrefetch *pf_back = line_back->findPrefetch(1);
+    ASSERT_NE(pf_back, nullptr);
+    const obs::ProfilePrefetch &back = *pf_back;
     EXPECT_EQ(back.issued, 7u);
     EXPECT_EQ(back.useful, 4u);
     EXPECT_EQ(back.late, 2u);

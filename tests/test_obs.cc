@@ -206,6 +206,37 @@ TEST(Histogram, ResetZeroesCountsNotBounds)
     EXPECT_EQ(h.bucketCount(2), 0u);
 }
 
+TEST(RunHistogram, CommitEqualsDirectRecording)
+{
+    // Two runs' shares folded in, against the same values recorded
+    // straight into the shared histogram: every field, the overflow
+    // maximum included, must agree.
+    const std::vector<std::uint64_t> bounds = {10, 20, 30};
+    Histogram direct(bounds), merged(bounds);
+    obs::RunHistogram a(merged), b(merged);
+    const std::uint64_t values_a[] = {3, 10, 25, 31, 500};
+    const std::uint64_t values_b[] = {0, 19, 29, 30, 90};
+    for (const std::uint64_t v : values_a) {
+        direct.record(v);
+        a.record(v);
+    }
+    for (const std::uint64_t v : values_b) {
+        direct.record(v);
+        b.record(v);
+    }
+    EXPECT_EQ(merged.count(), 0u) << "nothing folds in before commit";
+    b.commit();
+    a.commit();
+    a.commit(); // A second commit adds nothing.
+    for (std::size_t i = 0; i < direct.numBuckets(); ++i)
+        EXPECT_EQ(merged.bucketCount(i), direct.bucketCount(i)) << i;
+    EXPECT_EQ(merged.underflow(), direct.underflow());
+    EXPECT_EQ(merged.overflow(), direct.overflow());
+    EXPECT_EQ(merged.overflowMax(), 500u);
+    EXPECT_EQ(merged.count(), direct.count());
+    EXPECT_EQ(merged.sum(), direct.sum());
+}
+
 TEST(Histogram, BoundHelpers)
 {
     const auto p2 = obs::powerOfTwoBounds(3);
@@ -573,6 +604,54 @@ struct StreamCounts
     }
 };
 
+/** The metrics object of an instrumented, bus-saturated sweep. */
+std::string
+sweepMetricsJson(unsigned jobs)
+{
+    WorkloadParams p = defaultWorkloadParams();
+    p.numProcs = 16;
+    p.refsPerProc = 1500;
+    SweepOptions options;
+    options.jobs = jobs;
+    options.useCache = false;
+    options.metrics = true;
+    SweepEngine engine(p, CacheGeometry::paperDefault(), options);
+    engine.enqueueGrid({WorkloadKind::Mp3d, WorkloadKind::Pverify},
+                       {false}, {Strategy::NP, Strategy::PREF}, {8, 32});
+    engine.runPending();
+    std::ostringstream os;
+    JsonWriter j(os);
+    engine.obs()->metrics.writeJson(j);
+    return os.str();
+}
+
+TEST(MetricsMerge, ParallelSweepWritesTheSerialMetrics)
+{
+    // Each run folds its counts into the shared registry when it
+    // commits, in completion order: every field is a sum or a max, so
+    // the object must not depend on the worker count.
+    const std::string serial = sweepMetricsJson(1);
+    EXPECT_EQ(serial, sweepMetricsJson(4));
+
+    const std::optional<JsonValue> doc = parseJson(serial);
+    ASSERT_TRUE(doc.has_value());
+    const JsonValue *counters = doc->find("counters");
+    ASSERT_NE(counters, nullptr);
+    EXPECT_GT(counters->find("coherence.invalidations")->asU64(), 0u);
+    // The grid must reach an overflow bucket, so that the merged
+    // maximum (summary.max_bound) is compared too.
+    bool overflowed = false;
+    for (const auto &[name, h] : doc->find("histograms")->members()) {
+        if (h.find("overflow")->asU64() > 0) {
+            overflowed = true;
+            EXPECT_GE(h.find("summary")->find("max_bound")->asU64(),
+                      h.find("bounds")->array().back().asU64())
+                << name;
+        }
+    }
+    EXPECT_TRUE(overflowed);
+}
+
 class StreamIdentities : public ::testing::TestWithParam<SimEngine>
 {};
 
@@ -613,7 +692,7 @@ TEST_P(StreamIdentities, ViewsAgreeOnOneFig2Point)
     ASSERT_EQ(runs.size(), 1u);
     std::uint64_t profiled = 0;
     std::uint64_t busCycles = 0;
-    for (const auto &[addr, line] : runs[0].lines) {
+    for (const obs::ProfileLine &line : runs[0].lines) {
         profiled += line.invalidations + line.inflightKills;
         busCycles += line.busCycles;
     }

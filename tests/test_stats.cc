@@ -7,7 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <sstream>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -200,6 +203,65 @@ TEST(Json, EscapeRules)
     EXPECT_EQ(JsonWriter::escape("say \"hi\""), "\"say \\\"hi\\\"\"");
     EXPECT_EQ(JsonWriter::escape("a\nb"), "\"a\\nb\"");
     EXPECT_EQ(JsonWriter::escape(std::string(1, '\x01')), "\"\\u0001\"");
+}
+
+TEST(Json, WriterKeysMatchEscape)
+{
+    // A key or string value goes to the stream unescaped when it can;
+    // whichever path it takes, the bytes must be escape()'s.
+    const std::vector<std::string> strings = {
+        "plain",
+        "say \"hi\"",
+        "back\\slash",
+        std::string("ctl\x01\x1f\n\t\r", 8),
+        std::string("nul\0in", 6),
+        "caf\xc3\xa9",
+        std::string("\x80\xff\x7f", 3),
+        "",
+    };
+    for (const std::string &s : strings) {
+        std::ostringstream os;
+        JsonWriter j(os);
+        j.beginObject();
+        j.key(s).value(s);
+        j.endObject();
+        const std::string escaped = JsonWriter::escape(s);
+        std::string want = "{";
+        want += escaped;
+        want += ':';
+        want += escaped;
+        want += '}';
+        EXPECT_EQ(os.str(), want) << escaped;
+    }
+    // Bytes >= 0x80 (UTF-8) pass through; controls become \u escapes.
+    EXPECT_EQ(JsonWriter::escape("caf\xc3\xa9"), "\"caf\xc3\xa9\"");
+    EXPECT_EQ(JsonWriter::escape("\\"), "\"\\\\\"");
+    EXPECT_EQ(JsonWriter::escape(std::string("\x1f", 1)), "\"\\u001f\"");
+}
+
+TEST(Json, WriterTakesUnterminatedViews)
+{
+    // A string_view into a larger buffer: only its own bytes are keys.
+    const char buf[] = {'k', 'e', 'y', 'X', 'v', 'a', 'l', 'Y'};
+    std::ostringstream os;
+    JsonWriter j(os);
+    j.beginObject();
+    j.key(std::string_view(buf, 3)).value(std::string_view(buf + 4, 3));
+    j.key(std::string_view(buf + 1, 1)).value(std::string_view(buf, 0));
+    j.endObject();
+    EXPECT_EQ(os.str(), "{\"key\":\"val\",\"e\":\"\"}");
+}
+
+TEST(Json, WriterIntegerExtremes)
+{
+    std::ostringstream os;
+    JsonWriter j(os);
+    j.beginArray();
+    j.value(std::uint64_t{0});
+    j.value(std::numeric_limits<std::uint64_t>::max());
+    j.value(std::uint64_t{10});
+    j.endArray();
+    EXPECT_EQ(os.str(), "[0,18446744073709551615,10]");
 }
 
 TEST(Json, WriterShapes)

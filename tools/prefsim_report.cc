@@ -187,7 +187,6 @@ runProfile(const std::string &path, std::size_t top_n)
     struct LineRow
     {
         const std::string *label;
-        Addr addr;
         const obs::ProfileLine *line;
     };
     std::vector<LineRow> lines;
@@ -199,8 +198,8 @@ runProfile(const std::string &path, std::size_t top_n)
             continue;
         }
         profiled.push_back(&run);
-        for (const auto &[addr, l] : run.lines)
-            lines.push_back({&run.label, addr, &l});
+        for (const obs::ProfileLine &l : run.lines)
+            lines.push_back({&run.label, &l});
     }
     if (profiled.empty()) {
         std::cerr << "prefsim_report: " << path
@@ -222,7 +221,7 @@ runProfile(const std::string &path, std::size_t top_n)
                              return a.line->busCycles > b.line->busCycles;
                          if (*a.label != *b.label)
                              return *a.label < *b.label;
-                         return a.addr < b.addr;
+                         return a.line->addr < b.line->addr;
                      });
     std::cout << "Top " << std::min(top_n, lines.size())
               << " hot lines by attributed bus occupancy\n";
@@ -235,7 +234,7 @@ runProfile(const std::string &path, std::size_t top_n)
         const std::uint64_t misses = l.missNonSharing +
                                      l.missNonSharingPrefetched +
                                      inval_misses + l.missPrefetchInflight;
-        hot.addRow({hexAddr(lines[i].addr), *lines[i].label,
+        hot.addRow({hexAddr(l.addr), *lines[i].label,
                     std::to_string(misses), std::to_string(inval_misses),
                     std::to_string(l.missFalseSharing),
                     std::to_string(l.invalidations),
@@ -303,8 +302,8 @@ runCritPath(const std::string &path, std::size_t top_n,
         if (!profile_path.empty()) {
             for (const obs::ProfileRun &run :
                  obs::loadProfileJson(profile_path)) {
-                for (const auto &[addr, l] : run.lines)
-                    profile_bus[{run.label, addr}] = l.busCycles;
+                for (const obs::ProfileLine &l : run.lines)
+                    profile_bus[{run.label, l.addr}] = l.busCycles;
             }
         }
     } catch (const std::runtime_error &e) {
