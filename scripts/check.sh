@@ -20,8 +20,10 @@
 #   3. clang-tidy over the static-analysis profile in .clang-tidy,
 #      hard-gated on the checked-in .clang-tidy-baseline count
 #      (skipped loudly when clang-tidy is not installed);
-#   4. ThreadSanitizer for the sweep engine's worker pool (--jobs:
-#      the only threads; a simulation itself is single-threaded);
+#   4. ThreadSanitizer for the two sources of threads: the sweep
+#      engine's worker pool (--jobs) and parallelFor, which annotates
+#      a trace's processors concurrently (a simulation itself is
+#      single-threaded);
 #   5. AddressSanitizer+UBSan with the PREFSIM_VERIFY runtime invariant
 #      hooks compiled in, running the full test suite.
 #
@@ -57,14 +59,9 @@ stage "bench + example smoke"
 CACHE=$(mktemp -d)
 trap 'rm -rf "$CACHE"' EXIT
 for b in "$BUILD"/bench/bench_*; do
-    name=$(basename "$b")
-    if [ "$name" = bench_micro_components ]; then
-        "$b" --benchmark_min_time=0.01s > /dev/null
-    else
-        "$b" --refs 20000 --procs 8 --jobs "$JOBS" \
-            --cache-dir "$CACHE" > /dev/null
-    fi
-    echo "ok: $name"
+    "$b" --refs 20000 --procs 8 --jobs "$JOBS" \
+        --cache-dir "$CACHE" > /dev/null
+    echo "ok: $(basename "$b")"
 done
 for e in quickstart false_sharing_clinic bus_saturation_study; do
     "$BUILD"/examples/$e --jobs "$JOBS" > /dev/null && echo "ok: $e"
@@ -357,15 +354,16 @@ else
 fi
 
 # --- configuration 2: ThreadSanitizer ---------------------------------
-stage "tsan build + sweep tests"
+stage "tsan build + threaded tests"
 TSAN_BUILD="$BUILD-tsan"
+TSAN_TESTS="test_sweep test_obs test_inserter test_property test_common"
 cmake -B "$TSAN_BUILD" -DPREFSIM_SANITIZE=thread -DPREFSIM_BUILD_BENCH=OFF \
     -DPREFSIM_BUILD_EXAMPLES=OFF
-cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_sweep \
-    --target test_obs
-"$TSAN_BUILD"/tests/test_sweep
-"$TSAN_BUILD"/tests/test_obs
-echo "ok: test_sweep + test_obs clean under ThreadSanitizer"
+for t in $TSAN_TESTS; do
+    cmake --build "$TSAN_BUILD" -j "$JOBS" --target "$t"
+    "$TSAN_BUILD/tests/$t"
+done
+echo "ok: $TSAN_TESTS clean under ThreadSanitizer"
 
 # --- configuration 3: ASan+UBSan with runtime invariant hooks ---------
 stage "asan+ubsan+verify-hooks build + tests"

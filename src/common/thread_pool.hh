@@ -1,6 +1,7 @@
 /**
  * @file
- * A fixed-size worker pool: the sweep engine's `--jobs` workers.
+ * A fixed-size worker pool — the sweep engine's `--jobs` workers — and
+ * parallelFor, the fork-join loop inside one stage (annotation).
  *
  * Deliberately minimal: FIFO task queue, submit-from-anywhere (including
  * from inside a running task, which is how the sweep DAG releases
@@ -72,6 +73,18 @@ class ThreadPool
     std::size_t active_ = 0; ///< Tasks currently executing.
     bool stop_ = false;
 };
+
+/**
+ * Run fn(0) .. fn(n - 1), each index exactly once, on
+ * min(n, hardware concurrency) threads, the calling thread one of
+ * them; returns when every call has. Indices are handed out in order
+ * as threads free up, so calls must be independent: each writes only
+ * its own slot. Called on a ThreadPool worker (or inside another
+ * parallelFor) it runs inline, in index order, so a sweep at `--jobs N`
+ * still keeps at most N threads busy. Like pool tasks, @p fn must not
+ * throw.
+ */
+void parallelFor(std::size_t n, const std::function<void(std::size_t)> &fn);
 
 } // namespace prefsim
 

@@ -35,8 +35,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/flat_table.hh"
 #include "common/types.hh"
-#include "obs/profile/flat_table.hh"
 #include "obs/run_store.hh"
 
 namespace prefsim
@@ -170,18 +170,10 @@ class AttributionProfiler
     static std::uint64_t
     lineHash(Addr addr)
     {
-        return addr * 0x9e37'79b9'7f4a'7c15ULL;
+        return AddrHash{}(addr);
     }
 
   private:
-    struct LineHash
-    {
-        std::uint64_t
-        operator()(Addr addr) const
-        {
-            return lineHash(addr);
-        }
-    };
     /** A (line, issuing processor) pair. */
     using PrefetchKey = std::pair<Addr, unsigned>;
     struct PrefetchHash
@@ -209,7 +201,7 @@ class AttributionProfiler
     }
 
     ProfileRun run_;
-    FlatTable<Addr, ProfileLine, LineHash> lines_;
+    FlatTable<Addr, ProfileLine, AddrHash> lines_;
     FlatTable<PrefetchKey, ProfilePrefetch, PrefetchHash> prefetches_;
 };
 

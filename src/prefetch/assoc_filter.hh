@@ -13,8 +13,7 @@
 #ifndef PREFSIM_PREFETCH_ASSOC_FILTER_HH
 #define PREFSIM_PREFETCH_ASSOC_FILTER_HH
 
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 #include "common/cache_geometry.hh"
 #include "common/types.hh"
@@ -48,9 +47,9 @@ class AssocFilter
   private:
     CacheGeometry geom_;
     unsigned num_lines_;
-    /** MRU at front. */
-    std::list<Addr> lru_;
-    std::unordered_map<Addr, std::list<Addr>::iterator> map_;
+    /** Resident line tags, most recently used first (at most
+     *  num_lines_; the filter is small, so a scan beats a map). */
+    std::vector<Addr> lines_;
 };
 
 } // namespace prefsim

@@ -72,6 +72,8 @@ struct AnnotatedTrace
  * @p params, for caches of geometry @p geom.
  *
  * With params.enabled == false the trace is returned unmodified (NP).
+ * Processors are annotated concurrently (parallelFor, so serially when
+ * called on a ThreadPool worker); the result is the same either way.
  */
 AnnotatedTrace annotateTrace(const ParallelTrace &input,
                              const StrategyParams &params,

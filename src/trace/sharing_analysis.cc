@@ -16,38 +16,34 @@ SharingAnalysis::SharingAnalysis(const ParallelTrace &trace,
     prefsim_assert(trace.numProcs() <= 32,
                    "sharing analysis supports at most 32 processors");
 
-    // Pass 1: record which processors touch / write each line.
+    // One pass: record which processors touch / write each line and
+    // how often it is referenced.
     for (std::size_t p = 0; p < trace.numProcs(); ++p) {
         const auto bit = std::uint32_t{1} << p;
         for (const auto &r : trace.procs[p].records()) {
             if (!isDemandRef(r.kind))
                 continue;
-            LineInfo &li = lines_[roundDown(r.addr, line_bytes_)];
+            LineInfo &li = lines_.get(roundDown(r.addr, line_bytes_),
+                                      [](LineInfo &) {});
             li.toucher_mask |= bit;
             if (r.kind == RecordKind::Write)
                 li.written = true;
+            ++li.refs;
         }
     }
 
     // Classify lines.
-    for (const auto &[base, li] : lines_) {
-        const unsigned touchers = std::popcount(li.toucher_mask);
-        if (touchers <= 1)
+    for (LineInfo &li : lines_.records()) {
+        total_refs_ += li.refs;
+        if (std::popcount(li.toucher_mask) <= 1) {
             ++num_private_;
-        else if (!li.written)
+        } else if (!li.written) {
+            li.cls = SharingClass::ReadShared;
             ++num_read_shared_;
-        else
-            write_shared_.insert(base);
-    }
-
-    // Pass 2: count references to write-shared lines.
-    for (std::size_t p = 0; p < trace.numProcs(); ++p) {
-        for (const auto &r : trace.procs[p].records()) {
-            if (!isDemandRef(r.kind))
-                continue;
-            ++total_refs_;
-            if (write_shared_.count(roundDown(r.addr, line_bytes_)))
-                ++write_shared_refs_;
+        } else {
+            li.cls = SharingClass::WriteShared;
+            ++num_write_shared_;
+            write_shared_refs_ += li.refs;
         }
     }
 }
@@ -55,19 +51,14 @@ SharingAnalysis::SharingAnalysis(const ParallelTrace &trace,
 SharingClass
 SharingAnalysis::classOf(Addr addr) const
 {
-    const Addr base = roundDown(addr, line_bytes_);
-    if (write_shared_.count(base))
-        return SharingClass::WriteShared;
-    auto it = lines_.find(base);
-    if (it == lines_.end() || std::popcount(it->second.toucher_mask) <= 1)
-        return SharingClass::Private;
-    return SharingClass::ReadShared;
+    const LineInfo *li = lines_.find(roundDown(addr, line_bytes_));
+    return li ? li->cls : SharingClass::Private;
 }
 
 bool
 SharingAnalysis::isWriteShared(Addr addr) const
 {
-    return write_shared_.count(roundDown(addr, line_bytes_)) != 0;
+    return classOf(addr) == SharingClass::WriteShared;
 }
 
 double

@@ -12,9 +12,8 @@
 #define PREFSIM_TRACE_SHARING_ANALYSIS_HH
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 
+#include "common/flat_table.hh"
 #include "common/types.hh"
 #include "trace/trace.hh"
 
@@ -48,19 +47,13 @@ class SharingAnalysis
     /** True iff the line containing @p addr is write-shared. */
     bool isWriteShared(Addr addr) const;
 
-    /** The set of write-shared line base addresses. */
-    const std::unordered_set<Addr> &writeSharedLines() const
-    {
-        return write_shared_;
-    }
-
     /** @name Aggregate line counts. @{ */
-    std::uint64_t numLines() const { return lines_.size(); }
+    std::uint64_t numLines() const { return lines_.keys().size(); }
     std::uint64_t numPrivateLines() const { return num_private_; }
     std::uint64_t numReadSharedLines() const { return num_read_shared_; }
     std::uint64_t numWriteSharedLines() const
     {
-        return write_shared_.size();
+        return num_write_shared_;
     }
     /** @} */
 
@@ -80,13 +73,15 @@ class SharingAnalysis
     {
         std::uint32_t toucher_mask = 0; ///< Bit per processor (<= 32).
         bool written = false;
+        SharingClass cls = SharingClass::Private;
+        std::uint64_t refs = 0; ///< Demand references to the line.
     };
 
     unsigned line_bytes_;
-    std::unordered_map<Addr, LineInfo> lines_;
-    std::unordered_set<Addr> write_shared_;
+    FlatTable<Addr, LineInfo, AddrHash> lines_;
     std::uint64_t num_private_ = 0;
     std::uint64_t num_read_shared_ = 0;
+    std::uint64_t num_write_shared_ = 0;
     std::uint64_t total_refs_ = 0;
     std::uint64_t write_shared_refs_ = 0;
 };

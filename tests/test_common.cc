@@ -1,22 +1,27 @@
 /**
  * @file
  * Unit tests for the common library: integer math, RNG, cache geometry,
- * the strict integer parser, the JSON parser's nesting cap and the
- * checked JSON accessors.
+ * the strict integer parser, the JSON parser's nesting cap, the
+ * checked JSON accessors and parallelFor.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/cache_geometry.hh"
 #include "common/intmath.hh"
 #include "common/json.hh"
 #include "common/parse_uint.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 
 namespace prefsim
 {
@@ -334,6 +339,59 @@ TEST(JsonField, UnsignedFieldsFollowTheParseUintRule)
     const auto doc = parseJson("{\"d\":-2.5,\"b\":true}");
     EXPECT_DOUBLE_EQ(JsonField(*doc)["d"].number(), -2.5);
     EXPECT_TRUE(JsonField(*doc)["b"].boolean());
+}
+
+TEST(ParallelFor, RunsEveryIndexExactlyOnce)
+{
+    for (const std::size_t n : {0u, 1u, 33u}) {
+        std::vector<std::atomic<int>> runs(n);
+        std::mutex mu;
+        std::set<std::thread::id> threads;
+        parallelFor(n, [&](std::size_t i) {
+            runs[i].fetch_add(1);
+            std::lock_guard<std::mutex> lock(mu);
+            threads.insert(std::this_thread::get_id());
+        });
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(runs[i].load(), 1) << "n=" << n << " i=" << i;
+        EXPECT_LE(threads.size(),
+                  std::min<std::size_t>(n, ThreadPool::resolveThreads(0)));
+    }
+}
+
+TEST(ParallelFor, RunsInlineOnAPoolWorker)
+{
+    // One worker, which parallelFor must not wait on: a fan-out that
+    // queued work behind the running task would deadlock here.
+    ThreadPool pool(1);
+    std::thread::id worker;
+    std::vector<std::thread::id> ran_on(8);
+    std::vector<std::size_t> order;
+    pool.submit([&] {
+        worker = std::this_thread::get_id();
+        parallelFor(ran_on.size(), [&](std::size_t i) {
+            ran_on[i] = std::this_thread::get_id();
+            order.push_back(i);
+        });
+    });
+    pool.waitAll();
+    for (const std::thread::id id : ran_on)
+        EXPECT_EQ(id, worker);
+    EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(ParallelFor, NestedCallRunsInline)
+{
+    std::vector<std::vector<std::thread::id>> inner(4);
+    parallelFor(inner.size(), [&](std::size_t i) {
+        const std::thread::id outer = std::this_thread::get_id();
+        inner[i].resize(3);
+        parallelFor(3, [&](std::size_t k) {
+            inner[i][k] = std::this_thread::get_id();
+        });
+        for (const std::thread::id id : inner[i])
+            EXPECT_EQ(id, outer);
+    });
 }
 
 } // namespace

@@ -440,7 +440,7 @@ TEST(ProfileTable, MatchesMapReferenceOnRandomStreams)
     constexpr std::size_t kWarmupLines = 700;
     constexpr std::size_t kLines = 2500;
     constexpr unsigned kGrownBits =
-        obs::kFlatTableInitialLog2Slots + 3;
+        kFlatTableInitialLog2Slots + 3;
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
         std::mt19937_64 rng(seed);
         // A group that collides in every table size comes first, so

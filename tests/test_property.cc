@@ -9,12 +9,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <list>
 #include <map>
+#include <memory>
+#include <tuple>
 #include <unordered_map>
+#include <unordered_set>
 
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "prefetch/assoc_filter.hh"
+#include "prefetch/cost_model.hh"
 #include "prefetch/filter_cache.hh"
 #include "prefetch/inserter.hh"
 #include "sim/simulator.hh"
@@ -108,6 +115,356 @@ randomTrace(std::uint64_t seed, unsigned procs, unsigned steps,
         pt.procs.push_back(std::move(t));
     }
     return pt;
+}
+
+/**
+ * Scatter Instr batches of nearly kMaxInstrCount instructions through
+ * every processor of @p pt, so prefetch targets land deep inside them
+ * and split offsets need all 32 bits.
+ */
+ParallelTrace
+withHugeInstrs(const ParallelTrace &pt, std::uint64_t seed)
+{
+    ParallelTrace out = pt;
+    for (std::size_t p = 0; p < pt.numProcs(); ++p) {
+        Rng rng(seed * 7919 + p);
+        Trace t;
+        for (const TraceRecord &r : pt.procs[p].records()) {
+            if (rng.chance(0.05)) {
+                t.appendInstrs(kMaxInstrCount -
+                               static_cast<std::uint32_t>(rng.below(3)));
+            }
+            t.append(r);
+        }
+        out.procs[p] = std::move(t);
+    }
+    return out;
+}
+
+/**
+ * The annotation pass as first written, kept as the reference the
+ * parallel, single-forward-pass annotateTrace must match record for
+ * record: a start-cycle vector searched with upper_bound, a per-index
+ * last-sync vector, placements ordered by stable_sort, a list-based
+ * LRU for the PWS filter and map/set-based sharing classes.
+ */
+namespace reference
+{
+
+class ListLru
+{
+  public:
+    ListLru(const CacheGeometry &geom, unsigned num_lines)
+        : geom_(geom), num_lines_(num_lines)
+    {}
+
+    bool
+    access(Addr addr)
+    {
+        const Addr tag = geom_.lineBase(addr);
+        const auto it = map_.find(tag);
+        if (it != map_.end()) {
+            lru_.splice(lru_.begin(), lru_, it->second);
+            return false;
+        }
+        if (map_.size() >= num_lines_) {
+            map_.erase(lru_.back());
+            lru_.pop_back();
+        }
+        lru_.push_front(tag);
+        map_[tag] = lru_.begin();
+        return true;
+    }
+
+  private:
+    CacheGeometry geom_;
+    unsigned num_lines_;
+    std::list<Addr> lru_;
+    std::unordered_map<Addr, std::list<Addr>::iterator> map_;
+};
+
+class Sharing
+{
+  public:
+    Sharing(const ParallelTrace &trace, const CacheGeometry &geom)
+        : geom_(geom)
+    {
+        for (std::size_t p = 0; p < trace.numProcs(); ++p) {
+            for (const auto &r : trace.procs[p].records()) {
+                if (!isDemandRef(r.kind))
+                    continue;
+                Line &l = lines_[geom_.lineBase(r.addr)];
+                l.mask |= std::uint32_t{1} << p;
+                l.written |= r.kind == RecordKind::Write;
+            }
+        }
+        for (const auto &[base, l] : lines_) {
+            if (std::popcount(l.mask) > 1 && l.written)
+                write_shared_.insert(base);
+        }
+    }
+
+    bool
+    isWriteShared(Addr addr) const
+    {
+        return write_shared_.count(geom_.lineBase(addr)) != 0;
+    }
+
+    bool
+    isPrivate(Addr addr) const
+    {
+        const auto it = lines_.find(geom_.lineBase(addr));
+        return it == lines_.end() || std::popcount(it->second.mask) <= 1;
+    }
+
+  private:
+    struct Line
+    {
+        std::uint32_t mask = 0;
+        bool written = false;
+    };
+    CacheGeometry geom_;
+    std::unordered_map<Addr, Line> lines_;
+    std::unordered_set<Addr> write_shared_;
+};
+
+struct Pending
+{
+    std::size_t recordIdx;
+    Cycle offset;
+    Addr addr;
+    bool exclusive;
+};
+
+Trace
+annotateProc(const Trace &in, const StrategyParams &params,
+             const CacheGeometry &geom, const Sharing *sharing,
+             AnnotateStats &stats)
+{
+    const std::vector<Cycle> start = estimatedStartCycles(in);
+    std::vector<Cycle> next_write(in.size(), kNoCycle);
+    {
+        std::unordered_map<Addr, Cycle> upcoming;
+        for (std::size_t i = in.size(); i-- > 0;) {
+            if (!isDemandRef(in[i].kind))
+                continue;
+            const Addr line = geom.lineBase(in[i].addr);
+            const auto it = upcoming.find(line);
+            next_write[i] = it == upcoming.end() ? kNoCycle : it->second;
+            upcoming[line] =
+                in[i].kind == RecordKind::Write ? start[i] : kNoCycle;
+        }
+    }
+    constexpr std::size_t kNoIndex = ~std::size_t{0};
+    std::vector<std::size_t> last_sync(in.size(), kNoIndex);
+    for (std::size_t i = 0, recent = kNoIndex; i < in.size(); ++i) {
+        if (isSync(in[i].kind))
+            recent = i;
+        last_sync[i] = recent;
+    }
+
+    FilterCache oracle(geom);
+    ListLru pws_filter(geom, params.pwsFilterLines);
+    std::vector<Pending> pending;
+    for (std::size_t i = 0; i < in.size(); ++i) {
+        const TraceRecord &r = in[i];
+        if (!isDemandRef(r.kind))
+            continue;
+        ++stats.demandRefs;
+        const bool oracle_miss = oracle.access(r.addr);
+        bool pws_miss = false;
+        if (params.prefetchWriteShared && sharing->isWriteShared(r.addr))
+            pws_miss = pws_filter.access(r.addr) && !oracle_miss;
+        stats.oracleCandidates += oracle_miss;
+        stats.pwsCandidates += pws_miss;
+        if (!oracle_miss && !pws_miss)
+            continue;
+        if (params.privateLinesOnly && !sharing->isPrivate(r.addr)) {
+            ++stats.droppedShared;
+            continue;
+        }
+        const Cycle target = start[i] >= params.distanceCycles
+                                 ? start[i] - params.distanceCycles
+                                 : 0;
+        const auto it = std::upper_bound(
+            start.begin(),
+            start.begin() + static_cast<std::ptrdiff_t>(i + 1), target);
+        const auto j = static_cast<std::size_t>(it - start.begin()) - 1;
+        std::size_t j_final = j;
+        Cycle offset = target - start[j];
+        if (params.dontCrossSync && last_sync[i] != kNoIndex &&
+            last_sync[i] >= j) {
+            j_final = last_sync[i] + 1;
+            offset = 0;
+        }
+        if (j_final >= in.size() || in[j_final].kind != RecordKind::Instr ||
+            j_final != j)
+            offset = 0;
+        bool exclusive =
+            params.exclusiveWrites && r.kind == RecordKind::Write;
+        if (!exclusive && params.exclusiveReadThenWrite &&
+            r.kind == RecordKind::Read && next_write[i] != kNoCycle &&
+            next_write[i] - start[i] <= params.rtwWindowCycles) {
+            exclusive = true;
+            ++stats.rtwExclusive;
+        }
+        pending.push_back({j_final, offset, r.addr, exclusive});
+        ++stats.inserted;
+        stats.insertedExclusive += exclusive;
+    }
+    std::stable_sort(pending.begin(), pending.end(),
+                     [](const Pending &a, const Pending &b) {
+                         return std::tie(a.recordIdx, a.offset) <
+                                std::tie(b.recordIdx, b.offset);
+                     });
+
+    Trace out;
+    std::size_t next = 0;
+    for (std::size_t i = 0; i < in.size(); ++i) {
+        const TraceRecord &r = in[i];
+        Cycle emitted = 0;
+        for (; next < pending.size() && pending[next].recordIdx == i;
+             ++next) {
+            const Pending &p = pending[next];
+            if (p.offset > emitted) {
+                out.appendInstrs(
+                    static_cast<std::uint32_t>(p.offset - emitted));
+                emitted = p.offset;
+            }
+            out.append(TraceRecord::prefetch(p.addr, p.exclusive));
+        }
+        if (r.kind == RecordKind::Instr)
+            out.appendInstrs(static_cast<std::uint32_t>(r.count - emitted));
+        else
+            out.append(r);
+    }
+    for (; next < pending.size(); ++next) {
+        out.append(TraceRecord::prefetch(pending[next].addr,
+                                         pending[next].exclusive));
+    }
+    return out;
+}
+
+AnnotatedTrace
+annotate(const ParallelTrace &input, const StrategyParams &params,
+         const CacheGeometry &geom)
+{
+    AnnotatedTrace result;
+    result.trace.name = input.name;
+    result.trace.numLocks = input.numLocks;
+    result.trace.numBarriers = input.numBarriers;
+    if (!params.enabled) {
+        result.trace.procs = input.procs;
+        result.stats.demandRefs = input.totalDemandRefs();
+        return result;
+    }
+    std::unique_ptr<Sharing> sharing;
+    if (params.prefetchWriteShared || params.privateLinesOnly)
+        sharing = std::make_unique<Sharing>(input, geom);
+    for (const Trace &t : input.procs) {
+        result.trace.procs.push_back(
+            annotateProc(t, params, geom, sharing.get(), result.stats));
+    }
+    return result;
+}
+
+} // namespace reference
+
+/** Assert @p got is @p want: every record of every processor and every
+ *  AnnotateStats field. */
+void
+expectSameAnnotation(const AnnotatedTrace &got, const AnnotatedTrace &want)
+{
+    ASSERT_EQ(got.trace.numProcs(), want.trace.numProcs());
+    for (std::size_t p = 0; p < want.trace.numProcs(); ++p) {
+        ASSERT_EQ(got.trace.procs[p].records(), want.trace.procs[p].records())
+            << "processor " << p;
+    }
+    EXPECT_EQ(got.trace.name, want.trace.name);
+    EXPECT_EQ(got.trace.numLocks, want.trace.numLocks);
+    EXPECT_EQ(got.trace.numBarriers, want.trace.numBarriers);
+    const AnnotateStats &a = got.stats;
+    const AnnotateStats &b = want.stats;
+    EXPECT_EQ(a.oracleCandidates, b.oracleCandidates);
+    EXPECT_EQ(a.pwsCandidates, b.pwsCandidates);
+    EXPECT_EQ(a.inserted, b.inserted);
+    EXPECT_EQ(a.insertedExclusive, b.insertedExclusive);
+    EXPECT_EQ(a.rtwExclusive, b.rtwExclusive);
+    EXPECT_EQ(a.droppedShared, b.droppedShared);
+    EXPECT_EQ(a.demandRefs, b.demandRefs);
+}
+
+/** The strategies plus every knob the pass branches on. */
+std::vector<std::pair<std::string, StrategyParams>>
+annotationVariants()
+{
+    std::vector<std::pair<std::string, StrategyParams>> v;
+    for (const Strategy s : allStrategies())
+        v.emplace_back(strategyName(s), strategyParams(s));
+    StrategyParams rtw = strategyParams(Strategy::PREF);
+    rtw.exclusiveReadThenWrite = true;
+    v.emplace_back("RTW", rtw);
+    StrategyParams sync = strategyParams(Strategy::PWS);
+    sync.dontCrossSync = true;
+    v.emplace_back("PWS+dontCrossSync", sync);
+    StrategyParams priv = strategyParams(Strategy::PREF);
+    priv.privateLinesOnly = true;
+    v.emplace_back("privateLinesOnly", priv);
+    StrategyParams near = strategyParams(Strategy::EXCL);
+    near.distanceCycles = 1;
+    v.emplace_back("EXCL+distance1", near);
+    StrategyParams one = strategyParams(Strategy::PWS);
+    one.pwsFilterLines = 1;
+    v.emplace_back("PWS+filter1", one);
+    StrategyParams all = strategyParams(Strategy::PWS);
+    all.exclusiveReadThenWrite = true;
+    all.dontCrossSync = true;
+    all.distanceCycles = 1;
+    v.emplace_back("PWS+RTW+dontCrossSync+distance1", all);
+    return v;
+}
+
+TEST(AnnotateDifferential, MatchesReferenceOnRandomTraces)
+{
+    // The paper's cache, and a 32-line one that forces conflicts.
+    const CacheGeometry geoms[] = {CacheGeometry::paperDefault(),
+                                   CacheGeometry(1024, 32, 1)};
+    for (const unsigned procs : {1u, 2u, 4u, 16u, 32u}) {
+        for (const std::uint64_t seed : {1u, 2u}) {
+            const ParallelTrace plain = randomTrace(seed, procs, 4, 60);
+            for (const ParallelTrace &pt :
+                 {plain, withHugeInstrs(plain, seed)}) {
+                for (const auto &[name, params] : annotationVariants()) {
+                    for (const CacheGeometry &geom : geoms) {
+                        SCOPED_TRACE(name + " procs=" +
+                                     std::to_string(procs) + " seed=" +
+                                     std::to_string(seed) + " lines=" +
+                                     std::to_string(geom.numFrames()));
+                        expectSameAnnotation(
+                            annotateTrace(pt, params, geom),
+                            reference::annotate(pt, params, geom));
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(AnnotateDifferential, PoolWorkerMatchesCallingThread)
+{
+    // On a ThreadPool worker parallelFor runs inline: same bytes.
+    const ParallelTrace pt = randomTrace(5, 16, 4, 60);
+    ThreadPool pool(2);
+    for (const auto &[name, params] : annotationVariants()) {
+        SCOPED_TRACE(name);
+        const CacheGeometry geom = CacheGeometry::paperDefault();
+        AnnotatedTrace on_worker;
+        pool.submit([&, p = params] {
+            on_worker = annotateTrace(pt, p, geom);
+        });
+        pool.waitAll();
+        expectSameAnnotation(on_worker, annotateTrace(pt, params, geom));
+    }
 }
 
 class RandomProgramSuite : public testing::TestWithParam<std::uint64_t>

@@ -57,7 +57,8 @@ TEST(SharingAnalysis, WriteSharedLine)
     EXPECT_EQ(sa.classOf(0x100), SharingClass::WriteShared);
     EXPECT_TRUE(sa.isWriteShared(0x100));
     EXPECT_TRUE(sa.isWriteShared(0x11f));
-    EXPECT_EQ(sa.writeSharedLines().count(0x100), 1u);
+    EXPECT_FALSE(sa.isWriteShared(0x120)); // The next line.
+    EXPECT_EQ(sa.numWriteSharedLines(), 1u);
 }
 
 TEST(SharingAnalysis, WriteByOnlyOneProcIsPrivate)
