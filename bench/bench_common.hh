@@ -1,38 +1,16 @@
 /**
  * @file
- * Shared sweep-runner entry point for the bench harness.
+ * Shared command line and telemetry plumbing for the reproduction
+ * driver (bench/prefsim_repro.cpp) and the examples.
  *
- * Every reproduction binary accepts one uniform option set (any order):
- *   --refs N         demand references per processor (default 100000)
- *   --procs N        processor count (default 16)
- *   --seed N         workload RNG seed (default 12345)
- *   --jobs N         sweep worker threads (0 = all cores, at most
- *                    ThreadPool::kMaxThreads; default 1)
- *   --cache-dir PATH persist results to an on-disk cache at PATH
- *   --no-cache       ignore any --cache-dir; recompute everything
- *   --engine E       simulation core: local (default) or cycle
- *   --csv            machine-readable CSV output (where supported)
- *   --quiet          suppress informational logging
- *   --log-level L    minimum log severity: error, warn, info, debug
- *   --metrics-out F  write sweep telemetry + simulator metrics JSON to F
- *   --trace-out F    write a Chrome trace-event JSON document to F
- *   --sample-interval N  capture an interval time-series sample every N
- *                    simulated cycles (0 = off)
- *   --timeseries-out F  write the prefsim-timeseries-v1 JSON document
- *                    to F (defaults --sample-interval to 10000 when not
- *                    given explicitly)
- *   --profile-out F  write the prefsim-profile-v1 per-line contention
- *                    attribution JSON document to F
- *   --critpath-out F write the prefsim-critpath-v1 critical-path
- *                    analysis JSON document to F
- *   --whatif-validate  re-simulate each point with an infinitely wide
- *                    bus and attach the measured cycles to the critpath
- *                    run (requires --critpath-out; ~2x simulation cost)
- *
- * parseBenchArgs handles the full set in a single pass, so flags can be
- * given in any order; makeEngine turns the result into a SweepEngine.
- * Binaries that want --metrics-out/--trace-out to produce output call
- * emitBenchTelemetry(opts, engine) after their sweep completes.
+ * parseBenchArgs reads one uniform option set in any order: the
+ * workload scale (--refs, --procs, --seed), the sweep (--jobs,
+ * --cache-dir, --no-cache, --engine), the output (--csv, --out, --quiet,
+ * --log-level) and the telemetry documents (--metrics-out, --trace-out,
+ * --sample-interval, --timeseries-out, --profile-out, --critpath-out,
+ * --whatif-validate); its --help text documents each. makeEngine turns
+ * the result into a SweepEngine, and emitBenchTelemetry writes the
+ * documents once the sweep has completed.
  */
 
 #ifndef PREFSIM_BENCH_BENCH_COMMON_HH
@@ -51,7 +29,6 @@
 #include "common/thread_pool.hh"
 #include "core/experiment.hh"
 #include "core/sweep.hh"
-#include "stats/table.hh"
 
 namespace prefsim
 {
@@ -62,6 +39,8 @@ struct BenchOptions
     WorkloadParams params = defaultWorkloadParams();
     SweepOptions sweep;
     bool csv = false;
+    /** Directory for one <name>.txt per experiment (empty = stdout). */
+    std::string outDir;
     /** Telemetry/metrics JSON destination (empty = none). */
     std::string metricsOut;
     /** Chrome trace-event JSON destination (empty = none). */
@@ -77,8 +56,9 @@ struct BenchOptions
 /**
  * Parse the uniform bench option set; exits on --help or bad input.
  * When @p positional is non-null, bare arguments are collected there
- * (in order) instead of being rejected — the examples use this for
- * their `quickstart mp3d PREF 8`-style invocation.
+ * (in order) instead of being rejected: the experiment names of
+ * prefsim_repro, and the examples' `quickstart mp3d PREF 8`-style
+ * invocation.
  */
 inline BenchOptions
 parseBenchArgs(int argc, char **argv,
@@ -132,6 +112,8 @@ parseBenchArgs(int argc, char **argv,
             }
         } else if (arg == "--csv") {
             opts.csv = true;
+        } else if (arg == "--out") {
+            opts.outDir = next();
         } else if (arg == "--quiet") {
             setQuiet(true);
         } else if (arg == "--log-level") {
@@ -181,6 +163,8 @@ parseBenchArgs(int argc, char **argv,
                    "reference loop);\n"
                    "                   bit-identical results\n"
                    "  --csv            machine-readable CSV output\n"
+                   "  --out DIR        write each experiment to "
+                   "DIR/<name>.txt\n"
                    "  --quiet          suppress informational logging\n"
                    "  --log-level L    minimum severity: error, warn, "
                    "info, debug\n"
@@ -216,105 +200,66 @@ parseBenchArgs(int argc, char **argv,
     return opts;
 }
 
-/** A SweepEngine over the parsed options (geometry overridable). */
+/** A SweepEngine over the parsed options and the paper's cache. */
 inline SweepEngine
-makeEngine(const BenchOptions &opts,
-           CacheGeometry geometry = CacheGeometry::paperDefault())
+makeEngine(const BenchOptions &opts)
 {
-    return SweepEngine(opts.params, geometry, opts.sweep);
+    return SweepEngine(opts.params, CacheGeometry::paperDefault(),
+                       opts.sweep);
 }
 
 /**
- * Write whatever --metrics-out / --trace-out asked for. Call once,
- * after the sweep's last runPending()/run() returned. A no-op when
- * neither flag was given.
+ * Write whatever --metrics-out and the other document flags asked for.
+ * Call once, after the sweep's last runPending()/run() returned. A
+ * no-op when no such flag was given.
  */
 inline void
 emitBenchTelemetry(const BenchOptions &opts, const SweepEngine &engine)
 {
-    if (!opts.metricsOut.empty()) {
-        std::ofstream out(opts.metricsOut,
-                          std::ios::binary | std::ios::trunc);
+    const ObsContext *obs = engine.obs();
+    // One document: warn when it holds no runs, then write it.
+    auto emit = [](const std::string &path, const char *kind,
+                   const std::string &what, const char *empty_warning,
+                   auto &&write) {
+        if (path.empty())
+            return;
+        if (empty_warning != nullptr)
+            prefsim_warn(empty_warning);
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
         if (!out) {
-            prefsim_warn("cannot write metrics file ", opts.metricsOut);
-        } else {
-            engine.writeTelemetryJson(out);
-            prefsim_inform("wrote metrics to ", opts.metricsOut);
+            prefsim_warn("cannot write ", kind, " file ", path);
+            return;
         }
-    }
-    if (!opts.timeseriesOut.empty()) {
-        const ObsContext *obs = engine.obs();
-        if (obs == nullptr || obs->timeseries.empty()) {
-            prefsim_warn("--timeseries-out: no series recorded (cached "
-                         "results skip simulation; rerun with --no-cache "
-                         "or a fresh --cache-dir for full coverage)");
-        }
-        std::ofstream out(opts.timeseriesOut,
-                          std::ios::binary | std::ios::trunc);
-        if (!out) {
-            prefsim_warn("cannot write time-series file ",
-                         opts.timeseriesOut);
-        } else {
-            engine.writeTimeseriesJson(out);
-            prefsim_inform("wrote interval time series to ",
-                           opts.timeseriesOut);
-        }
-    }
-    if (!opts.profileOut.empty()) {
-        const ObsContext *obs = engine.obs();
-        if (obs == nullptr || obs->profile.empty()) {
-            prefsim_warn("--profile-out: no profile runs recorded");
-        }
-        std::ofstream out(opts.profileOut,
-                          std::ios::binary | std::ios::trunc);
-        if (!out) {
-            prefsim_warn("cannot write profile file ", opts.profileOut);
-        } else {
-            engine.writeProfileJson(out);
-            prefsim_inform("wrote attribution profile to ",
-                           opts.profileOut);
-        }
-    }
-    if (!opts.critpathOut.empty()) {
-        const ObsContext *obs = engine.obs();
-        if (obs == nullptr || obs->critpath.empty()) {
-            prefsim_warn("--critpath-out: no critical-path runs recorded");
-        }
-        std::ofstream out(opts.critpathOut,
-                          std::ios::binary | std::ios::trunc);
-        if (!out) {
-            prefsim_warn("cannot write critpath file ", opts.critpathOut);
-        } else {
-            engine.writeCritPathJson(out);
-            prefsim_inform("wrote critical-path analysis to ",
-                           opts.critpathOut);
-        }
-    }
-    if (!opts.traceOut.empty()) {
-        const ObsContext *obs = engine.obs();
-        if (obs == nullptr || obs->tracer.numSessions() == 0) {
-            prefsim_warn("--trace-out: no trace sessions recorded");
-        }
-        std::ofstream out(opts.traceOut,
-                          std::ios::binary | std::ios::trunc);
-        if (!out) {
-            prefsim_warn("cannot write trace file ", opts.traceOut);
-        } else if (obs != nullptr) {
-            obs->tracer.exportChromeTrace(out);
-            prefsim_inform("wrote Chrome trace to ", opts.traceOut,
-                           " (load at https://ui.perfetto.dev)");
-        }
-    }
-}
-
-/** Format a measured/paper pair: "0.27 (paper 0.27)". */
-inline std::string
-withPaper(double measured, std::optional<double> reference, int prec = 2)
-{
-    std::string s = TextTable::num(measured, prec);
-    if (reference)
-        s += " (" + TextTable::num(*reference, prec) + ")";
-    return s;
+        write(out);
+        prefsim_inform("wrote ", what, " to ", path);
+    };
+    auto unless = [](bool recorded, const char *warning) {
+        return recorded ? nullptr : warning;
+    };
+    emit(opts.metricsOut, "metrics", "metrics", nullptr,
+         [&](std::ostream &os) { engine.writeTelemetryJson(os); });
+    emit(opts.timeseriesOut, "time-series", "interval time series",
+         unless(obs != nullptr && !obs->timeseries.empty(),
+                "--timeseries-out: no series recorded (cached results "
+                "skip simulation; rerun with --no-cache or a fresh "
+                "--cache-dir for full coverage)"),
+         [&](std::ostream &os) { engine.writeTimeseriesJson(os); });
+    emit(opts.profileOut, "profile", "attribution profile",
+         unless(obs != nullptr && !obs->profile.empty(),
+                "--profile-out: no profile runs recorded"),
+         [&](std::ostream &os) { engine.writeProfileJson(os); });
+    emit(opts.critpathOut, "critpath", "critical-path analysis",
+         unless(obs != nullptr && !obs->critpath.empty(),
+                "--critpath-out: no critical-path runs recorded"),
+         [&](std::ostream &os) { engine.writeCritPathJson(os); });
+    emit(opts.traceOut, "trace",
+         "Chrome trace for https://ui.perfetto.dev",
+         unless(obs != nullptr && obs->tracer.numSessions() > 0,
+                "--trace-out: no trace sessions recorded"),
+         [&](std::ostream &os) {
+             if (obs != nullptr)
+                 obs->tracer.exportChromeTrace(os);
+         });
 }
 
 } // namespace prefsim

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Simulation-core throughput benchmark: runs the paper's main result
-# (bench_fig2_exec_time) under both engines — the reference cycle loop
-# and the local-clock core — and records wall time and engine
+# (prefsim_repro fig2_exec_time) under both engines — the reference
+# cycle loop and the local-clock core — and records wall time and engine
 # throughput to a JSON report. A second, 3-processor micro run covers
 # the low-contention regime where inert spans are long.
 #
@@ -43,7 +43,7 @@ while [ $# -gt 0 ]; do
     esac
 done
 
-BENCH="$BUILD/bench/bench_fig2_exec_time"
+BENCH="$BUILD/bench/prefsim_repro"
 if [ ! -x "$BENCH" ]; then
     echo "error: $BENCH not built (cmake --build $BUILD)" >&2
     exit 1
@@ -69,8 +69,8 @@ run_one() {
     while [ "$i" -le "$TRIALS" ]; do
         metrics="$TMP/$label.$i.metrics.json"
         start=$(date +%s.%N)
-        if ! "$BENCH" --refs "$REFS" --procs "$procs" --engine "$engine" \
-            --no-cache --quiet --metrics-out "$metrics" \
+        if ! "$BENCH" fig2_exec_time --refs "$REFS" --procs "$procs" \
+            --engine "$engine" --no-cache --quiet --metrics-out "$metrics" \
             > /dev/null; then
             echo "error: $label trial $i crashed (exit $?)" >&2
             exit 1
@@ -152,7 +152,8 @@ run_one micro3_local local 3
 
 {
     printf '{"schema":"prefsim-bench-simcore-v1",'
-    printf '"bench":"bench_fig2_exec_time","refs_per_proc":%s,' "$REFS"
+    printf '"bench":"prefsim_repro fig2_exec_time",'
+    printf '"refs_per_proc":%s,' "$REFS"
     printf '"trials":%s,' "$TRIALS"
     printf '"runs":{'
     cat "$TMP/runs.json"

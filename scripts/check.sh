@@ -1,7 +1,8 @@
 #!/bin/sh
 # Full verification pass over every supported configuration:
 #
-#   1. plain build + tests + bench/example smoke + determinism +
+#   1. plain build + tests + the reproduction golden (prefsim_repro at
+#      paper scale diffed against results/) + example smoke + determinism +
 #      the engine differential (the local-clock core vs. the reference
 #      cycle loop, byte-compared) + simulation-core throughput smoke +
 #      the perf-regression gate (fresh bench_perf.sh vs the checked-in
@@ -55,23 +56,27 @@ cmake --build "$BUILD" -j "$JOBS"
 stage "plain tests"
 ctest --test-dir "$BUILD" -j "$JOBS" --output-on-failure
 
-stage "bench + example smoke"
+stage "reproduction golden"
+# Every paper table, figure and ablation from one sweep at the default
+# (paper) scale must reproduce the checked-in results/ byte for byte.
+# After an intentional model change, regenerate them:
+#   build/bench/prefsim_repro --jobs "$(nproc)" --out results
 CACHE=$(mktemp -d)
 trap 'rm -rf "$CACHE"' EXIT
-for b in "$BUILD"/bench/bench_*; do
-    "$b" --refs 20000 --procs 8 --jobs "$JOBS" \
-        --cache-dir "$CACHE" > /dev/null
-    echo "ok: $(basename "$b")"
-done
+"$BUILD"/bench/prefsim_repro --quiet --jobs "$JOBS" --out "$CACHE/results"
+diff -r results "$CACHE/results"
+echo "ok: prefsim_repro reproduces results/"
+
+stage "example smoke"
 for e in quickstart false_sharing_clinic bus_saturation_study; do
     "$BUILD"/examples/$e --jobs "$JOBS" > /dev/null && echo "ok: $e"
 done
 
 stage "parallel determinism"
 # --jobs N must emit the same bytes as serial.
-"$BUILD"/bench/bench_fig2_exec_time --refs 20000 --procs 8 --csv \
+"$BUILD"/bench/prefsim_repro fig2_exec_time --refs 20000 --procs 8 --csv \
     --quiet > "$CACHE/serial.csv"
-"$BUILD"/bench/bench_fig2_exec_time --refs 20000 --procs 8 --csv \
+"$BUILD"/bench/prefsim_repro fig2_exec_time --refs 20000 --procs 8 --csv \
     --quiet --jobs "$JOBS" > "$CACHE/parallel.csv"
 cmp "$CACHE/serial.csv" "$CACHE/parallel.csv"
 echo "ok: parallel output identical to serial"
@@ -81,9 +86,9 @@ stage "engine differential"
 # reference cycle loop (docs/simcore.md). The engine is deliberately
 # not part of the experiment cache key, so --no-cache is required: a
 # cached run would compare one engine's numbers against themselves.
-"$BUILD"/bench/bench_fig2_exec_time --refs 10000 --procs 8 --csv \
+"$BUILD"/bench/prefsim_repro fig2_exec_time --refs 10000 --procs 8 --csv \
     --quiet --no-cache --jobs "$JOBS" --engine local > "$CACHE/local.csv"
-"$BUILD"/bench/bench_fig2_exec_time --refs 10000 --procs 8 --csv \
+"$BUILD"/bench/prefsim_repro fig2_exec_time --refs 10000 --procs 8 --csv \
     --quiet --no-cache --jobs "$JOBS" --engine cycle > "$CACHE/cycle.csv"
 cmp "$CACHE/local.csv" "$CACHE/cycle.csv"
 echo "ok: local-clock engine byte-identical to the cycle loop on fig2"
@@ -136,7 +141,7 @@ stage "telemetry validation"
 # runtime consumer of the event stream; no special build); the
 # validator must agree with the lint/verify tools on exit codes and
 # emit the shared findings schema under --json.
-"$BUILD"/bench/bench_fig2_exec_time --refs 20000 --procs 8 --quiet \
+"$BUILD"/bench/prefsim_repro fig2_exec_time --refs 20000 --procs 8 --quiet \
     --jobs "$JOBS" --metrics-out "$CACHE/metrics.json" \
     --trace-out "$CACHE/trace.json" > /dev/null
 "$BUILD"/tools/validate_telemetry "$CACHE/metrics.json" "$CACHE/trace.json"
@@ -150,8 +155,8 @@ echo "ok: telemetry + Chrome trace JSON validate (default build)"
 # "tracing". 16 processors at --no-cache reach the overflow buckets,
 # so the merged maxima are compared too.
 for j in 1 "$JOBS"; do
-    "$BUILD"/bench/bench_fig2_exec_time --refs 2000 --procs 16 --quiet \
-        --jobs "$j" --no-cache --metrics-out "$CACHE/merge_$j.json" \
+    "$BUILD"/bench/prefsim_repro fig2_exec_time --refs 2000 --procs 16 \
+        --quiet --jobs "$j" --no-cache --metrics-out "$CACHE/merge_$j.json" \
         > /dev/null
     sed -e 's/.*"metrics":\(.*\),"tracing":.*/\1/' "$CACHE/merge_$j.json" \
         > "$CACHE/merge_$j.metrics"
@@ -187,7 +192,7 @@ stage "timeseries validation"
 # sample; the validator checks the prefsim-timeseries-v1 shape and the
 # windowing invariants (monotone cycles, windows tiling the run).
 TS_START=$(date +%s)
-"$BUILD"/bench/bench_fig2_exec_time --refs 3000 --procs 8 --quiet \
+"$BUILD"/bench/prefsim_repro fig2_exec_time --refs 3000 --procs 8 --quiet \
     --jobs "$JOBS" --no-cache --sample-interval 977 \
     --timeseries-out "$CACHE/timeseries.json" > /dev/null
 "$BUILD"/tools/validate_telemetry "$CACHE/timeseries.json"
@@ -206,10 +211,10 @@ stage "profile validation"
 # deferred first-use replay to attribute correctly. --no-cache: cached
 # points would record only skip markers.
 PROF_START=$(date +%s)
-"$BUILD"/bench/bench_fig2_exec_time --refs 3000 --procs 8 --quiet \
+"$BUILD"/bench/prefsim_repro fig2_exec_time --refs 3000 --procs 8 --quiet \
     --jobs "$JOBS" --no-cache --engine cycle \
     --profile-out "$CACHE/profile_cycle.json" > /dev/null
-"$BUILD"/bench/bench_fig2_exec_time --refs 3000 --procs 8 --quiet \
+"$BUILD"/bench/prefsim_repro fig2_exec_time --refs 3000 --procs 8 --quiet \
     --jobs "$JOBS" --no-cache --engine local \
     --profile-out "$CACHE/profile_local.json" > /dev/null
 "$BUILD"/tools/validate_telemetry "$CACHE/profile_cycle.json"
@@ -235,10 +240,10 @@ stage "critpath validation + what-if drift gate"
 # re-simulated ground truth. --no-cache: cached points would record
 # only skip markers.
 CRIT_START=$(date +%s)
-"$BUILD"/bench/bench_fig2_exec_time --refs 2000 --procs 16 --quiet \
+"$BUILD"/bench/prefsim_repro fig2_exec_time --refs 2000 --procs 16 --quiet \
     --jobs "$JOBS" --no-cache --engine cycle --whatif-validate \
     --critpath-out "$CACHE/critpath_cycle.json" > /dev/null
-"$BUILD"/bench/bench_fig2_exec_time --refs 2000 --procs 16 --quiet \
+"$BUILD"/bench/prefsim_repro fig2_exec_time --refs 2000 --procs 16 --quiet \
     --jobs "$JOBS" --no-cache --engine local --whatif-validate \
     --critpath-out "$CACHE/critpath_local.json" > /dev/null
 "$BUILD"/tools/validate_telemetry "$CACHE/critpath_cycle.json"

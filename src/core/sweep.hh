@@ -152,6 +152,10 @@ class SweepEngine
                      const std::vector<Strategy> &strategies,
                      const std::vector<Cycle> &data_transfers);
 
+    /** The points declared since the last runPending(), in declaration
+     *  order and duplicates included. */
+    const std::vector<ExperimentSpec> &pending() const { return pending_; }
+
     /** Execute every declared-but-unfinished point; returns when all
      *  results are available. */
     void runPending();

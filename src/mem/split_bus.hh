@@ -47,8 +47,8 @@ struct BusTiming
     /**
      * Parallel data channels. 1 = the paper's single contended bus; a
      * large value approximates the contention-free interconnect of
-     * Mowry-Gupta's DASH-cluster model (see 4.2 and
-     * bench_mowry_gupta).
+     * Mowry-Gupta's DASH-cluster model (see 4.2 and the mowry_gupta
+     * experiment).
      */
     unsigned dataChannels = 1;
 

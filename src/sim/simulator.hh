@@ -70,8 +70,8 @@ struct SimConfig
      */
     unsigned prefetchDataBufferEntries = 0;
     /** Coherence protocol (the paper assumes write-invalidate; the
-     *  write-update variant is an ablation — see
-     *  bench_ablation_protocol). */
+     *  write-update variant is an ablation — see the
+     *  ablation_protocol experiment). */
     CoherenceProtocol protocol = CoherenceProtocol::WriteInvalidate;
     /**
      * Barrier episodes treated as cache warmup: when the Nth barrier

@@ -5,8 +5,8 @@
  * These pin the simulator's semantics. If a change makes any of them
  * fail, either the change altered timing/coherence behaviour by
  * accident, or it was intentional — in which case update the constants
- * *and* re-run the calibration benches (bench_proc_util,
- * bench_table2_bus_util) to confirm the paper's anchors still hold.
+ * *and* re-run the calibration experiments (`prefsim_repro proc_util
+ * table2_bus_util`) to confirm the paper's anchors still hold.
  */
 
 #include <gtest/gtest.h>
@@ -126,7 +126,7 @@ TEST(Golden, AllWorkloadNpFingerprints)
     // NP execution-time fingerprints for every workload at a fixed
     // small configuration: the calibration's change detector. If a
     // generator or simulator change moves these, re-run the
-    // calibration benches before accepting the new values.
+    // calibration experiments before accepting the new values.
     WorkloadParams p;
     p.numProcs = 4;
     p.refsPerProc = 20000;

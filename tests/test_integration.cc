@@ -128,7 +128,7 @@ TEST_P(PipelineSuite, PwsIssuesMorePrefetchesThanPref)
     EXPECT_GE(pws.stats.inserted, pref.stats.inserted);
     // Topopt's write-shared working set at this tiny 4-processor size
     // fits the 16-line PWS filter, so redundant prefetches may be zero
-    // there; the full-size runs (bench_fig1_miss_rates) show PWS's
+    // there; the full-size runs (fig1_miss_rates) show PWS's
     // topopt coverage.
     if (GetParam() != WorkloadKind::Topopt) {
         EXPECT_GT(pws.stats.pwsCandidates, 0u);
