@@ -1,8 +1,9 @@
 /**
  * @file
  * FlatTable: the unordered record store behind the attribution
- * profiler, which looks a cache line up on nearly every event, and
- * behind the whole-trace sharing analysis.
+ * profiler, which looks a cache line up on nearly every event, behind
+ * the whole-trace sharing analysis, and behind the memory system's
+ * holder directory, which looks a line up on every snoop.
  */
 
 #ifndef PREFSIM_COMMON_FLAT_TABLE_HH

@@ -60,10 +60,10 @@ struct CacheFrame
     /** Line base address of the current (or last) occupant;
      *  kNoAddr when the frame was never filled. */
     Addr tag = kNoAddr;
-    LineState state = LineState::Invalid;
-
     /** Words the local CPU accessed during this residency. */
     std::uint32_t accessMask = 0;
+    LineState state = LineState::Invalid;
+
     /** The residency was created by a prefetch... */
     bool broughtByPrefetch = false;
     /** ...and the CPU has since accessed the line. */
@@ -89,6 +89,13 @@ struct CacheFrame
         invalFalseSharing = false;
     }
 };
+
+// Widest field first: the 8-byte tag, the 4-byte access mask, then the
+// one-byte state and flags pack into 16 bytes with no interior padding
+// (state before accessMask would pad to 24). Every snoop and demand
+// lookup compares frame tags, so four frames share a 64-byte line.
+static_assert(sizeof(CacheFrame) == 16,
+              "CacheFrame must pack into 16 bytes; see the field order");
 
 } // namespace prefsim
 

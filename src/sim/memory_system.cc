@@ -1,6 +1,7 @@
 #include "sim/memory_system.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/log.hh"
 #include "obs/event.hh"
@@ -8,6 +9,38 @@
 
 namespace prefsim
 {
+
+namespace
+{
+
+/** The bit of processor @p p in a holder mask. */
+constexpr std::uint32_t
+holderBit(ProcId p)
+{
+    return std::uint32_t{1} << p;
+}
+
+/** The lowest processor in the non-empty holder mask @p mask. */
+ProcId
+lowestHolder(std::uint32_t mask)
+{
+    return static_cast<ProcId>(std::countr_zero(mask));
+}
+
+/** True when @p c holds something a snoop of @p line_base acts on: a
+ *  valid frame or victim copy, a valid parked line, or a live MSHR
+ *  (one whose fill has not already been killed in flight). */
+bool
+holdsLine(const DataCache &c, Addr line_base)
+{
+    if (isValid(c.stateAnywhere(line_base)) ||
+        c.findParked(line_base) != nullptr)
+        return true;
+    const Mshr *m = c.findMshr(line_base);
+    return m != nullptr && !m->arriveInvalid;
+}
+
+} // namespace
 
 MemorySystem::MemorySystem(unsigned num_procs, const CacheGeometry &geom,
                            const BusTiming &timing,
@@ -23,6 +56,8 @@ MemorySystem::MemorySystem(unsigned num_procs, const CacheGeometry &geom,
 {
     prefsim_assert(proc_stats.size() == num_procs,
                    "proc stats size mismatch");
+    prefsim_assert(num_procs <= 32, "holder masks cover 32 caches, not ",
+                   num_procs);
     caches_.reserve(num_procs);
     for (ProcId p = 0; p < num_procs; ++p) {
         caches_.push_back(std::make_unique<DataCache>(
@@ -44,33 +79,25 @@ MemorySystem::setSink(obs::Sink *sink)
 }
 
 MemorySystem::SnoopSummary
-MemorySystem::probeOthers(ProcId requester, Addr line_base) const
+MemorySystem::probeOthers(ProcId requester, Addr line_base)
 {
     SnoopSummary s;
-    for (ProcId p = 0; p < caches_.size(); ++p) {
-        if (p == requester)
-            continue;
-        const DataCache &c = *caches_[p];
-        if (isValid(c.stateAnywhere(line_base))) {
-            s.anyCopy = true;
-            break;
-        }
+    std::uint32_t empty = 0;
+    for (std::uint32_t rest = holders(line_base) & ~holderBit(requester);
+         rest != 0; rest &= rest - 1) {
+        const ProcId p = lowestHolder(rest);
         // The real buffer is non-snooping, but the neutralisation model
         // keeps parked copies downgradable — so the requester's state
-        // choice must count them, or it takes Exclusive beside a parked
-        // copy that a later promotion silently makes resident.
-        if (const CacheFrame *parked = c.findParked(line_base)) {
-            if (isValid(parked->state)) {
-                s.anyCopy = true;
-                break;
-            }
-        }
-        const Mshr *m = c.findMshr(line_base);
-        if (m && !m->arriveInvalid) {
+        // choice must count them (holdsLine does), or it takes
+        // Exclusive beside a parked copy that a later promotion
+        // silently makes resident.
+        if (holdsLine(*caches_[p], line_base)) {
             s.anyCopy = true;
             break;
         }
+        empty |= holderBit(p);
     }
+    pruneHolders(line_base, empty);
     return s;
 }
 
@@ -79,19 +106,26 @@ MemorySystem::downgradeOthers(ProcId requester, Addr line_base, Cycle now)
 {
     if (mutation_ == ProtocolMutation::SkipDowngrade)
         return; // Seeded bug (verification only): remote reads ignored.
-    for (ProcId p = 0; p < caches_.size(); ++p) {
-        if (p == requester)
-            continue;
+    // Iterate a copy of the mask: the catch-ups below run while it is
+    // walked, so no reference into the directory is held across them.
+    std::uint32_t empty = 0;
+    for (std::uint32_t rest = holders(line_base) & ~holderBit(requester);
+         rest != 0; rest &= rest - 1) {
+        const ProcId p = lowestHolder(rest);
         DataCache &c = *caches_[p];
         CacheFrame *f = c.findAny(line_base);
         CacheFrame *parked = c.findParked(line_base);
         Mshr *m = c.findMshr(line_base);
+        if (!(f && isValid(f->state)) && parked == nullptr &&
+            !(m && !m->arriveInvalid)) {
+            empty |= holderBit(p); // Nothing left to snoop: prune.
+            continue;
+        }
         // Replay p's pending quiet work before mutating its cache: the
         // quiet hits logically precede this bus-ordered event. The
         // lookups above survive the catch-up — quiet work never
         // changes residency, parked entries, or MSHRs.
-        if (catch_up_ && ((f && isValid(f->state)) || parked != nullptr ||
-                          (m && !m->arriveInvalid)))
+        if (catch_up_)
             catch_up_(p);
         if (f != nullptr) {
             if (isValid(f->state)) {
@@ -123,6 +157,7 @@ MemorySystem::downgradeOthers(ProcId requester, Addr line_base, Cycle now)
             m->targetState = LineState::Shared;
         }
     }
+    pruneHolders(line_base, empty);
 }
 
 void
@@ -131,20 +166,27 @@ MemorySystem::invalidateOthers(ProcId requester, Addr line_base,
 {
     if (mutation_ == ProtocolMutation::SkipInvalidate)
         return; // Seeded bug (verification only): remote copies survive.
-    for (ProcId p = 0; p < caches_.size(); ++p) {
-        if (p == requester)
-            continue;
+    // Iterate a copy of the mask: the catch-ups below run while it is
+    // walked, so no reference into the directory is held across them.
+    std::uint32_t empty = 0;
+    for (std::uint32_t rest = holders(line_base) & ~holderBit(requester);
+         rest != 0; rest &= rest - 1) {
+        const ProcId p = lowestHolder(rest);
         DataCache &c = *caches_[p];
         CacheFrame *f = c.findAny(line_base);
         CacheFrame *parked = c.findParked(line_base);
         Mshr *m = c.findMshr(line_base);
+        if (!(f && isValid(f->state)) && parked == nullptr &&
+            !(m && !m->arriveInvalid)) {
+            empty |= holderBit(p); // Nothing left to snoop: prune.
+            continue;
+        }
         // Replay p's pending quiet work before mutating its cache (and
         // before the access-mask read below: false-sharing attribution
         // depends on the words p touched *up to* this invalidation).
         // The lookups survive the catch-up — quiet work never changes
         // residency, parked entries, or MSHRs.
-        if (catch_up_ && ((f && isValid(f->state)) || parked != nullptr ||
-                          (m && !m->arriveInvalid)))
+        if (catch_up_)
             catch_up_(p);
         if (f != nullptr) {
             if (isValid(f->state)) {
@@ -192,6 +234,7 @@ MemorySystem::invalidateOthers(ProcId requester, Addr line_base,
                              .killedPrefetch = m->isPrefetch});
         }
     }
+    pruneHolders(line_base, empty);
 }
 
 AccessResult
@@ -337,6 +380,7 @@ MemorySystem::demandAccess(ProcId proc, Addr addr, bool is_write, Cycle now)
         downgradeOthers(proc, base, now);
     }
     Mshr &m = c.allocateMshr(base, target, /*is_prefetch=*/false);
+    holders(base) |= holderBit(proc);
     m.demandWaiting = true;
     m.demandWord = word;
     m.busId = bus_.request(t, now);
@@ -401,6 +445,7 @@ MemorySystem::prefetchAccess(ProcId proc, Addr addr, bool exclusive,
         downgradeOthers(proc, base, now);
     }
     Mshr &m = c.allocateMshr(base, target, /*is_prefetch=*/true);
+    holders(base) |= holderBit(proc);
     m.busId = bus_.request(t, now);
     PREFSIM_VERIFY_MEM_LINE(*this, base);
     ++stats_[proc].prefetchMisses;
@@ -683,6 +728,18 @@ MemorySystem::checkLineInvariantDetail(Addr addr, std::string *why) const
             return violate("bus.upgrade_consistency: bus upgrade for "
                            "cache " + std::to_string(p) +
                            " without a pending upgrade");
+    }
+
+    // Holder-directory coverage: snoops visit only the caches in the
+    // line's holder mask, so every cache a snoop must act on has its
+    // bit set there.
+    const std::uint32_t mask = holderMask(base);
+    for (ProcId p = 0; p < caches_.size(); ++p) {
+        if (holdsLine(*caches_[p], base) && (mask & holderBit(p)) == 0)
+            return violate("coherence.holder_directory: cache " +
+                           std::to_string(p) +
+                           " holds the line but is not in its holder "
+                           "mask");
     }
     return true;
 }

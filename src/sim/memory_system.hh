@@ -17,9 +17,11 @@
  *
  * Snooping happens at request time; fills that are invalidated while in
  * flight arrive dead (install Invalid), which is how "prefetched data
- * invalidated before use" becomes observable. Miss classification — the
- * paper's Figure 3 taxonomy plus per-word false-sharing attribution —
- * is performed here, at the moment each CPU miss is discovered.
+ * invalidated before use" becomes observable. A snoop visits only the
+ * caches in the line's holder mask (see holders_), not every cache.
+ * Miss classification — the paper's Figure 3 taxonomy plus per-word
+ * false-sharing attribution — is performed here, at the moment each
+ * CPU miss is discovered.
  */
 
 #ifndef PREFSIM_SIM_MEMORY_SYSTEM_HH
@@ -31,6 +33,7 @@
 #include <vector>
 
 #include "common/cache_geometry.hh"
+#include "common/flat_table.hh"
 #include "common/types.hh"
 #include "mem/data_cache.hh"
 #include "mem/split_bus.hh"
@@ -289,12 +292,23 @@ class MemorySystem
      * copy, no private copy coexisting with any other valid copy or
      * live in-flight fill), at most one live exclusive intent counting
      * in-flight private fills, MSHR/bus-transaction bijection (no lost
-     * or duplicated fills), and pending-upgrade/bus consistency.
+     * or duplicated fills), pending-upgrade/bus consistency, and
+     * holder-directory coverage (every cache a snoop must act on is in
+     * the line's holder mask).
      * @return true when every predicate holds; otherwise false with the
      *         first violated predicate described in @p why (non-null).
      */
     bool checkLineInvariantDetail(Addr addr,
                                   std::string *why = nullptr) const;
+
+    /** Holder mask of @p addr's line: bit p is set when cache p may
+     *  hold the line (testing support; see holders_). */
+    std::uint32_t
+    holderMask(Addr addr) const
+    {
+        const std::uint32_t *mask = holders_.find(geom_.lineBase(addr));
+        return mask != nullptr ? *mask : 0;
+    }
 
     /** Pending write-upgrade line of @p proc (kNoAddr when none). */
     Addr pendingUpgrade(ProcId proc) const
@@ -310,14 +324,15 @@ class MemorySystem
     ProtocolMutation protocolMutation() const { return mutation_; }
 
   private:
-    /** Result of probing every other cache for a line. */
+    /** Result of probing the other holders of a line. */
     struct SnoopSummary
     {
         bool anyCopy = false; ///< Valid copy or in-flight fill elsewhere.
     };
 
-    /** Probe other caches (frames and MSHRs) for @p line_base. */
-    SnoopSummary probeOthers(ProcId requester, Addr line_base) const;
+    /** Probe the other holders of @p line_base (frames, victim and
+     *  parked entries, MSHRs); prunes the holders it finds empty. */
+    SnoopSummary probeOthers(ProcId requester, Addr line_base);
 
     /** Downgrade every other copy to Shared (remote ReadShared). */
     void downgradeOthers(ProcId requester, Addr line_base, Cycle now);
@@ -329,6 +344,23 @@ class MemorySystem
      */
     void invalidateOthers(ProcId requester, Addr line_base,
                           std::uint32_t word, Cycle now);
+
+    /** The holder mask of @p line_base (zero for a line never
+     *  missed on). */
+    std::uint32_t &
+    holders(Addr line_base)
+    {
+        return holders_.get(line_base, [](std::uint32_t &) {});
+    }
+
+    /** Clear @p empty's bits from @p line_base's holder mask: caches a
+     *  snoop visited and found holding nothing of the line. */
+    void
+    pruneHolders(Addr line_base, std::uint32_t empty)
+    {
+        if (empty != 0)
+            holders(line_base) &= ~empty;
+    }
 
     /** Bus completion dispatcher. */
     void onBusComplete(const Transaction &txn, Cycle now);
@@ -351,6 +383,17 @@ class MemorySystem
     WakeFn wake_;
     CatchUpFn catch_up_;
     obs::Sink *sink_ = nullptr;
+
+    /**
+     * Holder directory: per line base, a mask of the caches that may
+     * hold the line (bit p = processor p). A cache's bit is set where
+     * it allocates an MSHR for the line, the only way a line enters a
+     * cache; a snoop clears it once the cache holds no valid frame or
+     * victim copy, no valid parked line and no live MSHR of the line.
+     * The mask is thus a superset of the caches a snoop acts on, and
+     * snoops visit only its bits.
+     */
+    FlatTable<Addr, std::uint32_t, AddrHash> holders_;
 
     /** Pending upgrade per processor (line base; kNoAddr when none). */
     std::vector<Addr> pending_upgrade_;

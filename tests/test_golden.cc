@@ -11,7 +11,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <tuple>
+
 #include "core/experiment.hh"
+#include "core/result_io.hh"
 #include "prefetch/inserter.hh"
 #include "sim/simulator.hh"
 
@@ -147,6 +151,50 @@ TEST(Golden, AllWorkloadNpFingerprints)
         spec.params = p;
         const ExperimentResult r = runExperiment(spec);
         EXPECT_EQ(r.sim.cycles, cycles) << workloadName(kind);
+    }
+}
+
+TEST(Golden, OrganisationFingerprints)
+{
+    // Byte fingerprints of one small 16-processor run under each
+    // organisation whose snoop path differs from the paper's: a victim
+    // buffer, a 2-way cache, a prefetch data buffer and write-update
+    // coherence. Both engines share MemorySystem, so the engine
+    // differential cannot see a snoop bug on these paths; these can.
+    // The constants predate the holder directory, which must not move
+    // them.
+    WorkloadParams p;
+    p.numProcs = 16;
+    p.refsPerProc = 2000;
+    p.seed = 2026;
+
+    ExperimentSpec base;
+    base.workload = WorkloadKind::Mp3d;
+    base.strategy = Strategy::PREF;
+    base.dataTransfer = 8;
+    base.params = p;
+
+    ExperimentSpec victim = base;
+    victim.sim.victimEntries = 4;
+    ExperimentSpec two_way = base;
+    two_way.geometry = CacheGeometry(32 * 1024, 32, 2);
+    ExperimentSpec pdb = base;
+    pdb.sim.prefetchDataBufferEntries = 16;
+    ExperimentSpec update = base;
+    update.sim.protocol = CoherenceProtocol::WriteUpdate;
+
+    const std::tuple<const char *, ExperimentSpec, std::uint64_t>
+        expected[] = {
+            {"victim4", victim, 0x5e46ad6552f1e031ULL},
+            {"2way", two_way, 0x18a1a7357a7198ecULL},
+            {"pdb16", pdb, 0xfbe60434b8ee920dULL},
+            {"write-update", update, 0xcb658bedc36e3f52ULL},
+        };
+    for (const auto &[name, spec, fingerprint] : expected) {
+        std::ostringstream os;
+        writeResultJson(os, runExperiment(spec), experimentCacheKey(spec));
+        EXPECT_EQ(fnv1a64(os.str()), fingerprint)
+            << name << std::hex << " got 0x" << fnv1a64(os.str());
     }
 }
 

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/memory_system.hh"
@@ -21,11 +22,12 @@ namespace
 struct MemHarness
 {
     explicit MemHarness(unsigned procs = 4, Cycle transfer = 8,
-                        unsigned pdb_entries = 0)
+                        unsigned pdb_entries = 0,
+                        unsigned victim_entries = 0)
         : stats(procs),
           mem(procs, CacheGeometry::paperDefault(),
-              BusTiming{100, transfer, 2}, 16, stats,
-              /*victim_entries=*/0, pdb_entries)
+              BusTiming{100, transfer, 2}, 16, stats, victim_entries,
+              pdb_entries)
     {
         mem.setWake([this](ProcId p, bool retry) {
             wakes.push_back({p, retry});
@@ -42,6 +44,14 @@ struct MemHarness
     }
 
     LineState stateOf(ProcId p, Addr a) { return mem.cache(p).stateOf(a); }
+
+    /** Every single-line invariant holds for @p a's line. */
+    void
+    expectLineOk(Addr a)
+    {
+        std::string why;
+        EXPECT_TRUE(mem.checkLineInvariantDetail(a, &why)) << why;
+    }
 
     std::vector<ProcStats> stats;
     MemorySystem mem;
@@ -441,6 +451,88 @@ TEST(Invariant, HoldsAcrossMixedTraffic)
     EXPECT_TRUE(h.mem.checkLineInvariant(line));
     EXPECT_EQ(h.stateOf(3, line), LineState::Exclusive);
     EXPECT_EQ(h.stateOf(2, line), LineState::Invalid);
+}
+
+TEST(HolderDirectory, VictimBufferStaleBitPrunedThenRefilled)
+{
+    // Proc 0 loses the line out of its cache and then out of its
+    // 4-entry victim buffer. Its holder bit goes stale (a superset is
+    // safe) until proc 1's write miss snoops the line and prunes it;
+    // proc 0's refill sets it again.
+    MemHarness h(/*procs=*/4, /*transfer=*/8, /*pdb_entries=*/0,
+                 /*victim_entries=*/4);
+    const Addr line = 0x1000;
+    const Addr stride = CacheGeometry::paperDefault().sizeBytes();
+    h.mem.demandAccess(0, line, false, h.cycle);
+    h.drain();
+    for (Addr k = 1; k <= 5; ++k) { // Same set: each evicts the last.
+        h.mem.demandAccess(0, line + k * stride, false, h.cycle);
+        h.drain();
+    }
+    EXPECT_EQ(h.mem.cache(0).stateAnywhere(line), LineState::Invalid);
+    EXPECT_EQ(h.mem.holderMask(line), 0b1u);
+    h.expectLineOk(line);
+
+    h.mem.demandAccess(1, line + 4, true, h.cycle);
+    EXPECT_EQ(h.mem.holderMask(line), 0b10u);
+    h.drain();
+    EXPECT_EQ(h.stateOf(1, line), LineState::Modified);
+    h.expectLineOk(line);
+
+    h.mem.demandAccess(0, line, false, h.cycle);
+    EXPECT_EQ(h.mem.holderMask(line), 0b11u);
+    h.drain();
+    EXPECT_EQ(h.stateOf(0, line), LineState::Shared);
+    EXPECT_EQ(h.stateOf(1, line), LineState::Shared);
+    h.expectLineOk(line);
+}
+
+TEST(HolderDirectory, PrefetchDataBufferStaleBitPrunedThenRefilled)
+{
+    // The same with a 2-entry prefetch data buffer: proc 0's parked
+    // line is displaced by two later prefetches, proc 1's write miss
+    // prunes the stale bit, and proc 0's next prefetch parks the line
+    // again, Shared beside proc 1's downgraded copy.
+    MemHarness h(/*procs=*/4, /*transfer=*/8, /*pdb_entries=*/2);
+    const Addr line = 0x1000;
+    h.mem.prefetchAccess(0, line, false, h.cycle);
+    h.drain();
+    ASSERT_NE(h.mem.cache(0).findParked(line), nullptr);
+    h.mem.prefetchAccess(0, 0x2000, false, h.cycle);
+    h.mem.prefetchAccess(0, 0x3000, false, h.cycle);
+    h.drain();
+    EXPECT_EQ(h.mem.cache(0).findParked(line), nullptr);
+    EXPECT_EQ(h.mem.holderMask(line), 0b1u);
+    h.expectLineOk(line);
+
+    h.mem.demandAccess(1, line, true, h.cycle);
+    EXPECT_EQ(h.mem.holderMask(line), 0b10u);
+    h.drain();
+    EXPECT_EQ(h.stateOf(1, line), LineState::Modified);
+    h.expectLineOk(line);
+
+    EXPECT_EQ(h.mem.prefetchAccess(0, line, false, h.cycle),
+              PrefetchResult::Issued);
+    EXPECT_EQ(h.mem.holderMask(line), 0b11u);
+    h.drain();
+    const CacheFrame *parked = h.mem.cache(0).findParked(line);
+    ASSERT_NE(parked, nullptr);
+    EXPECT_EQ(parked->state, LineState::Shared);
+    EXPECT_EQ(h.stateOf(1, line), LineState::Shared);
+    h.expectLineOk(line);
+}
+
+TEST(HolderDirectory, CoverageRuleCatchesAnUnlistedCopy)
+{
+    // A copy installed behind the memory system's back has no holder
+    // bit, so a snoop would miss it: the coverage rule must say so.
+    MemHarness h;
+    EvictedLine ev;
+    h.mem.cache(2).install(0x1000, LineState::Exclusive, false, ev);
+    std::string why;
+    EXPECT_FALSE(h.mem.checkLineInvariantDetail(0x1000, &why));
+    EXPECT_EQ(why.rfind("coherence.holder_directory: cache 2", 0), 0u)
+        << why;
 }
 
 } // namespace

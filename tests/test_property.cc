@@ -14,6 +14,7 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -25,6 +26,7 @@
 #include "prefetch/filter_cache.hh"
 #include "prefetch/inserter.hh"
 #include "sim/simulator.hh"
+#include "stats/json.hh"
 
 namespace prefsim
 {
@@ -579,6 +581,53 @@ TEST_P(RandomProgramSuite, AnnotatedTraceSimulates)
     const SimStats s = simulate(ann.trace, cfg);
     EXPECT_GT(s.cycles, 0u);
     EXPECT_EQ(s.totalDemandRefs(), pt.totalDemandRefs());
+}
+
+TEST_P(RandomProgramSuite, WideMachineEnginesAgree)
+{
+    // 17 and 32 processors: a holder mask using bit 31, and requesters
+    // masking their own bit out of a mask of every other cache. Both
+    // engines share MemorySystem, so besides agreeing byte for byte
+    // each must leave every shared-pool line's invariants (holder
+    // coverage included) intact, under each snoop-path organisation.
+    const std::uint64_t seed = GetParam();
+    const unsigned procs = seed % 2 ? 17 : 32;
+    const ParallelTrace pt = randomTrace(seed, procs, 4, 80);
+
+    SimConfig base;
+    base.warmupEpisodes = 0;
+    base.deadlockWindow = 500000;
+    SimConfig victim = base;
+    victim.victimEntries = 4;
+    SimConfig pdb = base;
+    pdb.prefetchDataBufferEntries = 16;
+    SimConfig update = base;
+    update.protocol = CoherenceProtocol::WriteUpdate;
+    const std::pair<const char *, SimConfig> configs[] = {
+        {"base", base}, {"victim4", victim}, {"pdb16", pdb},
+        {"write-update", update}};
+
+    for (const auto &[name, cfg] : configs) {
+        SCOPED_TRACE("seed=" + std::to_string(seed) + " procs=" +
+                     std::to_string(procs) + " config=" + name);
+        std::string stats[2];
+        for (const SimEngine engine :
+             {SimEngine::CycleLoop, SimEngine::LocalClock}) {
+            SimConfig c = cfg;
+            c.engine = engine;
+            Simulator sim(pt, c);
+            std::ostringstream os;
+            writeJson(os, sim.run());
+            stats[engine == SimEngine::LocalClock] = os.str();
+            for (unsigned l = 0; l < 64; ++l) {
+                std::string why;
+                EXPECT_TRUE(sim.memory().checkLineInvariantDetail(
+                    0x100000 + l * 32, &why))
+                    << why;
+            }
+        }
+        EXPECT_EQ(stats[0], stats[1]);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramSuite,
