@@ -4,7 +4,9 @@
 #   1. plain build + tests + the reproduction golden (prefsim_repro at
 #      paper scale diffed against results/) + example smoke + determinism +
 #      the engine differential (the local-clock core vs. the reference
-#      cycle loop, byte-compared) + simulation-core throughput smoke +
+#      cycle loop, byte-compared on Figure 2 at 4/8/16 processors,
+#      Figure 3 and the cache and protocol ablations) + simulation-core
+#      throughput smoke +
 #      the perf-regression gate (fresh bench_perf.sh vs the checked-in
 #      BENCH_simcore.json, via prefsim_report --compare) + telemetry,
 #      Chrome trace, interval time-series, per-line attribution-profile
@@ -86,12 +88,34 @@ stage "engine differential"
 # reference cycle loop (docs/simcore.md). The engine is deliberately
 # not part of the experiment cache key, so --no-cache is required: a
 # cached run would compare one engine's numbers against themselves.
-"$BUILD"/bench/prefsim_repro fig2_exec_time --refs 10000 --procs 8 --csv \
-    --quiet --no-cache --jobs "$JOBS" --engine local > "$CACHE/local.csv"
-"$BUILD"/bench/prefsim_repro fig2_exec_time --refs 10000 --procs 8 --csv \
-    --quiet --no-cache --jobs "$JOBS" --engine cycle > "$CACHE/cycle.csv"
-cmp "$CACHE/local.csv" "$CACHE/cycle.csv"
-echo "ok: local-clock engine byte-identical to the cycle loop on fig2"
+# Figure 2 runs at 4, 8 and 16 processors; Figure 3 and the cache and
+# protocol ablations cover what the quiet plan replays (access masks,
+# first uses) and what invalidates it (the victim buffer, the prefetch
+# data buffer, write-update). The budget guards against an engine that
+# stopped forming quiet spans, not timing noise.
+DIFF_START=$(date +%s)
+engine_diff() {
+    name=$1
+    shift
+    for engine in local cycle; do
+        "$BUILD"/bench/prefsim_repro "$name" --refs 10000 --quiet --no-cache \
+            --jobs "$JOBS" --engine "$engine" "$@" > "$CACHE/diff.$engine"
+    done
+    cmp "$CACHE/diff.local" "$CACHE/diff.cycle"
+    echo "ok: local-clock engine byte-identical to the cycle loop on $name $*"
+}
+for procs in 4 8 16; do
+    engine_diff fig2_exec_time --procs "$procs" --csv
+done
+engine_diff fig3_miss_components --procs 8 --csv
+engine_diff ablation_cache --procs 8
+engine_diff ablation_protocol --procs 8
+DIFF_ELAPSED=$(($(date +%s) - DIFF_START))
+if [ "$DIFF_ELAPSED" -gt 300 ]; then
+    echo "FAIL: engine differential took ${DIFF_ELAPSED}s (budget 300s)" >&2
+    exit 1
+fi
+echo "ok: engine differential in ${DIFF_ELAPSED}s (budget 300s)"
 
 stage "simcore throughput smoke"
 # Reduced-refs run of the throughput benchmark: proves the report

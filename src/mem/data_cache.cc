@@ -33,24 +33,6 @@ DataCache::DataCache(ProcId owner, const CacheGeometry &geom,
 {}
 
 CacheFrame *
-DataCache::findFrame(Addr addr)
-{
-    const Addr tag = geom_.lineBase(addr);
-    const std::uint32_t base = geom_.frameBase(addr);
-    for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
-        if (frames_[base + w].tag == tag)
-            return &frames_[base + w];
-    }
-    return nullptr;
-}
-
-const CacheFrame *
-DataCache::findFrame(Addr addr) const
-{
-    return const_cast<DataCache *>(this)->findFrame(addr);
-}
-
-CacheFrame *
 DataCache::findVictim(Addr addr)
 {
     const Addr tag = geom_.lineBase(addr);
@@ -67,13 +49,6 @@ DataCache::findAny(Addr addr)
     if (CacheFrame *f = findFrame(addr))
         return f;
     return findVictim(addr);
-}
-
-bool
-DataCache::resident(Addr addr) const
-{
-    const CacheFrame *f = findFrame(addr);
-    return f != nullptr && isValid(f->state);
 }
 
 LineState
@@ -96,14 +71,8 @@ DataCache::stateAnywhere(Addr addr) const
 void
 DataCache::touch(Addr addr)
 {
-    const Addr tag = geom_.lineBase(addr);
-    const std::uint32_t base = geom_.frameBase(addr);
-    for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
-        if (frames_[base + w].tag == tag) {
-            last_use_[base + w] = ++use_clock_;
-            return;
-        }
-    }
+    if (const CacheFrame *f = findFrame(addr))
+        last_use_[slotOf(*f)] = ++use_clock_;
 }
 
 Mshr *
@@ -126,10 +95,7 @@ DataCache::findMshr(Addr addr) const
 bool
 DataCache::prefetchMshrAvailable() const
 {
-    const auto prefetch_count = static_cast<unsigned>(std::count_if(
-        mshrs_.begin(), mshrs_.end(),
-        [](const Mshr &m) { return m.isPrefetch; }));
-    return prefetch_count < max_prefetch_;
+    return prefetch_mshrs_ < max_prefetch_;
 }
 
 Mshr &
@@ -145,6 +111,7 @@ DataCache::allocateMshr(Addr line_base, LineState target, bool is_prefetch)
     m.lineBase = line_base;
     m.targetState = target;
     m.isPrefetch = is_prefetch;
+    prefetch_mshrs_ += is_prefetch ? 1 : 0;
     mshrs_.push_back(m);
     return mshrs_.back();
 }
@@ -156,6 +123,7 @@ DataCache::releaseMshr(Addr line_base)
         if (it->lineBase == line_base) {
             Mshr m = *it;
             mshrs_.erase(it);
+            prefetch_mshrs_ -= m.isPrefetch ? 1 : 0;
             return m;
         }
     }

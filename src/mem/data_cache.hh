@@ -65,6 +65,16 @@ struct Mshr
     Cycle demandAttachedAt = 0;
 };
 
+/** A hit on a frame of the cache proper, as DataCache::applyHits()
+ *  takes it: a demand access's, or a quiet hit a walk planned. */
+struct CacheHit
+{
+    std::uint32_t at;   ///< Cycle of the access, relative to a base.
+    std::uint32_t slot; ///< Frame slot (DataCache::slotOf).
+    std::uint8_t word;  ///< Word index within the line.
+    bool write;
+};
+
 /** A dirty line displaced out of the cache+victim pair (needs a bus
  *  writeback). */
 struct EvictedLine
@@ -89,9 +99,25 @@ class DataCache
 
     /** @name Frame lookup. @{ */
     /** Frame in the cache proper whose tag matches @p addr's line
-     *  (any state, including Invalid), or nullptr. */
-    CacheFrame *findFrame(Addr addr);
-    const CacheFrame *findFrame(Addr addr) const;
+     *  (any state, including Invalid), or nullptr. Inline: every
+     *  access, walk step and snoop starts here. */
+    CacheFrame *
+    findFrame(Addr addr)
+    {
+        const Addr tag = geom_.lineBase(addr);
+        CacheFrame *set = frames_.data() + geom_.frameBase(addr);
+        for (std::uint32_t w = 0; w < geom_.ways(); ++w) {
+            if (set[w].tag == tag)
+                return &set[w];
+        }
+        return nullptr;
+    }
+
+    const CacheFrame *
+    findFrame(Addr addr) const
+    {
+        return const_cast<DataCache *>(this)->findFrame(addr);
+    }
 
     /** Victim-buffer entry for @p addr's line, or nullptr. */
     CacheFrame *findVictim(Addr addr);
@@ -100,7 +126,12 @@ class DataCache
     CacheFrame *findAny(Addr addr);
 
     /** True iff the line is resident and valid in the cache proper. */
-    bool resident(Addr addr) const;
+    bool
+    resident(Addr addr) const
+    {
+        const CacheFrame *f = findFrame(addr);
+        return f != nullptr && isValid(f->state);
+    }
 
     /** State of the line in the cache proper (Invalid if absent). */
     LineState stateOf(Addr addr) const;
@@ -108,8 +139,51 @@ class DataCache
     /** State of the line anywhere (cache proper or victim buffer). */
     LineState stateAnywhere(Addr addr) const;
 
-    /** Record an LRU touch on the frame holding @p addr (hit path). */
+    /** Record an LRU touch on the frame holding @p addr. */
     void touch(Addr addr);
+
+    /** No frame (a slot lookup that found none). */
+    static constexpr std::uint32_t kNoFrame = ~std::uint32_t{0};
+
+    /** Slot of @p f, a frame of the cache proper: its index, stable
+     *  for the cache's lifetime (a walk records it, a replay uses it). */
+    std::uint32_t
+    slotOf(const CacheFrame &f) const
+    {
+        return static_cast<std::uint32_t>(&f - frames_.data());
+    }
+
+    /**
+     * The cache-local side effects of the hits [@p hit, @p end), in
+     * order: the word joins the frame's access mask, the frame counts
+     * as used (a prefetched line's first use calls @p first_use with
+     * the line and base + at), the LRU touch, the stale
+     * prefetched-but-lost marker is consumed, and a write to an
+     * Exclusive line upgrades it silently to Modified.
+     */
+    template <typename FirstUse>
+    void
+    applyHits(const CacheHit *hit, const CacheHit *end, Cycle base,
+              FirstUse &&first_use)
+    {
+        // Nothing below marks a line lost, so an empty table stays
+        // empty; the clock lives in a register for the run.
+        const bool lost = !lost_prefetch_.empty();
+        std::uint64_t clock = use_clock_;
+        for (; hit != end; ++hit) {
+            CacheFrame &f = frames_[hit->slot];
+            f.accessMask |= 1u << hit->word;
+            if (f.broughtByPrefetch && !f.usedSinceFill)
+                first_use(f.tag, base + hit->at);
+            f.usedSinceFill = true;
+            last_use_[hit->slot] = ++clock;
+            if (lost)
+                lost_prefetch_.erase(f.tag);
+            if (hit->write && f.state == LineState::Exclusive)
+                f.state = LineState::Modified;
+        }
+        use_clock_ = clock;
+    }
     /** @} */
 
     /** @name MSHRs. @{ */
@@ -226,6 +300,7 @@ class DataCache
     std::vector<std::uint64_t> pdb_use_;
 
     std::vector<Mshr> mshrs_;
+    unsigned prefetch_mshrs_ = 0; ///< MSHRs of mshrs_ with isPrefetch.
     std::unordered_set<Addr> lost_prefetch_;
     obs::Sink *sink_ = nullptr;
 };

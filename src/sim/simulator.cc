@@ -17,7 +17,7 @@ namespace
 constexpr Cycle kMaxWindow = Cycle{1} << 30;
 
 /// Walk limit for a local clock's side-effect boundary (matches the
-/// inert walk's own memo lookahead). A boundary capped here is a safe
+/// lookahead of a processor's quiet plan). A boundary capped here is a safe
 /// conservative stand-in for the real one: reaching it catches the
 /// processor up, re-walks from the live cursor, and costs at most one
 /// workless exact cycle per span — while an uncapped walk would
@@ -334,7 +334,7 @@ Simulator::catchUp(ProcId p, Cycle to)
         pr.fastForward(to - local_[p], local_[p]);
     local_[p] = to;
     // An advanced replay may have retired the trace's final record
-    // (Done) or consumed memoised inert cycles; either way the cached
+    // (Done) or consumed part of the quiet plan; either way the cached
     // boundary is stale. (Skipping this lets a retirement keep a stale
     // finite eff_ and pin the frontier minimum below where it is.)
     dirty_mask_ |= std::uint32_t{1} << p;
