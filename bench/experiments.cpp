@@ -344,6 +344,68 @@ render(SweepEngine &bench, bool csv, std::ostream &os)
 } // namespace fig2_exec_time
 
 /**
+ * Figure 2's execution times split into where the processors' cycles
+ * went, normalised to NP = 100 on the same bus: the execution time,
+ * then busy cycles and the five stall components summed over
+ * processors, each relative to NP's aggregate processor-cycles. Reads
+ * the points of fig2_exec_time.
+ */
+namespace fig2_components
+{
+
+using fig2_exec_time::enqueue;
+
+/** @p member summed over @p s's processors. */
+double
+procSum(const SimStats &s, Cycle ProcStats::*member)
+{
+    double total = 0.0;
+    for (const ProcStats &p : s.procs)
+        total += static_cast<double>(p.*member);
+    return total;
+}
+
+void
+render(SweepEngine &bench, bool, std::ostream &os)
+{
+    os << "=== Figure 2: execution-time components, normalised to "
+          "NP = 100 ===\n"
+          "(time = execution cycles vs NP; component columns are\n"
+          " aggregate processor-cycles relative to the NP total)\n\n";
+
+    TextTable t({"workload", "xfer", "strategy", "time", "busy", "demand",
+                 "upgrade", "pf-queue", "lock", "barrier"});
+    for (WorkloadKind w : allWorkloads()) {
+        for (Cycle lat : paperTransferLatencies()) {
+            const SimStats &np = bench.run(w, false, Strategy::NP, lat).sim;
+            const double np_total = procSum(np, &ProcStats::finishedAt);
+            if (t.numRows() > 0)
+                t.addRule();
+            for (Strategy s : allStrategies()) {
+                const SimStats &r = bench.run(w, false, s, lat).sim;
+                auto part = [&](Cycle ProcStats::*member) {
+                    return TextTable::num(
+                        procSum(r, member) / np_total * 100.0, 1);
+                };
+                t.addRow({workloadName(w), TextTable::count(lat),
+                          strategyName(s),
+                          TextTable::num(ratio(r.cycles, np.cycles) * 100.0,
+                                         1),
+                          part(&ProcStats::busy),
+                          part(&ProcStats::stallDemand),
+                          part(&ProcStats::stallUpgrade),
+                          part(&ProcStats::stallPrefetchQueue),
+                          part(&ProcStats::spinLock),
+                          part(&ProcStats::waitBarrier)});
+            }
+        }
+    }
+    t.print(os);
+}
+
+} // namespace fig2_components
+
+/**
  * Paper Figure 3: "Sources of CPU Misses in Topopt, Pverify and Mp3d"
  * (8-cycle data-transfer latency).
  *
@@ -1322,6 +1384,7 @@ experiments()
         PREFSIM_EXPERIMENT(fig1_miss_rates),
         PREFSIM_EXPERIMENT(table2_bus_util),
         PREFSIM_EXPERIMENT(fig2_exec_time),
+        PREFSIM_EXPERIMENT(fig2_components),
         PREFSIM_EXPERIMENT(fig3_miss_components),
         PREFSIM_EXPERIMENT(proc_util),
         PREFSIM_EXPERIMENT(table3_false_sharing),

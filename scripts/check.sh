@@ -2,7 +2,8 @@
 # Full verification pass over every supported configuration:
 #
 #   1. plain build + tests + the reproduction golden (prefsim_repro at
-#      paper scale diffed against results/) + example smoke + determinism +
+#      paper scale diffed against results/, then re-rendered from its
+#      warm cache with no simulation) + example smoke + determinism +
 #      the engine differential (the local-clock core vs. the reference
 #      cycle loop, byte-compared on Figure 2 at 4/8/16 processors,
 #      Figure 3 and the cache and protocol ablations) + simulation-core
@@ -65,9 +66,16 @@ stage "reproduction golden"
 #   build/bench/prefsim_repro --jobs "$(nproc)" --out results
 CACHE=$(mktemp -d)
 trap 'rm -rf "$CACHE"' EXIT
-"$BUILD"/bench/prefsim_repro --quiet --jobs "$JOBS" --out "$CACHE/results"
+"$BUILD"/bench/prefsim_repro --quiet --jobs "$JOBS" --out "$CACHE/results" \
+    --cache-dir "$CACHE/runs"
 diff -r results "$CACHE/results"
 echo "ok: prefsim_repro reproduces results/"
+# A warm cache re-renders every table by exact key without simulating.
+"$BUILD"/bench/prefsim_repro --quiet --jobs "$JOBS" --out "$CACHE/rerender" \
+    --cache-dir "$CACHE/runs" --metrics-out "$CACHE/rerender.json"
+diff -r results "$CACHE/rerender"
+grep -q '"simulations_run":0[,}]' "$CACHE/rerender.json"
+echo "ok: the warm cache re-renders results/ with no simulation"
 
 stage "example smoke"
 for e in quickstart false_sharing_clinic bus_saturation_study; do

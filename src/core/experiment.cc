@@ -2,8 +2,6 @@
 
 #include <sstream>
 
-#include "common/log.hh"
-
 namespace prefsim
 {
 
@@ -66,90 +64,6 @@ runExperiment(const ExperimentSpec &spec)
     result.annotate = annotated.stats;
     result.sim = simulate(annotated.trace, spec.simConfig());
     return result;
-}
-
-Workbench::Workbench(WorkloadParams params, CacheGeometry geometry)
-    : params_(params), geometry_(geometry)
-{}
-
-const ParallelTrace &
-Workbench::baseTrace(WorkloadKind kind, bool restructured)
-{
-    const TraceKey key{kind, restructured};
-    auto it = traces_.find(key);
-    if (it == traces_.end()) {
-        WorkloadParams wp = params_;
-        wp.restructured = restructured;
-        it = traces_
-                 .emplace(key, std::make_unique<ParallelTrace>(
-                                   generateWorkload(kind, wp)))
-                 .first;
-    }
-    return *it->second;
-}
-
-const AnnotatedTrace &
-Workbench::annotated(WorkloadKind kind, bool restructured,
-                     Strategy strategy)
-{
-    const AnnKey key{kind, restructured, strategy};
-    auto it = annotated_.find(key);
-    if (it == annotated_.end()) {
-        const ParallelTrace &base = baseTrace(kind, restructured);
-        it = annotated_
-                 .emplace(key, std::make_unique<AnnotatedTrace>(
-                                   annotateTrace(base, strategy, geometry_)))
-                 .first;
-    }
-    return *it->second;
-}
-
-const ExperimentResult &
-Workbench::run(WorkloadKind kind, bool restructured, Strategy strategy,
-               Cycle data_transfer)
-{
-    const RunKey key{kind, restructured, strategy, data_transfer};
-    auto it = runs_.find(key);
-    if (it == runs_.end()) {
-        const AnnotatedTrace &ann = annotated(kind, restructured, strategy);
-
-        SimConfig cfg;
-        cfg.geometry = geometry_;
-        cfg.timing.dataTransfer = data_transfer;
-
-        auto result = std::make_unique<ExperimentResult>();
-        result->spec.workload = kind;
-        result->spec.restructured = restructured;
-        result->spec.strategy = strategy;
-        result->spec.dataTransfer = data_transfer;
-        result->spec.params = params_;
-        result->spec.geometry = geometry_;
-        result->annotate = ann.stats;
-        result->sim = simulate(ann.trace, cfg);
-        it = runs_.emplace(key, std::move(result)).first;
-    }
-    return *it->second;
-}
-
-double
-Workbench::relativeExecTime(WorkloadKind kind, bool restructured,
-                            Strategy strategy, Cycle data_transfer)
-{
-    const ExperimentResult &np =
-        run(kind, restructured, Strategy::NP, data_transfer);
-    const ExperimentResult &r =
-        run(kind, restructured, strategy, data_transfer);
-    prefsim_assert(np.sim.cycles > 0, "NP run produced zero cycles");
-    return static_cast<double>(r.sim.cycles) /
-           static_cast<double>(np.sim.cycles);
-}
-
-double
-Workbench::speedup(WorkloadKind kind, bool restructured, Strategy strategy,
-                   Cycle data_transfer)
-{
-    return 1.0 / relativeExecTime(kind, restructured, strategy,
-                                  data_transfer);
 }
 
 } // namespace prefsim

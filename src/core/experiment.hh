@@ -3,18 +3,15 @@
  * The public experiment API: one call from (workload, strategy, memory
  * architecture) to the paper's metrics.
  *
- * This is the layer the examples and the bench harness drive. A
- * Workbench caches generated traces, annotated traces and simulation
- * results so parameter sweeps (Figure 2 runs 25 simulations per
- * workload) pay each expensive step once.
+ * runExperiment() is the uncached reference path. Sweeps, which share
+ * traces and annotations across many points (Figure 2 runs 25
+ * simulations per workload), go through SweepEngine (core/sweep.hh).
  */
 
 #ifndef PREFSIM_CORE_EXPERIMENT_HH
 #define PREFSIM_CORE_EXPERIMENT_HH
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -80,57 +77,6 @@ struct ExperimentResult
 
 /** Run one experiment from scratch (no caching). */
 ExperimentResult runExperiment(const ExperimentSpec &spec);
-
-/**
- * Cache of traces and results for sweeps.
- *
- * All experiments run through one Workbench share workload parameters
- * and cache geometry; vary strategy / restructuring / bus speed freely.
- */
-class Workbench
-{
-  public:
-    explicit Workbench(
-        WorkloadParams params = defaultWorkloadParams(),
-        CacheGeometry geometry = CacheGeometry::paperDefault());
-
-    /** The generated (unannotated) trace; cached. */
-    const ParallelTrace &baseTrace(WorkloadKind kind,
-                                   bool restructured = false);
-
-    /** The strategy-annotated trace; cached. */
-    const AnnotatedTrace &annotated(WorkloadKind kind, bool restructured,
-                                    Strategy strategy);
-
-    /** Run (or fetch the cached result of) one experiment. */
-    const ExperimentResult &run(WorkloadKind kind, bool restructured,
-                                Strategy strategy, Cycle data_transfer);
-
-    /**
-     * Execution time relative to NP on the same memory architecture
-     * (paper Figure 2 / Table 5; < 1.0 means prefetching won).
-     */
-    double relativeExecTime(WorkloadKind kind, bool restructured,
-                            Strategy strategy, Cycle data_transfer);
-
-    /** Speedup of @p strategy over NP (1 / relativeExecTime). */
-    double speedup(WorkloadKind kind, bool restructured, Strategy strategy,
-                   Cycle data_transfer);
-
-    const WorkloadParams &params() const { return params_; }
-    const CacheGeometry &geometry() const { return geometry_; }
-
-  private:
-    using TraceKey = std::pair<WorkloadKind, bool>;
-    using AnnKey = std::tuple<WorkloadKind, bool, Strategy>;
-    using RunKey = std::tuple<WorkloadKind, bool, Strategy, Cycle>;
-
-    WorkloadParams params_;
-    CacheGeometry geometry_;
-    std::map<TraceKey, std::unique_ptr<ParallelTrace>> traces_;
-    std::map<AnnKey, std::unique_ptr<AnnotatedTrace>> annotated_;
-    std::map<RunKey, std::unique_ptr<ExperimentResult>> runs_;
-};
 
 } // namespace prefsim
 

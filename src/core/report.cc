@@ -1,308 +1,16 @@
 #include "core/report.hh"
 
-#include <algorithm>
-#include <cstdlib>
-#include <filesystem>
+#include <cstdint>
 #include <map>
-#include <ostream>
-#include <tuple>
+#include <optional>
 
 #include "common/json.hh"
-#include "common/log.hh"
-#include "core/paper_reference.hh"
-#include "core/result_io.hh"
 #include "stats/table.hh"
-
-namespace fs = std::filesystem;
 
 namespace prefsim
 {
 namespace report
 {
-
-namespace
-{
-
-/** workloadFromName/strategyFromName fatal() on unknown names; report
- *  parsing must survive arbitrary directory contents, so reverse-look
- *  the display names up instead. */
-std::optional<WorkloadKind>
-workloadFromNameSoft(const std::string &name)
-{
-    for (const WorkloadKind k : allWorkloads())
-        if (workloadName(k) == name)
-            return k;
-    return std::nullopt;
-}
-
-std::optional<Strategy>
-strategyFromNameSoft(const std::string &name)
-{
-    for (const Strategy s : allStrategies())
-        if (strategyName(s) == name)
-            return s;
-    return std::nullopt;
-}
-
-/** The grouping axes every report table iterates over. */
-std::tuple<int, int, Cycle, int>
-sortKey(const RunArtifact &r)
-{
-    return {static_cast<int>(r.workload), r.restructured ? 1 : 0,
-            r.dataTransfer, static_cast<int>(r.strategy)};
-}
-
-std::string
-workloadCell(const RunArtifact &r)
-{
-    return workloadName(r.workload) + (r.restructured ? "-r" : "");
-}
-
-/** Group = one (workload, restructured, transfer) slice of the sorted
- *  run list; every table prints one block of rows per group. */
-struct Group
-{
-    std::size_t first; ///< Index range [first, last) into RunSet::runs.
-    std::size_t last;
-    const RunArtifact *np; ///< The group's NP baseline, if present.
-};
-
-std::vector<Group>
-groupRuns(const RunSet &rs)
-{
-    std::vector<Group> groups;
-    std::size_t i = 0;
-    while (i < rs.runs.size()) {
-        const RunArtifact &head = rs.runs[i];
-        Group g{i, i, nullptr};
-        while (g.last < rs.runs.size()) {
-            const RunArtifact &r = rs.runs[g.last];
-            if (r.workload != head.workload ||
-                r.restructured != head.restructured ||
-                r.dataTransfer != head.dataTransfer)
-                break;
-            if (r.strategy == Strategy::NP)
-                g.np = &r;
-            ++g.last;
-        }
-        groups.push_back(g);
-        i = g.last;
-    }
-    return groups;
-}
-
-/** Sum of one ProcStats cycle component over all processors. */
-template <typename Member>
-double
-sumOver(const SimStats &s, Member member)
-{
-    double total = 0.0;
-    for (const ProcStats &p : s.procs)
-        total += static_cast<double>(p.*member);
-    return total;
-}
-
-/** Aggregate processor-cycles (the Fig. 2 normalisation base). */
-double
-totalProcCycles(const SimStats &s)
-{
-    double total = 0.0;
-    for (const ProcStats &p : s.procs)
-        total += static_cast<double>(p.finishedAt);
-    return total;
-}
-
-std::string
-signedNum(double v, int precision)
-{
-    return (v >= 0.0 ? "+" : "") + TextTable::num(v, precision);
-}
-
-} // namespace
-
-std::optional<RunArtifact>
-parseRunLabel(const std::string &label)
-{
-    const std::size_t slash = label.find('/');
-    const std::size_t at = label.rfind('@');
-    if (slash == std::string::npos || at == std::string::npos ||
-        at < slash)
-        return std::nullopt;
-
-    RunArtifact r;
-    r.label = label;
-    std::string workload = label.substr(0, slash);
-    if (workload.size() > 2 &&
-        workload.compare(workload.size() - 2, 2, "-r") == 0) {
-        r.restructured = true;
-        workload.resize(workload.size() - 2);
-    }
-    const std::optional<WorkloadKind> kind = workloadFromNameSoft(workload);
-    if (!kind)
-        return std::nullopt;
-    r.workload = *kind;
-
-    const std::optional<Strategy> strategy =
-        strategyFromNameSoft(label.substr(slash + 1, at - slash - 1));
-    if (!strategy)
-        return std::nullopt;
-    r.strategy = *strategy;
-
-    const std::string transfer = label.substr(at + 1);
-    char *end = nullptr;
-    const unsigned long long value =
-        std::strtoull(transfer.c_str(), &end, 10);
-    if (transfer.empty() || end == nullptr || *end != '\0')
-        return std::nullopt;
-    r.dataTransfer = static_cast<Cycle>(value);
-    return r;
-}
-
-RunSet
-loadRunDirectory(const std::string &dir)
-{
-    RunSet rs;
-    std::error_code ec;
-    for (const fs::directory_entry &entry :
-         fs::directory_iterator(dir, ec)) {
-        if (!entry.is_regular_file() ||
-            entry.path().extension() != ".json")
-            continue;
-        ++rs.filesScanned;
-        const std::optional<std::string> text =
-            readTextFile(entry.path().string());
-        const auto sim = text ? readResultSimJson(*text) : std::nullopt;
-        if (!sim) {
-            ++rs.filesSkipped;
-            continue;
-        }
-        std::optional<RunArtifact> run = parseRunLabel(sim->first);
-        if (!run) {
-            ++rs.filesSkipped;
-            continue;
-        }
-        run->sim = sim->second;
-        rs.runs.push_back(std::move(*run));
-    }
-    if (ec)
-        prefsim_warn("cannot read run directory ", dir, ": ",
-                     ec.message());
-    std::sort(rs.runs.begin(), rs.runs.end(),
-              [](const RunArtifact &a, const RunArtifact &b) {
-                  // Labels break sort-key ties (identical axes can
-                  // only come from duplicate points; keep them stable).
-                  return std::make_pair(sortKey(a), a.label) <
-                         std::make_pair(sortKey(b), b.label);
-              });
-    return rs;
-}
-
-void
-writeFig2Report(std::ostream &os, const RunSet &rs)
-{
-    os << "Figure 2: execution-time components, normalised to NP = 100\n"
-          "(time = execution cycles vs NP; component columns are\n"
-          " aggregate processor-cycles relative to the NP total)\n";
-    TextTable table({"workload", "xfer", "strategy", "time", "busy",
-                     "demand", "upgrade", "pf-queue", "lock",
-                     "barrier"});
-    for (const Group &g : groupRuns(rs)) {
-        if (g.np == nullptr || g.np->sim.cycles == 0 ||
-            totalProcCycles(g.np->sim) == 0.0)
-            continue; // Relative report needs the NP baseline.
-        const double np_cycles = static_cast<double>(g.np->sim.cycles);
-        const double np_total = totalProcCycles(g.np->sim);
-        if (table.numRows() > 0)
-            table.addRule();
-        for (std::size_t i = g.first; i < g.last; ++i) {
-            const RunArtifact &r = rs.runs[i];
-            const SimStats &s = r.sim;
-            auto part = [&](Cycle ProcStats::*member) {
-                return TextTable::num(
-                    sumOver(s, member) / np_total * 100.0, 1);
-            };
-            table.addRow(
-                {workloadCell(r), TextTable::count(r.dataTransfer),
-                 strategyName(r.strategy),
-                 TextTable::num(static_cast<double>(s.cycles) /
-                                    np_cycles * 100.0,
-                                1),
-                 part(&ProcStats::busy), part(&ProcStats::stallDemand),
-                 part(&ProcStats::stallUpgrade),
-                 part(&ProcStats::stallPrefetchQueue),
-                 part(&ProcStats::spinLock),
-                 part(&ProcStats::waitBarrier)});
-        }
-    }
-    if (table.numRows() == 0)
-        os << "(no groups with an NP baseline)\n";
-    else
-        table.print(os);
-}
-
-void
-writeTable2Report(std::ostream &os, const RunSet &rs)
-{
-    os << "Table 2: bus utilisation (paper column: transcribed Table 2 "
-          "values, where listed)\n";
-    TextTable table(
-        {"workload", "xfer", "strategy", "bus util", "paper", "drift"});
-    for (const Group &g : groupRuns(rs)) {
-        if (table.numRows() > 0)
-            table.addRule();
-        for (std::size_t i = g.first; i < g.last; ++i) {
-            const RunArtifact &r = rs.runs[i];
-            const double measured = r.sim.busUtilization();
-            // The paper's table covers the unrestructured programs
-            // only; restructured runs have no reference point.
-            std::optional<double> ref;
-            if (!r.restructured)
-                ref = paper::busUtilization(r.workload, r.strategy,
-                                            r.dataTransfer);
-            table.addRow(
-                {workloadCell(r), TextTable::count(r.dataTransfer),
-                 strategyName(r.strategy), TextTable::num(measured, 2),
-                 ref ? TextTable::num(*ref, 2) : "-",
-                 ref ? signedNum(measured - *ref, 2) : "-"});
-        }
-    }
-    if (table.numRows() == 0)
-        os << "(no runs)\n";
-    else
-        table.print(os);
-}
-
-void
-writeTable3Report(std::ostream &os, const RunSet &rs)
-{
-    os << "Table 3: sharing-related miss rates (per demand reference;\n"
-          " the paper's Table 3 values are not transcribed, so this is\n"
-          " measured-only)\n";
-    TextTable table({"workload", "xfer", "strategy", "total miss",
-                     "invalidation", "false sharing", "fs share"});
-    for (const Group &g : groupRuns(rs)) {
-        if (table.numRows() > 0)
-            table.addRule();
-        for (std::size_t i = g.first; i < g.last; ++i) {
-            const RunArtifact &r = rs.runs[i];
-            const SimStats &s = r.sim;
-            const double inval = s.invalidationMissRate();
-            const double fsr = s.falseSharingMissRate();
-            table.addRow(
-                {workloadCell(r), TextTable::count(r.dataTransfer),
-                 strategyName(r.strategy),
-                 TextTable::percent(s.totalMissRate(), 2),
-                 TextTable::percent(inval, 2),
-                 TextTable::percent(fsr, 2),
-                 inval > 0.0 ? TextTable::percent(fsr / inval, 1)
-                             : "-"});
-        }
-    }
-    if (table.numRows() == 0)
-        os << "(no runs)\n";
-    else
-        table.print(os);
-}
 
 namespace
 {

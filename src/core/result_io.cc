@@ -313,21 +313,4 @@ readResultJson(const std::string &text, const ExperimentSpec &spec,
     }
 }
 
-std::optional<std::pair<std::string, SimStats>>
-readResultSimJson(const std::string &text)
-{
-    const std::optional<JsonValue> parsed = parseJson(text);
-    if (!parsed)
-        return std::nullopt;
-    try {
-        const JsonField doc(*parsed);
-        if (doc["format"].str() != kFormatTag)
-            return std::nullopt;
-        return std::make_pair(doc["label"].str(),
-                              readSimStats(doc["sim"]));
-    } catch (const JsonError &) {
-        return std::nullopt;
-    }
-}
-
 } // namespace prefsim

@@ -24,7 +24,6 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
-#include <utility>
 
 #include "core/experiment.hh"
 
@@ -59,17 +58,6 @@ void writeResultJson(std::ostream &os, const ExperimentResult &result,
 std::optional<ExperimentResult> readResultJson(const std::string &text,
                                                const ExperimentSpec &spec,
                                                const std::string &key);
-
-/**
- * Spec-free read of a cache document: the embedded run label (e.g.
- * "topopt-r/PWS@8") plus the simulation statistics, with no cache-key
- * comparison. tools/prefsim_report consumes whole cache directories
- * without knowing the specs that produced them; the label carries
- * everything the reports need. Returns nullopt unless the document is
- * a complete `prefsim-sweep-result-v1` record.
- */
-std::optional<std::pair<std::string, SimStats>>
-readResultSimJson(const std::string &text);
 
 } // namespace prefsim
 

@@ -241,34 +241,14 @@ SweepEngine::executeBatch(const std::vector<ExperimentSpec> &specs)
             std::lock_guard<std::mutex> lock(mu_);
             trace = traces_.at(node.traceKey);
         }
-        const auto start = std::chrono::steady_clock::now();
-        auto ann = std::make_shared<const AnnotatedTrace>(annotateTrace(
-            *trace, node.spec->annotationParams(), node.spec->geometry));
-        const std::uint64_t nanos = nanosSince(start);
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            annotated_[node.annKey] = std::move(ann);
-            ++counters_.annotationsRun;
-            counters_.annotateNanos += nanos;
-        }
+        produceAnnotation(*node.spec, node.annKey, *trace);
         for (const std::size_t s : node.sims)
             pool.submit([&runSim, s] { runSim(s); });
     };
 
     const auto runTrace = [&](std::size_t i) {
         const TraceNode &node = trace_nodes[i];
-        WorkloadParams wp = node.spec->params;
-        wp.restructured = node.spec->restructured;
-        const auto start = std::chrono::steady_clock::now();
-        auto trace = std::make_shared<const ParallelTrace>(
-            generateWorkload(node.spec->workload, wp));
-        const std::uint64_t nanos = nanosSince(start);
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            traces_[node.traceKey] = std::move(trace);
-            ++counters_.tracesGenerated;
-            counters_.traceNanos += nanos;
-        }
+        produceTrace(*node.spec, node.traceKey);
         for (const std::size_t a : node.anns)
             pool.submit([&runAnn, a] { runAnn(a); });
     };
@@ -395,24 +375,43 @@ SweepEngine::speedup(WorkloadKind kind, bool restructured,
 }
 
 const ParallelTrace &
+SweepEngine::produceTrace(const ExperimentSpec &spec, const std::string &key)
+{
+    WorkloadParams wp = spec.params;
+    wp.restructured = spec.restructured;
+    const auto start = std::chrono::steady_clock::now();
+    auto trace = std::make_shared<const ParallelTrace>(
+        generateWorkload(spec.workload, wp));
+    const std::uint64_t nanos = nanosSince(start);
+    std::lock_guard<std::mutex> lock(mu_);
+    ++counters_.tracesGenerated;
+    counters_.traceNanos += nanos;
+    return *(traces_[key] = std::move(trace));
+}
+
+const AnnotatedTrace &
+SweepEngine::produceAnnotation(const ExperimentSpec &spec,
+                               const std::string &key,
+                               const ParallelTrace &base)
+{
+    const auto start = std::chrono::steady_clock::now();
+    auto ann = std::make_shared<const AnnotatedTrace>(
+        annotateTrace(base, spec.annotationParams(), spec.geometry));
+    const std::uint64_t nanos = nanosSince(start);
+    std::lock_guard<std::mutex> lock(mu_);
+    ++counters_.annotationsRun;
+    counters_.annotateNanos += nanos;
+    return *(annotated_[key] = std::move(ann));
+}
+
+const ParallelTrace &
 SweepEngine::baseTrace(WorkloadKind kind, bool restructured)
 {
     const ExperimentSpec spec =
         makeSpec(kind, restructured, Strategy::NP, 8);
     const std::string key = traceStageKey(spec);
-    auto it = traces_.find(key);
-    if (it == traces_.end()) {
-        WorkloadParams wp = params_;
-        wp.restructured = restructured;
-        const auto start = std::chrono::steady_clock::now();
-        it = traces_
-                 .emplace(key, std::make_shared<const ParallelTrace>(
-                                   generateWorkload(kind, wp)))
-                 .first;
-        ++counters_.tracesGenerated;
-        counters_.traceNanos += nanosSince(start);
-    }
-    return *it->second;
+    const auto it = traces_.find(key);
+    return it != traces_.end() ? *it->second : produceTrace(spec, key);
 }
 
 const AnnotatedTrace &
@@ -422,20 +421,11 @@ SweepEngine::annotated(WorkloadKind kind, bool restructured,
     const ExperimentSpec spec =
         makeSpec(kind, restructured, strategy, 8);
     const std::string key = annotateStageKey(spec);
-    auto it = annotated_.find(key);
-    if (it == annotated_.end()) {
-        const ParallelTrace &base = baseTrace(kind, restructured);
-        const auto start = std::chrono::steady_clock::now();
-        it = annotated_
-                 .emplace(key,
-                          std::make_shared<const AnnotatedTrace>(
-                              annotateTrace(base, spec.annotationParams(),
-                                            geometry_)))
-                 .first;
-        ++counters_.annotationsRun;
-        counters_.annotateNanos += nanosSince(start);
-    }
-    return *it->second;
+    const auto it = annotated_.find(key);
+    if (it != annotated_.end())
+        return *it->second;
+    // Off the pool, annotateTrace fans its processors out itself.
+    return produceAnnotation(spec, key, baseTrace(kind, restructured));
 }
 
 void

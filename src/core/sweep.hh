@@ -9,8 +9,8 @@
  * trace. SweepEngine makes that DAG explicit. Declared experiment
  * points (enqueue) are scheduled onto a worker pool (runPending) as
  * soon as their dependencies resolve; stage products are immutable and
- * shared, so results are bit-identical to the serial Workbench path
- * regardless of the worker count or completion order.
+ * shared, so results are bit-identical to the uncached runExperiment()
+ * path regardless of the worker count or completion order.
  *
  * With a cache directory configured, finished points are persisted to a
  * content-addressed on-disk cache (see core/result_io.hh) and future
@@ -120,10 +120,9 @@ struct SweepCounters
  *
  * Usage: declare the sweep grid with enqueue()/enqueueGrid(), execute
  * it with runPending(), then read results with run() and the derived
- * metrics. run() on an undeclared point computes it on demand (serial
- * Workbench semantics), so formatting code never needs to know what
- * was predeclared. Not itself thread-safe: drive each engine from one
- * thread.
+ * metrics. run() on an undeclared point computes it on demand, so
+ * formatting code never needs to know what was predeclared. Not itself
+ * thread-safe: drive each engine from one thread.
  */
 class SweepEngine
 {
@@ -227,6 +226,16 @@ class SweepEngine
   private:
     /** Execute @p specs (none of which have results yet) as a DAG. */
     void executeBatch(const std::vector<ExperimentSpec> &specs);
+
+    /** @name Stage producers, used by the DAG's workers and by the
+     *  on-demand accessors alike: run one stage for @p spec, install
+     *  the product under @p key and count it. Thread-safe. @{ */
+    const ParallelTrace &produceTrace(const ExperimentSpec &spec,
+                                      const std::string &key);
+    const AnnotatedTrace &produceAnnotation(const ExperimentSpec &spec,
+                                            const std::string &key,
+                                            const ParallelTrace &base);
+    /** @} */
 
     /** Try the disk cache; on success the result is installed. */
     bool tryLoadFromDisk(const ExperimentSpec &spec,

@@ -26,10 +26,6 @@ Processor::Processor(ProcId id, const Trace &trace, MemorySystem &mem,
 namespace
 {
 
-/// A walk's lookahead: how far past the query a plan reaches, so it
-/// survives several windows.
-constexpr Cycle kLookahead = 4096;
-
 /// Bounds of one plan: its statistics totals are 16-bit and its cycle
 /// offsets 32-bit. A walk that reaches either stops as if capped.
 constexpr std::size_t kMaxPlanSteps = 0xffff;
@@ -310,10 +306,10 @@ Processor::barrierRelease(Cycle now, bool ticked_this_cycle)
 }
 
 Cycle
-Processor::runningInertCycles(Cycle now, Cycle limit) const
+Processor::runningInertCycles(Cycle now) const
 {
-    walkPlan(now, now + std::max(limit, kLookahead));
-    return std::min(plan_.end - now, limit);
+    walkPlan(now, now + kLookahead);
+    return std::min(plan_.end - now, kLookahead);
 }
 
 void

@@ -56,8 +56,19 @@ class Processor
     void barrierRelease(Cycle now, bool ticked_this_cycle);
 
     /**
+     * The cap on inertCycles() and the reach of a walk. A boundary
+     * capped here is a safe conservative stand-in for the real one:
+     * reaching it catches the processor up and re-walks from the live
+     * cursor, at the cost of at most one workless exact cycle per span,
+     * while an uncapped walk would traverse a long quiet tail (worst
+     * case the rest of the trace) whose far end a snoop is likely to
+     * invalidate anyway.
+     */
+    static constexpr Cycle kLookahead = 4096;
+
+    /**
      * Number of upcoming cycles this processor is *inert* for, capped
-     * at @p limit: ticks that cannot acquire a lock, release one,
+     * at kLookahead: ticks that cannot acquire a lock, release one,
      * block, arrive at a barrier, issue a bus operation, or otherwise
      * affect another processor. A Running processor walks its trace:
      * Instr bursts, the instruction cycle of two-phase references,
@@ -85,7 +96,7 @@ class Processor
      * whenever a processor's cached side-effect boundary expires.
      */
     Cycle
-    inertCycles(Cycle now, Cycle limit) const
+    inertCycles(Cycle now) const
     {
         switch (state_) {
           case State::Done:
@@ -120,12 +131,12 @@ class Processor
             // the boundary's own exact tick needs no walk.
             if (plan_.valid && plan_.end >= now && planCurrent()) {
                 const Cycle left = plan_.end - now;
-                if (left >= limit)
-                    return limit;
+                if (left >= kLookahead)
+                    return kLookahead;
                 if (!plan_.capped)
                     return left;
             }
-            return runningInertCycles(now, limit);
+            return runningInertCycles(now);
         }
         return 0;
     }
@@ -257,7 +268,7 @@ class Processor
     void finish(Cycle finished_at);
 
     /** The Running-state trace walk behind inertCycles(). */
-    Cycle runningInertCycles(Cycle now, Cycle limit) const;
+    Cycle runningInertCycles(Cycle now) const;
 
     /** True when the plan's version is current; otherwise the plan is
      *  dropped. */

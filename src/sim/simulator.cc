@@ -12,18 +12,9 @@ namespace prefsim
 namespace
 {
 
-/// Cap on a single frontier jump / inert walk when the bus is idle. Wide enough that it never splits a real window (traces are
-/// far shorter), small enough that cycle_ + cap cannot overflow.
-constexpr Cycle kMaxWindow = Cycle{1} << 30;
-
-/// Walk limit for a local clock's side-effect boundary (matches the
-/// lookahead of a processor's quiet plan). A boundary capped here is a safe
-/// conservative stand-in for the real one: reaching it catches the
-/// processor up, re-walks from the live cursor, and costs at most one
-/// workless exact cycle per span — while an uncapped walk would
-/// traverse a long quiet tail (worst case the whole remaining trace)
-/// whose far end a snoop is likely to invalidate anyway.
-constexpr Cycle kBoundaryLookahead = 4096;
+/// Cycles without any processor or bus progress before the simulator
+/// declares a deadlock and panics with a state dump.
+constexpr Cycle kDeadlockWindow = 2'000'000;
 
 } // namespace
 
@@ -256,12 +247,11 @@ void
 Simulator::closeExactCycle()
 {
     ++cycle_;
-    if (cycle_ - last_progress_check_ >= config_.deadlockWindow) {
+    if (cycle_ - last_progress_check_ >= kDeadlockWindow) {
         const std::uint64_t p = progressSum();
         if (p == last_progress_value_) {
             std::ostringstream os;
-            os << "no progress for " << config_.deadlockWindow
-               << " cycles";
+            os << "no progress for " << kDeadlockWindow << " cycles";
             reportDeadlock(os.str());
         }
         last_progress_value_ = p;
@@ -297,7 +287,7 @@ Simulator::refreshEff(ProcId p)
         rot_active_ &= ~bit;
         return;
     }
-    const Cycle inert = pr.inertCycles(local_[p], kBoundaryLookahead);
+    const Cycle inert = pr.inertCycles(local_[p]);
     if (inert == kNoCycle) {
         // Retries that provably fail never constrain the frontier
         // (fastForward bulk-adds the failed cycles). A spinner on a

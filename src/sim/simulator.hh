@@ -82,11 +82,6 @@ struct SimConfig
      */
     unsigned warmupEpisodes = 1;
     /**
-     * Cycles without any processor or bus progress before the simulator
-     * declares a deadlock and panics with a state dump.
-     */
-    Cycle deadlockWindow = 2'000'000;
-    /**
      * Simulation core. Results are identical by contract, so this is
      * deliberately excluded from the experiment cache key; CycleLoop
      * exists as the oracle for differential tests and debugging.

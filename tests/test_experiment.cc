@@ -1,12 +1,16 @@
 /**
  * @file
  * Tests for the public experiment API and the paper reference data.
+ * The Workbench suite covers SweepEngine's serial, on-demand face
+ * (run, baseTrace, annotated, relativeExecTime and speedup without a
+ * prior enqueue).
  */
 
 #include <gtest/gtest.h>
 
 #include "core/experiment.hh"
 #include "core/paper_reference.hh"
+#include "core/sweep.hh"
 
 namespace prefsim
 {
@@ -47,7 +51,7 @@ TEST(ExperimentDefaults, PaperSweep)
 
 TEST(Workbench, CachesTracesAndRuns)
 {
-    Workbench bench(tinyParams());
+    SweepEngine bench(tinyParams());
     const ParallelTrace *t1 =
         &bench.baseTrace(WorkloadKind::Water, false);
     const ParallelTrace *t2 =
@@ -63,7 +67,7 @@ TEST(Workbench, CachesTracesAndRuns)
 
 TEST(Workbench, DistinctKeysDistinctRuns)
 {
-    Workbench bench(tinyParams());
+    SweepEngine bench(tinyParams());
     const auto &a = bench.run(WorkloadKind::Water, false, Strategy::NP, 8);
     const auto &b =
         bench.run(WorkloadKind::Water, false, Strategy::NP, 32);
@@ -73,7 +77,7 @@ TEST(Workbench, DistinctKeysDistinctRuns)
 
 TEST(Workbench, NpRelativeTimeIsOne)
 {
-    Workbench bench(tinyParams());
+    SweepEngine bench(tinyParams());
     EXPECT_DOUBLE_EQ(
         bench.relativeExecTime(WorkloadKind::Water, false, Strategy::NP, 8),
         1.0);
@@ -83,7 +87,7 @@ TEST(Workbench, NpRelativeTimeIsOne)
 
 TEST(Workbench, SpeedupIsInverseRelativeTime)
 {
-    Workbench bench(tinyParams());
+    SweepEngine bench(tinyParams());
     const double rel = bench.relativeExecTime(WorkloadKind::Mp3d, false,
                                               Strategy::PREF, 8);
     const double sp =
@@ -93,7 +97,7 @@ TEST(Workbench, SpeedupIsInverseRelativeTime)
 
 TEST(Workbench, AnnotatedNpHasNoPrefetches)
 {
-    Workbench bench(tinyParams());
+    SweepEngine bench(tinyParams());
     const auto &ann =
         bench.annotated(WorkloadKind::Topopt, false, Strategy::NP);
     EXPECT_EQ(ann.trace.totalPrefetches(), 0u);

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/experiment.hh"
+#include "core/sweep.hh"
 
 namespace prefsim
 {
@@ -27,7 +27,7 @@ tinyParams()
 class PipelineSuite : public testing::TestWithParam<WorkloadKind>
 {
   protected:
-    Workbench bench_{tinyParams()};
+    SweepEngine bench_{tinyParams()};
 };
 
 TEST_P(PipelineSuite, NpRunsToCompletion)
@@ -63,10 +63,10 @@ TEST_P(PipelineSuite, MissAccountingIdentities)
 
 TEST_P(PipelineSuite, DeterministicAcrossRuns)
 {
-    const auto a = runExperiment(
-        {GetParam(), false, Strategy::PREF, 8, tinyParams()});
-    const auto b = runExperiment(
-        {GetParam(), false, Strategy::PREF, 8, tinyParams()});
+    const ExperimentSpec spec =
+        bench_.makeSpec(GetParam(), false, Strategy::PREF, 8);
+    const auto a = runExperiment(spec);
+    const auto b = runExperiment(spec);
     EXPECT_EQ(a.sim.cycles, b.sim.cycles);
     EXPECT_EQ(a.sim.totalMisses().cpu(), b.sim.totalMisses().cpu());
     EXPECT_EQ(a.sim.bus.busyCycles, b.sim.bus.busyCycles);
@@ -158,7 +158,7 @@ INSTANTIATE_TEST_SUITE_P(AllWorkloads, PipelineSuite,
 
 TEST(RestructuredPipeline, TopoptInvalidationsPlummet)
 {
-    Workbench bench(tinyParams());
+    SweepEngine bench(tinyParams());
     const auto &std_r = bench.run(WorkloadKind::Topopt, false,
                                   Strategy::NP, 8);
     const auto &restr = bench.run(WorkloadKind::Topopt, true,
@@ -171,7 +171,7 @@ TEST(RestructuredPipeline, TopoptInvalidationsPlummet)
 
 TEST(RestructuredPipeline, PverifyFalseSharingPlummets)
 {
-    Workbench bench(tinyParams());
+    SweepEngine bench(tinyParams());
     const auto &std_r = bench.run(WorkloadKind::Pverify, false,
                                   Strategy::NP, 8);
     const auto &restr = bench.run(WorkloadKind::Pverify, true,

@@ -19,7 +19,6 @@ config(Cycle transfer = 8)
     SimConfig c;
     c.timing.dataTransfer = transfer;
     c.warmupEpisodes = 0; // Hand-built traces measure from cycle 0.
-    c.deadlockWindow = 100000;
     return c;
 }
 
@@ -213,7 +212,6 @@ TEST(ProcessorSync, DeadlockIsDetected)
     b.appendInstrs(10);
     b.append(TraceRecord::lockAcquire(0));
     SimConfig cfg = config();
-    cfg.deadlockWindow = 5000;
     const ParallelTrace pt = makeTrace({std::move(a), std::move(b)}, 1);
     EXPECT_DEATH(
         {

@@ -483,7 +483,6 @@ TEST_P(RandomProgramSuite, SimulationInvariants)
         SimConfig cfg;
         cfg.timing.dataTransfer = transfer;
         cfg.warmupEpisodes = 0;
-        cfg.deadlockWindow = 500000;
         Simulator sim(pt, cfg);
         const SimStats s = sim.run();
 
@@ -596,7 +595,6 @@ TEST_P(RandomProgramSuite, WideMachineEnginesAgree)
 
     SimConfig base;
     base.warmupEpisodes = 0;
-    base.deadlockWindow = 500000;
     SimConfig victim = base;
     victim.victimEntries = 4;
     SimConfig pdb = base;

@@ -8,10 +8,13 @@
  * same bytes from the shared engine as from an engine holding nothing
  * but its own points, if every point an experiment reads is one it
  * declared, and if the union simulates each distinct point once.
+ * A warm cache directory re-renders the paper's tables exactly, even
+ * when it also holds other configurations' runs under the same labels.
  */
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <string>
@@ -67,6 +70,49 @@ TEST(Repro, UnionRendersEveryExperimentAsItsOwnSweep)
         EXPECT_EQ(own.counters().simulationsRun, declared);
     }
     EXPECT_EQ(all.counters().simulationsRun, keys.size());
+}
+
+TEST(Repro, RerendersFromASharedCacheDirectory)
+{
+    // Engines at 4 and 8 processors write runs with the same labels
+    // ("topopt/NP@8", ...) into one directory; an engine with the first
+    // one's parameters must render exactly its tables from the cache.
+    const std::filesystem::path dir =
+        std::filesystem::path(testing::TempDir()) / "repro_shared_cache";
+    std::filesystem::remove_all(dir);
+    const std::vector<const Experiment *> paper = selectExperiments(
+        {"fig2_exec_time", "table2_bus_util", "table3_false_sharing"});
+    auto cachedEngine = [&](unsigned procs) {
+        WorkloadParams params = defaultWorkloadParams();
+        params.refsPerProc = 1000;
+        params.numProcs = procs;
+        SweepOptions options;
+        options.jobs = 4;
+        options.cacheDir = dir.string();
+        return SweepEngine(params, CacheGeometry::paperDefault(), options);
+    };
+    auto renderAll = [&](SweepEngine &engine) {
+        for (const Experiment *e : paper)
+            e->enqueue(engine);
+        engine.runPending();
+        std::string out;
+        for (const Experiment *e : paper) {
+            for (const bool csv : {false, true})
+                out += rendered(*e, engine, csv);
+        }
+        return out;
+    };
+
+    SweepEngine first = cachedEngine(4);
+    const std::string expected = renderAll(first);
+    SweepEngine second = cachedEngine(8);
+    EXPECT_NE(renderAll(second), expected);
+    EXPECT_EQ(second.counters().cacheHits, 0u);
+
+    SweepEngine third = cachedEngine(4);
+    EXPECT_EQ(renderAll(third), expected);
+    EXPECT_EQ(third.counters().simulationsRun, 0u);
+    EXPECT_EQ(third.counters().cacheHits, first.counters().simulationsRun);
 }
 
 TEST(Repro, SensitivityTelemetryCountsEveryProcessorCount)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the interval time-series subsystem and the prefsim_report
- * analysis library.
+ * compare gate.
  *
  * The load-bearing contracts:
  *  - sampling must not perturb simulation results at all — statistics
@@ -17,7 +17,7 @@
  *    than the run leaves only finish()'s partial row;
  *  - IntervalSampler's windowing arithmetic (partial final rows,
  *    warmup rebasing, zero-width boundary skips);
- *  - report::parseRunLabel / compareBenchReports, including the golden
+ *  - report::compareBenchReports, including the golden
  *    threshold cases check.sh's perf gate relies on (an engine-speedup
  *    loss >= failFrac is an error => exit 1; a smaller dip, or any loss
  *    of absolute throughput, only warns => exit 0).
@@ -231,91 +231,6 @@ TEST(IntervalSamplerUnit, BoundaryOnRebasePointSkipsTheRow)
     EXPECT_EQ(ts.cycle.back(), 300u);
     EXPECT_EQ(ts.window.back(), 100u);
     EXPECT_EQ(ts.busBusy.back(), 30u);
-}
-
-/* ------------------------------------------------------------------ */
-/* Run-label parsing and report writers                                */
-/* ------------------------------------------------------------------ */
-
-TEST(ReportLabels, ParseRoundTrip)
-{
-    const auto r = report::parseRunLabel("topopt-r/PWS@8");
-    ASSERT_TRUE(r.has_value());
-    EXPECT_EQ(r->workload, WorkloadKind::Topopt);
-    EXPECT_TRUE(r->restructured);
-    EXPECT_EQ(r->strategy, Strategy::PWS);
-    EXPECT_EQ(r->dataTransfer, 8u);
-
-    const auto plain = report::parseRunLabel("water/NP@32");
-    ASSERT_TRUE(plain.has_value());
-    EXPECT_EQ(plain->workload, WorkloadKind::Water);
-    EXPECT_FALSE(plain->restructured);
-    EXPECT_EQ(plain->strategy, Strategy::NP);
-    EXPECT_EQ(plain->dataTransfer, 32u);
-}
-
-TEST(ReportLabels, RejectsForeignLabels)
-{
-    EXPECT_FALSE(report::parseRunLabel("").has_value());
-    EXPECT_FALSE(report::parseRunLabel("no-separators").has_value());
-    EXPECT_FALSE(report::parseRunLabel("nosuch/PREF@8").has_value());
-    EXPECT_FALSE(report::parseRunLabel("water/NOPE@8").has_value());
-    EXPECT_FALSE(report::parseRunLabel("water/PREF@fast").has_value());
-    EXPECT_FALSE(report::parseRunLabel("water/PREF").has_value());
-}
-
-/** A minimal two-strategy RunSet: NP at 200 cycles, PREF at 150. */
-report::RunSet
-tinyRunSet()
-{
-    report::RunSet rs;
-    for (const auto &[strategy, cycles] :
-         std::vector<std::pair<Strategy, Cycle>>{
-             {Strategy::NP, 200}, {Strategy::PREF, 150}}) {
-        report::RunArtifact r;
-        r.label = "water/" + strategyName(strategy) + "@8";
-        r.workload = WorkloadKind::Water;
-        r.strategy = strategy;
-        r.dataTransfer = 8;
-        r.sim.cycles = cycles;
-        ProcStats p;
-        p.busy = cycles / 2;
-        p.stallDemand = cycles / 2;
-        p.finishedAt = cycles;
-        p.demandRefs = 100;
-        p.misses.invalNotPrefetched = 4;
-        p.misses.falseSharing = 2;
-        r.sim.procs.assign(2, p);
-        r.sim.bus.busyCycles = cycles / 4;
-        rs.runs.push_back(std::move(r));
-    }
-    return rs;
-}
-
-TEST(ReportWriters, Fig2NormalisesToNp)
-{
-    std::ostringstream os;
-    report::writeFig2Report(os, tinyRunSet());
-    const std::string out = os.str();
-    // NP is the 100.0 baseline; PREF finished in 150/200 = 75 %.
-    EXPECT_NE(out.find("| 100.0 |"), std::string::npos) << out;
-    EXPECT_NE(out.find("|  75.0 |"), std::string::npos) << out;
-}
-
-TEST(ReportWriters, Table2And3CoverEveryRun)
-{
-    std::ostringstream os2, os3;
-    const report::RunSet rs = tinyRunSet();
-    report::writeTable2Report(os2, rs);
-    report::writeTable3Report(os3, rs);
-    for (const char *strategy : {"NP", "PREF"}) {
-        EXPECT_NE(os2.str().find(strategy), std::string::npos);
-        EXPECT_NE(os3.str().find(strategy), std::string::npos);
-    }
-    // Measured utilisation 50/200; paper lists water/NP@8 = 0.14, so
-    // the drift column renders a real delta rather than "-".
-    EXPECT_NE(os2.str().find("0.25"), std::string::npos) << os2.str();
-    EXPECT_NE(os2.str().find("0.14"), std::string::npos) << os2.str();
 }
 
 /* ------------------------------------------------------------------ */

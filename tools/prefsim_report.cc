@@ -1,15 +1,9 @@
 /**
  * @file
- * Analysis and perf-regression front end over sweep/bench artifacts.
- *
- * Report mode — paper-style tables from a sweep cache directory:
- *
- *   prefsim_report --runs DIR [--fig2] [--table2] [--table3]
- *
- * DIR is any --cache-dir a bench binary wrote; each cached result
- * embeds its run label, so no re-simulation happens. With none of the
- * table flags, all three reports print. Exit 0 on success, 2 when the
- * directory yields no parseable runs.
+ * Analysis and perf-regression front end over telemetry and bench
+ * documents. The paper's tables are not rendered here: prefsim_repro
+ * renders them, and re-renders them from a warm --cache-dir without
+ * simulating.
  *
  * Profile mode — contention attribution from a --profile-out document:
  *
@@ -99,9 +93,7 @@ using namespace prefsim::verify;
 usage()
 {
     std::cerr
-        << "usage: prefsim_report --runs DIR [--fig2] [--table2] "
-           "[--table3]\n"
-           "       prefsim_report --profile FILE.json [--top N]\n"
+        << "usage: prefsim_report --profile FILE.json [--top N]\n"
            "       prefsim_report --critpath FILE.json [--top N]\n"
            "                      [--profile PROFILE.json]\n"
            "       prefsim_report --drift ANALYSIS.json\n"
@@ -124,38 +116,6 @@ parseFrac(const std::string &flag, const char *text)
         std::exit(kExitUsage);
     }
     return v;
-}
-
-int
-runReports(const std::string &dir, bool fig2, bool table2, bool table3)
-{
-    const report::RunSet rs = report::loadRunDirectory(dir);
-    if (rs.runs.empty()) {
-        std::cerr << "prefsim_report: no sweep results under " << dir
-                  << " (" << rs.filesScanned << " json files scanned, "
-                  << rs.filesSkipped << " skipped)\n";
-        return kExitUsage;
-    }
-    std::cout << "runs: " << rs.runs.size() << " (from "
-              << rs.filesScanned << " files, " << rs.filesSkipped
-              << " skipped)\n\n";
-    if (!fig2 && !table2 && !table3)
-        fig2 = table2 = table3 = true;
-    bool first = true;
-    auto section = [&](void (*writer)(std::ostream &,
-                                      const report::RunSet &)) {
-        if (!first)
-            std::cout << "\n";
-        first = false;
-        writer(std::cout, rs);
-    };
-    if (fig2)
-        section(report::writeFig2Report);
-    if (table2)
-        section(report::writeTable2Report);
-    if (table3)
-        section(report::writeTable3Report);
-    return kExitOk;
 }
 
 std::string
@@ -725,14 +685,13 @@ runCompare(const std::string &baseline_path,
 int
 main(int argc, char **argv)
 {
-    std::string runs_dir;
     std::string profile_path;
     std::string critpath_path;
     std::string drift_path;
     std::size_t top_n = 10;
     std::vector<std::string> compare_paths;
     report::CompareOptions opts;
-    bool fig2 = false, table2 = false, table3 = false, json = false;
+    bool json = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -744,9 +703,7 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
-        if (arg == "--runs") {
-            runs_dir = next();
-        } else if (arg == "--profile") {
+        if (arg == "--profile") {
             profile_path = next();
         } else if (arg == "--critpath") {
             critpath_path = next();
@@ -774,12 +731,6 @@ main(int argc, char **argv)
             opts.warnFrac = parseFrac(arg, next());
         } else if (arg == "--fail") {
             opts.failFrac = parseFrac(arg, next());
-        } else if (arg == "--fig2") {
-            fig2 = true;
-        } else if (arg == "--table2") {
-            table2 = true;
-        } else if (arg == "--table3") {
-            table3 = true;
         } else if (arg == "--json") {
             json = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -793,8 +744,7 @@ main(int argc, char **argv)
 
     // --profile doubles as the join source of --critpath mode, so it
     // only counts as a mode of its own when --critpath is absent.
-    const int modes = (!runs_dir.empty() ? 1 : 0) +
-                      (!compare_paths.empty() ? 1 : 0) +
+    const int modes = (!compare_paths.empty() ? 1 : 0) +
                       (!profile_path.empty() && critpath_path.empty()
                            ? 1
                            : 0) +
@@ -811,7 +761,5 @@ main(int argc, char **argv)
         return runCritPath(critpath_path, top_n, profile_path);
     if (!profile_path.empty())
         return runProfile(profile_path, top_n);
-    if (!drift_path.empty())
-        return runDrift(drift_path);
-    return runReports(runs_dir, fig2, table2, table3);
+    return runDrift(drift_path);
 }
