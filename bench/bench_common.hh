@@ -65,6 +65,7 @@ parseBenchArgs(int argc, char **argv,
                std::vector<std::string> *positional = nullptr)
 {
     BenchOptions opts;
+    bool no_cache = false;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         auto next = [&]() -> const char * {
@@ -99,7 +100,7 @@ parseBenchArgs(int argc, char **argv,
         } else if (arg == "--cache-dir") {
             opts.sweep.cacheDir = next();
         } else if (arg == "--no-cache") {
-            opts.sweep.useCache = false;
+            no_cache = true;
         } else if (arg == "--engine") {
             const std::string name = next();
             if (name == "local") {
@@ -191,6 +192,9 @@ parseBenchArgs(int argc, char **argv,
                           " (try ", argv[0], " --help)");
         }
     }
+    // --no-cache wins over --cache-dir in either order.
+    if (no_cache)
+        opts.sweep.cacheDir.clear();
     // Asking for the time-series file implies sampling; pick a sensible
     // default period when none was given explicitly.
     if (!opts.timeseriesOut.empty() && opts.sweep.sampleInterval == 0)

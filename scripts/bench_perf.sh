@@ -7,7 +7,10 @@
 #
 # Single-run timing is noisy (15-30% VM jitter), so every
 # configuration runs --trials times (default 3) and the trial with the
-# median sim-only time is what the report records.
+# median sim-only time is what the report records. Trials run
+# round-robin across the four configurations, so host drift between
+# rounds lands on both engines of a ratio alike; each round prints its
+# own engine ratios.
 #
 # Usage: scripts/bench_perf.sh [--refs N] [--out FILE] [--build DIR]
 #        [--trials N] [--history FILE]
@@ -52,57 +55,66 @@ fi
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP" "$OUT.tmp"' EXIT
 
-# One benchmark configuration: run it $TRIALS times, wall-clock each
-# trial, pull the simulation volume out of the sweep telemetry, pick
-# the trial with the median sim-only time, and append a JSON fragment
-# for the report. Fails fast — a crashed run, a missing metrics file
-# or zero parsed simulation volume aborts the script before a partial
-# or misleading report can be written (the report only moves into
-# place at the end).
-# $1 = label, $2 = engine, $3 = procs
-run_one() {
+# One trial of one benchmark configuration: wall-clock it, pull the
+# simulation volume out of the sweep telemetry and append a line to the
+# configuration's trial list. Fails fast — a crashed run, a missing
+# metrics file or zero parsed simulation volume aborts the script
+# before a partial or misleading report can be written (the report only
+# moves into place at the end).
+# $1 = label, $2 = engine, $3 = procs, $4 = trial number
+run_trial() {
     label=$1
     engine=$2
     procs=$3
-    : > "$TMP/$label.trials.txt"
-    i=1
-    while [ "$i" -le "$TRIALS" ]; do
-        metrics="$TMP/$label.$i.metrics.json"
-        start=$(date +%s.%N)
-        if ! "$BENCH" fig2_exec_time --refs "$REFS" --procs "$procs" \
-            --engine "$engine" --no-cache --quiet --metrics-out "$metrics" \
-            > /dev/null; then
-            echo "error: $label trial $i crashed (exit $?)" >&2
-            exit 1
-        fi
-        end=$(date +%s.%N)
-        if [ ! -s "$metrics" ]; then
-            echo "error: $label trial $i wrote no metrics file" >&2
-            exit 1
-        fi
-        # grep -o keeps this POSIX-sh + awk only; the telemetry writer
-        # emits compact one-line JSON.
-        cycles=$(grep -o '"simulated_cycles":[0-9]*' "$metrics" \
-            | cut -d: -f2)
-        refs=$(grep -o '"simulated_refs":[0-9]*' "$metrics" \
-            | cut -d: -f2)
-        simns=$(grep -o '"simulate_nanos":[0-9]*' "$metrics" \
-            | cut -d: -f2)
-        for field in "cycles:$cycles" "refs:$refs" \
-                     "simulate_nanos:$simns"; do
-            case "${field#*:}" in
-                ''|0)
-                    echo "error: $label trial $i metrics missing" \
-                         "${field%%:*} (truncated telemetry?)" >&2
-                    exit 1 ;;
-            esac
-        done
-        awk -v s="$start" -v t="$end" -v n="$simns" -v c="$cycles" \
-            -v r="$refs" \
-            'BEGIN { printf "%.6f %.6f %d %d\n", n / 1e9, t - s, c, r }' \
-            >> "$TMP/$label.trials.txt"
-        i=$((i + 1))
+    i=$4
+    metrics="$TMP/$label.$i.metrics.json"
+    start=$(date +%s.%N)
+    if ! "$BENCH" fig2_exec_time --refs "$REFS" --procs "$procs" \
+        --engine "$engine" --no-cache --quiet --metrics-out "$metrics" \
+        > /dev/null; then
+        echo "error: $label trial $i crashed (exit $?)" >&2
+        exit 1
+    fi
+    end=$(date +%s.%N)
+    if [ ! -s "$metrics" ]; then
+        echo "error: $label trial $i wrote no metrics file" >&2
+        exit 1
+    fi
+    # grep -o keeps this POSIX-sh + awk only; the telemetry writer
+    # emits compact one-line JSON.
+    cycles=$(grep -o '"simulated_cycles":[0-9]*' "$metrics" \
+        | cut -d: -f2)
+    refs=$(grep -o '"simulated_refs":[0-9]*' "$metrics" \
+        | cut -d: -f2)
+    simns=$(grep -o '"simulate_nanos":[0-9]*' "$metrics" \
+        | cut -d: -f2)
+    for field in "cycles:$cycles" "refs:$refs" \
+                 "simulate_nanos:$simns"; do
+        case "${field#*:}" in
+            ''|0)
+                echo "error: $label trial $i metrics missing" \
+                     "${field%%:*} (truncated telemetry?)" >&2
+                exit 1 ;;
+        esac
     done
+    awk -v s="$start" -v t="$end" -v n="$simns" -v c="$cycles" \
+        -v r="$refs" \
+        'BEGIN { printf "%.6f %.6f %d %d\n", n / 1e9, t - s, c, r }' \
+        >> "$TMP/$label.trials.txt"
+}
+
+# Sim-only seconds of the latest trial of configuration $1.
+last_simonly() {
+    tail -n 1 "$TMP/$1.trials.txt" | cut -d' ' -f1
+}
+
+# Report one configuration: pick the trial with the median sim-only
+# time and append a JSON fragment for the report.
+# $1 = label, $2 = engine, $3 = procs
+summarize() {
+    label=$1
+    engine=$2
+    procs=$3
     # The median trial, ranked on sim-only seconds (column 1).
     median=$(sort -n "$TMP/$label.trials.txt" \
         | awk -v m=$(( (TRIALS + 1) / 2 )) 'NR == m')
@@ -141,14 +153,43 @@ run_one() {
 
 STAMP=$(date -u +%Y-%m-%dT%H:%M:%SZ)
 
+# The configurations as label:engine:procs, in report order.
+CONFIGS="fig2_cycle:cycle:16 fig2_local:local:16 micro3_cycle:cycle:3
+micro3_local:local:3"
+
+# Run "$1 label engine procs [args...]" for configuration $2.
+with_config() {
+    fn=$1
+    config=$2
+    shift 2
+    rest=${config#*:}
+    "$fn" "${config%%:*}" "${rest%%:*}" "${rest#*:}" "$@"
+}
+
 echo "== simcore throughput (refs=$REFS, report: $OUT)"
-run_one fig2_cycle cycle 16
-printf ',' >> "$TMP/runs.json"
-run_one fig2_local local 16
-printf ',' >> "$TMP/runs.json"
-run_one micro3_cycle cycle 3
-printf ',' >> "$TMP/runs.json"
-run_one micro3_local local 3
+for config in $CONFIGS; do
+    : > "$TMP/${config%%:*}.trials.txt"
+done
+i=1
+while [ "$i" -le "$TRIALS" ]; do
+    for config in $CONFIGS; do
+        with_config run_trial "$config" "$i"
+    done
+    awk -v i="$i" -v fc="$(last_simonly fig2_cycle)" \
+        -v fl="$(last_simonly fig2_local)" \
+        -v mc="$(last_simonly micro3_cycle)" \
+        -v ml="$(last_simonly micro3_local)" 'BEGIN {
+        printf "trial %d: fig2 %.2fx, micro3 %.2fx (cycle/local sim-only)\n",
+            i, fc / fl, mc / ml
+    }'
+    i=$((i + 1))
+done
+sep=
+for config in $CONFIGS; do
+    printf '%s' "$sep" >> "$TMP/runs.json"
+    sep=,
+    with_config summarize "$config"
+done
 
 {
     printf '{"schema":"prefsim-bench-simcore-v1",'

@@ -99,8 +99,11 @@ stage "engine differential"
 # Figure 2 runs at 4, 8 and 16 processors; Figure 3 and the cache and
 # protocol ablations cover what the quiet plan replays (access masks,
 # first uses) and what invalidates it (the victim buffer, the prefetch
-# data buffer, write-update). The budget guards against an engine that
-# stopped forming quiet spans, not timing noise.
+# data buffer, write-update); the prefetch ablation's buffer depths of
+# 1 to 32 stall processors on a full prefetch buffer, which the
+# local-clock core sleeps through until their own fills. The budget
+# guards against an engine that stopped forming quiet spans, not
+# timing noise.
 DIFF_START=$(date +%s)
 engine_diff() {
     name=$1
@@ -118,6 +121,7 @@ done
 engine_diff fig3_miss_components --procs 8 --csv
 engine_diff ablation_cache --procs 8
 engine_diff ablation_protocol --procs 8
+engine_diff ablation_prefetch --procs 8
 DIFF_ELAPSED=$(($(date +%s) - DIFF_START))
 if [ "$DIFF_ELAPSED" -gt 300 ]; then
     echo "FAIL: engine differential took ${DIFF_ELAPSED}s (budget 300s)" >&2
@@ -147,8 +151,10 @@ stage "perf-regression gate"
 # baseline. Short runs are not comparable (throughput at reduced refs
 # sits 15-25 % below full scale), so this runs at the baseline's own
 # refs_per_proc. The gate is on the same-run engine speedups
-# (speedup_fig2_sim, speedup_micro3_sim: cycle loop over local clocks),
-# in which host drift cancels — warn at 2 %, fail at 10 %. Absolute
+# (speedup_fig2_sim, speedup_micro3_sim: cycle loop over local clocks)
+# — warn at 2 %, fail at 10 %. bench_perf.sh runs the trials round-robin
+# across its four configurations, so drift between rounds lands on
+# both engines alike; drift within a round does not cancel. Absolute
 # sim-only throughput is compared too but only warns: run-to-run host
 # speed on a shared VM spreads 18-36 %, wider than any useful threshold.
 # After an intentional performance change or a hardware move,

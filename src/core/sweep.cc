@@ -48,7 +48,7 @@ SweepEngine::SweepEngine(WorkloadParams params, CacheGeometry geometry,
             prefsim_warn("cannot create cache directory ",
                          options_.cacheDir, " (", ec.message(),
                          "); caching disabled");
-            options_.useCache = false;
+            options_.cacheDir.clear();
         }
     }
 }

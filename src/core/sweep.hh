@@ -41,10 +41,9 @@ struct SweepOptions
 {
     /** Worker threads; 1 = serial (the default), 0 = all cores. */
     unsigned jobs = 1;
-    /** On-disk result cache directory; empty disables persistence. */
+    /** On-disk result cache directory; empty disables persistence
+     *  (--no-cache clears it). */
     std::string cacheDir;
-    /** False ignores cacheDir entirely (--no-cache). */
-    bool useCache = true;
     /** Collect simulator metrics into an engine-owned ObsContext
      *  (--metrics-out). Off = the uninstrumented fast path. */
     bool metrics = false;
@@ -61,7 +60,7 @@ struct SweepOptions
      * Implies an ObsContext; each freshly simulated point commits one
      * `prefsim-timeseries-v1` series. Cache hits skip simulation and
      * commit an explicit `"skipped": "cache-hit"` marker run instead —
-     * pair with useCache = false for full coverage.
+     * leave cacheDir empty for full coverage.
      */
     Cycle sampleInterval = 0;
     /**
@@ -247,7 +246,7 @@ class SweepEngine
 
     bool cachingEnabled() const
     {
-        return options_.useCache && !options_.cacheDir.empty();
+        return !options_.cacheDir.empty();
     }
 
     WorkloadParams params_;

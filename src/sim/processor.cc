@@ -521,6 +521,10 @@ Processor::fastForward(Cycle n, Cycle now)
         stats_.spinLock += n;
         return;
       case State::StallPrefetch:
+        // Only a full buffer makes the skipped reissues fail.
+        prefsim_assert(!mem_.cache(id_).prefetchMshrAvailable(), "proc ",
+                       id_, " replayed a prefetch stall at ", now,
+                       " with a free prefetch MSHR");
         stats_.stallPrefetchQueue += n;
         return;
       case State::Running:

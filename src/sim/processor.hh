@@ -79,11 +79,12 @@ class Processor
      * access that would miss, upgrade, or swap. Reaching the end of the
      * trace stops the walk too — the cycle count up to Done bounds the
      * window so the final simulated cycle is exact in both engines.
-     * Blocked and Done processors return kNoCycle: they never
-     * constrain the fast-forward window (their wake-ups come from bus
-     * completions or other processors' ticks, which bound the window
-     * separately). 0 means the next tick may have side effects and must
-     * execute cycle-exactly.
+     * Blocked and Done processors return kNoCycle, and so do a spinner
+     * on a held lock and a prefetch stalled on a full buffer: they
+     * never constrain the fast-forward window (their wake-ups come from
+     * bus completions or other processors' ticks, which bound the
+     * window separately and expire the cached boundary). 0 means the
+     * next tick may have side effects and must execute cycle-exactly.
      *
      * The walk records a *quiet plan* that fastForward() replays: each
      * record's cycle offset and running statistics totals, and each
@@ -118,12 +119,14 @@ class Processor
                        ? 0
                        : kNoCycle;
           case State::StallPrefetch:
-            // Retries fail until an MSHR frees, which only happens in
-            // a bus completion — and those fire at the start of the
-            // cycle, before the processor rotation, so the bus bound
-            // on the fast-forward window already covers the
-            // successful retry.
-            return kNoCycle;
+            // While the buffer is full, per-cycle reissues provably
+            // fail: no demand miss is outstanding and remote snoops
+            // only remove copies, so only one of this processor's own
+            // fills can change the outcome, and every such fill frees
+            // a prefetch MSHR. The fill's catch-up hook runs before
+            // the MSHR is released, so the refreshed boundary lands on
+            // the completion cycle — the first whose reissue succeeds.
+            return mem_.cache(id_).prefetchMshrAvailable() ? 0 : kNoCycle;
           case State::Running:
             // Plan fast path inline: most queries re-read a plan no
             // change has touched (see runningInertCycles for the walk).
@@ -157,17 +160,6 @@ class Processor
      * or settled lazily at wake).
      */
     void fastForward(Cycle n, Cycle now);
-
-    /** True when tick() would do any work (Running, or retrying a
-     *  lock/prefetch each cycle). WaitMemory/WaitBarrier/Done ticks
-     *  are no-ops — their stall time is settled at wake — so the
-     *  simulator skips them entirely. */
-    bool
-    needsTick() const
-    {
-        return state_ == State::Running || state_ == State::SpinLock ||
-               state_ == State::StallPrefetch;
-    }
 
     /** Attach the simulator's finished-processor counter (incremented
      *  once when this processor retires its last record). */
@@ -256,7 +248,8 @@ class Processor
         WaitMemory,   ///< Blocked in the memory system (fill/upgrade).
         SpinLock,     ///< Spinning on a held lock.
         WaitBarrier,  ///< Arrived at a barrier, waiting for the rest.
-        StallPrefetch,///< Prefetch buffer full; reissuing each cycle.
+        StallPrefetch,///< Prefetch buffer full; reissuing each cycle
+                      ///< (the local-clock core sleeps until a fill).
         Done,         ///< Trace exhausted.
     };
 

@@ -87,12 +87,11 @@ Simulator::Simulator(const ParallelTrace &trace, const SimConfig &config)
     if (local) {
         local_.assign(trace.numProcs(), 0);
         eff_.assign(trace.numProcs(), 0);
-        rot_.assign(trace.numProcs(), 0);
         dirty_mask_ =
             trace.numProcs() >= 32
                 ? ~std::uint32_t{0}
                 : (std::uint32_t{1} << trace.numProcs()) - 1;
-        rot_active_ = dirty_mask_;
+        eff_active_ = dirty_mask_;
         const auto np = static_cast<unsigned>(trace.numProcs());
         if ((np & (np - 1)) == 0)
             proc_mask_ = np - 1; // Rotation start by mask, not modulo.
@@ -107,7 +106,7 @@ Simulator::Simulator(const ParallelTrace &trace, const SimConfig &config)
         procs_.back()->setEagerStalls(!local);
         if (local) {
             // A spinner on a held lock is dropped from the exact-cycle
-            // rotation entirely (rot_ kNoCycle: its retries provably
+            // rotation entirely (eff_ kNoCycle: its retries provably
             // fail); the release is the one event that must put it
             // back. The hook fires mid-tick of the releaser, so
             // hookTouch's slot-order rule decides whether each
@@ -278,36 +277,14 @@ Simulator::refreshEff(ProcId p)
 {
     const std::uint32_t bit = std::uint32_t{1} << p;
     dirty_mask_ &= ~bit;
-    const Processor &pr = *procs_[p];
-    if (!pr.needsTick()) {
-        // Done or blocked: woken only by a bus completion or another
-        // processor's tick, never a rotation or frontier constraint.
-        eff_[p] = kNoCycle;
-        rot_[p] = kNoCycle;
-        rot_active_ &= ~bit;
-        return;
-    }
-    const Cycle inert = pr.inertCycles(local_[p]);
+    const Cycle inert = procs_[p]->inertCycles(local_[p]);
     if (inert == kNoCycle) {
-        // Retries that provably fail never constrain the frontier
-        // (fastForward bulk-adds the failed cycles). A spinner on a
-        // held lock leaves the rotation too: only the release can
-        // change its retry's outcome, and the release hook re-arms it
-        // at exactly that tick. A stalled prefetch stays serviced at
-        // every exact cycle — the completion that drains the queue is
-        // only visible through the retry itself.
         eff_[p] = kNoCycle;
-        if (pr.spinning()) {
-            rot_[p] = kNoCycle;
-            rot_active_ &= ~bit;
-        } else {
-            rot_[p] = 0;
-            rot_active_ |= bit;
-        }
-        return;
+        eff_active_ &= ~bit;
+    } else {
+        eff_[p] = local_[p] + inert;
+        eff_active_ |= bit;
     }
-    eff_[p] = rot_[p] = local_[p] + inert;
-    rot_active_ |= bit;
 }
 
 void
@@ -315,13 +292,10 @@ Simulator::catchUp(ProcId p, Cycle to)
 {
     if (to <= local_[p])
         return;
-    Processor &pr = *procs_[p];
-    // Blocked and done processors need no replay at all: their stall
-    // spans settle lazily at wake (fastForward would return without
-    // doing anything). Spin/stall retries and Running quiet work go
-    // through the real bulk replay.
-    if (pr.needsTick())
-        pr.fastForward(to - local_[p], local_[p]);
+    // Blocked and done processors settle their stall spans lazily at
+    // wake (fastForward returns at once); spin/stall retries bulk-add
+    // and Running quiet work replays its plan.
+    procs_[p]->fastForward(to - local_[p], local_[p]);
     local_[p] = to;
     // An advanced replay may have retired the trace's final record
     // (Done) or consumed part of the quiet plan; either way the cached
@@ -377,10 +351,9 @@ Simulator::serviceSlot(unsigned idx)
     // cycle.
     if (dirty_mask_ & bit)
         refreshEff(idx);
-    // Spin/stall retries carry rot_ 0 (they retry every exact cycle);
-    // woken or touched processors and due local-clock boundaries land
+    // Woken or touched processors and due local-clock boundaries land
     // exactly on cycle_.
-    if (rot_[idx] > cycle_)
+    if (eff_[idx] > cycle_)
         return false;
     catchUp(idx, cycle_);
     Processor &p = *procs_[idx];
@@ -413,9 +386,9 @@ Simulator::runExactCycleLocal(bool bus_may_act)
     // is the engine's edge over runExactCycle: a lagging processor
     // past the frontier is skipped without even loading its state.
     std::uint32_t visit = dirty_mask_;
-    for (std::uint32_t m = rot_active_ & ~dirty_mask_; m != 0; m &= m - 1) {
+    for (std::uint32_t m = eff_active_ & ~dirty_mask_; m != 0; m &= m - 1) {
         const auto p = static_cast<unsigned>(std::countr_zero(m));
-        if (rot_[p] <= cycle_)
+        if (eff_[p] <= cycle_)
             visit |= std::uint32_t{1} << p;
     }
     // Slots idx..n-1, then 0..idx-1: ascending bit order within each
@@ -493,7 +466,7 @@ Simulator::stepLocal()
         // Lazily refresh the invalidated side-effect boundaries, then
         // take the frontier bound E = min over processors in one tight
         // pass (eff_ is kNoCycle for every processor that cannot
-        // constrain the window: blocked, done, spin/stall retries).
+        // constrain the window: blocked, done, or retrying in vain).
         for (std::uint32_t m = dirty_mask_; m != 0; m &= m - 1)
             refreshEff(static_cast<ProcId>(std::countr_zero(m)));
         Cycle e = kNoCycle;

@@ -215,11 +215,10 @@ class Simulator
      *  (skipped when @p bus_may_act is false — only legal when the
      *  bus provably does nothing this cycle: no completion due, nothing
      *  grantable), then a rotation that services only the processors
-     *  with business this cycle — spin/stall retries, woken or
-     *  hook-touched processors, and local clocks whose side-effect
-     *  boundary is due — catching each up to the frontier first.
-     *  Lagging quiet processors are skipped entirely (the engine's
-     *  speedup). */
+     *  with business this cycle — woken or hook-touched processors and
+     *  local clocks whose side-effect boundary is due — catching each
+     *  up to the frontier first. Lagging quiet processors are skipped
+     *  entirely (the engine's speedup). */
     void runExactCycleLocal(bool bus_may_act);
 
     /** Service one rotation slot of the current exact cycle: refresh a
@@ -247,8 +246,8 @@ class Simulator
      *  processor's — and expire its cached side-effect boundary. */
     void hookTouch(ProcId p);
 
-    /** Recompute eff_[p] and rot_[p] from processor @p p's live state
-     *  and clear its dirty flag. */
+    /** Recompute eff_[p] from processor @p p's live state and clear
+     *  its dirty flag. */
     void refreshEff(ProcId p);
 
     /** Sum of processor progress counters + bus grants. */
@@ -293,24 +292,20 @@ class Simulator
      * when the engine is LocalClock).
      * local_[p] is the cycle up to which p's work has actually been
      * executed (always <= cycle_, the frontier). eff_[p] caches the
-     * absolute cycle of p's next possible side effect as the frontier
-     * bound E = min eff_ sees it: kNoCycle for every processor that
-     * cannot constrain the window (blocked, done, spinning on a held
-     * lock, stalled on the prefetch queue). rot_[p] caches the same
-     * boundary as the exact-cycle rotation sees it: the boundary for
-     * Running processors, 0 for spin/stall retries (serviced at every
-     * exact cycle) and kNoCycle for blocked/done processors — so the
-     * rotation's due test is a single compare against the frontier.
-     * Both are recomputed lazily when p's bit in dirty_mask_ is set
-     * (ticks, wakes, hook touches and catch-ups mark it). @{ */
+     * absolute cycle of p's next possible side effect: kNoCycle for
+     * every processor that cannot constrain the window or need an
+     * exact tick (blocked, done, spinning on a held lock, stalled on a
+     * full prefetch buffer — each is re-armed by the event that ends
+     * its wait). The frontier bound is E = min eff_, and the exact-cycle
+     * rotation's due test is the single compare eff_[p] <= cycle_.
+     * Recomputed lazily when p's bit in dirty_mask_ is set (ticks,
+     * wakes, hook touches and catch-ups mark it). @{ */
     std::vector<Cycle> local_;
     std::vector<Cycle> eff_;
-    std::vector<Cycle> rot_;
     std::uint32_t dirty_mask_ = 0;
-    /** Bit per processor whose rot_ is finite (kept by refreshEff):
-     *  the exact-cycle rotation's due-test scan iterates only these —
-     *  blocked, done and lock-spinning processors drop out entirely. */
-    std::uint32_t rot_active_ = 0;
+    /** Bit per processor whose eff_ is finite (kept by refreshEff):
+     *  the exact-cycle rotation's due-test scan iterates only these. */
+    std::uint32_t eff_active_ = 0;
     /** numProcs - 1 when the processor count is a power of two (the
      *  rotation start is then cycle_ & proc_mask_, skipping a 64-bit
      *  modulo per exact cycle); 0 forces the modulo path. */

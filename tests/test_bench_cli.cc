@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -102,6 +103,25 @@ TEST(BenchCli, AcceptsInRangeValues)
     EXPECT_EQ(parse({"--engine", "local"}).sweep.engine,
               SimEngine::LocalClock);
     EXPECT_EQ(parse({}).sweep.engine, SimEngine::LocalClock);
+}
+
+TEST(BenchCli, NoCacheDisablesPersistenceInEitherOrder)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir = fs::path(testing::TempDir()) / "bench_cli_no_cache";
+    for (const bool no_cache_first : {false, true}) {
+        fs::remove_all(dir);
+        std::vector<std::string> args = {"--cache-dir", dir.string()};
+        args.insert(no_cache_first ? args.begin() : args.end(),
+                    "--no-cache");
+        args.insert(args.end(), {"--refs", "2000", "--procs", "2"});
+        const BenchOptions o = parse(args);
+        EXPECT_TRUE(o.sweep.cacheDir.empty());
+        SweepEngine engine = makeEngine(o);
+        engine.run(WorkloadKind::Water, false, Strategy::NP, 8);
+        EXPECT_EQ(engine.counters().cacheStores, 0u);
+        EXPECT_FALSE(fs::exists(dir));
+    }
 }
 
 } // namespace

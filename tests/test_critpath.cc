@@ -34,6 +34,7 @@
 #include "mem/split_bus.hh"
 #include "prefetch/inserter.hh"
 #include "sim/simulator.hh"
+#include "sim_fingerprint.hh"
 #include "trace/workload.hh"
 
 namespace prefsim
@@ -306,32 +307,6 @@ TEST(CritPathEngineIdentity, SyncHeavyHandTrace)
 /* ------------------------------------------------------------------ */
 /* Fingerprint neutrality                                              */
 /* ------------------------------------------------------------------ */
-
-/** Serialise every statistics field (same scheme as test_simcore). */
-std::string
-fingerprint(const SimStats &s)
-{
-    std::ostringstream os;
-    os << "cycles=" << s.cycles << '\n';
-    os << "bus.busyCycles=" << s.bus.busyCycles << '\n';
-    for (int k = 0; k < 5; ++k)
-        os << "bus.opCount[" << k << "]=" << s.bus.opCount[k] << '\n';
-    os << "bus.queueWaitDemand=" << s.bus.queueWaitDemand << '\n';
-    os << "bus.queueWaitPrefetch=" << s.bus.queueWaitPrefetch << '\n';
-    for (std::size_t p = 0; p < s.procs.size(); ++p) {
-        const ProcStats &ps = s.procs[p];
-        os << "proc" << p << ".busy=" << ps.busy
-           << " stallDemand=" << ps.stallDemand
-           << " stallUpgrade=" << ps.stallUpgrade
-           << " stallPrefetchQueue=" << ps.stallPrefetchQueue
-           << " spinLock=" << ps.spinLock
-           << " waitBarrier=" << ps.waitBarrier
-           << " finishedAt=" << ps.finishedAt
-           << " demandRefs=" << ps.demandRefs
-           << " prefetchesExecuted=" << ps.prefetchesExecuted << '\n';
-    }
-    return os.str();
-}
 
 TEST(CritPathNeutrality, RecorderDoesNotPerturbStats)
 {

@@ -613,7 +613,6 @@ sweepMetricsJson(unsigned jobs)
     p.refsPerProc = 1500;
     SweepOptions options;
     options.jobs = jobs;
-    options.useCache = false;
     options.metrics = true;
     SweepEngine engine(p, CacheGeometry::paperDefault(), options);
     engine.enqueueGrid({WorkloadKind::Mp3d, WorkloadKind::Pverify},

@@ -38,36 +38,13 @@
 #include "obs/obs.hh"
 #include "prefetch/inserter.hh"
 #include "sim/simulator.hh"
+#include "sim_fingerprint.hh"
 #include "trace/workload.hh"
 
 namespace prefsim
 {
 namespace
 {
-
-/** Serialize the statistics fields the engines guarantee bit-identical
- *  (the test_simcore.cc fingerprint, abbreviated). */
-std::string
-statsFingerprint(const SimStats &s)
-{
-    std::ostringstream os;
-    os << "cycles=" << s.cycles << " bus=" << s.bus.busyCycles
-       << " qw=" << s.bus.queueWaitDemand << ','
-       << s.bus.queueWaitPrefetch << '\n';
-    for (std::size_t p = 0; p < s.procs.size(); ++p) {
-        const ProcStats &ps = s.procs[p];
-        const MissBreakdown &m = ps.misses;
-        os << p << ":" << ps.busy << ',' << ps.stallDemand << ','
-           << ps.stallUpgrade << ',' << ps.stallPrefetchQueue << ','
-           << ps.spinLock << ',' << ps.waitBarrier << ','
-           << ps.demandRefs << ',' << ps.prefetchMisses << '|'
-           << m.nonSharingNotPrefetched << ',' << m.nonSharingPrefetched
-           << ',' << m.invalNotPrefetched << ',' << m.invalPrefetched
-           << ',' << m.prefetchInProgress << ',' << m.falseSharing
-           << '\n';
-    }
-    return os.str();
-}
 
 /** One profiled run: returns the serialised profile document and, when
  *  asked, the stats fingerprint and the committed ProfileRun. */
@@ -83,7 +60,7 @@ profiledRun(const ParallelTrace &trace, SimConfig cfg, SimEngine engine,
     cfg.traceLabel = "profiled";
     const SimStats stats = simulate(trace, cfg);
     if (stats_fp)
-        *stats_fp = statsFingerprint(stats);
+        *stats_fp = fingerprint(stats);
     if (run_out) {
         const std::vector<obs::ProfileRun> runs =
             obs.profile.snapshot();
@@ -125,7 +102,7 @@ TEST_P(ProfileDifferential, ByteIdenticalAcrossEngines)
     // Neutrality: profiling on must not perturb the simulation.
     SimConfig plain = cfg;
     plain.engine = SimEngine::CycleLoop;
-    const std::string off = statsFingerprint(simulate(ann.trace, plain));
+    const std::string off = fingerprint(simulate(ann.trace, plain));
 
     std::string on;
     const std::string oracle = profiledRun(

@@ -14,7 +14,6 @@
 #include <list>
 #include <map>
 #include <memory>
-#include <sstream>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -26,7 +25,7 @@
 #include "prefetch/filter_cache.hh"
 #include "prefetch/inserter.hh"
 #include "sim/simulator.hh"
-#include "stats/json.hh"
+#include "sim_fingerprint.hh"
 
 namespace prefsim
 {
@@ -614,9 +613,7 @@ TEST_P(RandomProgramSuite, WideMachineEnginesAgree)
             SimConfig c = cfg;
             c.engine = engine;
             Simulator sim(pt, c);
-            std::ostringstream os;
-            writeJson(os, sim.run());
-            stats[engine == SimEngine::LocalClock] = os.str();
+            stats[engine == SimEngine::LocalClock] = fingerprint(sim.run());
             for (unsigned l = 0; l < 64; ++l) {
                 std::string why;
                 EXPECT_TRUE(sim.memory().checkLineInvariantDetail(

@@ -24,65 +24,18 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 #include <string>
 
 #include "mem/split_bus.hh"
 #include "prefetch/inserter.hh"
 #include "sim/simulator.hh"
+#include "sim_fingerprint.hh"
 #include "trace/workload.hh"
 
 namespace prefsim
 {
 namespace
 {
-
-/**
- * Serialize every statistics field to text. Two runs agree bit-for-bit
- * iff their fingerprints compare equal, and a mismatch's first
- * differing line names the field that diverged.
- */
-std::string
-fingerprint(const SimStats &s)
-{
-    std::ostringstream os;
-    os << "cycles=" << s.cycles << '\n';
-    os << "bus.busyCycles=" << s.bus.busyCycles << '\n';
-    for (int k = 0; k < 5; ++k)
-        os << "bus.opCount[" << k << "]=" << s.bus.opCount[k] << '\n';
-    os << "bus.queueWaitDemand=" << s.bus.queueWaitDemand << '\n';
-    os << "bus.queueWaitPrefetch=" << s.bus.queueWaitPrefetch << '\n';
-    os << "bus.grantsDemand=" << s.bus.grantsDemand << '\n';
-    os << "bus.grantsPrefetch=" << s.bus.grantsPrefetch << '\n';
-    for (std::size_t p = 0; p < s.procs.size(); ++p) {
-        const ProcStats &ps = s.procs[p];
-        os << "proc" << p << ".busy=" << ps.busy
-           << " stallDemand=" << ps.stallDemand
-           << " stallUpgrade=" << ps.stallUpgrade
-           << " stallPrefetchQueue=" << ps.stallPrefetchQueue
-           << " spinLock=" << ps.spinLock
-           << " waitBarrier=" << ps.waitBarrier
-           << " finishedAt=" << ps.finishedAt << '\n';
-        os << "proc" << p << ".demandRefs=" << ps.demandRefs
-           << " reads=" << ps.reads << " writes=" << ps.writes
-           << " prefetchesExecuted=" << ps.prefetchesExecuted
-           << " prefetchMisses=" << ps.prefetchMisses
-           << " droppedResident=" << ps.prefetchesDroppedResident
-           << " droppedDuplicate=" << ps.prefetchesDroppedDuplicate
-           << " upgradesIssued=" << ps.upgradesIssued
-           << " victimHits=" << ps.victimHits
-           << " prefetchBufferHits=" << ps.prefetchBufferHits
-           << " bufferProtectionEvents=" << ps.bufferProtectionEvents
-           << '\n';
-        const MissBreakdown &m = ps.misses;
-        os << "proc" << p
-           << ".misses=" << m.nonSharingNotPrefetched << ','
-           << m.nonSharingPrefetched << ',' << m.invalNotPrefetched << ','
-           << m.invalPrefetched << ',' << m.prefetchInProgress << ','
-           << m.falseSharing << '\n';
-    }
-    return os.str();
-}
 
 /** Run @p trace under the oracle and the local-clock core and require
  *  identical statistics. */
@@ -285,21 +238,55 @@ TEST(BurstBoundary, SpinLockGap)
 }
 
 /** Prefetch back-pressure: more outstanding prefetches than MSHRs force
- *  StallPrefetch, whose per-cycle reissues the local-clock core
- *  bulk-adds. */
+ *  StallPrefetch, which the local-clock core sleeps through until one
+ *  of the stalled processor's own fills frees an MSHR. A second
+ *  processor then writes the prefetched lines during the stall: its
+ *  invalidations touch the sleeper, and in-flight prefetches arrive
+ *  dead but still free their slots. */
 TEST(BurstBoundary, PrefetchBufferFull)
 {
+    constexpr unsigned kLines = 24;
     Trace a;
-    for (unsigned i = 0; i < 24; ++i)
+    for (unsigned i = 0; i < kLines; ++i)
         a.append(TraceRecord::prefetch(0x8000 + Addr{i} * 32));
     a.appendInstrs(300);
-    for (unsigned i = 0; i < 24; ++i)
+    for (unsigned i = 0; i < kLines; ++i)
         a.append(TraceRecord::read(0x8000 + Addr{i} * 32));
     Trace b;
     b.appendInstrs(40);
     b.append(TraceRecord::read(0x8000));
-    expectEnginesAgree(twoProc(std::move(a), std::move(b)), plainConfig(),
+    expectEnginesAgree(twoProc(a, std::move(b)), plainConfig(),
                        "prefetch-buffer-full");
+
+    Trace writer;
+    writer.appendInstrs(5);
+    for (unsigned i = 0; i < kLines; ++i) {
+        writer.append(TraceRecord::write(0x8000 + Addr{i} * 32));
+        writer.appendInstrs(3);
+    }
+    const ParallelTrace pt = twoProc(a, std::move(writer));
+    SimConfig victim = plainConfig();
+    victim.victimEntries = 4;
+    SimConfig pdb = plainConfig();
+    pdb.prefetchDataBufferEntries = 16;
+    const std::pair<const char *, SimConfig> configs[] = {
+        {"base", plainConfig()}, {"victim4", victim}, {"pdb16", pdb}};
+    for (const unsigned depth : {1u, 2u}) {
+        for (auto [name, cfg] : configs) {
+            cfg.prefetchBufferDepth = depth;
+            const std::string what = "prefetch-buffer-full-written depth=" +
+                                     std::to_string(depth) + " " + name;
+            expectEnginesAgree(pt, cfg, what);
+            // The trace does what it is for: the prefetcher stalls on
+            // its buffer, and the writer kills prefetched lines.
+            const ProcStats ps = simulate(pt, cfg).procs[0];
+            EXPECT_GT(ps.stallPrefetchQueue, 0u) << what;
+            EXPECT_GT(ps.misses.invalPrefetched +
+                          ps.misses.nonSharingPrefetched,
+                      0u)
+                << what;
+        }
+    }
 }
 
 /** Degenerate shapes: an empty trace (Done at construction) beside a

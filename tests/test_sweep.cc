@@ -268,19 +268,6 @@ TEST(SweepEngine, CacheFileWithForeignKeyIsRejected)
     fs::remove_all(dir);
 }
 
-TEST(SweepEngine, NoCacheOptionDisablesPersistence)
-{
-    const fs::path dir = scratchDir("sweep_cache_disabled");
-    SweepOptions opts;
-    opts.cacheDir = dir.string();
-    opts.useCache = false;
-
-    SweepEngine engine(tinyParams(), CacheGeometry::paperDefault(), opts);
-    engine.run(WorkloadKind::Water, false, Strategy::NP, 8);
-    EXPECT_EQ(engine.counters().cacheStores, 0u);
-    EXPECT_FALSE(fs::exists(dir));
-}
-
 TEST(SweepEngine, SpecOverridesProduceDistinctKeys)
 {
     SweepEngine engine(tinyParams());

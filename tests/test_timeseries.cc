@@ -35,6 +35,7 @@
 #include "obs/obs.hh"
 #include "prefetch/inserter.hh"
 #include "sim/simulator.hh"
+#include "sim_fingerprint.hh"
 #include "trace/workload.hh"
 #include "verify/finding.hh"
 
@@ -51,22 +52,6 @@ using obs::TimeSeriesStore;
 /* ------------------------------------------------------------------ */
 /* Engine identity and non-perturbation                                */
 /* ------------------------------------------------------------------ */
-
-/** Serialise the stats fields the paper's results depend on. */
-std::string
-statsFingerprint(const SimStats &s)
-{
-    std::ostringstream os;
-    os << s.cycles << '|' << s.bus.busyCycles;
-    for (const ProcStats &p : s.procs) {
-        os << '|' << p.busy << ',' << p.stallDemand << ','
-           << p.stallUpgrade << ',' << p.stallPrefetchQueue << ','
-           << p.spinLock << ',' << p.waitBarrier << ',' << p.finishedAt
-           << ',' << p.misses.cpu() << ',' << p.misses.falseSharing
-           << ',' << p.prefetchMisses;
-    }
-    return os.str();
-}
 
 /** Simulate with sampling on and return (stats, timeseries JSON). */
 std::pair<SimStats, std::string>
@@ -115,7 +100,7 @@ TEST_P(TimeseriesEngineIdentity, SeriesAndStatsBitIdentical)
     const auto [local_stats, local_json] =
         runSampled(trace, cfg, SimEngine::LocalClock, interval);
 
-    EXPECT_EQ(statsFingerprint(cycle_stats), statsFingerprint(local_stats));
+    EXPECT_EQ(fingerprint(cycle_stats), fingerprint(local_stats));
     EXPECT_EQ(cycle_json, local_json)
         << "engines emitted different series at interval " << interval;
     EXPECT_NE(cycle_json.find("\"samples\""), std::string::npos);
@@ -138,11 +123,11 @@ TEST(TimeseriesSampling, DoesNotPerturbSimulation)
          {SimEngine::CycleLoop, SimEngine::LocalClock}) {
         SimConfig plain = cfg;
         plain.engine = engine;
-        const std::string off = statsFingerprint(simulate(trace, plain));
+        const std::string off = fingerprint(simulate(trace, plain));
         for (const Cycle interval : {Cycle{1}, Cycle{113}}) {
             const auto [stats, json] =
                 runSampled(trace, cfg, engine, interval);
-            EXPECT_EQ(off, statsFingerprint(stats))
+            EXPECT_EQ(off, fingerprint(stats))
                 << "sampling at interval " << interval
                 << " changed the simulation";
         }
