@@ -166,7 +166,8 @@ parseBenchArgs(int argc, char **argv,
                    "  --csv            machine-readable CSV output\n"
                    "  --out DIR        write each experiment to "
                    "DIR/<name>.txt\n"
-                   "  --quiet          suppress informational logging\n"
+                   "  --quiet          suppress informational logging "
+                   "(warnings stay)\n"
                    "  --log-level L    minimum severity: error, warn, "
                    "info, debug\n"
                    "  --metrics-out F  write sweep telemetry + metrics "

@@ -25,9 +25,9 @@
 #      hard-gated on the checked-in .clang-tidy-baseline count
 #      (skipped loudly when clang-tidy is not installed);
 #   4. ThreadSanitizer for the two sources of threads: the sweep
-#      engine's worker pool (--jobs) and parallelFor, which annotates
-#      a trace's processors concurrently (a simulation itself is
-#      single-threaded);
+#      engine's worker pool (--jobs) and parallelFor, which generates,
+#      classifies and annotates a trace's processors concurrently (a
+#      simulation itself is single-threaded);
 #   5. AddressSanitizer+UBSan with the PREFSIM_VERIFY runtime invariant
 #      hooks compiled in, running the full test suite.
 #
@@ -399,7 +399,8 @@ fi
 # --- configuration 2: ThreadSanitizer ---------------------------------
 stage "tsan build + threaded tests"
 TSAN_BUILD="$BUILD-tsan"
-TSAN_TESTS="test_sweep test_obs test_inserter test_property test_common"
+TSAN_TESTS="test_sweep test_obs test_inserter test_property test_common
+    test_workloads test_sharing"
 cmake -B "$TSAN_BUILD" -DPREFSIM_SANITIZE=thread -DPREFSIM_BUILD_BENCH=OFF \
     -DPREFSIM_BUILD_EXAMPLES=OFF
 for t in $TSAN_TESTS; do

@@ -182,7 +182,7 @@ thresholdAllows(LogLevel level)
 void
 warnImpl(const std::string &msg)
 {
-    if (!quiet() && thresholdAllows(LogLevel::Warn))
+    if (thresholdAllows(LogLevel::Warn))
         emit(LogLevel::Warn, msg);
 }
 

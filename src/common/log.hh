@@ -66,7 +66,7 @@ using LogSink = std::function<void(LogLevel, const std::string &)>;
 /**
  * Install @p sink as the destination of all log output; pass nullptr to
  * restore the default stdout/stderr sink. Quiet suppression of
- * warn/inform happens before the sink is invoked.
+ * inform/debug happens before the sink is invoked.
  * @return the previously installed sink (empty if the default).
  */
 LogSink setLogSink(LogSink sink);
@@ -138,7 +138,8 @@ format(Args &&...args)
 
 } // namespace detail
 
-/** True once warnings have been suppressed (used by quiet bench runs). */
+/** Quiet mode (--quiet): drop inform and debug messages. Warnings,
+ *  fatals and panics are still emitted. */
 void setQuiet(bool quiet);
 bool quiet();
 

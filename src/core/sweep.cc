@@ -201,6 +201,7 @@ SweepEngine::executeBatch(const std::vector<ExperimentSpec> &specs)
         if (obs_) {
             cfg.obs = obs_.get();
             cfg.traceLabel = node.spec->label();
+            cfg.runKey = node.runKey;
             cfg.sampleInterval = options_.sampleInterval;
             cfg.profile = options_.profile;
             cfg.critpath = options_.critpath;
@@ -220,8 +221,7 @@ SweepEngine::executeBatch(const std::vector<ExperimentSpec> &specs)
             wide.timing.dataChannels =
                 static_cast<unsigned>(ann->trace.numProcs());
             const SimStats actual = simulate(ann->trace, wide);
-            obs_->critpath.attachValidation(node.spec->label(),
-                                            actual.cycles);
+            obs_->critpath.attachValidation(node.runKey, actual.cycles);
         }
         if (cachingEnabled())
             storeToDisk(*result, node.runKey);
@@ -284,11 +284,11 @@ SweepEngine::tryLoadFromDisk(const ExperimentSpec &spec,
     // A cache hit skips simulation, so it produces no time series,
     // profile or critical path: record skip markers instead.
     if (obs_ && options_.sampleInterval > 0)
-        obs_->timeseries.commitSkipped(spec.label());
+        obs_->timeseries.commitSkipped(spec.label(), key);
     if (obs_ && options_.profile)
-        obs_->profile.commitSkipped(spec.label());
+        obs_->profile.commitSkipped(spec.label(), key);
     if (obs_ && options_.critpath)
-        obs_->critpath.commitSkipped(spec.label());
+        obs_->critpath.commitSkipped(spec.label(), key);
     return true;
 }
 

@@ -526,14 +526,14 @@ CritPathRecorder::take(Cycle warmup_end, Cycle done_at,
 }
 
 void
-CritPathStore::attachValidation(const std::string &label,
+CritPathStore::attachValidation(const std::string &key,
                                 std::uint64_t actual_cycles)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    for (CritPathRun &run : runs_) {
-        if (run.label != label || run.skipped)
+    for (std::size_t i = 0; i < runs_.size(); ++i) {
+        if (keys_[i] != key || runs_[i].skipped)
             continue;
-        for (WhatIf &w : run.whatif) {
+        for (WhatIf &w : runs_[i].whatif) {
             if (w.scenario != "infinite_bus")
                 continue;
             w.actualCycles = actual_cycles;

@@ -249,8 +249,9 @@ class CritPathStore : public RunStore<CritPathRun>
 {
   public:
     /** Attach the validated infinite-bus re-simulation result to the
-     *  run with @p label (no-op when the label is unknown). */
-    void attachValidation(const std::string &label,
+     *  run committed with sweep key @p key (no-op when the key is
+     *  unknown). */
+    void attachValidation(const std::string &key,
                           std::uint64_t actual_cycles);
 };
 

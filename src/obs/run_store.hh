@@ -20,6 +20,7 @@
 #include <mutex>
 #include <ostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/json.hh"
@@ -71,28 +72,34 @@ beginRunJson(JsonWriter &j, const Run &run)
  * Thread-safe collection of one format's finished runs, owned by the
  * ObsContext. Run provides `label`, `skipped`, `kSchema` and a
  * writeRunJson(JsonWriter &, const Run &) overload.
+ *
+ * Each run is committed with its key in the sweep (the point's
+ * experiment cache key, unique within a sweep). The key is never
+ * written; it orders runs that share a label, which sweeps over knobs
+ * the label does not name have.
  */
 template <typename Run>
 class RunStore
 {
   public:
     void
-    commit(Run run)
+    commit(Run run, std::string key = {})
     {
         std::lock_guard<std::mutex> lock(mu_);
         runs_.push_back(std::move(run));
+        keys_.push_back(std::move(key));
     }
 
     /** Record that the sweep loaded @p label from its result cache and
      *  never simulated it, so "not simulated" stays distinguishable
      *  from "lost" downstream. */
     void
-    commitSkipped(std::string label)
+    commitSkipped(std::string label, std::string key = {})
     {
         Run run;
         run.label = std::move(label);
         run.skipped = true;
-        commit(std::move(run));
+        commit(std::move(run), std::move(key));
     }
 
     bool
@@ -117,27 +124,28 @@ class RunStore
         return runs_;
     }
 
-    /** Write the full document. Runs are sorted by label: concurrent
-     *  sweeps commit in completion order, and the document must be
-     *  deterministic (check.sh compares engine outputs byte for byte). */
+    /** Write the full document. Runs are sorted by label, then key:
+     *  concurrent sweeps commit in completion order, and the document
+     *  must be deterministic (check.sh compares engine outputs byte for
+     *  byte). */
     void
     writeJson(std::ostream &os) const
     {
         std::lock_guard<std::mutex> lock(mu_);
-        std::vector<const Run *> ordered;
-        ordered.reserve(runs_.size());
-        for (const Run &run : runs_)
-            ordered.push_back(&run);
+        std::vector<std::size_t> ordered(runs_.size());
+        for (std::size_t i = 0; i < ordered.size(); ++i)
+            ordered[i] = i;
         std::stable_sort(ordered.begin(), ordered.end(),
-                         [](const Run *a, const Run *b) {
-                             return a->label < b->label;
+                         [this](std::size_t a, std::size_t b) {
+                             return std::tie(runs_[a].label, keys_[a]) <
+                                    std::tie(runs_[b].label, keys_[b]);
                          });
         JsonWriter j(os);
         j.beginObject();
         j.key("schema").value(Run::kSchema);
         j.key("runs").beginArray();
-        for (const Run *run : ordered)
-            writeRunJson(j, *run);
+        for (const std::size_t i : ordered)
+            writeRunJson(j, runs_[i]);
         j.endArray();
         j.endObject();
         os << "\n";
@@ -146,6 +154,7 @@ class RunStore
   protected:
     mutable std::mutex mu_;
     std::vector<Run> runs_;
+    std::vector<std::string> keys_; ///< Each run's sweep key.
 };
 
 /**

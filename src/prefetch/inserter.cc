@@ -3,6 +3,7 @@
 #include <memory>
 #include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/log.hh"
@@ -247,6 +248,9 @@ annotateTrace(const ParallelTrace &input, const StrategyParams &params,
     // own slots, and this thread allocates every output buffer, so the
     // traces do not land in the helper threads' malloc arenas (memory a
     // thread frees into its own arena is not reused by the others).
+    // Counters and traces are updated in locals and stored once: slots
+    // of neighbouring processors share cache lines, and updating them in
+    // place ping-pongs those lines between the threads.
     const std::size_t n = input.numProcs();
     std::vector<AnnotateStats> stats(n);
     std::vector<Trace> &out = result.trace.procs;
@@ -271,13 +275,17 @@ annotateTrace(const ParallelTrace &input, const StrategyParams &params,
 
         std::vector<std::vector<PendingPrefetch>> pending(n);
         parallelFor(n, [&](std::size_t p) {
+            AnnotateStats mine;
             pending[p] = selectPrefetches(input.procs[p], params, geom,
-                                          sharing.get(), stats[p]);
+                                          sharing.get(), mine);
+            stats[p] = mine;
         });
         for (std::size_t p = 0; p < n; ++p)
             out[p].reserve(input.procs[p].size() + 2 * pending[p].size());
         parallelFor(n, [&](std::size_t p) {
-            emitAnnotated(input.procs[p], pending[p], out[p]);
+            Trace mine = std::move(out[p]);
+            emitAnnotated(input.procs[p], pending[p], mine);
+            out[p] = std::move(mine);
         });
     }
     for (const AnnotateStats &s : stats)

@@ -562,7 +562,7 @@ Simulator::run()
     // so the frame needs no special casing.
     if (sampler_) {
         sampler_->finish(captureSampleFrame(done_at));
-        config_.obs->timeseries.commit(sampler_->take());
+        config_.obs->timeseries.commit(sampler_->take(), config_.runKey);
         sampler_.reset();
         next_sample_ = kNoCycle;
     }
@@ -598,7 +598,8 @@ Simulator::run()
     if (sink_) {
         sink_->commitMetrics();
         if (obs::AttributionProfiler *p = sink_->profile())
-            config_.obs->profile.commit(p->take(warmup_end_));
+            config_.obs->profile.commit(p->take(warmup_end_),
+                                        config_.runKey);
         // The critical-path walk wants absolute retirement cycles (the
         // recorder clamps everything to the measured window itself, so
         // pre-warmup pieces simply clip away).
@@ -607,7 +608,7 @@ Simulator::run()
             for (std::size_t p = 0; p < proc_stats_.size(); ++p)
                 finished[p] = proc_stats_[p].finishedAt;
             config_.obs->critpath.commit(
-                c->take(warmup_end_, done_at, finished));
+                c->take(warmup_end_, done_at, finished), config_.runKey);
         }
         if (std::unique_ptr<obs::TraceBuffer> t = sink_->takeTrace()) {
             // Ring-buffer eviction is otherwise silent; the counter

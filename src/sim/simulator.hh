@@ -131,6 +131,9 @@ struct SimConfig
     /** Label of this run's trace session (sweep spec label; shown as
      *  the Chrome trace process name). */
     std::string traceLabel;
+    /** Key of this run in its sweep (its experiment cache key), which
+     *  orders its committed telemetry among runs sharing its label. */
+    std::string runKey;
 };
 
 /**

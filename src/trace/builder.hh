@@ -1,14 +1,19 @@
 /**
  * @file
- * Per-processor trace building helper shared by the workload generators.
+ * Per-processor trace building shared by the workload generators.
  */
 
 #ifndef PREFSIM_TRACE_BUILDER_HH
 #define PREFSIM_TRACE_BUILDER_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <utility>
+#include <vector>
 
+#include "common/log.hh"
 #include "common/rng.hh"
+#include "common/thread_pool.hh"
 #include "common/types.hh"
 #include "trace/trace.hh"
 
@@ -103,34 +108,49 @@ class ConflictStream
 };
 
 /**
- * Emits records into one processor's Trace with running counters.
+ * Emits one processor's records, either counting them or filling a
+ * trace.
  *
- * Generators express work as compute bursts plus reads/writes; the builder
- * takes care of record packing and reference accounting.
+ * Generators express work as compute bursts plus reads/writes; the
+ * builder takes care of record packing. A counting builder stores
+ * nothing: it tracks how many records the same calls would leave in a
+ * Trace, Instr coalescing included, so buildProcs can size each
+ * processor's buffer exactly before filling it.
  */
 class ProcTraceBuilder
 {
   public:
+    /** A counting builder for processor @p proc. */
     ProcTraceBuilder(ProcId proc, std::uint64_t seed)
         : proc_(proc), rng_(seed ^ (0x517cc1b727220a95ULL * (proc + 1)))
     {}
 
+    /** A builder appending processor @p proc's records to @p buffer
+     *  (empty, its capacity reserved). */
+    ProcTraceBuilder(ProcId proc, std::uint64_t seed, Trace buffer)
+        : ProcTraceBuilder(proc, seed)
+    {
+        trace_ = std::move(buffer);
+        filling_ = true;
+    }
+
     /** @name Emission. @{ */
-    void compute(std::uint32_t instrs) { trace_.appendInstrs(instrs); }
-
     void
-    read(Addr a)
+    compute(std::uint32_t instrs)
     {
-        trace_.append(TraceRecord::read(a));
-        ++refs_;
+        if (filling_) {
+            trace_.appendInstrs(instrs);
+        } else if (instrs != 0) {
+            if (tail_instrs_ == 0 || !foldsInstrs(tail_instrs_, instrs)) {
+                ++size_;
+                tail_instrs_ = 0;
+            }
+            tail_instrs_ += instrs;
+        }
     }
 
-    void
-    write(Addr a)
-    {
-        trace_.append(TraceRecord::write(a));
-        ++refs_;
-    }
+    void read(Addr a) { emit(TraceRecord::read(a)); }
+    void write(Addr a) { emit(TraceRecord::write(a)); }
 
     /** Read @p words consecutive words starting at @p a. */
     void
@@ -148,33 +168,82 @@ class ProcTraceBuilder
             write(a + std::uint64_t{i} * kWordBytes);
     }
 
-    void lock(SyncId id) { trace_.append(TraceRecord::lockAcquire(id)); }
-    void unlock(SyncId id) { trace_.append(TraceRecord::lockRelease(id)); }
-    void barrier(SyncId id) { trace_.append(TraceRecord::barrier(id)); }
+    void lock(SyncId id) { emit(TraceRecord::lockAcquire(id)); }
+    void unlock(SyncId id) { emit(TraceRecord::lockRelease(id)); }
+    void barrier(SyncId id) { emit(TraceRecord::barrier(id)); }
     /** @} */
 
-    /** Demand references emitted so far. */
-    std::uint64_t refs() const { return refs_; }
+    /** Records emitted so far. */
+    std::size_t size() const { return filling_ ? trace_.size() : size_; }
 
     ProcId proc() const { return proc_; }
     Rng &rng() { return rng_; }
-    /** The finished trace, trimmed to its size: a base trace lives as
-     *  long as its sweep, and doubling growth leaves a third of its
-     *  capacity idle on average. */
-    Trace &&
-    takeTrace() &&
-    {
-        trace_.records().shrink_to_fit();
-        return std::move(trace_);
-    }
-    const Trace &trace() const { return trace_; }
+
+    /** The filled trace. */
+    Trace &&takeTrace() && { return std::move(trace_); }
 
   private:
+    /** Emit a record that is not an Instr batch. */
+    void
+    emit(const TraceRecord &r)
+    {
+        if (filling_) {
+            trace_.records().push_back(r);
+        } else {
+            ++size_;
+            tail_instrs_ = 0;
+        }
+    }
+
     ProcId proc_;
     Rng rng_;
+    /** Filling: the trace being filled, in this object (so on the
+     *  building thread's stack, not beside the other processors'). */
     Trace trace_;
-    std::uint64_t refs_ = 0;
+    bool filling_ = false;
+    /** Counting: records so far, and the count of the trailing Instr
+     *  record (0 when the last record is not one). */
+    std::size_t size_ = 0;
+    std::uint32_t tail_instrs_ = 0;
 };
+
+/**
+ * Build @p procs processor traces into @p out.procs: processor p's
+ * trace holds the records @p body emits through a ProcTraceBuilder for
+ * p, seeded from @p seed.
+ *
+ * The processors are built concurrently (parallelFor, so in processor
+ * order on a pool worker), twice: once counting, once filling a buffer
+ * this thread reserved at exactly the counted size. Growing the traces
+ * on the helper threads instead would strand the growth garbage in
+ * their malloc arenas and leave doubling slack in every base trace,
+ * which lives as long as its sweep. @p body must emit the same records
+ * on both calls, and may only read state it shares with the other
+ * processors' calls.
+ */
+template <typename Body>
+void
+buildProcs(ParallelTrace &out, unsigned procs, std::uint64_t seed,
+           const Body &body)
+{
+    std::vector<std::size_t> sizes(procs);
+    parallelFor(procs, [&](std::size_t p) {
+        ProcTraceBuilder b(static_cast<ProcId>(p), seed);
+        body(b);
+        sizes[p] = b.size();
+    });
+    out.procs.assign(procs, Trace{});
+    for (std::size_t p = 0; p < procs; ++p)
+        out.procs[p].reserve(sizes[p]);
+    parallelFor(procs, [&](std::size_t p) {
+        ProcTraceBuilder b(static_cast<ProcId>(p), seed,
+                           std::move(out.procs[p]));
+        body(b);
+        prefsim_assert(b.size() == sizes[p], "processor ", p, " emitted ",
+                       b.size(), " records after counting ", sizes[p]);
+        out.procs[p] = std::move(b).takeTrace();
+    });
+}
 
 } // namespace prefsim
 

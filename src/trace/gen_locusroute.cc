@@ -52,10 +52,9 @@ generateLocusRoute(const WorkloadParams &params)
     out.name = "locusroute";
     out.numLocks = 0;
     out.numBarriers = static_cast<SyncId>(steps);
-    out.procs.reserve(P);
 
-    for (ProcId p = 0; p < P; ++p) {
-        ProcTraceBuilder b(p, params.seed);
+    buildProcs(out, P, params.seed, [&](ProcTraceBuilder &b) {
+        const ProcId p = b.proc();
         Rng &rng = b.rng();
         // The wire list sits in the cache-set range the strip does not
         // use (strips are 16 KB, half the cache); the cold stream gets a
@@ -129,8 +128,7 @@ generateLocusRoute(const WorkloadParams &params)
             }
             b.barrier(static_cast<SyncId>(step));
         }
-        out.procs.push_back(std::move(b).takeTrace());
-    }
+    });
     return out;
 }
 

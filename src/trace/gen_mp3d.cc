@@ -50,10 +50,9 @@ generateMp3d(const WorkloadParams &params)
     out.name = "mp3d";
     out.numLocks = 0;
     out.numBarriers = static_cast<SyncId>(steps);
-    out.procs.reserve(P);
 
-    for (ProcId p = 0; p < P; ++p) {
-        ProcTraceBuilder b(p, params.seed);
+    buildProcs(out, P, params.seed, [&](ProcTraceBuilder &b) {
+        const ProcId p = b.proc();
         Rng &rng = b.rng();
         // Particle slices live in the shared region (structurally shared
         // data, though touched almost exclusively by their owner).
@@ -113,8 +112,7 @@ generateMp3d(const WorkloadParams &params)
             }
             b.barrier(static_cast<SyncId>(step));
         }
-        out.procs.push_back(std::move(b).takeTrace());
-    }
+    });
     return out;
 }
 

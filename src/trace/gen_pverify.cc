@@ -90,11 +90,10 @@ generatePverify(const WorkloadParams &params)
     out.name = restructured ? "pverify-r" : "pverify";
     out.numLocks = 1;
     out.numBarriers = static_cast<SyncId>(passes);
-    out.procs.reserve(P);
 
     const unsigned owned = batches / P;
-    for (ProcId p = 0; p < P; ++p) {
-        ProcTraceBuilder b(p, params.seed);
+    buildProcs(out, P, params.seed, [&](ProcTraceBuilder &b) {
+        const ProcId p = b.proc();
         Rng &rng = b.rng();
         const Addr priv = privateBase(p);
 
@@ -164,8 +163,7 @@ generatePverify(const WorkloadParams &params)
             }
             b.barrier(static_cast<SyncId>(pass));
         }
-        out.procs.push_back(std::move(b).takeTrace());
-    }
+    });
     return out;
 }
 

@@ -65,10 +65,9 @@ generateTopopt(const WorkloadParams &params)
     out.name = restructured ? "topopt-r" : "topopt";
     out.numLocks = tune.numLocks;
     out.numBarriers = static_cast<SyncId>(steps);
-    out.procs.reserve(P);
 
-    for (ProcId p = 0; p < P; ++p) {
-        ProcTraceBuilder b(p, params.seed);
+    buildProcs(out, P, params.seed, [&](ProcTraceBuilder &b) {
+        const ProcId p = b.proc();
         Rng &rng = b.rng();
         const Addr scratch = privateBase(p) + tune.scratchOffset;
         ConflictStream conflict(privateBase(p) + tune.conflictOffset);
@@ -132,8 +131,7 @@ generateTopopt(const WorkloadParams &params)
             }
             b.barrier(static_cast<SyncId>(step));
         }
-        out.procs.push_back(std::move(b).takeTrace());
-    }
+    });
     return out;
 }
 

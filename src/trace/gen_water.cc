@@ -55,10 +55,9 @@ generateWater(const WorkloadParams &params)
     out.name = "water";
     out.numLocks = tune.numLocks;
     out.numBarriers = static_cast<SyncId>(steps);
-    out.procs.reserve(P);
 
-    for (ProcId p = 0; p < P; ++p) {
-        ProcTraceBuilder b(p, params.seed);
+    buildProcs(out, P, params.seed, [&](ProcTraceBuilder &b) {
+        const ProcId p = b.proc();
         Rng &rng = b.rng();
         const unsigned first_mol = p * mols_per_proc;
         const Addr accum = privateBase(p) + tune.accumOffset;
@@ -103,8 +102,7 @@ generateWater(const WorkloadParams &params)
             }
             b.barrier(static_cast<SyncId>(step));
         }
-        out.procs.push_back(std::move(b).takeTrace());
-    }
+    });
     return out;
 }
 

@@ -1,12 +1,29 @@
 #include "trace/sharing_analysis.hh"
 
 #include <bit>
+#include <utility>
+#include <vector>
 
 #include "common/intmath.hh"
 #include "common/log.hh"
+#include "common/thread_pool.hh"
 
 namespace prefsim
 {
+
+namespace
+{
+
+/** One processor's demand references to one line. */
+struct ProcLine
+{
+    bool written = false;
+    std::uint64_t refs = 0;
+};
+
+using ProcLines = FlatTable<Addr, ProcLine, AddrHash>;
+
+} // namespace
 
 SharingAnalysis::SharingAnalysis(const ParallelTrace &trace,
                                  unsigned line_bytes)
@@ -16,19 +33,35 @@ SharingAnalysis::SharingAnalysis(const ParallelTrace &trace,
     prefsim_assert(trace.numProcs() <= 32,
                    "sharing analysis supports at most 32 processors");
 
-    // One pass: record which processors touch / write each line and
-    // how often it is referenced.
-    for (std::size_t p = 0; p < trace.numProcs(); ++p) {
-        const auto bit = std::uint32_t{1} << p;
+    // One table per processor of the lines it touches, built
+    // concurrently, then merged in processor order: each table keeps
+    // its lines in first-use order, so the merge keys the lines in the
+    // order one pass over the processors in turn would.
+    const std::size_t n = trace.numProcs();
+    std::vector<ProcLines> procs(n);
+    parallelFor(n, [&](std::size_t p) {
+        // Built on this thread's stack, away from the other tables.
+        ProcLines mine;
         for (const auto &r : trace.procs[p].records()) {
             if (!isDemandRef(r.kind))
                 continue;
-            LineInfo &li = lines_.get(roundDown(r.addr, line_bytes_),
-                                      [](LineInfo &) {});
-            li.toucher_mask |= bit;
+            ProcLine &pl = mine.get(roundDown(r.addr, line_bytes_),
+                                    [](ProcLine &) {});
             if (r.kind == RecordKind::Write)
-                li.written = true;
-            ++li.refs;
+                pl.written = true;
+            ++pl.refs;
+        }
+        procs[p] = std::move(mine);
+    });
+    for (std::size_t p = 0; p < n; ++p) {
+        const auto bit = std::uint32_t{1} << p;
+        const std::vector<Addr> &keys = procs[p].keys();
+        const std::vector<ProcLine> &recs = procs[p].records();
+        for (std::size_t i = 0; i < keys.size(); ++i) {
+            LineInfo &li = lines_.get(keys[i], [](LineInfo &) {});
+            li.toucher_mask |= bit;
+            li.written = li.written || recs[i].written;
+            li.refs += recs[i].refs;
         }
     }
 

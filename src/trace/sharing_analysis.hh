@@ -37,7 +37,8 @@ class SharingAnalysis
     /**
      * Analyse @p trace with @p line_bytes cache lines.
      * Prefetch records are ignored: sharing is a property of the demand
-     * reference stream.
+     * reference stream. The processors are scanned concurrently
+     * (parallelFor, so serially on a pool worker).
      */
     SharingAnalysis(const ParallelTrace &trace, unsigned line_bytes);
 

@@ -22,6 +22,14 @@ namespace prefsim
 inline constexpr std::uint32_t kMaxInstrCount =
     std::numeric_limits<std::uint32_t>::max();
 
+/** True when @p count more instructions fold into a trailing Instr
+ *  record of @p tail without overflowing its 32-bit count. */
+constexpr bool
+foldsInstrs(std::uint32_t tail, std::uint32_t count)
+{
+    return tail <= kMaxInstrCount - count;
+}
+
 /** Most processors a trace may have (readers reject more). */
 inline constexpr std::size_t kMaxTraceProcs = 32;
 
@@ -57,7 +65,7 @@ class Trace
         if (count == 0)
             return;
         if (!records_.empty() && records_.back().kind == RecordKind::Instr &&
-            records_.back().count <= kMaxInstrCount - count) {
+            foldsInstrs(records_.back().count, count)) {
             records_.back().count += count;
             return;
         }

@@ -13,7 +13,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_common.hh"
@@ -122,6 +124,33 @@ TEST(BenchCli, NoCacheDisablesPersistenceInEitherOrder)
         EXPECT_EQ(engine.counters().cacheStores, 0u);
         EXPECT_FALSE(fs::exists(dir));
     }
+}
+
+TEST(BenchCli, QuietStillWarnsOfAnUncreatableCacheDirectory)
+{
+    // --quiet drops informational logging only: a run that falls back
+    // to no cache must still say so.
+    namespace fs = std::filesystem;
+    const fs::path file = fs::path(testing::TempDir()) / "bench_cli_file";
+    std::ofstream(file) << "not a directory";
+    std::vector<std::pair<LogLevel, std::string>> got;
+    {
+        ScopedLogSink guard([&](LogLevel l, const std::string &m) {
+            got.emplace_back(l, m);
+        });
+        const BenchOptions o =
+            parse({"--quiet", "--cache-dir", (file / "runs").string(),
+                   "--refs", "2000", "--procs", "2"});
+        SweepEngine engine = makeEngine(o);
+        EXPECT_TRUE(engine.options().cacheDir.empty());
+        setQuiet(false);
+    }
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].first, LogLevel::Warn);
+    EXPECT_NE(got[0].second.find("cannot create cache directory"),
+              std::string::npos)
+        << got[0].second;
+    fs::remove(file);
 }
 
 } // namespace

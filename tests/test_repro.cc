@@ -127,6 +127,48 @@ TEST(Repro, SensitivityTelemetryCountsEveryProcessorCount)
         << json.str();
 }
 
+TEST(Repro, TiedLabelDocumentsDoNotDependOnJobs)
+{
+    // ablation_prefetch runs twelve points labelled "mp3d/PREF@8" (its
+    // distance and buffer-depth sweeps). Their per-run documents must
+    // not depend on which worker finished first.
+    const Experiment &e = *selectExperiments({"ablation_prefetch"}).front();
+    auto documents = [&](unsigned jobs) {
+        WorkloadParams params = defaultWorkloadParams();
+        params.refsPerProc = 1000;
+        params.numProcs = 4;
+        SweepOptions options;
+        options.jobs = jobs;
+        options.sampleInterval = 2000;
+        options.profile = true;
+        options.critpath = true;
+        options.whatifValidate = true;
+        SweepEngine engine(params, CacheGeometry::paperDefault(), options);
+        e.enqueue(engine);
+        engine.runPending();
+        std::ostringstream ts, profile, critpath;
+        engine.obs()->timeseries.writeJson(ts);
+        engine.obs()->profile.writeJson(profile);
+        engine.obs()->critpath.writeJson(critpath);
+        return std::vector<std::string>{ts.str(), profile.str(),
+                                        critpath.str()};
+    };
+    const std::vector<std::string> serial = documents(1);
+    std::size_t tied = 0;
+    for (std::size_t at = 0; (at = serial[1].find(
+                                  "\"label\":\"mp3d/PREF@8\"", at)) !=
+                             std::string::npos;
+         ++at)
+        ++tied;
+    EXPECT_EQ(tied, 12u);
+    for (int round = 0; round < 3; ++round) {
+        const std::vector<std::string> parallel = documents(4);
+        EXPECT_EQ(parallel[0], serial[0]) << "time series";
+        EXPECT_EQ(parallel[1], serial[1]) << "profile";
+        EXPECT_EQ(parallel[2], serial[2]) << "critical path";
+    }
+}
+
 TEST(Repro, SelectsByNameInTheOrderGiven)
 {
     EXPECT_EQ(selectExperiments({}).size(), experiments().size());

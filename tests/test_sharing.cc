@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
+#include "common/intmath.hh"
+#include "common/rng.hh"
 #include "trace/sharing_analysis.hh"
+#include "trace/workload.hh"
 
 namespace prefsim
 {
@@ -138,6 +144,152 @@ TEST(SharingAnalysis, LineSizeMatters)
     EXPECT_EQ(sa32.classOf(0x100), SharingClass::Private);
     const SharingAnalysis sa64(pt, 64);
     EXPECT_EQ(sa64.classOf(0x100), SharingClass::WriteShared);
+}
+
+/**
+ * The reference: SharingAnalysis's one serial pass over the processors
+ * in order, kept here verbatim so the per-processor tables and their
+ * merge are checked against it.
+ */
+struct SerialSharing
+{
+    struct LineInfo
+    {
+        std::uint32_t toucher_mask = 0;
+        bool written = false;
+        SharingClass cls = SharingClass::Private;
+        std::uint64_t refs = 0;
+    };
+
+    SerialSharing(const ParallelTrace &trace, unsigned line_bytes)
+    {
+        for (std::size_t p = 0; p < trace.numProcs(); ++p) {
+            const auto bit = std::uint32_t{1} << p;
+            for (const auto &r : trace.procs[p].records()) {
+                if (!isDemandRef(r.kind))
+                    continue;
+                LineInfo &li = lines.get(roundDown(r.addr, line_bytes),
+                                         [](LineInfo &) {});
+                li.toucher_mask |= bit;
+                if (r.kind == RecordKind::Write)
+                    li.written = true;
+                ++li.refs;
+            }
+        }
+        for (LineInfo &li : lines.records()) {
+            total_refs += li.refs;
+            if (std::popcount(li.toucher_mask) <= 1) {
+                ++num_private;
+            } else if (!li.written) {
+                li.cls = SharingClass::ReadShared;
+                ++num_read_shared;
+            } else {
+                li.cls = SharingClass::WriteShared;
+                ++num_write_shared;
+                write_shared_refs += li.refs;
+            }
+        }
+    }
+
+    double
+    writeSharedRefFraction() const
+    {
+        return total_refs == 0 ? 0.0
+                               : static_cast<double>(write_shared_refs) /
+                                     static_cast<double>(total_refs);
+    }
+
+    FlatTable<Addr, LineInfo, AddrHash> lines;
+    std::uint64_t num_private = 0;
+    std::uint64_t num_read_shared = 0;
+    std::uint64_t num_write_shared = 0;
+    std::uint64_t total_refs = 0;
+    std::uint64_t write_shared_refs = 0;
+};
+
+void
+expectMatchesSerial(const ParallelTrace &pt, unsigned line_bytes)
+{
+    SerialSharing ref(pt, line_bytes);
+    const SharingAnalysis sa(pt, line_bytes);
+    EXPECT_EQ(sa.numLines(), ref.lines.keys().size());
+    EXPECT_EQ(sa.numPrivateLines(), ref.num_private);
+    EXPECT_EQ(sa.numReadSharedLines(), ref.num_read_shared);
+    EXPECT_EQ(sa.numWriteSharedLines(), ref.num_write_shared);
+    EXPECT_EQ(sa.footprintBytes(), ref.lines.keys().size() * line_bytes);
+    EXPECT_EQ(sa.writeSharedRefFraction(), ref.writeSharedRefFraction());
+    for (std::size_t i = 0; i < ref.lines.keys().size(); ++i) {
+        const Addr line = ref.lines.keys()[i];
+        ASSERT_EQ(sa.classOf(line + line_bytes - 1),
+                  ref.lines.records()[i].cls)
+            << std::hex << "line 0x" << line;
+    }
+}
+
+/** Random demand, prefetch, sync and compute records over a shared
+ *  and a per-processor pool of lines. */
+ParallelTrace
+randomTrace(std::uint64_t seed, unsigned procs, unsigned records)
+{
+    ParallelTrace pt;
+    pt.name = "random";
+    pt.procs.resize(procs);
+    for (unsigned p = 0; p < procs; ++p) {
+        Rng rng(seed * 7919 + p);
+        Trace &t = pt.procs[p];
+        for (unsigned i = 0; i < records; ++i) {
+            const Addr shared = 0x10000 + rng.below(4096) * 4;
+            const Addr priv =
+                0x40000000 + Addr{p} * 0x100000 + rng.below(4096) * 4;
+            const Addr a = rng.chance(0.4) ? shared : priv;
+            const double roll = rng.uniform();
+            if (roll < 0.5)
+                t.append(TraceRecord::read(a));
+            else if (roll < 0.7)
+                t.append(TraceRecord::write(a));
+            else if (roll < 0.8)
+                t.append(TraceRecord::prefetch(a, rng.chance(0.5)));
+            else if (roll < 0.9)
+                t.append(TraceRecord::barrier(0));
+            else
+                t.appendInstrs(static_cast<std::uint32_t>(rng.range(1, 9)));
+        }
+    }
+    return pt;
+}
+
+TEST(SharingDifferential, RandomTracesMatchSerialPass)
+{
+    for (unsigned procs : {1u, 2u, 3u, 8u, 17u, 32u}) {
+        for (unsigned line : {16u, 32u, 128u}) {
+            SCOPED_TRACE("P=" + std::to_string(procs) +
+                         " line=" + std::to_string(line));
+            expectMatchesSerial(randomTrace(procs, procs, 3000), line);
+        }
+    }
+}
+
+TEST(SharingDifferential, WorkloadsMatchSerialPass)
+{
+    for (WorkloadKind kind : allWorkloads()) {
+        for (unsigned procs : {2u, 5u, 16u, 32u}) {
+            SCOPED_TRACE(workloadName(kind) + " P=" + std::to_string(procs));
+            WorkloadParams params;
+            params.numProcs = procs;
+            params.refsPerProc = 3000;
+            expectMatchesSerial(generateWorkload(kind, params), 32);
+        }
+    }
+}
+
+TEST(SharingDifferential, EmptyTraces)
+{
+    ParallelTrace pt;
+    expectMatchesSerial(pt, 32);
+    pt.procs.resize(2);
+    expectMatchesSerial(pt, 32);
+    pt.procs[1].append(TraceRecord::read(0x40));
+    expectMatchesSerial(pt, 32);
 }
 
 } // namespace

@@ -115,15 +115,24 @@ TEST(Csv, MultipleRows)
     EXPECT_EQ(os.str(), "h1,h2\n\"1,5\",2\n");
 }
 
-TEST(Logging, QuietSuppressesWarnings)
+TEST(Logging, QuietDropsInformKeepsWarnings)
 {
+    std::vector<std::pair<LogLevel, std::string>> got;
+    ScopedLogSink guard([&](LogLevel l, const std::string &m) {
+        got.emplace_back(l, m);
+    });
+    const LogLevel previous = setLogThreshold(LogLevel::Debug);
     setQuiet(true);
     EXPECT_TRUE(quiet());
-    // Exercise the paths (output is suppressed; no crash is the test).
-    prefsim_warn("should not appear");
-    prefsim_inform("should not appear");
+    prefsim_debug("dropped");
+    prefsim_inform("dropped");
+    prefsim_warn("kept");
     setQuiet(false);
     EXPECT_FALSE(quiet());
+    setLogThreshold(previous);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].first, LogLevel::Warn);
+    EXPECT_EQ(got[0].second, "kept");
 }
 
 TEST(Logging, ScopedSinkCapturesAndRestoresPrevious)

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -764,6 +765,39 @@ TEST(RunStore, WritesLabelSortedRunsAndSkipMarkers)
     EXPECT_TRUE(back[0].skipped);
     EXPECT_EQ(back[1].label, "b");
     EXPECT_FALSE(back[1].skipped);
+}
+
+TEST(RunStore, TiedLabelsOrderByKeyNotCommitOrder)
+{
+    // Two points of one sweep may share a label (a knob the label does
+    // not name); their sweep keys order them, whichever committed first.
+    auto document = [](bool reversed) {
+        obs::ProfileStore store;
+        std::vector<std::pair<std::string, unsigned>> runs = {
+            {"key-1", 1}, {"key-2", 2}, {"key-0", 3}};
+        if (reversed)
+            std::reverse(runs.begin(), runs.end());
+        for (const auto &[key, procs] : runs) {
+            obs::ProfileRun run;
+            run.label = "mp3d/PREF@8";
+            run.procs = procs;
+            store.commit(run, key);
+        }
+        store.commitSkipped("a", "key-9");
+        std::ostringstream os;
+        store.writeJson(os);
+        return os.str();
+    };
+    const std::string doc = document(false);
+    EXPECT_EQ(doc, document(true));
+    EXPECT_EQ(doc.find("key-"), std::string::npos); // Never written.
+    const std::vector<obs::ProfileRun> back =
+        obs::readProfileJson(*parseJson(doc));
+    ASSERT_EQ(back.size(), 4u);
+    EXPECT_TRUE(back[0].skipped);
+    EXPECT_EQ(back[1].procs, 3u);
+    EXPECT_EQ(back[2].procs, 1u);
+    EXPECT_EQ(back[3].procs, 2u);
 }
 
 /** Re-serialise a document through its reader and store. */

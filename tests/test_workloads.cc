@@ -10,10 +10,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <set>
+#include <string>
 #include <vector>
 
+#include "common/thread_pool.hh"
+#include "core/result_io.hh"
+#include "trace/builder.hh"
 #include "trace/sharing_analysis.hh"
 #include "trace/trace_stats.hh"
 #include "trace/workload.hh"
@@ -314,6 +319,225 @@ TEST(WorkloadTunablesApi, SharingKnobMovesSharingFootprint)
         generateWorkload(WorkloadKind::Mp3d, p), 32);
     EXPECT_GT(hot.writeSharedRefFraction(),
               base.writeSharedRefFraction());
+}
+
+/** One of the seven trace sources: a program, maybe restructured. */
+struct Source
+{
+    WorkloadKind kind;
+    bool restructured;
+};
+
+const std::vector<Source> &
+allSources()
+{
+    static const std::vector<Source> sources = {
+        {WorkloadKind::Topopt, false},     {WorkloadKind::Pverify, false},
+        {WorkloadKind::LocusRoute, false}, {WorkloadKind::Mp3d, false},
+        {WorkloadKind::Water, false},      {WorkloadKind::Topopt, true},
+        {WorkloadKind::Pverify, true}};
+    return sources;
+}
+
+ParallelTrace
+generateSource(const Source &src, unsigned procs, std::uint64_t seed)
+{
+    WorkloadParams p;
+    p.numProcs = procs;
+    p.refsPerProc = 2000;
+    p.seed = seed;
+    p.restructured = src.restructured;
+    return generateWorkload(src.kind, p);
+}
+
+/** fnv1a64 over the trace's metadata and every field of every record,
+ *  processor by processor. */
+std::uint64_t
+traceFingerprint(const ParallelTrace &t)
+{
+    std::string bytes = t.name + ";" + std::to_string(t.numLocks) + ";" +
+                        std::to_string(t.numBarriers) + ";";
+    auto put = [&](std::uint64_t v, unsigned width) {
+        for (unsigned i = 0; i < width; ++i)
+            bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    };
+    for (const Trace &proc : t.procs) {
+        put(proc.size(), 8);
+        for (const TraceRecord &r : proc.records()) {
+            put(static_cast<std::uint8_t>(r.kind), 1);
+            put(r.sync, 2);
+            put(r.count, 4);
+            put(r.addr, 8);
+        }
+    }
+    return fnv1a64(bytes);
+}
+
+void
+expectSameTrace(const ParallelTrace &a, const ParallelTrace &b)
+{
+    EXPECT_EQ(a.name, b.name);
+    EXPECT_EQ(a.numLocks, b.numLocks);
+    EXPECT_EQ(a.numBarriers, b.numBarriers);
+    ASSERT_EQ(a.numProcs(), b.numProcs());
+    for (std::size_t p = 0; p < a.numProcs(); ++p) {
+        ASSERT_EQ(a.procs[p].size(), b.procs[p].size()) << "proc " << p;
+        for (std::size_t i = 0; i < a.procs[p].size(); ++i)
+            ASSERT_EQ(a.procs[p][i], b.procs[p][i])
+                << "proc " << p << " record " << i;
+        // Filled to the counted size: no spare capacity.
+        EXPECT_EQ(a.procs[p].records().capacity(), a.procs[p].size());
+    }
+}
+
+TEST(ProcTraceBuilder, CountingMatchesFillingAcrossInstrOverflow)
+{
+    // Instr batches coalesce until the 32-bit count would overflow; a
+    // counting builder must count the records a filling one leaves.
+    const auto body = [](ProcTraceBuilder &b) {
+        b.compute(0);
+        b.compute(kMaxInstrCount - 5);
+        b.compute(5); // Fills the record exactly.
+        b.compute(1); // Overflows into a new record.
+        b.read(0x100);
+        b.compute(0);
+        b.compute(kMaxInstrCount);
+        b.compute(kMaxInstrCount);
+        b.barrier(0);
+        b.compute(3);
+        b.compute(4);
+        b.write(0x200);
+        b.compute(7);
+    };
+    ProcTraceBuilder counting(0, 1);
+    body(counting);
+    ParallelTrace built;
+    buildProcs(built, 3, 1, body);
+    for (const Trace &t : built.procs) {
+        EXPECT_EQ(t.size(), counting.size());
+        EXPECT_EQ(t.size(), 9u);
+        // Three full batches, the overflow's 1, 7 + 7, and 1 for each
+        // of the read, barrier and write.
+        EXPECT_EQ(t.instructions(),
+                  3 * std::uint64_t{kMaxInstrCount} + 1 + 7 + 7 + 3);
+    }
+}
+
+TEST(GeneratorGolden, RecordFingerprints)
+{
+    // Every record of every source at four machine sizes and two seeds,
+    // pinned to the bytes the serial generators produced. Regenerate
+    // only after an intentional change to a generator: the failure
+    // message prints each new value.
+    struct Golden
+    {
+        const char *source;
+        unsigned procs;
+        std::uint64_t seed;
+        std::uint64_t fingerprint;
+    };
+    static const Golden kGolden[] = {
+        {"topopt", 2, 1, 0x1acce8809f037672ULL},
+        {"topopt", 2, 12345, 0xc5a0892406eab1f6ULL},
+        {"topopt", 4, 1, 0x1f40927894ce30b4ULL},
+        {"topopt", 4, 12345, 0x68440abdb4f28b6cULL},
+        {"topopt", 16, 1, 0xd35995ff537c6893ULL},
+        {"topopt", 16, 12345, 0x205332fc688c48ceULL},
+        {"topopt", 32, 1, 0x86a5d054bfe030c1ULL},
+        {"topopt", 32, 12345, 0xd1971acc6dc4be5bULL},
+        {"pverify", 2, 1, 0xa3a0e301d2bd11e5ULL},
+        {"pverify", 2, 12345, 0x6ca5742c6c1ed342ULL},
+        {"pverify", 4, 1, 0xfa357fc718105d34ULL},
+        {"pverify", 4, 12345, 0xb1bf4a63eccaf242ULL},
+        {"pverify", 16, 1, 0x35acbfec117e15cbULL},
+        {"pverify", 16, 12345, 0xb8204511c1abc55cULL},
+        {"pverify", 32, 1, 0x5d7d292ce4ade48eULL},
+        {"pverify", 32, 12345, 0xce5aa5e5ff12085aULL},
+        {"locusroute", 2, 1, 0x416aa814227c0ef7ULL},
+        {"locusroute", 2, 12345, 0x693764f3967dcbefULL},
+        {"locusroute", 4, 1, 0x9000d61286f6a3a6ULL},
+        {"locusroute", 4, 12345, 0xd0c8c9305e8c7bc2ULL},
+        {"locusroute", 16, 1, 0xd232207e2e984da1ULL},
+        {"locusroute", 16, 12345, 0xfbc896ac10b50579ULL},
+        {"locusroute", 32, 1, 0x967d0cbf7e35ef27ULL},
+        {"locusroute", 32, 12345, 0x25dd152f4c8f9357ULL},
+        {"mp3d", 2, 1, 0x2c9a5d6b7b9a19f5ULL},
+        {"mp3d", 2, 12345, 0xbe3bb3f2e55f7106ULL},
+        {"mp3d", 4, 1, 0x8dbf270257a9754eULL},
+        {"mp3d", 4, 12345, 0x4b05a3477e631ff3ULL},
+        {"mp3d", 16, 1, 0xaad046e794880635ULL},
+        {"mp3d", 16, 12345, 0x48d0a9d9aabdb965ULL},
+        {"mp3d", 32, 1, 0xa8b40065dba4db8cULL},
+        {"mp3d", 32, 12345, 0xe9b9aae6a5ebe7b5ULL},
+        {"water", 2, 1, 0x19fb1290ed83ad95ULL},
+        {"water", 2, 12345, 0x54fdcc5a75ea29b9ULL},
+        {"water", 4, 1, 0x497dba02db5b5301ULL},
+        {"water", 4, 12345, 0x30d32324981e344fULL},
+        {"water", 16, 1, 0xde25f3393cc08160ULL},
+        {"water", 16, 12345, 0x1c73b1b25aea4382ULL},
+        {"water", 32, 1, 0xb138e4ab8c82e796ULL},
+        {"water", 32, 12345, 0xfb08b1808ed0e496ULL},
+        {"topopt-r", 2, 1, 0x8e585501cfcc279dULL},
+        {"topopt-r", 2, 12345, 0xfff590dddceb3d09ULL},
+        {"topopt-r", 4, 1, 0x9f443531285fbfddULL},
+        {"topopt-r", 4, 12345, 0x914499bd821dbce7ULL},
+        {"topopt-r", 16, 1, 0xc57a54ba6e870d15ULL},
+        {"topopt-r", 16, 12345, 0x5dc0a4fab9a706f3ULL},
+        {"topopt-r", 32, 1, 0x01bc7c2579167ea5ULL},
+        {"topopt-r", 32, 12345, 0x4e327155672dde36ULL},
+        {"pverify-r", 2, 1, 0x9ba324c8a00e0841ULL},
+        {"pverify-r", 2, 12345, 0x04c4af75181d3e2cULL},
+        {"pverify-r", 4, 1, 0x3e5ee220ec7bf9beULL},
+        {"pverify-r", 4, 12345, 0x6954622bcc318925ULL},
+        {"pverify-r", 16, 1, 0x9d88bf8062475a49ULL},
+        {"pverify-r", 16, 12345, 0x0d9c21bc42384d6cULL},
+        {"pverify-r", 32, 1, 0xb83739068ea7232cULL},
+        {"pverify-r", 32, 12345, 0x78649c4bbc568a13ULL},
+    };
+    std::size_t checked = 0;
+    for (const Source &src : allSources()) {
+        for (unsigned procs : {2u, 4u, 16u, 32u}) {
+            for (std::uint64_t seed : {1u, 12345u}) {
+                const ParallelTrace t = generateSource(src, procs, seed);
+                const std::uint64_t got = traceFingerprint(t);
+                char row[96];
+                std::snprintf(row, sizeof(row),
+                              "{\"%s\", %u, %llu, 0x%016llxULL},",
+                              t.name.c_str(), procs,
+                              static_cast<unsigned long long>(seed),
+                              static_cast<unsigned long long>(got));
+                bool found = false;
+                for (const Golden &g : kGolden) {
+                    if (t.name != g.source || procs != g.procs ||
+                        seed != g.seed)
+                        continue;
+                    found = true;
+                    EXPECT_EQ(got, g.fingerprint) << row;
+                    ++checked;
+                }
+                EXPECT_TRUE(found) << "no golden row; now " << row;
+            }
+        }
+    }
+    EXPECT_EQ(checked, std::size(kGolden));
+}
+
+TEST(GeneratorDifferential, PoolWorkerMatchesCallingThread)
+{
+    // On a ThreadPool worker parallelFor runs inline, in processor
+    // order; on the calling thread it fans processors out. Same bytes.
+    ThreadPool pool(2);
+    for (const Source &src : allSources()) {
+        for (unsigned procs : {2u, 3u, 17u, 32u}) {
+            SCOPED_TRACE(workloadName(src.kind) +
+                         (src.restructured ? "-r" : "") +
+                         " P=" + std::to_string(procs));
+            ParallelTrace on_worker;
+            pool.submit([&] { on_worker = generateSource(src, procs, 7); });
+            pool.waitAll();
+            expectSameTrace(on_worker, generateSource(src, procs, 7));
+        }
+    }
 }
 
 } // namespace
