@@ -83,13 +83,23 @@ for e in quickstart false_sharing_clinic bus_saturation_study; do
 done
 
 stage "parallel determinism"
-# --jobs N must emit the same bytes as serial.
-"$BUILD"/bench/prefsim_repro fig2_exec_time --refs 20000 --procs 8 --csv \
-    --quiet > "$CACHE/serial.csv"
-"$BUILD"/bench/prefsim_repro fig2_exec_time --refs 20000 --procs 8 --csv \
-    --quiet --jobs "$JOBS" > "$CACHE/parallel.csv"
-cmp "$CACHE/serial.csv" "$CACHE/parallel.csv"
-echo "ok: parallel output identical to serial"
+# --jobs N must emit the same bytes as serial: the table and the
+# profile, critical-path and time-series documents (workers start and
+# commit runs in another order; every document sorts its runs).
+for run in serial parallel; do
+    jobs=1
+    [ "$run" = parallel ] && jobs=$JOBS
+    "$BUILD"/bench/prefsim_repro fig2_exec_time --refs 20000 --procs 8 \
+        --csv --quiet --jobs "$jobs" \
+        --profile-out "$CACHE/$run.profile.json" \
+        --critpath-out "$CACHE/$run.critpath.json" \
+        --timeseries-out "$CACHE/$run.timeseries.json" > "$CACHE/$run.csv"
+done
+for doc in csv profile.json critpath.json timeseries.json; do
+    cmp "$CACHE/serial.$doc" "$CACHE/parallel.$doc"
+done
+rm -f "$CACHE"/serial.* "$CACHE"/parallel.*
+echo "ok: parallel output and documents identical to serial"
 
 stage "engine differential"
 # The local-clock core must emit byte-identical results to the

@@ -19,6 +19,32 @@ JsonWriter::JsonWriter(std::ostream &os)
     : os_(os)
 {}
 
+JsonWriter::~JsonWriter()
+{
+    try {
+        flush();
+    } catch (...) {
+        // Only a stream with exceptions enabled throws, and it has set
+        // its own failure state first: the caller sees that.
+    }
+}
+
+void
+JsonWriter::flush()
+{
+    if (buf_.empty())
+        return;
+    os_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+}
+
+void
+JsonWriter::endToken()
+{
+    if (state_.empty() || buf_.size() >= kFlushBytes)
+        flush();
+}
+
 void
 JsonWriter::separate()
 {
@@ -27,7 +53,7 @@ JsonWriter::separate()
         return; // The key already emitted its separator.
     }
     if (!has_.empty() && has_.back() == '1')
-        os_.put(',');
+        buf_ += ',';
     if (!has_.empty())
         has_.back() = '1';
 }
@@ -36,7 +62,7 @@ JsonWriter &
 JsonWriter::beginObject()
 {
     separate();
-    os_.put('{');
+    buf_ += '{';
     state_.push_back('o');
     has_.push_back('0');
     return *this;
@@ -47,9 +73,10 @@ JsonWriter::endObject()
 {
     prefsim_assert(!state_.empty() && state_.back() == 'o',
                    "endObject outside object");
-    os_.put('}');
+    buf_ += '}';
     state_.pop_back();
     has_.pop_back();
+    endToken();
     return *this;
 }
 
@@ -57,7 +84,7 @@ JsonWriter &
 JsonWriter::beginArray()
 {
     separate();
-    os_.put('[');
+    buf_ += '[';
     state_.push_back('a');
     has_.push_back('0');
     return *this;
@@ -68,9 +95,10 @@ JsonWriter::endArray()
 {
     prefsim_assert(!state_.empty() && state_.back() == 'a',
                    "endArray outside array");
-    os_.put(']');
+    buf_ += ']';
     state_.pop_back();
     has_.pop_back();
+    endToken();
     return *this;
 }
 
@@ -90,12 +118,12 @@ void
 JsonWriter::writeString(std::string_view s)
 {
     if (std::any_of(s.begin(), s.end(), needsEscape)) {
-        os_ << escape(s);
+        buf_ += escape(s);
         return;
     }
-    os_.put('"');
-    os_.write(s.data(), static_cast<std::streamsize>(s.size()));
-    os_.put('"');
+    buf_ += '"';
+    buf_ += s;
+    buf_ += '"';
 }
 
 JsonWriter &
@@ -105,7 +133,7 @@ JsonWriter::key(std::string_view name)
                    "key outside object");
     separate();
     writeString(name);
-    os_.put(':');
+    buf_ += ':';
     pending_key_ = true;
     return *this;
 }
@@ -115,6 +143,7 @@ JsonWriter::value(std::string_view v)
 {
     separate();
     writeString(v);
+    endToken();
     return *this;
 }
 
@@ -124,7 +153,8 @@ JsonWriter::value(double v)
     separate();
     char buf[32];
     const int n = std::snprintf(buf, sizeof(buf), "%.6g", v);
-    os_.write(buf, n);
+    buf_.append(buf, static_cast<std::size_t>(n));
+    endToken();
     return *this;
 }
 
@@ -134,7 +164,8 @@ JsonWriter::value(std::uint64_t v)
     separate();
     char buf[20]; // UINT64_MAX has 20 digits.
     const std::to_chars_result r = std::to_chars(buf, buf + sizeof(buf), v);
-    os_.write(buf, r.ptr - buf);
+    buf_.append(buf, static_cast<std::size_t>(r.ptr - buf));
+    endToken();
     return *this;
 }
 
@@ -142,7 +173,8 @@ JsonWriter &
 JsonWriter::value(bool v)
 {
     separate();
-    os_ << (v ? "true" : "false");
+    buf_ += v ? "true" : "false";
+    endToken();
     return *this;
 }
 

@@ -12,6 +12,7 @@
 #ifndef PREFSIM_COMMON_JSON_HH
 #define PREFSIM_COMMON_JSON_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
@@ -29,9 +30,15 @@ namespace prefsim
  * Minimal JSON value writer (objects, arrays, numbers, strings).
  *
  * Emits compact, valid JSON; strings are escaped per RFC 8259. Tokens
- * go straight to the stream: a string that needs no escaping is written
- * as is, and integers are formatted on the stack, so writing a document
- * allocates nothing per token. Usage:
+ * are appended to a byte buffer the writer owns, not to the stream: a
+ * string that needs no escaping is copied as is and integers are
+ * formatted on the stack, so a token costs no stream call and, once the
+ * buffer has grown, no allocation. The buffer goes to the stream in one
+ * write when it passes kFlushBytes, when the outermost value closes (a
+ * top-level container or scalar) and in the destructor. So once a
+ * document is closed its bytes are in the stream, and a caller may
+ * write to the stream directly (a trailing newline, say) while the
+ * writer is still alive. Usage:
  *
  *   JsonWriter j(os);
  *   j.beginObject();
@@ -43,6 +50,11 @@ class JsonWriter
 {
   public:
     explicit JsonWriter(std::ostream &os);
+    /** Writes out what the buffer still holds (an unclosed document). */
+    ~JsonWriter();
+
+    JsonWriter(const JsonWriter &) = delete;
+    JsonWriter &operator=(const JsonWriter &) = delete;
 
     JsonWriter &beginObject();
     JsonWriter &endObject();
@@ -59,13 +71,22 @@ class JsonWriter
     /** Escape a string per JSON rules (quotes included). */
     static std::string escape(std::string_view s);
 
+    /** Buffered bytes that trigger a write before the document ends. */
+    static constexpr std::size_t kFlushBytes = 64 * 1024;
+
   private:
     /** Emit a comma if the current container already has an element. */
     void separate();
-    /** Write @p s as a JSON string (escaped only when it must be). */
+    /** Append @p s as a JSON string (escaped only when it must be). */
     void writeString(std::string_view s);
+    /** After a token: write the buffer out if the outermost value has
+     *  closed or the buffer is full. */
+    void endToken();
+    /** Hand the buffer to the stream and empty it. */
+    void flush();
 
     std::ostream &os_;
+    std::string buf_; ///< Tokens not yet written to os_.
     /** Per-depth flag: something was emitted at this level. */
     std::string state_; // 'o' object, 'a' array; paired with has_.
     std::string has_;

@@ -1,5 +1,6 @@
 #include "core/sweep.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
@@ -27,6 +28,18 @@ nanosSince(std::chrono::steady_clock::time_point start)
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start)
             .count());
+}
+
+/** The most records one processor of @p trace runs. A simulation's
+ *  time grows with it, so it is the key that orders simulations
+ *  longest-first. */
+std::size_t
+longestStream(const ParallelTrace &trace)
+{
+    std::size_t most = 0;
+    for (const Trace &t : trace.procs)
+        most = std::max(most, t.size());
+    return most;
 }
 
 } // namespace
@@ -183,6 +196,19 @@ SweepEngine::executeBatch(const std::vector<ExperimentSpec> &specs)
         anns[it->second].sims.push_back(sim_idx);
         sims.push_back(std::move(sim));
     }
+
+    // A batch ends with its slowest simulation: start the longest ready
+    // ones first, so the short ones fill the other workers at the end
+    // instead of one long run trailing alone. Ties keep grid order.
+    // Results are stored by key and the run documents sort their runs,
+    // so the order shows in neither.
+    std::vector<std::size_t> stream_len(sims.size());
+    for (const std::size_t i : ready_sims)
+        stream_len[i] = longestStream(annotated_.at(sims[i].annKey)->trace);
+    std::stable_sort(ready_sims.begin(), ready_sims.end(),
+                     [&](std::size_t a, std::size_t b) {
+                         return stream_len[a] > stream_len[b];
+                     });
 
     ThreadPool pool(options_.jobs);
 

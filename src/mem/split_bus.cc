@@ -88,17 +88,19 @@ SplitBus::request(const Transaction &t, Cycle now)
 }
 
 void
-SplitBus::promoteToDemand(std::uint64_t id)
+SplitBus::promoteToDemand(std::uint64_t id, ProcId requester)
 {
-    // A promotion is a late prefetch attach, rarer than a grant; the
-    // pool holds only the waiting operations, so a scan finds the id.
-    for (Slot &s : pool_) {
+    // A waiting operation is either in its owner's ready queue or, still
+    // in its memory phase, in the heap: the rest of the pool is other
+    // owners' operations and free slots.
+    const unsigned owner = ownerOf(requester);
+    for (const std::uint32_t slot : ready_[owner]) {
+        Slot &s = pool_[slot];
         if (s.pending.id != id)
             continue;
-        if (s.ready && !isDemand(s.pending.txn)) {
+        if (!isDemand(s.pending.txn)) {
             // A ready prefetch changes class in place: its position in
             // the owner's request-order queue stays.
-            const unsigned owner = ownerOf(s.pending.txn);
             ++ready_demand_[owner];
             s.pending.txn.demandWaiting = true;
             updateMasks(owner);
@@ -106,6 +108,12 @@ SplitBus::promoteToDemand(std::uint64_t id)
         }
         s.pending.txn.demandWaiting = true;
         return;
+    }
+    for (const Timed &t : heap_) {
+        if (pool_[t.slot].pending.id == id) {
+            pool_[t.slot].pending.txn.demandWaiting = true;
+            return;
+        }
     }
     // Already in transfer (or completed): nothing to do — the access will
     // be satisfied when the transfer finishes.
@@ -138,7 +146,7 @@ SplitBus::drainReady(Cycle now)
         heap_.pop_back();
         Slot &s = pool_[slot];
         s.ready = true;
-        const unsigned owner = ownerOf(s.pending.txn);
+        const unsigned owner = ownerOf(s.pending.txn.requester);
         // Keep the queue in request order. Slots mostly turn ready in
         // request order, so the insertion point is near the back.
         std::vector<std::uint32_t> &q = ready_[owner];
@@ -194,7 +202,7 @@ SplitBus::Pending
 SplitBus::takeReady(std::uint32_t slot)
 {
     Slot &s = pool_[slot];
-    const unsigned owner = ownerOf(s.pending.txn);
+    const unsigned owner = ownerOf(s.pending.txn.requester);
     std::vector<std::uint32_t> &q = ready_[owner];
     q.erase(std::find(q.begin(), q.end(), slot));
     if (isDemand(s.pending.txn))
@@ -385,7 +393,7 @@ SplitBus::checkInvariants(std::string *why) const
         for (std::size_t i = 0; i < q.size(); ++i) {
             const Slot &s = pool_[q[i]];
             if (s.pending.id == 0 || !s.ready ||
-                ownerOf(s.pending.txn) != owner)
+                ownerOf(s.pending.txn.requester) != owner)
                 return violate("bus.arbiter: ready queue holds a foreign op");
             if (i > 0 && pool_[q[i - 1]].pending.id >= s.pending.id)
                 return violate("bus.arbiter: ready queue out of request order");

@@ -145,8 +145,9 @@ struct BusStats
  * owner, the earliest ready operation of the class wins. The order is
  * the one a scan of every waiting operation would produce: demand
  * before prefetch, then the owner's rank from the round-robin pointer
- * (ownerless last), then request order. promoteToDemand() scans the
- * pool for its operation.
+ * (ownerless last), then request order. promoteToDemand() looks for
+ * its operation only where it can be: the requester's ready queue,
+ * the heap, then the transfers in flight.
  */
 class SplitBus
 {
@@ -172,9 +173,10 @@ class SplitBus
 
     /**
      * Raise a pending prefetch operation to demand priority (a CPU access
-     * reached a line whose prefetch is still in flight).
+     * reached a line whose prefetch is still in flight). @p requester
+     * must be the requester the operation was entered with.
      */
-    void promoteToDemand(std::uint64_t id);
+    void promoteToDemand(std::uint64_t id, ProcId requester);
 
     /**
      * Advance to cycle @p now: grant the data bus, fire completions.
@@ -307,12 +309,12 @@ class SplitBus
         return t.demandWaiting || !t.isPrefetch;
     }
 
-    /** Ready-queue index of @p t: its processor, or num_procs_ for an
-     *  ownerless operation (ranked after every processor). */
+    /** Ready-queue index of @p requester: the processor, or num_procs_
+     *  for an ownerless operation (ranked after every processor). */
     unsigned
-    ownerOf(const Transaction &t) const
+    ownerOf(ProcId requester) const
     {
-        return t.requester == kNoProc ? num_procs_ : t.requester;
+        return requester == kNoProc ? num_procs_ : requester;
     }
 
     /** Move every heap slot whose readyAt is <= @p now into its

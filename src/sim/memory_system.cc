@@ -296,7 +296,7 @@ MemorySystem::demandAccess(ProcId proc, Addr addr, bool is_write, Cycle now)
             m->demandWaiting = true;
             m->demandWord = word;
             m->demandAttachedAt = now;
-            bus_.promoteToDemand(m->busId);
+            bus_.promoteToDemand(m->busId, proc);
             if (sink_)
                 sink_->emit({.kind = obs::EventKind::LateAttach, .cycle = now,
                              .proc = proc, .line = base, .busId = m->busId});

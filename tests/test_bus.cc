@@ -137,7 +137,7 @@ TEST(SplitBus, PromotedPrefetchGainsDemandPriority)
     const auto id =
         h.bus.request(h.make(BusOpKind::ReadShared, 0, 0x1000, true), 0);
     h.bus.request(h.make(BusOpKind::ReadShared, 1, 0x2000, true), 0);
-    h.bus.promoteToDemand(id);
+    h.bus.promoteToDemand(id, 0);
     h.runTo(300);
     ASSERT_EQ(h.done.size(), 2u);
     EXPECT_EQ(h.done[0].txn.requester, 0u);
@@ -532,13 +532,22 @@ expectSameStats(const BusStats &a, const BusStats &b)
     EXPECT_EQ(a.grantsPrefetch, b.grantsPrefetch);
 }
 
+/** How often a random stream promotes, and how often it compares the
+ *  two buses' waiting transactions and statistics. */
+struct StreamShape
+{
+    double promoteChance = 0.3; ///< Per cycle, of one promotion round.
+    unsigned promotesPerRound = 1;
+    Cycle compareEvery = 7;
+};
+
 /** One random stream: requests from random owners (kNoProc included),
  *  demand and prefetch fills, writebacks and updates ready at once,
  *  upgrades, writebacks requested from inside completions, and
  *  promotions of recent ids wherever they are. */
 void
 runArbiterDifferential(std::uint64_t seed, unsigned procs, unsigned channels,
-                       ScanBus &ref)
+                       ScanBus &ref, const StreamShape &shape = {})
 {
     const BusTiming timing{40, 4, 2, channels};
     SplitBus bus(timing, procs);
@@ -562,10 +571,15 @@ runArbiterDifferential(std::uint64_t seed, unsigned procs, unsigned channels,
         wb.issuedAt = now;
         return wb;
     };
+    // Each id's requester, as the memory system knows it when it
+    // promotes (ids start at 1).
+    std::vector<ProcId> requester_of(1, kNoProc);
     bus.setCompletion([&](const Transaction &t, Cycle now) {
         done_new.push_back({t.lineBase, now});
-        if (transfersData(t.kind) && t.lineBase % 3 == 0)
+        if (transfersData(t.kind) && t.lineBase % 3 == 0) {
             bus.request(writeback_of(t, now), now);
+            requester_of.push_back(t.requester);
+        }
     });
     ref.completion = [&](const Transaction &t, Cycle now) {
         done_ref.push_back({t.lineBase, now});
@@ -615,16 +629,21 @@ runArbiterDifferential(std::uint64_t seed, unsigned procs, unsigned channels,
             const std::uint64_t id_new = bus.request(t, now);
             const std::uint64_t id_ref = ref.request(t, now);
             ASSERT_EQ(id_new, id_ref);
+            ASSERT_EQ(id_new, requester_of.size());
+            requester_of.push_back(t.requester);
             issued = id_new;
         }
-        // Promote a recent id: in its memory phase, ready, in
+        // Promote recent ids: in their memory phase, ready, in
         // transfer, or already gone.
-        if (issued > 0 && rng.chance(0.3)) {
-            const std::uint64_t back = rng.below(std::min<std::uint64_t>(issued, 40));
-            bus.promoteToDemand(issued - back);
-            ref.promoteToDemand(issued - back, now);
+        if (issued > 0 && rng.chance(shape.promoteChance)) {
+            for (unsigned k = 0; k < shape.promotesPerRound; ++k) {
+                const std::uint64_t id =
+                    issued - rng.below(std::min<std::uint64_t>(issued, 40));
+                bus.promoteToDemand(id, requester_of[id]);
+                ref.promoteToDemand(id, now);
+            }
         }
-        if (now % 7 == 0) {
+        if (now % shape.compareEvery == 0) {
             std::string why;
             ASSERT_TRUE(bus.checkInvariants(&why)) << why;
             expectSameTransactions(bus.pendingTransactions(),
@@ -667,6 +686,45 @@ TEST(ArbiterDifferential, MatchesLinearScan)
     EXPECT_GT(in_memory, 0u);
     EXPECT_GT(ready, 0u);
     EXPECT_GT(active, 0u);
+}
+
+/**
+ * promoteToDemand searches only the requester's ready queue, the heap
+ * and the transfers in flight; ScanBus's promotion scans every waiting
+ * operation for the id, as SplitBus once scanned its whole pool. On
+ * promotion-heavy streams (up to three a cycle, the waiting set large
+ * on one channel) both must grant the same operations at the same
+ * cycles and agree on every waiting operation's demandWaiting flag
+ * after each cycle.
+ */
+TEST(PromoteDifferential, MatchesWholePoolScan)
+{
+    StreamShape heavy;
+    heavy.promoteChance = 0.9;
+    heavy.promotesPerRound = 3;
+    heavy.compareEvery = 1;
+    unsigned in_memory = 0, ready = 0, active = 0;
+    for (const unsigned procs : {2u, 16u, 63u}) {
+        for (const unsigned channels : {1u, 3u}) {
+            for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+                SCOPED_TRACE(testing::Message()
+                             << "procs " << procs << " channels " << channels
+                             << " seed " << seed);
+                ScanBus ref(BusTiming{40, 4, 2, channels}, procs);
+                runArbiterDifferential(seed * 104729 + procs * 17 + channels,
+                                       procs, channels, ref, heavy);
+                if (testing::Test::HasFatalFailure())
+                    return;
+                in_memory += ref.promotedInMemory;
+                ready += ref.promotedReady;
+                active += ref.promotedActive;
+            }
+        }
+    }
+    // Every phase is promoted often, not just once.
+    EXPECT_GT(in_memory, 1000u);
+    EXPECT_GT(ready, 1000u);
+    EXPECT_GT(active, 100u);
 }
 
 TEST(BusOpNames, AllNamed)

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <string>
@@ -15,6 +17,7 @@
 #include <vector>
 
 #include "common/log.hh"
+#include "common/rng.hh"
 #include "stats/json.hh"
 #include "stats/csv.hh"
 #include "stats/table.hh"
@@ -286,6 +289,256 @@ TEST(Json, WriterShapes)
     j.key("d").value("x");
     j.endObject();
     EXPECT_EQ(os.str(), "{\"a\":1,\"b\":[2,3],\"c\":true,\"d\":\"x\"}");
+}
+
+/** An unbuffered sink that records the size of every call the stream
+ *  makes into it, as the benchmark's counting sink sees them. */
+class CallLog : public std::streambuf
+{
+  public:
+    std::string bytes;
+    std::vector<std::size_t> calls;
+
+  protected:
+    std::streamsize
+    xsputn(const char *s, std::streamsize n) override
+    {
+        bytes.append(s, static_cast<std::size_t>(n));
+        calls.push_back(static_cast<std::size_t>(n));
+        return n;
+    }
+
+    int_type
+    overflow(int_type ch) override
+    {
+        if (traits_type::eq_int_type(ch, traits_type::eof()))
+            return traits_type::not_eof(ch);
+        bytes += traits_type::to_char_type(ch);
+        calls.push_back(1);
+        return ch;
+    }
+};
+
+/** The writer as it was before it buffered: every token goes straight
+ *  to the stream. Same separators, escapes and number formats. */
+class StreamingJson
+{
+  public:
+    explicit StreamingJson(std::ostream &os) : os_(os) {}
+
+    StreamingJson &beginObject() { return open('{'); }
+    StreamingJson &endObject() { return close('}'); }
+    StreamingJson &beginArray() { return open('['); }
+    StreamingJson &endArray() { return close(']'); }
+
+    StreamingJson &
+    key(std::string_view name)
+    {
+        separate();
+        os_ << JsonWriter::escape(name) << ':';
+        pending_key_ = true;
+        return *this;
+    }
+
+    StreamingJson &
+    value(std::string_view v)
+    {
+        separate();
+        os_ << JsonWriter::escape(v);
+        return *this;
+    }
+
+    StreamingJson &
+    value(double v)
+    {
+        separate();
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.6g", v);
+        os_ << buf;
+        return *this;
+    }
+
+    StreamingJson &
+    value(std::uint64_t v)
+    {
+        separate();
+        os_ << v;
+        return *this;
+    }
+
+    StreamingJson &
+    value(bool v)
+    {
+        separate();
+        os_ << (v ? "true" : "false");
+        return *this;
+    }
+
+  private:
+    void
+    separate()
+    {
+        if (pending_key_) {
+            pending_key_ = false;
+            return;
+        }
+        if (!has_.empty() && has_.back())
+            os_ << ',';
+        if (!has_.empty())
+            has_.back() = true;
+    }
+
+    StreamingJson &
+    open(char ch)
+    {
+        separate();
+        os_ << ch;
+        has_.push_back(false);
+        return *this;
+    }
+
+    StreamingJson &
+    close(char ch)
+    {
+        os_ << ch;
+        has_.pop_back();
+        return *this;
+    }
+
+    std::ostream &os_;
+    std::vector<bool> has_;
+    bool pending_key_ = false;
+};
+
+/** A random nested value: containers up to @p depth levels down, and
+ *  scalars of every kind (strings with and without escapes). */
+template <typename Writer>
+void
+randomValue(Writer &w, Rng &rng, unsigned depth)
+{
+    static const char *const kStrings[] = {"", "plain", "say \"hi\"",
+                                           "tab\there", "caf\xc3\xa9",
+                                           "back\\slash"};
+    const std::uint64_t pick = rng.below(depth > 0 ? 7 : 5);
+    switch (pick) {
+      case 0:
+        w.value(std::string_view(kStrings[rng.below(6)]));
+        break;
+      case 1:
+        w.value(rng.next());
+        break;
+      case 2:
+        w.value(static_cast<double>(rng.next() % 1000003) / 7.0);
+        break;
+      case 3:
+        w.value(rng.chance(0.5));
+        break;
+      case 4:
+        w.value(std::uint64_t{rng.below(10)});
+        break;
+      case 5: {
+        w.beginArray();
+        const std::uint64_t n = rng.below(12);
+        for (std::uint64_t i = 0; i < n; ++i)
+            randomValue(w, rng, depth - 1);
+        w.endArray();
+        break;
+      }
+      default: {
+        w.beginObject();
+        const std::uint64_t n = rng.below(8);
+        for (std::uint64_t i = 0; i < n; ++i) {
+            w.key(std::to_string(rng.below(50)));
+            randomValue(w, rng, depth - 1);
+        }
+        w.endObject();
+      }
+    }
+}
+
+/** A document of @p entries random members under one object. */
+template <typename Writer>
+void
+randomDocument(Writer &w, std::uint64_t seed, unsigned entries)
+{
+    Rng rng(seed);
+    w.beginObject();
+    for (unsigned i = 0; i < entries; ++i) {
+        w.key(std::to_string(i));
+        randomValue(w, rng, 4);
+    }
+    w.endObject();
+}
+
+TEST(JsonWriterBuffer, NewlineAfterTheCloseFollowsTheDocument)
+{
+    // The document's bytes reach the stream when it closes, so a raw
+    // write while the writer is still alive lands after them.
+    std::ostringstream os;
+    JsonWriter j(os);
+    j.beginObject();
+    j.key("runs").beginArray();
+    j.value(std::uint64_t{1});
+    j.endArray();
+    EXPECT_EQ(os.str(), ""); // Still buffered: the object is open.
+    j.endObject();
+    os << "\n";
+    EXPECT_EQ(os.str(), "{\"runs\":[1]}\n");
+}
+
+TEST(JsonWriterBuffer, TopLevelScalarIsWrittenAtOnce)
+{
+    std::ostringstream os;
+    JsonWriter j(os);
+    j.value("alone");
+    EXPECT_EQ(os.str(), "\"alone\"");
+    os << ' ';
+    j.value(std::uint64_t{7});
+    EXPECT_EQ(os.str(), "\"alone\" 7");
+}
+
+TEST(JsonWriterBuffer, DestructorWritesAnUnclosedContainer)
+{
+    std::ostringstream os;
+    {
+        JsonWriter j(os);
+        j.beginObject();
+        j.key("a").beginArray();
+        j.value(true);
+        EXPECT_EQ(os.str(), "");
+    }
+    EXPECT_EQ(os.str(), "{\"a\":[true");
+}
+
+TEST(JsonWriterBuffer, LargeDocumentMatchesStreamingWriter)
+{
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        std::ostringstream want;
+        StreamingJson ref(want);
+        randomDocument(ref, seed, 4000);
+        // Several buffers' worth, so the size-triggered writes run.
+        ASSERT_GT(want.str().size(), 4 * JsonWriter::kFlushBytes);
+
+        CallLog log;
+        {
+            std::ostream os(&log);
+            JsonWriter j(os);
+            randomDocument(j, seed, 4000);
+        }
+        EXPECT_EQ(log.bytes, want.str()) << "seed " << seed;
+        // The stream sees one write per full buffer plus the tail, not
+        // one call per token, and the buffer never holds much more than
+        // kFlushBytes (no token here is near 1 KiB).
+        ASSERT_FALSE(log.calls.empty());
+        for (std::size_t i = 0; i < log.calls.size(); ++i) {
+            if (i + 1 < log.calls.size()) {
+                EXPECT_GE(log.calls[i], JsonWriter::kFlushBytes) << i;
+            }
+            EXPECT_LT(log.calls[i], JsonWriter::kFlushBytes + 1024) << i;
+        }
+        EXPECT_LE(log.calls.size(),
+                  log.bytes.size() / JsonWriter::kFlushBytes + 1);
+    }
 }
 
 TEST(Json, SimStatsRoundShape)

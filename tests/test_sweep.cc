@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "core/result_io.hh"
@@ -133,6 +135,106 @@ TEST(SweepEngine, RelativeExecTimeMatchesWorkbench)
                                 8),
         static_cast<double>(pref.sim.cycles) /
             static_cast<double>(np.sim.cycles));
+}
+
+/** An engine with profile, critical path and interval sampling on,
+ *  every annotation of the test grid already in memory, and the grid
+ *  run at @p jobs workers. */
+std::unique_ptr<SweepEngine>
+preAnnotatedGrid(unsigned jobs)
+{
+    SweepOptions opts;
+    opts.jobs = jobs;
+    opts.profile = true;
+    opts.critpath = true;
+    opts.sampleInterval = 5000;
+    auto engine = std::make_unique<SweepEngine>(
+        tinyParams(), CacheGeometry::paperDefault(), opts);
+    for (WorkloadKind w : kGridWorkloads) {
+        for (Strategy s : kGridStrategies)
+            engine->annotated(w, false, s);
+    }
+    engine->enqueueGrid(kGridWorkloads, {false}, kGridStrategies,
+                        kGridTransfers);
+    engine->runPending();
+    return engine;
+}
+
+/** The most records one processor of @p trace holds. */
+std::size_t
+longestStream(const ParallelTrace &trace)
+{
+    std::size_t most = 0;
+    for (const Trace &t : trace.procs)
+        most = std::max(most, t.size());
+    return most;
+}
+
+TEST(SweepOrder, ReadySimulationsStartLongestFirst)
+{
+    // One worker runs the tasks in submission order, so the profile
+    // store's commit order is the start order.
+    const std::unique_ptr<SweepEngine> engine = preAnnotatedGrid(1);
+    std::vector<std::pair<std::size_t, std::string>> grid;
+    for (WorkloadKind w : kGridWorkloads) {
+        for (Strategy s : kGridStrategies) {
+            const std::size_t len =
+                longestStream(engine->annotated(w, false, s).trace);
+            for (Cycle t : kGridTransfers)
+                grid.push_back({len, engine->makeSpec(w, false, s, t).label()});
+        }
+    }
+    std::stable_sort(grid.begin(), grid.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first > b.first;
+                     });
+    std::vector<std::string> want;
+    for (const auto &g : grid)
+        want.push_back(g.second);
+    // The grid's own order is not already longest-first.
+    std::vector<std::string> grid_order;
+    for (WorkloadKind w : kGridWorkloads) {
+        for (Strategy s : kGridStrategies) {
+            for (Cycle t : kGridTransfers)
+                grid_order.push_back(engine->makeSpec(w, false, s, t).label());
+        }
+    }
+    ASSERT_NE(want, grid_order);
+
+    std::vector<std::string> committed;
+    for (const obs::ProfileRun &run : engine->obs()->profile.snapshot())
+        committed.push_back(run.label);
+    EXPECT_EQ(committed, want);
+}
+
+TEST(SweepOrder, WorkerCountChangesNoOutput)
+{
+    const std::unique_ptr<SweepEngine> serial = preAnnotatedGrid(1);
+    const std::unique_ptr<SweepEngine> parallel = preAnnotatedGrid(4);
+    for (WorkloadKind w : kGridWorkloads) {
+        for (Strategy s : kGridStrategies) {
+            for (Cycle t : kGridTransfers) {
+                const ExperimentSpec spec = serial->makeSpec(w, false, s, t);
+                const std::string key = experimentCacheKey(spec);
+                EXPECT_EQ(serialize(serial->run(spec), key),
+                          serialize(parallel->run(spec), key))
+                    << spec.label();
+            }
+        }
+    }
+    const auto doc = [](const SweepEngine &e,
+                        void (SweepEngine::*write)(std::ostream &) const) {
+        std::ostringstream os;
+        (e.*write)(os);
+        return os.str();
+    };
+    for (const auto write :
+         {&SweepEngine::writeProfileJson, &SweepEngine::writeCritPathJson,
+          &SweepEngine::writeTimeseriesJson}) {
+        const std::string want = doc(*serial, write);
+        EXPECT_GT(want.size(), 1000u);
+        EXPECT_EQ(doc(*parallel, write), want);
+    }
 }
 
 TEST(SweepEngine, SecondRunIsServedEntirelyFromDisk)
