@@ -6,8 +6,8 @@
 #      warm cache with no simulation) + example smoke + determinism +
 #      the engine differential (the local-clock core vs. the reference
 #      cycle loop, byte-compared on Figure 2 at 4/8/16 processors,
-#      Figure 3 and the cache and protocol ablations) + simulation-core
-#      throughput smoke +
+#      Figure 3, the cache, protocol and prefetch ablations and
+#      mowry_gupta) + simulation-core throughput smoke +
 #      the perf-regression gate (fresh bench_perf.sh vs the checked-in
 #      BENCH_simcore.json, via prefsim_report --compare) + telemetry,
 #      Chrome trace, interval time-series, per-line attribution-profile
@@ -108,12 +108,15 @@ stage "engine differential"
 # cached run would compare one engine's numbers against themselves.
 # Figure 2 runs at 4, 8 and 16 processors; Figure 3 and the cache and
 # protocol ablations cover what the quiet plan replays (access masks,
-# first uses) and what invalidates it (the victim buffer, the prefetch
-# data buffer, write-update); the prefetch ablation's buffer depths of
-# 1 to 32 stall processors on a full prefetch buffer, which the
-# local-clock core sleeps through until their own fills. The budget
-# guards against an engine that stopped forming quiet spans, not
-# timing noise.
+# first uses), what ends it (victim-buffer swaps and prefetch-data-buffer
+# promotions, which run exactly) and what invalidates it (remote
+# invalidations and downgrades, write-update); the prefetch ablation's
+# buffer depths of 1 to 32 stall processors on a full prefetch buffer,
+# which the local-clock core sleeps through until their own fills;
+# mowry_gupta is the one entry with more than one data channel (16), so
+# its grants wait on free channels and each grant cycle runs exactly.
+# The budget guards against an engine that stopped forming quiet spans,
+# not timing noise.
 DIFF_START=$(date +%s)
 engine_diff() {
     name=$1
@@ -132,6 +135,7 @@ engine_diff fig3_miss_components --procs 8 --csv
 engine_diff ablation_cache --procs 8
 engine_diff ablation_protocol --procs 8
 engine_diff ablation_prefetch --procs 8
+engine_diff mowry_gupta --procs 8
 DIFF_ELAPSED=$(($(date +%s) - DIFF_START))
 if [ "$DIFF_ELAPSED" -gt 300 ]; then
     echo "FAIL: engine differential took ${DIFF_ELAPSED}s (budget 300s)" >&2

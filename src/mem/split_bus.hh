@@ -192,10 +192,9 @@ class SplitBus
     /**
      * Earliest cycle a completion callback could fire: an address op's
      * fixed latency or an active transfer's occupancy elapsing.
-     * Completions install lines and wake processors, so they bound the
-     * local-clock core's frontier jumps; grants (nextGrantCycle) do
-     * not — they touch only bus-internal queues and statistics, so the
-     * core folds them into the jump by ticking the bus mid-gap.
+     * Completions install lines and wake processors; with grants
+     * (nextGrantCycle) they bound the local-clock core's frontier
+     * jumps, and a cycle where either falls runs exactly.
      * @return kNoCycle when nothing is in flight.
      */
     Cycle nextCompletionCycle(Cycle now) const;
@@ -207,8 +206,7 @@ class SplitBus
      * on a completion, so this returns kNoCycle (the completion bound
      * covers it). A tick at the returned cycle performs the grant(s);
      * the following call then returns a strictly later cycle (or
-     * kNoCycle), so grant-folding loops terminate. @p now is at least
-     * the cycle of the last tick.
+     * kNoCycle). @p now is at least the cycle of the last tick.
      */
     Cycle nextGrantCycle(Cycle now) const;
 

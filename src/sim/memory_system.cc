@@ -209,10 +209,7 @@ MemorySystem::invalidateOthers(ProcId requester, Addr line_base,
         }
         if (parked != nullptr) {
             // A non-snooping buffer would have served this stale line;
-            // count the hazard and kill the entry (see 3.1). Killing it
-            // stops findParked() from seeing it, so a prefetch to this
-            // line no longer drops quietly.
-            ++cache_version_[p];
+            // count the hazard and kill the entry (see 3.1).
             parked->state = LineState::Invalid;
             c.markPrefetchLost(line_base);
             if (sink_)
@@ -529,10 +526,6 @@ MemorySystem::onBusComplete(const Transaction &txn, Cycle now)
       case BusOpKind::ReadShared:
       case BusOpKind::ReadExclusive: {
         DataCache &c = *caches_[txn.requester];
-        // Every completion path below changes what the requester's
-        // quiet-hit/quiet-drop predicates would answer: the MSHR
-        // retires, and the line installs, parks, or arrives dead.
-        ++cache_version_[txn.requester];
         const Mshr m = c.releaseMshr(txn.lineBase);
         // For a late prefetch (a demand access blocked on this fill
         // since demandAttachedAt) now - aux is the residual latency
@@ -553,6 +546,10 @@ MemorySystem::onBusComplete(const Transaction &txn, Cycle now)
                 c.parkPrefetchedLine(txn.lineBase, m.targetState);
             return;
         }
+        // The install below, live or dead, may evict a line and changes
+        // what the requester's quietHitSlot answers. A park does
+        // neither: parked lines never hit quietly.
+        ++cache_version_[txn.requester];
         EvictedLine evicted;
         const LineState install_state =
             m.arriveInvalid ? LineState::Invalid : m.targetState;

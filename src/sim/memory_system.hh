@@ -176,8 +176,8 @@ class MemorySystem
         return bus_.nextCompletionCycle(now);
     }
 
-    /** Earliest future data-bus grant (bus-internal only; the
-     *  local-clock core folds these into frontier jumps — see
+    /** Earliest future data-bus grant (bounds frontier jumps: the
+     *  local-clock core runs a grant cycle exactly — see
      *  SplitBus::nextGrantCycle). */
     Cycle
     nextGrantCycle(Cycle now) const
@@ -229,43 +229,18 @@ class MemorySystem
     }
 
     /**
-     * How prefetchAccess() would drop the prefetch without any side
-     * effect beyond its own statistics: DroppedResident when the line
-     * is resident or parked in the prefetch data buffer,
-     * DroppedDuplicate when a fill is already in flight — mirroring
-     * prefetchAccess()'s early-out order, with the victim-buffer swap
-     * (which does mutate residency) excluded. Issued stands for "not
-     * quiet": the prefetch may issue, stall or swap. A quiet drop lets
-     * the local-clock core keep a processor's inert span open across
-     * the prefetch instruction.
-     */
-    PrefetchResult
-    quietPrefetchDrop(ProcId proc, Addr addr) const
-    {
-        const DataCache &c = *caches_[proc];
-        if (c.resident(addr))
-            return PrefetchResult::DroppedResident;
-        if (c.findMshr(addr) != nullptr)
-            return PrefetchResult::DroppedDuplicate;
-        if (c.victimEntries() == 0 && pdb_entries_ > 0 &&
-            c.findParked(addr) != nullptr)
-            return PrefetchResult::DroppedResident;
-        return PrefetchResult::Issued;
-    }
-
-    /**
-     * Version of @p proc's cache contents as seen by the quiet-hit /
-     * quiet-drop predicates above. Bumped whenever anything *other
-     * than this processor's own cycle-exact execution* changes the
-     * answer those predicates could give: a remote invalidation or
-     * downgrade of one of its lines, and every fill completion
-     * (install, dead fill, prefetch-buffer park — all of which also
-     * retire an MSHR). The processor's own misses, swaps, and
-     * prefetch issues need no bump: they execute in cycle-exact
-     * territory at the point its quiet plan already ends, so the plan
-     * expires by construction. A quiet plan is tagged with the version
-     * it was walked under and dropped once it moves
-     * (Processor::inertCycles).
+     * Version of @p proc's cache contents as seen by quietHitSlot().
+     * Bumped whenever anything *other than this processor's own
+     * cycle-exact execution* changes the answer it could give: a
+     * remote invalidation of a valid line or downgrade of a private
+     * one, and every fill that installs into the cache, live or dead
+     * (an install may evict). A fill parked in the prefetch data
+     * buffer and a parked line's kill need no bump: parked lines never
+     * hit quietly. The processor's own misses, swaps and prefetches
+     * need none either: they execute in cycle-exact territory at the
+     * point its quiet plan already ends, so the plan expires by
+     * construction. A quiet plan is tagged with the version it was
+     * walked under and dropped once it moves (Processor::inertCycles).
      */
     std::uint64_t cacheVersion(ProcId proc) const
     {

@@ -317,11 +317,11 @@ Processor::walkPlan(Cycle now, Cycle until) const
 {
     // Walk the trace from the live cursor, counting consecutive cycles
     // whose tick() provably has no cross-processor effect. Quiet-hit
-    // and quiet-drop predictions stay valid for the whole window:
-    // nothing another processor does during it can evict or invalidate
-    // a line (those require a bus operation or an exact cycle, and
-    // bump the cache version), and this processor's own quiet hits
-    // never change line residency either.
+    // predictions stay valid for the whole window: nothing another
+    // processor does during it can evict or invalidate a line (those
+    // require a bus operation or an exact cycle, and bump the cache
+    // version), and this processor's own quiet hits never change line
+    // residency either.
     QuietPlan &p = plan_;
     p.valid = true;
     p.startsInAccess = in_access_phase_;
@@ -383,33 +383,24 @@ Processor::walkPlan(Cycle now, Cycle until) const
             totals.writes += write ? 1 : 0;
             access_phase = true;
         }
-        bool quiet;
-        if (read || write) {
-            const std::uint32_t slot = mem_.quietHitSlot(id_, r.addr, write);
-            quiet = slot != DataCache::kNoFrame;
-            if (quiet)
-                p.hits.push_back({static_cast<std::uint32_t>(n), slot,
-                                  static_cast<std::uint8_t>(
-                                      geom.wordInLine(r.addr)),
-                                  write});
-        } else {
-            const PrefetchResult drop = mem_.quietPrefetchDrop(id_, r.addr);
-            totals.dropsResident +=
-                drop == PrefetchResult::DroppedResident ? 1 : 0;
-            totals.dropsDuplicate +=
-                drop == PrefetchResult::DroppedDuplicate ? 1 : 0;
-            quiet = drop == PrefetchResult::DroppedResident ||
-                    drop == PrefetchResult::DroppedDuplicate;
-        }
-        if (!quiet) {
-            // Would stall, swap, promote, issue a bus op or wait for an
-            // MSHR: cycle-exact territory. An instruction cycle taken
-            // here is the plan's last step.
+        // A prefetch access always executes cycle-exactly, even one
+        // that drops (prefetchAccess counts the drop). A reference is
+        // quiet when it would hit quietly.
+        const std::uint32_t slot =
+            read || write ? mem_.quietHitSlot(id_, r.addr, write)
+                          : DataCache::kNoFrame;
+        if (slot == DataCache::kNoFrame) {
+            // Would stall, swap, promote, issue a bus op, wait for an
+            // MSHR or execute a prefetch: cycle-exact territory. An
+            // instruction cycle taken here is the plan's last step.
             if (took_instr)
                 push();
             capped = false;
             break;
         }
+        p.hits.push_back({static_cast<std::uint32_t>(n), slot,
+                          static_cast<std::uint8_t>(geom.wordInLine(r.addr)),
+                          write});
         ++n;
         push();
         ++idx;
@@ -488,19 +479,12 @@ Processor::applyPlan(Cycle to)
     }
     const std::uint64_t reads = reached.reads - p.counted.reads;
     const std::uint64_t writes = reached.writes - p.counted.writes;
-    const std::uint64_t resident =
-        reached.dropsResident - p.counted.dropsResident;
-    const std::uint64_t duplicate =
-        reached.dropsDuplicate - p.counted.dropsDuplicate;
     // Every quiet cycle retires an instruction, a reference phase or a
-    // prefetch phase.
+    // prefetch's instruction cycle.
     stats_.busy += to - p.at;
     stats_.reads += reads;
     stats_.writes += writes;
     stats_.demandRefs += reads + writes;
-    stats_.prefetchesDroppedResident += resident;
-    stats_.prefetchesDroppedDuplicate += duplicate;
-    stats_.prefetchesExecuted += resident + duplicate;
     p.counted = reached;
     p.step = k;
     p.at = static_cast<std::uint32_t>(to);

@@ -71,12 +71,12 @@ class Processor
      * at kLookahead: ticks that cannot acquire a lock, release one,
      * block, arrive at a barrier, issue a bus operation, or otherwise
      * affect another processor. A Running processor walks its trace:
-     * Instr bursts, the instruction cycle of two-phase references,
-     * demand accesses that would hit quietly (see
-     * MemorySystem::quietHitSlot), and prefetch accesses that would
-     * drop quietly (quietPrefetchDrop) are all inert; the walk stops at
-     * the first sync record, prefetch that would issue or stall, or
-     * access that would miss, upgrade, or swap. Reaching the end of the
+     * Instr bursts, the instruction cycle of references and prefetches,
+     * and demand accesses that would hit quietly (see
+     * MemorySystem::quietHitSlot) are inert; the walk stops at the
+     * first sync record, prefetch access (it executes cycle-exactly
+     * even when it drops), or demand access that would miss, upgrade,
+     * or swap. Reaching the end of the
      * trace stops the walk too — the cycle count up to Done bounds the
      * window so the final simulated cycle is exact in both engines.
      * Blocked and Done processors return kNoCycle, and so do a spinner
@@ -336,20 +336,19 @@ class Processor
     {
         std::uint16_t reads = 0;
         std::uint16_t writes = 0;
-        std::uint16_t dropsResident = 0;
-        std::uint16_t dropsDuplicate = 0;
     };
 
     /** One record of a plan, the plan's first record plus its
-     *  position: an Instr burst (or the rest of one), a reference or a
-     *  prefetch. A reference or prefetch takes its two cycles, one when
-     *  the plan starts in its access phase, or one when the plan ends
-     *  before its access. */
+     *  position: an Instr burst (or the rest of one), a reference, or
+     *  the instruction cycle of a prefetch, which ends the plan. A
+     *  reference takes its two cycles, one when the plan starts in its
+     *  access phase, or one when the plan ends before its access. */
     struct PlanStep
     {
         std::uint32_t end;  ///< Offset just past the step.
         PlanTotals totals;  ///< Through the end of this step.
     };
+    static_assert(sizeof(PlanStep) == 8);
 
     /**
      * The quiet plan (see inertCycles): the walked window from cycle

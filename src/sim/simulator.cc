@@ -439,30 +439,21 @@ Simulator::stepLocal()
     }
 
     // Advance the frontier to the next cycle that must execute
-    // exactly, chaining consecutive inert windows: the earliest bus
-    // *completion* (fills and wakes touch processors, so it bounds the
-    // window) or the first cycle some processor could have a side
-    // effect (its local-clock boundary, from inertCycles()). Everything
-    // in between is provably inert (docs/simcore.md). Processors are
-    // NOT fast-forwarded as the frontier moves — their local clocks lag
+    // exactly, chaining consecutive inert windows: the earliest cycle
+    // the bus acts (a completion, which touches processors, or a grant)
+    // or the first cycle some processor could have a side effect (its
+    // local-clock boundary, from inertCycles()). Everything in between
+    // is provably inert (docs/simcore.md). Processors are NOT
+    // fast-forwarded as the frontier moves — their local clocks lag
     // until a completion, a snoop or a sample boundary forces the quiet
     // replay (fastForward, via catchUp).
     const auto n = static_cast<ProcId>(procs_.size());
     bool bus_due = true;
     for (;;) {
-        const Cycle bus_comp = mem_->nextCompletionCycle(cycle_);
-        if (bus_comp == cycle_)
-            break; // A completion is due this very cycle.
-        const Cycle bus_grant = mem_->nextGrantCycle(cycle_);
-        if (bus_grant == cycle_) {
-            // Grant-only cycle: tick the bus (no completion can fire —
-            // the earliest is bus_comp) and re-derive the bounds.
-            // Grants touch only bus-internal queues and statistics —
-            // nothing a processor can observe before the completion
-            // they schedule — so lagging clocks are safe.
-            mem_->tick(cycle_);
-            continue;
-        }
+        const Cycle bus_next = std::min(mem_->nextCompletionCycle(cycle_),
+                                        mem_->nextGrantCycle(cycle_));
+        if (bus_next == cycle_)
+            break; // The bus acts this very cycle.
         // Lazily refresh the invalidated side-effect boundaries, then
         // take the frontier bound E = min over processors in one tight
         // pass (eff_ is kNoCycle for every processor that cannot
@@ -492,13 +483,12 @@ Simulator::stepLocal()
                 return false;
             if (!exact)
                 continue; // Pure retirements; re-derive the bounds.
-            // Neither a completion nor a grant is due this cycle (both
-            // were ruled out above): the bus provably does nothing.
+            // The bus was ruled out above: it provably does nothing.
             bus_due = false;
             break;
         }
-        Cycle target = std::min(bus_comp, e);
-        if (target == kNoCycle && bus_grant == kNoCycle) {
+        Cycle target = std::min(bus_next, e);
+        if (target == kNoCycle) {
             // Every processor is blocked and the bus is idle: nothing
             // can ever wake anyone. The cycle loop would spin to the
             // watchdog window and conclude the same.
@@ -512,20 +502,6 @@ Simulator::stepLocal()
         // frame forever.
         if (next_sample_ < target)
             target = next_sample_;
-        // Fold grant cycles inside the window: each grant schedules a
-        // completion (no earlier than grant + occupancy), which may
-        // tighten the window end. nextGrantCycle() advances strictly
-        // after a tick performs the grants, so this terminates; it
-        // also rescues the target == kNoCycle case (all processors
-        // blocked, grants pending): the first folded grant schedules
-        // the completion that bounds the window.
-        Cycle bus_next = bus_comp;
-        for (Cycle g = bus_grant; g < target;
-             g = mem_->nextGrantCycle(g)) {
-            mem_->tick(g);
-            bus_next = std::min(bus_next, mem_->nextCompletionCycle(g));
-            target = std::min(target, bus_next);
-        }
         cycle_ = target;
         if (cycle_ == next_sample_) {
             catchUpAll(cycle_);
@@ -533,16 +509,47 @@ Simulator::stepLocal()
                 return false;
             maybeSample();
         }
-        // Frontier landed on the completion bound: a completion is due
-        // this very cycle, so skip the re-derivation pass (due
-        // boundaries that coincide with it are picked up by the
-        // rotation's due test, and catch-up dirt refreshes at its
-        // slot). A boundary- or sample-bound jump re-enters the loop.
+        // Frontier landed on the bus bound: the bus acts this very
+        // cycle, so skip the re-derivation pass (due boundaries that
+        // coincide with it are picked up by the rotation's due test,
+        // and catch-up dirt refreshes at its slot). A boundary- or
+        // sample-bound jump re-enters the loop.
         if (cycle_ == bus_next)
             break;
     }
+    if (bus_due && retireBeforeBus())
+        return false;
     runExactCycleLocal(bus_due);
     return !allDone();
+}
+
+bool
+Simulator::retireBeforeBus()
+{
+    // Only when every live processor's boundary is due can they all
+    // retire here; a blocked one has no boundary.
+    const std::size_t live = procs_.size() - done_count_;
+    if (static_cast<std::size_t>(std::popcount(eff_active_ | dirty_mask_)) <
+        live)
+        return false;
+    for (std::uint32_t m = eff_active_ & ~dirty_mask_; m != 0; m &= m - 1) {
+        if (eff_[std::countr_zero(m)] != cycle_)
+            return false;
+    }
+    for (std::uint32_t m = dirty_mask_; m != 0; m &= m - 1)
+        refreshEff(static_cast<ProcId>(std::countr_zero(m)));
+    const auto n = static_cast<ProcId>(procs_.size());
+    for (ProcId p = 0; p < n; ++p) {
+        if (!procs_[p]->done() && eff_[p] != cycle_)
+            return false;
+    }
+    // The replays cover cycles before this one, so they precede the
+    // bus tick in cycle-loop order.
+    for (ProcId p = 0; p < n; ++p) {
+        if (eff_[p] == cycle_)
+            catchUp(p, cycle_);
+    }
+    return allDone();
 }
 
 SimStats

@@ -88,11 +88,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Strategy::NP, Strategy::PREF,
                                          Strategy::PWS)));
 
-/** Configuration variants that reach folding paths the default config
- *  does not: grant folding with channel gating (dataChannels > 1),
- *  write-update downgrades, victim-cache swaps, and the non-snooping
- *  prefetch data buffer (whose remote kills must invalidate the
- *  quiet-drop memo — a bug this exact test caught). */
+/** Configuration variants that reach paths the default config does
+ *  not: channel-gated grants (dataChannels > 1), write-update
+ *  downgrades, victim-cache swaps, and the non-snooping prefetch data
+ *  buffer (remote kills of parked lines, parks that retire a fill
+ *  without installing it). */
 TEST(EngineDifferentialConfigs, Variants)
 {
     WorkloadParams p;
@@ -135,6 +135,10 @@ TEST(EngineDifferentialConfigs, Variants)
 /* ------------------------------------------------------------------ */
 /* Burst-boundary hand traces                                          */
 /* ------------------------------------------------------------------ */
+
+// The paper's cache: 1024 sets of 32-byte lines, so lines 0x8000 apart
+// share a set and lines 0x20 apart do not.
+constexpr Addr kSetStride = 0x8000;
 
 SimConfig
 plainConfig()
@@ -312,6 +316,80 @@ TEST(BurstBoundary, EmptyAndPureInstr)
     expectEnginesAgree(solo, plainConfig(), "single-proc-pure-instr");
 }
 
+/** A walk stops at every prefetch, even one that drops: after an
+ *  Instr burst, a prefetch to a resident line ends the plan at its
+ *  instruction cycle, and its access cycle runs exactly and counts
+ *  the drop. The processor is driven by hand to the burst's start. */
+TEST(BurstBoundary, WalkStopsAtPrefetch)
+{
+    const Addr line = 0x1000;
+    Trace t;
+    t.append(TraceRecord::read(line)); // Cold miss: the line goes resident.
+    t.appendInstrs(10);
+    t.append(TraceRecord::prefetch(line)); // Resident: dropped.
+    t.appendInstrs(5);
+
+    const SimConfig cfg = plainConfig();
+    std::vector<ProcStats> stats(1);
+    MemorySystem mem(1, cfg.geometry, cfg.timing, cfg.prefetchBufferDepth,
+                     stats);
+    LockTable locks(0);
+    BarrierManager barriers(1);
+    Processor proc(0, t, mem, locks, barriers, stats[0], nullptr);
+    Cycle now = 0;
+    bool woken = false;
+    mem.setWake([&](ProcId, bool retry) {
+        proc.wake(retry, now);
+        woken = true;
+    });
+    proc.tick(now++); // Instruction cycle.
+    proc.tick(now);   // Access: misses and blocks.
+    while (!woken)
+        mem.tick(++now); // The bus ticks first; the fill wakes it.
+    // The woken read retries and hits quietly; then come the burst and
+    // the prefetch's instruction cycle, and nothing after them.
+    EXPECT_EQ(proc.inertCycles(now), 1u + 10u + 1u);
+
+    const ParallelTrace pt = twoProc(t, Trace{});
+    expectEnginesAgree(pt, cfg, "walk-stops-at-prefetch");
+    const ProcStats ps = simulate(pt, cfg).procs[0];
+    EXPECT_EQ(ps.prefetchesDroppedResident, 1u);
+    EXPECT_EQ(ps.prefetchesExecuted, 1u);
+}
+
+/** The run ends in the cycle the last trace retires, which the cycle
+ *  loop never executes; its bus acts there only in the writeback
+ *  drain. A trailing burst whose length is swept across the grant and
+ *  completion cycles of the processor's own bus operations (prefetch
+ *  fills, a dirty writeback) lands that cycle on every kind of bus
+ *  event in turn. */
+TEST(BurstBoundary, TraceEndsOnBusCycle)
+{
+    const Addr a = 0x1000, b = 0x1020, c = 0x1040;
+    const std::pair<const char *, std::vector<TraceRecord>> heads[] = {
+        {"prefetch", {TraceRecord::prefetch(a)}},
+        {"prefetch3",
+         {TraceRecord::prefetch(a), TraceRecord::prefetch(b),
+          TraceRecord::prefetch(c)}},
+        {"writeback",
+         {TraceRecord::write(a), TraceRecord::write(a + kSetStride)}},
+    };
+    for (const auto &[name, head] : heads) {
+        for (unsigned len = 1; len < 300; ++len) {
+            Trace t;
+            for (const TraceRecord &r : head)
+                t.append(r);
+            t.appendInstrs(len);
+            Trace other;
+            other.appendInstrs(3);
+            expectEnginesAgree(twoProc(std::move(t), std::move(other)),
+                               plainConfig(),
+                               std::string(name) + " burst " +
+                                   std::to_string(len));
+        }
+    }
+}
+
 /** stepLocal() must always make progress and never overshoot: each call
  *  advances the frontier by at least one cycle, and the run ends at the
  *  same final cycle as the reference loop. */
@@ -346,10 +424,6 @@ TEST(BurstBoundary, StepLocalMonotonic)
 /* ------------------------------------------------------------------ */
 /* Quiet-plan invalidation                                             */
 /* ------------------------------------------------------------------ */
-
-// The paper's cache: 1024 sets of 32-byte lines, so lines 0x8000 apart
-// share a set and lines 0x20 apart do not.
-constexpr Addr kSetStride = 0x8000;
 
 /** Append @p times copies of @p body. */
 void
@@ -458,9 +532,10 @@ TEST(PlanInvalidation, FillEvictsWalkedLine)
     EXPECT_EQ(s.procs[0].prefetchMisses, 1u);
 }
 
-/** Proc 0 re-executes a prefetch its plan drops as a duplicate while
- *  the fill is in flight; proc 1's write kills the fill, which then
- *  arrives dead. The dead fill retires the MSHR, so the next prefetch
+/** Proc 0 re-executes a prefetch while its fill is in flight, which
+ *  drops it as a duplicate in an exact cycle between quiet plans;
+ *  proc 1's write kills the fill, which then arrives dead. The dead
+ *  fill retires the MSHR and drops the plan, so the next prefetch
  *  issues again instead of dropping. */
 TEST(PlanInvalidation, DeadFillUnderDuplicateDrop)
 {
@@ -480,9 +555,9 @@ TEST(PlanInvalidation, DeadFillUnderDuplicateDrop)
     EXPECT_GE(s.procs[0].prefetchMisses, 2u);
 }
 
-/** With a two-entry prefetch data buffer, proc 0's plan drops
- *  prefetches of a parked line; a later park displaces that line, so
- *  the same prefetch must issue again. */
+/** With a two-entry prefetch data buffer, proc 0 drops prefetches of
+ *  a parked line in exact cycles between quiet plans; a later park
+ *  displaces that line, so the same prefetch must issue again. */
 TEST(PlanInvalidation, PrefetchDataBufferPark)
 {
     const Addr hot = 0x1000, p1 = 0x4000, p2 = 0x4020, p3 = 0x4040;
