@@ -242,12 +242,20 @@ stage "timeseries validation"
 # Interval sampling over a real sweep. Cached results skip simulation
 # (and therefore record no series), so --no-cache forces every run to
 # sample; the validator checks the prefsim-timeseries-v1 shape and the
-# windowing invariants (monotone cycles, windows tiling the run).
+# windowing invariants (monotone cycles, windows tiling the run). The
+# cycle and local engines must emit byte-identical documents: every
+# frame reads each processor's statistics as of the sample cycle, which
+# the local-clock core reaches by catching every processor up first.
 TS_START=$(date +%s)
-"$BUILD"/bench/prefsim_repro fig2_exec_time --refs 3000 --procs 8 --quiet \
-    --jobs "$JOBS" --no-cache --sample-interval 977 \
-    --timeseries-out "$CACHE/timeseries.json" > /dev/null
-"$BUILD"/tools/validate_telemetry "$CACHE/timeseries.json"
+for engine in cycle local; do
+    "$BUILD"/bench/prefsim_repro fig2_exec_time --refs 3000 --procs 8 \
+        --quiet --jobs "$JOBS" --no-cache --engine "$engine" \
+        --sample-interval 977 \
+        --timeseries-out "$CACHE/timeseries_$engine.json" > /dev/null
+done
+"$BUILD"/tools/validate_telemetry "$CACHE/timeseries_cycle.json"
+cmp "$CACHE/timeseries_cycle.json" "$CACHE/timeseries_local.json"
+echo "ok: timeseries byte-identical cycle vs local"
 TS_ELAPSED=$(($(date +%s) - TS_START))
 if [ "$TS_ELAPSED" -gt 300 ]; then
     echo "FAIL: timeseries stage took ${TS_ELAPSED}s (budget 300s)" >&2

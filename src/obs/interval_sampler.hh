@@ -13,7 +13,7 @@
  *
  * Layering: this file knows nothing about the simulator. The sim layer
  * fills SampleFrames from its own components (bus queue occupancy,
- * outstanding MSHRs, settled per-processor stall views) precisely at
+ * outstanding MSHRs, per-processor statistics) precisely at
  * sample boundaries; both engines produce bit-identical frames at
  * identical cycles, so the emitted series are byte-identical too
  * (asserted by tests/test_timeseries.cc).

@@ -83,13 +83,19 @@ Processor::executeAccess(Cycle now)
         why = obs::Stall::InflightPrefetch;
         break;
     }
-    state_ = State::WaitMemory;
+    beginStall(State::WaitMemory, bucket, now, why);
+    return false;
+}
+
+void
+Processor::beginStall(State s, Cycle *bucket, Cycle now, obs::Stall why)
+{
+    state_ = s;
+    stall_bucket_ = bucket;
     ++*bucket;
-    beginLazyStall(bucket, now);
     if (sink_)
         sink_->emit({.kind = obs::EventKind::StallBegin, .cycle = now,
                      .proc = id_, .stall = why});
-    return false;
 }
 
 void
@@ -100,22 +106,9 @@ Processor::tick(Cycle now)
         return;
       case State::WaitMemory:
       case State::WaitBarrier:
-        // Reference (eager) accounting: count each blocked cycle as it
-        // passes and advance the anchor with it, so the settlement at
-        // wake()/barrierRelease() degenerates to adding zero. The
-        // CycleLoop oracle runs this mode so differential tests check
-        // the local-clock core's lazy settlement arithmetic against simple
-        // per-cycle counting instead of sharing it.
-        if (eager_stalls_) {
-            ++*stall_bucket_;
-            ++stall_anchor_;
-            return;
-        }
-        // Lazy stall accounting: blocked ticks are no-ops; the stalled
-        // span is settled in one subtraction at wake()/barrierRelease()
-        // against the bucket chosen at entry. (Skipping the per-cycle
-        // cache stateOf() probe the old bucket attribution needed is a
-        // large share of the local-clock core's speedup.)
+        // Only the cycle loop ticks a blocked processor; the local-clock
+        // core bulk-adds the same cycles in fastForward().
+        ++*stall_bucket_;
         return;
       case State::SpinLock: {
         const TraceRecord &r = trace_[index_];
@@ -199,12 +192,8 @@ Processor::tick(Cycle now)
         const PrefetchResult res = mem_.prefetchAccess(
             id_, r.addr, r.kind == RecordKind::PrefetchExcl, now);
         if (res == PrefetchResult::BufferFull) {
-            ++stats_.stallPrefetchQueue;
-            state_ = State::StallPrefetch;
-            if (sink_)
-                sink_->emit({.kind = obs::EventKind::StallBegin, .cycle = now,
-                             .proc = id_,
-                             .stall = obs::Stall::PrefetchBuffer});
+            beginStall(State::StallPrefetch, &stats_.stallPrefetchQueue, now,
+                       obs::Stall::PrefetchBuffer);
         } else {
             ++stats_.busy;
             ++stats_.prefetchesExecuted;
@@ -221,11 +210,8 @@ Processor::tick(Cycle now)
                              .proc = id_, .arg = r.sync});
             advance(now);
         } else {
-            ++stats_.spinLock;
-            state_ = State::SpinLock;
-            if (sink_)
-                sink_->emit({.kind = obs::EventKind::StallBegin, .cycle = now,
-                             .proc = id_, .stall = obs::Stall::Lock});
+            beginStall(State::SpinLock, &stats_.spinLock, now,
+                       obs::Stall::Lock);
         }
         return;
 
@@ -254,8 +240,9 @@ Processor::tick(Cycle now)
             if (release_all_)
                 release_all_(now);
         } else {
+            // The arriving cycle counts as busy; the wait starts next.
             state_ = State::WaitBarrier;
-            beginLazyStall(&stats_.waitBarrier, now);
+            stall_bucket_ = &stats_.waitBarrier;
         }
         return;
       }
@@ -271,11 +258,6 @@ Processor::wake(bool retry, Cycle now)
     state_ = State::Running;
     if (sink_)
         sink_->emit({.kind = obs::EventKind::Wake, .cycle = now, .proc = id_});
-    // Settle the blocked span [anchor, now) into the bucket chosen at
-    // entry. Completions fire from the bus tick, which runs before the
-    // processor rotation, so this processor never ticks at `now` while
-    // still blocked — exactly the cycles the eager loop counted.
-    *stall_bucket_ += now - stall_anchor_;
     ++progress_;
     if (!retry) {
         // The blocked access was satisfied by the completing operation.
@@ -286,7 +268,7 @@ Processor::wake(bool retry, Cycle now)
 }
 
 void
-Processor::barrierRelease(Cycle now, bool ticked_this_cycle)
+Processor::barrierRelease(Cycle now)
 {
     prefsim_assert(state_ == State::WaitBarrier,
                    "barrierRelease() on proc ", id_, " in state ",
@@ -295,12 +277,6 @@ Processor::barrierRelease(Cycle now, bool ticked_this_cycle)
     if (sink_)
         sink_->emit({.kind = obs::EventKind::BarrierRelease, .cycle = now,
                      .proc = id_});
-    // Settle the waiting span. Releases happen mid-rotation (the last
-    // arriver executes its Barrier record), so processors whose service
-    // slot preceded the releaser's already spent cycle `now` waiting
-    // and are owed one extra cycle; later processors get released
-    // before their slot and tick as Running this very cycle.
-    stats_.waitBarrier += (now - stall_anchor_) + (ticked_this_cycle ? 1 : 0);
     ++progress_;
     advance(now);
 }
@@ -498,18 +474,17 @@ Processor::fastForward(Cycle n, Cycle now)
 {
     switch (state_) {
       case State::Done:
-      case State::WaitMemory:
-      case State::WaitBarrier:
-        return; // Settled lazily at wake.
-      case State::SpinLock:
-        stats_.spinLock += n;
         return;
       case State::StallPrefetch:
         // Only a full buffer makes the skipped reissues fail.
         prefsim_assert(!mem_.cache(id_).prefetchMshrAvailable(), "proc ",
                        id_, " replayed a prefetch stall at ", now,
                        " with a free prefetch MSHR");
-        stats_.stallPrefetchQueue += n;
+        [[fallthrough]];
+      case State::WaitMemory:
+      case State::WaitBarrier:
+      case State::SpinLock:
+        *stall_bucket_ += n;
         return;
       case State::Running:
         break;

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/types.hh"
+#include "obs/event.hh"
 #include "sim/memory_system.hh"
 #include "sim/sim_stats.hh"
 #include "sim/sync.hh"
@@ -46,14 +47,9 @@ class Processor
      */
     void wake(bool retry, Cycle now);
 
-    /**
-     * Release from a barrier (all processors arrived).
-     * @param ticked_this_cycle This processor's slot in the service
-     *        rotation came before the releasing processor's, i.e. it
-     *        already spent cycle @p now waiting (lazy stall accounting
-     *        settles waitBarrier here; see docs/simcore.md).
-     */
-    void barrierRelease(Cycle now, bool ticked_this_cycle);
+    /** Release from a barrier (all processors arrived) at cycle
+     *  @p now. */
+    void barrierRelease(Cycle now);
 
     /**
      * The cap on inertCycles() and the reach of a walk. A boundary
@@ -154,26 +150,17 @@ class Processor
      * are the difference of the plan's running totals, and the cursor
      * comes from the plan — also when the span ends mid-burst or
      * between a reference's two cycles. Without a current plan the
-     * walk runs first. Blocked processors accept any span (their
-     * counters are either bulk-added here — SpinLock / StallPrefetch,
-     * whose per-cycle retries provably fail during an inert window —
-     * or settled lazily at wake).
+     * walk runs first. Blocked processors accept any span: its cycles
+     * go to the stall bucket chosen when the wait began (a spinner's
+     * or a full-buffer prefetch's per-cycle retries provably fail
+     * during an inert window), so a processor's statistics are exact
+     * as of its local clock.
      */
     void fastForward(Cycle n, Cycle now);
 
     /** Attach the simulator's finished-processor counter (incremented
      *  once when this processor retires its last record). */
     void setDoneCounter(std::size_t *c) { done_counter_ = c; }
-
-    /**
-     * Select eager (per-cycle) stall accounting: every blocked tick
-     * increments its bucket immediately and the wake-time settlement
-     * adds zero. The CycleLoop oracle enables this so the differential
-     * suite verifies the local-clock core's lazy settlement against
-     * straightforward counting rather than sharing its arithmetic;
-     * results are bit-identical by construction.
-     */
-    void setEagerStalls(bool eager) { eager_stalls_ = eager; }
 
     /**
      * Install a hook fired right after this processor executes a
@@ -201,37 +188,6 @@ class Processor
 
     /** Trace records retired plus partial progress (progress monitor). */
     std::uint64_t progress() const { return progress_; }
-
-    /**
-     * Statistics view as of the start of cycle @p now, for interval
-     * sampling. With lazy stall accounting a blocked processor's bucket
-     * lags reality between entry and wake; this settles the open span
-     * into a copy (the entering tick pre-counted its own cycle, so the
-     * pending amount is `now - stall_anchor_`) without touching the
-     * live counters or the anchor. With eager accounting (the
-     * CycleLoop oracle) the live counters are already current and the
-     * copy is returned unchanged — so both engines sample identical
-     * values at identical cycles, which tests/test_timeseries.cc
-     * asserts byte-for-byte.
-     */
-    ProcStats
-    sampledStats(Cycle now) const
-    {
-        ProcStats s = stats_;
-        if (!eager_stalls_ && stall_bucket_ != nullptr &&
-            (state_ == State::WaitMemory ||
-             state_ == State::WaitBarrier) &&
-            now > stall_anchor_) {
-            // The open bucket is a field of stats_; mirror the pending
-            // span onto the same field of the copy by offset.
-            const auto off =
-                reinterpret_cast<const char *>(stall_bucket_) -
-                reinterpret_cast<const char *>(&stats_);
-            *reinterpret_cast<Cycle *>(reinterpret_cast<char *>(&s) +
-                                       off) += now - stall_anchor_;
-        }
-        return s;
-    }
 
     /** Human-readable state (deadlock diagnostics). */
     std::string describeState() const;
@@ -281,15 +237,9 @@ class Processor
     /** Replay the plan up to offset @p to from its start. */
     void applyPlan(Cycle to);
 
-    /** Arm the lazy stall clock: the entering tick (cycle @p now) has
-     *  already counted itself into @p bucket, so the settlement at wake
-     *  covers [now + 1, wake). */
-    void
-    beginLazyStall(Cycle *bucket, Cycle now)
-    {
-        stall_bucket_ = bucket;
-        stall_anchor_ = now + 1;
-    }
+    /** Enter blocked state @p s at cycle @p now, counting this cycle
+     *  and every later blocked one into @p bucket. */
+    void beginStall(State s, Cycle *bucket, Cycle now, obs::Stall why);
 
     /** Execute the data access of the current Read/Write record.
      *  @return true if the record completed. */
@@ -311,24 +261,15 @@ class Processor
     bool in_access_phase_ = false;///< Ref record: instruction cycle done.
     std::uint64_t progress_ = 0;
 
-    /** @name Lazy stall accounting (WaitMemory / WaitBarrier).
-     * Blocked ticks are no-ops; the time is settled arithmetically at
-     * wake as `now - stall_anchor_`. The anchor is entry cycle + 1
-     * because the entering tick pre-counts its own cycle. The bucket a
-     * WaitMemory stall lands in (demand vs. upgrade) is chosen once at
-     * entry from the AccessResult instead of re-deriving it from the
-     * cache state every cycle. @{ */
-    Cycle stall_anchor_ = 0;
+    /** The statistics field every blocked cycle of the current wait
+     *  goes to, chosen once at entry (a WaitMemory stall's demand vs.
+     *  upgrade bucket comes from the AccessResult instead of being
+     *  re-derived from the cache state every cycle). */
     Cycle *stall_bucket_ = nullptr;
-    /** @} */
 
     /** Simulator's count of Done processors (may be null in unit
      *  tests driving a Processor directly). */
     std::size_t *done_counter_ = nullptr;
-
-    /** Count blocked cycles eagerly (CycleLoop oracle; see
-     *  setEagerStalls). */
-    bool eager_stalls_ = false;
 
     /** Statistics a plan accumulates, as running totals. A plan holds
      *  at most kMaxPlanSteps steps, so each fits 16 bits. */

@@ -19,7 +19,7 @@ constexpr Cycle kDeadlockWindow = 2'000'000;
 } // namespace
 
 Simulator::Simulator(const ParallelTrace &trace, const SimConfig &config)
-    : trace_(trace), config_(config),
+    : config_(config),
       proc_stats_(trace.numProcs()),
       locks_(trace.numLocks),
       barriers_(static_cast<unsigned>(trace.numProcs()))
@@ -37,38 +37,24 @@ Simulator::Simulator(const ParallelTrace &trace, const SimConfig &config)
 
     const bool local = config.engine == SimEngine::LocalClock;
 
-    mem_->setWake([this, local](ProcId p, bool retry) {
+    // Every wake comes from a bus completion. In the local-clock core
+    // its catch-up hook has already brought the requester to the
+    // frontier and dirtied its boundary, so it ticks this very cycle.
+    mem_->setWake([this](ProcId p, bool retry) {
         procs_[p]->wake(retry, cycle_);
-        if (local) {
-            // The woken processor is current as of the frontier (its
-            // blocked span just settled) and must tick this very cycle
-            // (completions fire before the rotation, as ever).
-            local_[p] = cycle_;
-            dirty_mask_ |= std::uint32_t{1} << p;
-        }
     });
 
     auto release_all = [this, local](Cycle now) {
         // The release happens mid-rotation, from the last arriver's
-        // tick: waiters whose service slot this cycle preceded the
-        // releaser's have already spent the cycle waiting (lazy stall
-        // accounting settles that in barrierRelease).
-        const auto n = static_cast<unsigned>(procs_.size());
-        const unsigned start = static_cast<unsigned>(now % n);
-        const unsigned releaser_pos = (ticking_ + n - start) % n;
+        // tick: hookTouch's slot-order rule settles each waiter through
+        // cycle `now` when its slot preceded the releaser's (it already
+        // spent the cycle waiting) and up to `now` otherwise (it resumes
+        // this very cycle).
         for (auto &pr : procs_) {
             if (pr && pr->waitingAtBarrier()) {
-                const unsigned pos = (pr->id() + n - start) % n;
-                const bool before = pos < releaser_pos;
-                pr->barrierRelease(now, before);
-                if (local) {
-                    // A waiter released before its slot resumes this
-                    // very cycle; one whose slot already passed spent
-                    // cycle `now` waiting (settled above) and resumes
-                    // at now + 1.
-                    local_[pr->id()] = before ? now + 1 : now;
-                    dirty_mask_ |= std::uint32_t{1} << pr->id();
-                }
+                if (local)
+                    hookTouch(pr->id());
+                pr->barrierRelease(now);
             }
         }
         if (!warmup_done_ && config_.warmupEpisodes > 0 &&
@@ -78,12 +64,10 @@ Simulator::Simulator(const ParallelTrace &trace, const SimConfig &config)
         }
     };
 
-    // The reference loop services every processor every cycle with
-    // eager per-cycle stall counting; the local-clock core skips
-    // blocked processors and settles their stalls arithmetically at
-    // wake. Both produce bit-identical statistics — deliberately via
-    // different code paths, so the differential suite actually checks
-    // the lazy arithmetic against the straightforward accounting.
+    // The reference loop services every processor every cycle and
+    // counts each blocked tick; the local-clock core skips blocked
+    // processors and bulk-adds their waits at catch-up. Both produce
+    // bit-identical statistics.
     if (local) {
         local_.assign(trace.numProcs(), 0);
         eff_.assign(trace.numProcs(), 0);
@@ -103,7 +87,6 @@ Simulator::Simulator(const ParallelTrace &trace, const SimConfig &config)
             p, trace.procs[p], *mem_, locks_, barriers_, proc_stats_[p],
             release_all));
         procs_.back()->setDoneCounter(&done_count_);
-        procs_.back()->setEagerStalls(!local);
         if (local) {
             // A spinner on a held lock is dropped from the exact-cycle
             // rotation entirely (eff_ kNoCycle: its retries provably
@@ -186,7 +169,7 @@ Simulator::captureSampleFrame(Cycle at) const
     f.mshrs = mem_->outstandingMshrs();
     f.procs.reserve(procs_.size());
     for (ProcId p = 0; p < procs_.size(); ++p) {
-        const ProcStats s = procs_[p]->sampledStats(at);
+        const ProcStats &s = proc_stats_[p];
         const MissBreakdown &m = s.misses;
         f.missNonSharing += m.nonSharing();
         f.missInvalidation += m.invalidation();
@@ -226,7 +209,7 @@ Simulator::runExactCycle()
     mem_->tick(cycle_);
     // Rotate the processor service order so no processor systematically
     // wins same-cycle races for locks. Every live processor is ticked;
-    // blocked ones count their stall cycle eagerly.
+    // blocked ones count their stall cycle.
     const auto n = static_cast<unsigned>(procs_.size());
     unsigned idx = static_cast<unsigned>(cycle_ % n);
     for (unsigned i = 0; i < n; ++i) {
@@ -292,9 +275,8 @@ Simulator::catchUp(ProcId p, Cycle to)
 {
     if (to <= local_[p])
         return;
-    // Blocked and done processors settle their stall spans lazily at
-    // wake (fastForward returns at once); spin/stall retries bulk-add
-    // and Running quiet work replays its plan.
+    // Blocked processors bulk-add the span to their stall bucket and
+    // Running quiet work replays its plan.
     procs_[p]->fastForward(to - local_[p], local_[p]);
     local_[p] = to;
     // An advanced replay may have retired the trace's final record
@@ -509,13 +491,6 @@ Simulator::stepLocal()
                 return false;
             maybeSample();
         }
-        // Frontier landed on the bus bound: the bus acts this very
-        // cycle, so skip the re-derivation pass (due boundaries that
-        // coincide with it are picked up by the rotation's due test,
-        // and catch-up dirt refreshes at its slot). A boundary- or
-        // sample-bound jump re-enters the loop.
-        if (cycle_ == bus_next)
-            break;
     }
     if (bus_due && retireBeforeBus())
         return false;
@@ -565,8 +540,7 @@ Simulator::run()
     const Cycle done_at = cycle_;
     // Close the time series before the drain below mutates the bus
     // statistics: the final partial row covers the tail of the run
-    // proper. Every lazy stall has settled (all processors are Done),
-    // so the frame needs no special casing.
+    // proper.
     if (sampler_) {
         sampler_->finish(captureSampleFrame(done_at));
         config_.obs->timeseries.commit(sampler_->take(), config_.runKey);

@@ -3,9 +3,9 @@
  * The multiprocessor simulator: prefsim's Charlie equivalent.
  *
  * Wires processors, coherent caches, the split-transaction bus and the
- * synchronization managers together, and runs the cycle loop to
- * completion. Construction takes an (optionally prefetch-annotated)
- * ParallelTrace; run() returns the full SimStats.
+ * synchronization managers together, and runs the selected simulation
+ * core (SimEngine) to completion. Construction takes an (optionally
+ * prefetch-annotated) ParallelTrace; run() returns the full SimStats.
  */
 
 #ifndef PREFSIM_SIM_SIMULATOR_HH
@@ -37,13 +37,14 @@ namespace prefsim
  */
 enum class SimEngine : std::uint8_t
 {
-    /** Tick the bus and every processor each cycle with eager stall
-     *  accounting: the reference implementation, kept as the
-     *  differential-test oracle. */
+    /** Tick the bus and every processor each cycle, a blocked one
+     *  counting its stall cycle: the reference implementation, kept as
+     *  the differential-test oracle. */
     CycleLoop,
     /** Each processor advances on its own local clock through provably
-     *  inert work; the frontier executes exactly only the cycles at
-     *  which a bus completion or some processor's side effect is due
+     *  inert work, a blocked one bulk-adding its wait at catch-up; the
+     *  frontier executes exactly only the cycles at which the bus acts
+     *  (a completion or a grant) or some processor's side effect is due
      *  (default). */
     LocalClock,
 };
@@ -188,14 +189,15 @@ class Simulator
 
     /** Execute cycle_ exactly for the CycleLoop oracle: bus tick, then
      *  every live processor in rotation order (blocked ones count their
-     *  stall cycle eagerly), then closeExactCycle(). */
+     *  stall cycle), then closeExactCycle(). */
     void runExactCycle();
 
     /** Zero all statistics at the end of warmup. */
     void resetStatsForWarmup();
 
-    /** Snapshot simulation state as of the start of cycle @p at (open
-     *  lazy stalls settled into the copy; see Processor::sampledStats). */
+    /** Snapshot simulation state as of the start of cycle @p at. The
+     *  local-clock core catches every processor up to @p at first, so
+     *  each one's statistics are exact there. */
     obs::SampleFrame captureSampleFrame(Cycle at) const;
 
     /** Take the boundary sample when cycle_ sits on one. Cheap when
@@ -241,7 +243,7 @@ class Simulator
      *  rotation). */
     bool serviceSlot(unsigned idx);
 
-    /** Retire processor @p p's provably quiet work over
+    /** Retire processor @p p's provably quiet work or wait over
      *  [local_[p], to) in one step, move its local clock to @p to and,
      *  when the clock actually advanced, mark its cached boundary
      *  dirty. Legal whenever to <= eff_[p] (the promised side-effect
@@ -252,11 +254,13 @@ class Simulator
     void catchUpAll(Cycle to);
 
     /** MemorySystem is about to mutate processor @p p's cache from
-     *  outside (remote invalidation/downgrade or a fill completing):
-     *  replay all of p's quiet work that precedes the mutation in
-     *  cycle-loop order — everything before cycle_, plus cycle_ itself
-     *  when p's rotation slot precedes the currently ticking
-     *  processor's — and expire its cached side-effect boundary. */
+     *  outside (remote invalidation/downgrade or a fill completing), or
+     *  another processor's tick is about to release p from a lock spin
+     *  or a barrier: replay all of p's quiet work or wait that precedes
+     *  the mutation in cycle-loop order — everything before cycle_,
+     *  plus cycle_ itself when p's rotation slot precedes the currently
+     *  ticking processor's — and expire its cached side-effect
+     *  boundary. */
     void hookTouch(ProcId p);
 
     /** Recompute eff_[p] from processor @p p's live state and clear
@@ -268,7 +272,6 @@ class Simulator
 
     [[noreturn]] void reportDeadlock(const std::string &headline) const;
 
-    const ParallelTrace &trace_;
     SimConfig config_;
     std::vector<ProcStats> proc_stats_;
     std::unique_ptr<MemorySystem> mem_;
@@ -280,8 +283,8 @@ class Simulator
      *  processors themselves via Processor::setDoneCounter). */
     std::size_t done_count_ = 0;
     /** The processor currently being ticked in the service rotation
-     *  (barrier releases need the releaser's slot to settle lazily
-     *  accounted barrier waits; see Processor::barrierRelease). */
+     *  (hookTouch's slot-order rule compares against it, for snoops,
+     *  lock releases and barrier releases alike). */
     ProcId ticking_ = kNoProc;
     /** This run's event sink (null without SimConfig::obs). It owns
      *  the run's views — trace session, profiler, critical-path

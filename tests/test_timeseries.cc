@@ -8,10 +8,10 @@
  *    with sampling on (any interval) are bit-identical to sampling off;
  *  - both engines emit *byte-identical* `prefsim-timeseries-v1` JSON:
  *    the local-clock core clamps its frontier jumps to sample
- *    boundaries, catches every lagging local clock up to each boundary
- *    before the frame is taken, and settles lazy stall counters into
- *    exactly the frames the eager cycle loop captures. Interval 1 is
- *    the harshest
+ *    boundaries and catches every lagging local clock up to each
+ *    boundary before the frame is taken, so each processor's
+ *    statistics, stall buckets included, are exact there, as the
+ *    cycle loop's per-tick counts are. Interval 1 is the harshest
  *    case (every cycle is a boundary, including the warmup rebase);
  *    a prime interval lands boundaries mid-burst; an interval longer
  *    than the run leaves only finish()'s partial row;
