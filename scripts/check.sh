@@ -55,6 +55,9 @@ stage() {
 stage "plain build"
 cmake -B "$BUILD" -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
 cmake --build "$BUILD" -j "$JOBS"
+# For information only: non-comment C++ lines of the simulation core,
+# the size the fast-path census (ROADMAP) tracks.
+echo "info: $(sh scripts/sloc.sh src/sim) (non-comment C++ lines)"
 
 stage "plain tests"
 ctest --test-dir "$BUILD" -j "$JOBS" --output-on-failure

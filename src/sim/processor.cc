@@ -39,19 +39,13 @@ Processor::advance(Cycle now)
     ++index_;
     ++progress_;
     in_access_phase_ = false;
-    if (index_ >= trace_.size()) {
-        finish(now + 1); // This cycle was the last retired.
+    if (index_ < trace_.size()) {
+        if (trace_[index_].kind == RecordKind::Instr)
+            instr_left_ = trace_[index_].count;
         return;
     }
-    if (trace_[index_].kind == RecordKind::Instr)
-        instr_left_ = trace_[index_].count;
-}
-
-void
-Processor::finish(Cycle finished_at)
-{
     state_ = State::Done;
-    stats_.finishedAt = finished_at;
+    stats_.finishedAt = now + 1; // This cycle was the last retired.
     if (done_counter_)
         ++*done_counter_;
 }
@@ -322,11 +316,9 @@ Processor::walkPlan(Cycle now, Cycle until) const
     };
     bool capped = true; // Set false when a real boundary is found.
     while (n < cap && p.steps.size() < kMaxPlanSteps) {
-        if (idx >= records.size()) {
-            // Trace exhausted n cycles from the start: the window may
-            // extend exactly to the completion cycle, no further, so
-            // the final retirement lands cycle_ on the same value the
-            // cycle loop ends with.
+        if (idx + 1 == records.size()) {
+            // The final record executes in exact ticks, as a sync
+            // record does, so a replay never retires the trace.
             capped = false;
             break;
         }
@@ -449,8 +441,7 @@ Processor::applyPlan(Cycle to)
     } else {
         index_ = p.endIndex;
         in_access_phase_ = p.endInAccess;
-        if (index_ < trace_.size() &&
-            trace_[index_].kind == RecordKind::Instr)
+        if (trace_[index_].kind == RecordKind::Instr)
             instr_left_ = trace_[index_].count;
     }
     const std::uint64_t reads = reached.reads - p.counted.reads;
@@ -465,8 +456,6 @@ Processor::applyPlan(Cycle to)
     p.step = k;
     p.at = static_cast<std::uint32_t>(to);
     progress_ += index_ - from;
-    if (index_ >= trace_.size())
-        finish(p.start + to); // Only at the plan's end.
 }
 
 void

@@ -72,9 +72,8 @@ class Processor
      * MemorySystem::quietHitSlot) are inert; the walk stops at the
      * first sync record, prefetch access (it executes cycle-exactly
      * even when it drops), or demand access that would miss, upgrade,
-     * or swap. Reaching the end of the
-     * trace stops the walk too — the cycle count up to Done bounds the
-     * window so the final simulated cycle is exact in both engines.
+     * or swap. It stops before the trace's final record too, which
+     * always executes cycle-exactly, so a replay never retires a trace.
      * Blocked and Done processors return kNoCycle, and so do a spinner
      * on a held lock and a prefetch stalled on a full buffer: they
      * never constrain the fast-forward window (their wake-ups come from
@@ -209,12 +208,9 @@ class Processor
         Done,         ///< Trace exhausted.
     };
 
-    /** Advance to the next record. */
+    /** Advance to the next record; past the last one, retire the
+     *  trace (Done, finished at the cycle after @p now). */
     void advance(Cycle now);
-
-    /** Retire the trace: Done, with @p finished_at as the cycle after
-     *  the last retired one. */
-    void finish(Cycle finished_at);
 
     /** The Running-state trace walk behind inertCycles(). */
     Cycle runningInertCycles(Cycle now) const;

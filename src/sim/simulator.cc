@@ -279,10 +279,8 @@ Simulator::catchUp(ProcId p, Cycle to)
     // Running quiet work replays its plan.
     procs_[p]->fastForward(to - local_[p], local_[p]);
     local_[p] = to;
-    // An advanced replay may have retired the trace's final record
-    // (Done) or consumed part of the quiet plan; either way the cached
-    // boundary is stale. (Skipping this lets a retirement keep a stale
-    // finite eff_ and pin the frontier minimum below where it is.)
+    // The replay consumed part of the quiet plan or the wait; the
+    // cached boundary is refreshed from the new cursor.
     dirty_mask_ |= std::uint32_t{1} << p;
 }
 
@@ -408,18 +406,6 @@ Simulator::stepLocal()
     if (allDone())
         return false;
 
-    // The previous step may have left cycle_ exactly on a sample
-    // boundary. The frame must capture every processor's state as of
-    // the frontier, so lagging clocks settle first; a catch-up that
-    // retires the last trace ends the run un-sampled, mirroring the
-    // oracle (finish() emits the final frame).
-    if (cycle_ == next_sample_) {
-        catchUpAll(cycle_);
-        if (allDone())
-            return false;
-        maybeSample();
-    }
-
     // Advance the frontier to the next cycle that must execute
     // exactly, chaining consecutive inert windows: the earliest cycle
     // the bus acts (a completion, which touches processors, or a grant)
@@ -432,6 +418,13 @@ Simulator::stepLocal()
     const auto n = static_cast<ProcId>(procs_.size());
     bool bus_due = true;
     for (;;) {
+        // A frontier on a sample boundary, on entry or after a jump:
+        // the frame must capture every processor's state as of the
+        // frontier, so lagging clocks settle first.
+        if (cycle_ == next_sample_) {
+            catchUpAll(cycle_);
+            maybeSample();
+        }
         const Cycle bus_next = std::min(mem_->nextCompletionCycle(cycle_),
                                         mem_->nextGrantCycle(cycle_));
         if (bus_next == cycle_)
@@ -448,28 +441,12 @@ Simulator::stepLocal()
         prefsim_assert(e >= cycle_,
                        "local-clock boundary regressed past the frontier");
         if (e == cycle_) {
-            // A boundary is due at the frontier. Catch the due
-            // processors up; a walk that ended at the trace's final
-            // record retires here with no exact cycle — the frontier
-            // is then the finish cycle, exactly as in the oracle —
-            // while a genuine side effect demands exactness.
-            bool exact = false;
-            for (ProcId p = 0; p < n; ++p) {
-                if (eff_[p] != cycle_)
-                    continue;
-                catchUp(p, cycle_);
-                if (!procs_[p]->done())
-                    exact = true;
-            }
-            if (allDone())
-                return false;
-            if (!exact)
-                continue; // Pure retirements; re-derive the bounds.
-            // The bus was ruled out above: it provably does nothing.
+            // A boundary is due at the frontier, and the bus was ruled
+            // out above: it provably does nothing this cycle.
             bus_due = false;
             break;
         }
-        Cycle target = std::min(bus_next, e);
+        const Cycle target = std::min(bus_next, e);
         if (target == kNoCycle) {
             // Every processor is blocked and the bus is idle: nothing
             // can ever wake anyone. The cycle loop would spin to the
@@ -482,49 +459,10 @@ Simulator::stepLocal()
         // after the deadlock check above — a boundary is not progress,
         // and letting it rescue a dead machine would sample the same
         // frame forever.
-        if (next_sample_ < target)
-            target = next_sample_;
-        cycle_ = target;
-        if (cycle_ == next_sample_) {
-            catchUpAll(cycle_);
-            if (allDone())
-                return false;
-            maybeSample();
-        }
+        cycle_ = std::min(target, next_sample_);
     }
-    if (bus_due && retireBeforeBus())
-        return false;
     runExactCycleLocal(bus_due);
     return !allDone();
-}
-
-bool
-Simulator::retireBeforeBus()
-{
-    // Only when every live processor's boundary is due can they all
-    // retire here; a blocked one has no boundary.
-    const std::size_t live = procs_.size() - done_count_;
-    if (static_cast<std::size_t>(std::popcount(eff_active_ | dirty_mask_)) <
-        live)
-        return false;
-    for (std::uint32_t m = eff_active_ & ~dirty_mask_; m != 0; m &= m - 1) {
-        if (eff_[std::countr_zero(m)] != cycle_)
-            return false;
-    }
-    for (std::uint32_t m = dirty_mask_; m != 0; m &= m - 1)
-        refreshEff(static_cast<ProcId>(std::countr_zero(m)));
-    const auto n = static_cast<ProcId>(procs_.size());
-    for (ProcId p = 0; p < n; ++p) {
-        if (!procs_[p]->done() && eff_[p] != cycle_)
-            return false;
-    }
-    // The replays cover cycles before this one, so they precede the
-    // bus tick in cycle-loop order.
-    for (ProcId p = 0; p < n; ++p) {
-        if (eff_[p] == cycle_)
-            catchUp(p, cycle_);
-    }
-    return allDone();
 }
 
 SimStats

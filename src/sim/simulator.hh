@@ -226,16 +226,6 @@ class Simulator
      *  entirely (the engine's speedup). */
     void runExactCycleLocal(bool bus_may_act);
 
-    /**
-     * Before an exact cycle where the bus acts: when every live
-     * processor's boundary is due at cycle_, catch them all up, and
-     * return true if that retired the last trace. The cycle loop never
-     * executes the cycle its last trace finishes in (its bus acts
-     * there only in run()'s drain), so the run must end before the
-     * bus tick, not after it.
-     */
-    bool retireBeforeBus();
-
     /** Service one rotation slot of the current exact cycle: refresh a
      *  dirty boundary, run the due test, and when due catch the
      *  processor up and tick it. Returns true when a tick executed

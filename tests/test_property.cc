@@ -35,7 +35,10 @@ namespace
 /**
  * Build a random but *legal* parallel trace: balanced ordered locks,
  * identical barrier sequences, a mix of shared and private references
- * and random prefetch records.
+ * and random prefetch records. With @p max_tail > 0 each processor
+ * appends up to that many more of the same random references,
+ * prefetches and lock sections (zero included) after its last
+ * barrier, so a trace may end in any kind of record.
  */
 
 /** Normalise a record stream: drop prefetches, coalesce Instr runs. */
@@ -67,7 +70,7 @@ normalized(const Trace &t)
 
 ParallelTrace
 randomTrace(std::uint64_t seed, unsigned procs, unsigned steps,
-            unsigned refs_per_step)
+            unsigned refs_per_step, unsigned max_tail = 0)
 {
     ParallelTrace pt;
     pt.name = "random";
@@ -76,42 +79,46 @@ randomTrace(std::uint64_t seed, unsigned procs, unsigned steps,
     for (ProcId p = 0; p < procs; ++p) {
         Rng rng(seed * 1315423911u + p);
         Trace t;
-        for (unsigned step = 0; step < steps; ++step) {
-            for (unsigned i = 0; i < refs_per_step; ++i) {
-                const double roll = rng.uniform();
-                // Shared pool: 64 lines; private pool: 64 lines.
-                const Addr shared = 0x100000 + rng.below(64) * 32 +
-                                    rng.below(8) * 4;
-                const Addr priv = 0x40000000 + Addr{p} * 0x1000000 +
-                                  rng.below(64) * 32 + rng.below(8) * 4;
-                if (roll < 0.3) {
-                    t.append(TraceRecord::read(shared));
-                } else if (roll < 0.4) {
+        const auto append_ref = [&] {
+            const double roll = rng.uniform();
+            // Shared pool: 64 lines; private pool: 64 lines.
+            const Addr shared =
+                0x100000 + rng.below(64) * 32 + rng.below(8) * 4;
+            const Addr priv = 0x40000000 + Addr{p} * 0x1000000 +
+                              rng.below(64) * 32 + rng.below(8) * 4;
+            if (roll < 0.3) {
+                t.append(TraceRecord::read(shared));
+            } else if (roll < 0.4) {
+                t.append(TraceRecord::write(shared));
+            } else if (roll < 0.7) {
+                t.append(TraceRecord::read(priv));
+            } else if (roll < 0.8) {
+                t.append(TraceRecord::write(priv));
+            } else if (roll < 0.9) {
+                t.append(TraceRecord::prefetch(
+                    rng.chance(0.5) ? shared : priv, rng.chance(0.3)));
+            } else {
+                const SyncId l = static_cast<SyncId>(rng.below(pt.numLocks));
+                t.append(TraceRecord::lockAcquire(l));
+                t.appendInstrs(static_cast<std::uint32_t>(rng.range(1, 5)));
+                if (rng.chance(0.5))
                     t.append(TraceRecord::write(shared));
-                } else if (roll < 0.7) {
-                    t.append(TraceRecord::read(priv));
-                } else if (roll < 0.8) {
-                    t.append(TraceRecord::write(priv));
-                } else if (roll < 0.9) {
-                    t.append(TraceRecord::prefetch(
-                        rng.chance(0.5) ? shared : priv,
-                        rng.chance(0.3)));
-                } else {
-                    const SyncId l =
-                        static_cast<SyncId>(rng.below(pt.numLocks));
-                    t.append(TraceRecord::lockAcquire(l));
-                    t.appendInstrs(
-                        static_cast<std::uint32_t>(rng.range(1, 5)));
-                    if (rng.chance(0.5))
-                        t.append(TraceRecord::write(shared));
-                    t.append(TraceRecord::lockRelease(l));
-                }
-                if (rng.chance(0.5)) {
-                    t.appendInstrs(
-                        static_cast<std::uint32_t>(rng.range(1, 8)));
-                }
+                t.append(TraceRecord::lockRelease(l));
             }
+            if (rng.chance(0.5))
+                t.appendInstrs(static_cast<std::uint32_t>(rng.range(1, 8)));
+        };
+        for (unsigned step = 0; step < steps; ++step) {
+            for (unsigned i = 0; i < refs_per_step; ++i)
+                append_ref();
             t.append(TraceRecord::barrier(step));
+        }
+        // An optional tail after the last barrier, so the trace ends
+        // in any kind of record; empty for some processors.
+        if (max_tail > 0) {
+            const auto tail = rng.below(max_tail + 1);
+            for (std::uint64_t i = 0; i < tail; ++i)
+                append_ref();
         }
         pt.procs.push_back(std::move(t));
     }
@@ -588,9 +595,12 @@ TEST_P(RandomProgramSuite, WideMachineEnginesAgree)
     // engines share MemorySystem, so besides agreeing byte for byte
     // each must leave every shared-pool line's invariants (holder
     // coverage included) intact, under each snoop-path organisation.
+    // The second trace runs past the last barrier, so processors
+    // finish on every kind of final record and at scattered cycles.
     const std::uint64_t seed = GetParam();
     const unsigned procs = seed % 2 ? 17 : 32;
-    const ParallelTrace pt = randomTrace(seed, procs, 4, 80);
+    const ParallelTrace traces[] = {randomTrace(seed, procs, 4, 80),
+                                    randomTrace(seed, procs, 4, 80, 40)};
 
     SimConfig base;
     base.warmupEpisodes = 0;
@@ -604,24 +614,28 @@ TEST_P(RandomProgramSuite, WideMachineEnginesAgree)
         {"base", base}, {"victim4", victim}, {"pdb16", pdb},
         {"write-update", update}};
 
-    for (const auto &[name, cfg] : configs) {
-        SCOPED_TRACE("seed=" + std::to_string(seed) + " procs=" +
-                     std::to_string(procs) + " config=" + name);
-        std::string stats[2];
-        for (const SimEngine engine :
-             {SimEngine::CycleLoop, SimEngine::LocalClock}) {
-            SimConfig c = cfg;
-            c.engine = engine;
-            Simulator sim(pt, c);
-            stats[engine == SimEngine::LocalClock] = fingerprint(sim.run());
-            for (unsigned l = 0; l < 64; ++l) {
-                std::string why;
-                EXPECT_TRUE(sim.memory().checkLineInvariantDetail(
-                    0x100000 + l * 32, &why))
-                    << why;
+    for (const ParallelTrace &pt : traces) {
+        for (const auto &[name, cfg] : configs) {
+            SCOPED_TRACE("seed=" + std::to_string(seed) + " procs=" +
+                         std::to_string(procs) + " config=" + name +
+                         (&pt == traces ? "" : " tail"));
+            std::string stats[2];
+            for (const SimEngine engine :
+                 {SimEngine::CycleLoop, SimEngine::LocalClock}) {
+                SimConfig c = cfg;
+                c.engine = engine;
+                Simulator sim(pt, c);
+                stats[engine == SimEngine::LocalClock] =
+                    fingerprint(sim.run());
+                for (unsigned l = 0; l < 64; ++l) {
+                    std::string why;
+                    EXPECT_TRUE(sim.memory().checkLineInvariantDetail(
+                        0x100000 + l * 32, &why))
+                        << why;
+                }
             }
+            EXPECT_EQ(stats[0], stats[1]);
         }
-        EXPECT_EQ(stats[0], stats[1]);
     }
 }
 

@@ -14,7 +14,8 @@
  *  - hand-built traces that pin the burst-boundary cases where the
  *    frontier and catch-up logic could plausibly go wrong: wakes and
  *    barrier releases landing mid-burst, the warmup statistics reset,
- *    spin-lock windows, prefetch-buffer back-pressure, empty traces.
+ *    spin-lock windows, prefetch-buffer back-pressure, empty traces,
+ *    and the final record of a trace, which always runs exactly.
  *
  * The oracle counts each blocked cycle as it ticks, while the
  * local-clock core bulk-adds a wait at every catch-up of the waiting
@@ -418,6 +419,64 @@ TEST(BurstBoundary, WalkStopsAtPrefetch)
     const ProcStats ps = simulate(pt, cfg).procs[0];
     EXPECT_EQ(ps.prefetchesDroppedResident, 1u);
     EXPECT_EQ(ps.prefetchesExecuted, 1u);
+}
+
+/** A walk stops before a trace's final record, so that record always
+ *  executes in exact ticks and no replay retires the trace: a final
+ *  quiet hit and a final Instr burst. Each processor is driven by hand
+ *  past a cold miss to its quiet stretch, replays it, and must then
+ *  need an exact tick at every cycle until its last tick retires it. */
+TEST(BurstBoundary, FinalRecordRunsExactly)
+{
+    const Addr line = 0x1000;
+    const std::pair<const char *, TraceRecord> finals[] = {
+        {"quiet-hit", TraceRecord::read(line)},
+        {"instr-burst", TraceRecord::instr(7)},
+    };
+    for (const auto &[name, last] : finals) {
+        SCOPED_TRACE(name);
+        Trace t;
+        t.append(TraceRecord::read(line)); // Cold miss.
+        t.appendInstrs(10);
+        t.append(TraceRecord::write(line)); // Quiet: the line is E.
+        t.append(last);
+
+        const SimConfig cfg = plainConfig();
+        std::vector<ProcStats> stats(1);
+        MemorySystem mem(1, cfg.geometry, cfg.timing,
+                         cfg.prefetchBufferDepth, stats);
+        LockTable locks(0);
+        BarrierManager barriers(1);
+        Processor proc(0, t, mem, locks, barriers, stats[0], nullptr);
+        Cycle now = 0;
+        bool woken = false;
+        mem.setWake([&](ProcId, bool retry) {
+            proc.wake(retry, now);
+            woken = true;
+        });
+        proc.tick(now++); // Instruction cycle.
+        proc.tick(now);   // Access: misses and blocks.
+        while (!woken)
+            mem.tick(++now);
+        // The retried read hits, then come the burst and the write's
+        // two cycles; the walk stops at the final record's first cycle.
+        const Cycle quiet = 1 + 10 + 2;
+        ASSERT_EQ(proc.inertCycles(now), quiet);
+        proc.fastForward(quiet, now);
+        now += quiet;
+        EXPECT_FALSE(proc.done());
+        const Cycle final_cycles = last.kind == RecordKind::Read ? 2 : 7;
+        for (Cycle i = 0; i < final_cycles; ++i) {
+            ASSERT_FALSE(proc.done()) << "cycle " << i;
+            EXPECT_EQ(proc.inertCycles(now), 0u) << "cycle " << i;
+            proc.tick(now++);
+        }
+        EXPECT_TRUE(proc.done());
+        EXPECT_EQ(stats[0].finishedAt, now);
+        EXPECT_EQ(stats[0].busy, 1 + quiet + final_cycles);
+
+        expectEnginesAgree(twoProc(t, Trace{}), cfg, name);
+    }
 }
 
 /** The run ends in the cycle the last trace retires, which the cycle
