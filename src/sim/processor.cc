@@ -27,7 +27,8 @@ namespace
 {
 
 /// Bounds of one plan: its statistics totals are 16-bit and its cycle
-/// offsets 32-bit. A walk that reaches either stops as if capped.
+/// offsets 32-bit. A walk that reaches either stops there, and the
+/// next tick executes exactly.
 constexpr std::size_t kMaxPlanSteps = 0xffff;
 constexpr Cycle kMaxPlanCycles = 0xffff'ffff;
 
@@ -275,15 +276,8 @@ Processor::barrierRelease(Cycle now)
     advance(now);
 }
 
-Cycle
-Processor::runningInertCycles(Cycle now) const
-{
-    walkPlan(now, now + kLookahead);
-    return std::min(plan_.end - now, kLookahead);
-}
-
 void
-Processor::walkPlan(Cycle now, Cycle until) const
+Processor::walkPlan(Cycle now) const
 {
     // Walk the trace from the live cursor, counting consecutive cycles
     // whose tick() provably has no cross-processor effect. Quiet-hit
@@ -306,7 +300,6 @@ Processor::walkPlan(Cycle now, Cycle until) const
     p.counted = PlanTotals{};
     const CacheGeometry &geom = mem_.geometry();
     const std::vector<TraceRecord> &records = trace_.records();
-    const Cycle cap = std::min(until - now, kMaxPlanCycles);
     Cycle n = 0;
     std::size_t idx = index_;
     bool access_phase = in_access_phase_;
@@ -314,12 +307,12 @@ Processor::walkPlan(Cycle now, Cycle until) const
     const auto push = [&] {
         p.steps.push_back({static_cast<std::uint32_t>(n), totals});
     };
-    bool capped = true; // Set false when a real boundary is found.
-    while (n < cap && p.steps.size() < kMaxPlanSteps) {
+    // A reference step takes at most two cycles, so every offset
+    // stays within kMaxPlanCycles.
+    while (n + 1 < kMaxPlanCycles && p.steps.size() < kMaxPlanSteps) {
         if (idx + 1 == records.size()) {
             // The final record executes in exact ticks, as a sync
             // record does, so a replay never retires the trace.
-            capped = false;
             break;
         }
         const TraceRecord &r = records[idx];
@@ -340,7 +333,6 @@ Processor::walkPlan(Cycle now, Cycle until) const
         if (!read && !write && r.kind != RecordKind::Prefetch &&
             r.kind != RecordKind::PrefetchExcl) {
             // Sync records always execute cycle-exactly.
-            capped = false;
             break;
         }
         const bool took_instr = !access_phase;
@@ -363,7 +355,6 @@ Processor::walkPlan(Cycle now, Cycle until) const
             // instruction cycle taken here is the plan's last step.
             if (took_instr)
                 push();
-            capped = false;
             break;
         }
         p.hits.push_back({static_cast<std::uint32_t>(n), slot,
@@ -377,7 +368,6 @@ Processor::walkPlan(Cycle now, Cycle until) const
     p.end = p.start + n;
     p.endIndex = idx;
     p.endInAccess = access_phase;
-    p.capped = capped;
 }
 
 void
@@ -385,27 +375,19 @@ Processor::applyPlan(Cycle to)
 {
     QuietPlan &p = plan_;
     // Where the replay stops: the first step and hit it does not wholly
-    // replay (steps are consecutive records from the plan's first). A
-    // replay to the plan's end, the common case, needs no search.
+    // replay (steps are consecutive records from the plan's first),
+    // scanned forward from the replay cursor. A replay to the plan's
+    // end, the common case, needs no scan.
     std::size_t k = p.steps.size();
     std::size_t hit_end = p.hits.size();
     if (p.start + to != p.end) {
-        const auto from_step =
-            p.steps.begin() + static_cast<std::ptrdiff_t>(p.step);
-        k = static_cast<std::size_t>(
-            std::upper_bound(from_step, p.steps.end(), to,
-                             [](Cycle t, const PlanStep &s) {
-                                 return t < s.end;
-                             }) -
-            p.steps.begin());
-        const auto from_hit =
-            p.hits.begin() + static_cast<std::ptrdiff_t>(p.hit);
-        hit_end = static_cast<std::size_t>(
-            std::lower_bound(from_hit, p.hits.end(), to,
-                             [](const CacheHit &h, Cycle t) {
-                                 return h.at < t;
-                             }) -
-            p.hits.begin());
+        // The last step ends at the plan's end, past to.
+        k = p.step;
+        while (p.steps[k].end <= to)
+            ++k;
+        hit_end = p.hit;
+        while (hit_end < p.hits.size() && p.hits[hit_end].at < to)
+            ++hit_end;
     }
     // Quiet hits: the cache-local side effects, in order, at their
     // cycles.
@@ -478,14 +460,9 @@ Processor::fastForward(Cycle n, Cycle now)
       case State::Running:
         break;
     }
-    if (!(plan_.valid && now + n <= plan_.end && planCurrent())) {
-        // No current plan covers the span: walk one from the live
-        // cursor.
-        walkPlan(now, now + std::max(n, kLookahead));
-        prefsim_assert(now + n <= plan_.end, "proc ", id_, " was asked to ",
-                       "replay ", n, " cycles at ", now, " but only ",
-                       plan_.end - now, " are quiet");
-    }
+    prefsim_assert(plan_.valid && now + n <= plan_.end && planCurrent(),
+                   "proc ", id_, " was asked to replay ", n, " cycles at ",
+                   now, " past the end of its quiet plan");
     prefsim_assert(now == plan_.start + plan_.at, "proc ", id_,
                    " replay at cycle ", now, " is off its plan's cursor");
     applyPlan(now + n - plan_.start);

@@ -52,41 +52,34 @@ class Processor
     void barrierRelease(Cycle now);
 
     /**
-     * The cap on inertCycles() and the reach of a walk. A boundary
-     * capped here is a safe conservative stand-in for the real one:
-     * reaching it catches the processor up and re-walks from the live
-     * cursor, at the cost of at most one workless exact cycle per span,
-     * while an uncapped walk would traverse a long quiet tail (worst
-     * case the rest of the trace) whose far end a snoop is likely to
-     * invalidate anyway.
-     */
-    static constexpr Cycle kLookahead = 4096;
-
-    /**
-     * Number of upcoming cycles this processor is *inert* for, capped
-     * at kLookahead: ticks that cannot acquire a lock, release one,
-     * block, arrive at a barrier, issue a bus operation, or otherwise
-     * affect another processor. A Running processor walks its trace:
-     * Instr bursts, the instruction cycle of references and prefetches,
-     * and demand accesses that would hit quietly (see
-     * MemorySystem::quietHitSlot) are inert; the walk stops at the
-     * first sync record, prefetch access (it executes cycle-exactly
-     * even when it drops), or demand access that would miss, upgrade,
-     * or swap. It stops before the trace's final record too, which
-     * always executes cycle-exactly, so a replay never retires a trace.
-     * Blocked and Done processors return kNoCycle, and so do a spinner
-     * on a held lock and a prefetch stalled on a full buffer: they
-     * never constrain the fast-forward window (their wake-ups come from
-     * bus completions or other processors' ticks, which bound the
-     * window separately and expire the cached boundary). 0 means the
-     * next tick may have side effects and must execute cycle-exactly.
+     * Number of upcoming cycles this processor is *inert* for: ticks
+     * that cannot acquire a lock, release one, block, arrive at a
+     * barrier, issue a bus operation, or otherwise affect another
+     * processor. A Running processor walks its trace: Instr bursts,
+     * the instruction cycle of references and prefetches, and demand
+     * accesses that would hit quietly (see MemorySystem::quietHitSlot)
+     * are inert; the walk stops at the first sync record, prefetch
+     * access (it executes cycle-exactly even when it drops), or demand
+     * access that would miss, upgrade, or swap. It stops before the
+     * trace's final record too, which always executes cycle-exactly,
+     * so a replay never retires a trace, and at the plan's size bounds
+     * (0xffff steps, 2^32 - 1 cycles), where the next tick executes
+     * exactly like any other boundary's. Blocked and Done processors
+     * return kNoCycle, and so do a spinner on a held lock and a
+     * prefetch stalled on a full buffer: they never constrain the
+     * fast-forward window (their wake-ups come from bus completions or
+     * other processors' ticks, which bound the window separately and
+     * expire the cached boundary). 0 means the next tick may have side
+     * effects and must execute cycle-exactly.
      *
      * The walk records a *quiet plan* that fastForward() replays: each
      * record's cycle offset and running statistics totals, and each
      * quiet hit's frame slot and word. The plan is tagged with the
      * cache version it was walked under (MemorySystem::cacheVersion)
      * and stays valid until that version moves; until then later
-     * queries are O(1). @p now must be the current simulation cycle.
+     * queries re-read it in O(1), and a replay that reached the
+     * boundary answers 0 without a walk. @p now must be the
+     * processor's local clock.
      *
      * The state dispatch is inline: the local-clock core calls this
      * whenever a processor's cached side-effect boundary expires.
@@ -123,37 +116,30 @@ class Processor
             // the completion cycle — the first whose reissue succeeds.
             return mem_.cache(id_).prefetchMshrAvailable() ? 0 : kNoCycle;
           case State::Running:
-            // Plan fast path inline: most queries re-read a plan no
-            // change has touched (see runningInertCycles for the walk).
-            // A replay that reached a real boundary leaves 0 here, so
-            // the boundary's own exact tick needs no walk.
-            if (plan_.valid && plan_.end >= now && planCurrent()) {
-                const Cycle left = plan_.end - now;
-                if (left >= kLookahead)
-                    return kLookahead;
-                if (!plan_.capped)
-                    return left;
-            }
-            return runningInertCycles(now);
+            // Most queries re-read a plan no change has touched.
+            if (!(plan_.valid && plan_.end >= now && planCurrent()))
+                walkPlan(now);
+            return plan_.end - now;
         }
         return 0;
     }
 
     /**
      * Retire @p n inert cycles [now, now+n) in one step, with stats
-     * identical to n individual tick() calls. Only legal when @p n <=
-     * inertCycles(n) for Running processors, which replay their quiet
-     * plan: the quiet hits' cache-local side effects go straight to
-     * the planned frames (their effects are own-cache-only, so no
-     * ordering with other processors' windows arises), the statistics
-     * are the difference of the plan's running totals, and the cursor
-     * comes from the plan — also when the span ends mid-burst or
-     * between a reference's two cycles. Without a current plan the
-     * walk runs first. Blocked processors accept any span: its cycles
-     * go to the stall bucket chosen when the wait began (a spinner's
-     * or a full-buffer prefetch's per-cycle retries provably fail
-     * during an inert window), so a processor's statistics are exact
-     * as of its local clock.
+     * identical to n individual tick() calls. A Running processor
+     * replays the quiet plan its last inertCycles(now') query walked
+     * or re-read, and @p n must not pass that plan's end: now + n <=
+     * now' + inertCycles(now'), else it panics. The quiet hits'
+     * cache-local side effects go straight to the planned frames
+     * (their effects are own-cache-only, so no ordering with other
+     * processors' windows arises), the statistics are the difference
+     * of the plan's running totals, and the cursor comes from the plan
+     * — also when the span ends mid-burst or between a reference's two
+     * cycles. Blocked processors accept any span: its cycles go to the
+     * stall bucket chosen when the wait began (a spinner's or a
+     * full-buffer prefetch's per-cycle retries provably fail during an
+     * inert window), so a processor's statistics are exact as of its
+     * local clock.
      */
     void fastForward(Cycle n, Cycle now);
 
@@ -212,9 +198,6 @@ class Processor
      *  trace (Done, finished at the cycle after @p now). */
     void advance(Cycle now);
 
-    /** The Running-state trace walk behind inertCycles(). */
-    Cycle runningInertCycles(Cycle now) const;
-
     /** True when the plan's version is current; otherwise the plan is
      *  dropped. */
     bool
@@ -226,9 +209,9 @@ class Processor
         return false;
     }
 
-    /** Walk a new plan from the live cursor at cycle @p now until it
-     *  reaches cycle @p until or a boundary. */
-    void walkPlan(Cycle now, Cycle until) const;
+    /** Walk a new plan from the live cursor at cycle @p now to the
+     *  next boundary (see inertCycles). */
+    void walkPlan(Cycle now) const;
 
     /** Replay the plan up to offset @p to from its start. */
     void applyPlan(Cycle to);
@@ -293,15 +276,13 @@ class Processor
      * live cursor is inside it. Self progression cannot invalidate it
      * (fastForward applies it; an exact tick drops it), and the
      * processor's own walk-ending action expires it by moving past
-     * end. capped marks a walk cut short by its lookahead (or its
-     * size bounds) rather than a real boundary; the walk starts afresh
-     * from the live cursor when a query needs more. Buffers are thus
-     * bounded by the lookahead plus one burst.
+     * end. A walk ends at a boundary, which may be one of the plan's
+     * size bounds; its buffers hold at most kMaxPlanSteps steps and
+     * one hit per step.
      */
     struct QuietPlan
     {
         bool valid = false;
-        bool capped = false;
         bool startsInAccess = false; ///< Cursor phase at start.
         bool endInAccess = false;    ///< Cursor phase at end.
         std::uint64_t version = 0;

@@ -15,7 +15,8 @@
  *    frontier and catch-up logic could plausibly go wrong: wakes and
  *    barrier releases landing mid-burst, the warmup statistics reset,
  *    spin-lock windows, prefetch-buffer back-pressure, empty traces,
- *    and the final record of a trace, which always runs exactly.
+ *    the final record of a trace, which always runs exactly, and the
+ *    quiet plan's size bounds, the walk's only other limit.
  *
  * The oracle counts each blocked cycle as it ticks, while the
  * local-clock core bulk-adds a wait at every catch-up of the waiting
@@ -163,6 +164,41 @@ twoProc(Trace a, Trace b, unsigned locks = 0, unsigned barriers = 0)
     pt.procs.push_back(std::move(b));
     return pt;
 }
+
+/** One processor on its own memory system, driven by hand: a test
+ *  ticks it, queries its boundary and replays spans directly. */
+struct HandProc
+{
+    explicit HandProc(const Trace &t)
+        : mem(1, cfg.geometry, cfg.timing, cfg.prefetchBufferDepth, stats),
+          proc(0, t, mem, locks, barriers, stats[0], nullptr)
+    {
+        mem.setWake([this](ProcId, bool retry) {
+            proc.wake(retry, now);
+            woken = true;
+        });
+    }
+
+    /** Execute the first record, a read that misses, until its fill
+     *  wakes the processor in its access phase. */
+    void
+    coldMiss()
+    {
+        proc.tick(now++); // Instruction cycle.
+        proc.tick(now);   // Access: misses and blocks.
+        while (!woken)
+            mem.tick(++now); // The bus ticks first; the fill wakes it.
+    }
+
+    const SimConfig cfg = plainConfig();
+    std::vector<ProcStats> stats = std::vector<ProcStats>(1);
+    MemorySystem mem;
+    LockTable locks{0};
+    BarrierManager barriers{1};
+    Processor proc;
+    Cycle now = 0;
+    bool woken = false;
+};
 
 /** A fill completion (wake) lands in the middle of another processor's
  *  instruction burst: the lagging processor must catch up there. */
@@ -393,27 +429,13 @@ TEST(BurstBoundary, WalkStopsAtPrefetch)
     t.append(TraceRecord::prefetch(line)); // Resident: dropped.
     t.appendInstrs(5);
 
-    const SimConfig cfg = plainConfig();
-    std::vector<ProcStats> stats(1);
-    MemorySystem mem(1, cfg.geometry, cfg.timing, cfg.prefetchBufferDepth,
-                     stats);
-    LockTable locks(0);
-    BarrierManager barriers(1);
-    Processor proc(0, t, mem, locks, barriers, stats[0], nullptr);
-    Cycle now = 0;
-    bool woken = false;
-    mem.setWake([&](ProcId, bool retry) {
-        proc.wake(retry, now);
-        woken = true;
-    });
-    proc.tick(now++); // Instruction cycle.
-    proc.tick(now);   // Access: misses and blocks.
-    while (!woken)
-        mem.tick(++now); // The bus ticks first; the fill wakes it.
+    HandProc h(t);
+    h.coldMiss();
     // The woken read retries and hits quietly; then come the burst and
     // the prefetch's instruction cycle, and nothing after them.
-    EXPECT_EQ(proc.inertCycles(now), 1u + 10u + 1u);
+    EXPECT_EQ(h.proc.inertCycles(h.now), 1u + 10u + 1u);
 
+    const SimConfig cfg = plainConfig();
     const ParallelTrace pt = twoProc(t, Trace{});
     expectEnginesAgree(pt, cfg, "walk-stops-at-prefetch");
     const ProcStats ps = simulate(pt, cfg).procs[0];
@@ -441,42 +463,100 @@ TEST(BurstBoundary, FinalRecordRunsExactly)
         t.append(TraceRecord::write(line)); // Quiet: the line is E.
         t.append(last);
 
-        const SimConfig cfg = plainConfig();
-        std::vector<ProcStats> stats(1);
-        MemorySystem mem(1, cfg.geometry, cfg.timing,
-                         cfg.prefetchBufferDepth, stats);
-        LockTable locks(0);
-        BarrierManager barriers(1);
-        Processor proc(0, t, mem, locks, barriers, stats[0], nullptr);
-        Cycle now = 0;
-        bool woken = false;
-        mem.setWake([&](ProcId, bool retry) {
-            proc.wake(retry, now);
-            woken = true;
-        });
-        proc.tick(now++); // Instruction cycle.
-        proc.tick(now);   // Access: misses and blocks.
-        while (!woken)
-            mem.tick(++now);
+        HandProc h(t);
+        h.coldMiss();
         // The retried read hits, then come the burst and the write's
         // two cycles; the walk stops at the final record's first cycle.
         const Cycle quiet = 1 + 10 + 2;
-        ASSERT_EQ(proc.inertCycles(now), quiet);
-        proc.fastForward(quiet, now);
-        now += quiet;
-        EXPECT_FALSE(proc.done());
+        ASSERT_EQ(h.proc.inertCycles(h.now), quiet);
+        h.proc.fastForward(quiet, h.now);
+        h.now += quiet;
+        EXPECT_FALSE(h.proc.done());
         const Cycle final_cycles = last.kind == RecordKind::Read ? 2 : 7;
         for (Cycle i = 0; i < final_cycles; ++i) {
-            ASSERT_FALSE(proc.done()) << "cycle " << i;
-            EXPECT_EQ(proc.inertCycles(now), 0u) << "cycle " << i;
-            proc.tick(now++);
+            ASSERT_FALSE(h.proc.done()) << "cycle " << i;
+            EXPECT_EQ(h.proc.inertCycles(h.now), 0u) << "cycle " << i;
+            h.proc.tick(h.now++);
         }
-        EXPECT_TRUE(proc.done());
-        EXPECT_EQ(stats[0].finishedAt, now);
-        EXPECT_EQ(stats[0].busy, 1 + quiet + final_cycles);
+        EXPECT_TRUE(h.proc.done());
+        EXPECT_EQ(h.stats[0].finishedAt, h.now);
+        EXPECT_EQ(h.stats[0].busy, 1 + quiet + final_cycles);
 
-        expectEnginesAgree(twoProc(t, Trace{}), cfg, name);
+        expectEnginesAgree(twoProc(t, Trace{}), plainConfig(), name);
     }
+}
+
+/** A walk's only limits besides real boundaries are the plan's size
+ *  bounds, 0xffff steps and 2^32 - 1 cycles, which no generated
+ *  workload reaches. A walk stopped by either ends at an ordinary
+ *  boundary that ticks exactly. Driven by hand; the cycle bound is
+ *  four billion cycles away, so that case never runs on the cycle
+ *  loop. */
+TEST(BurstBoundary, PlanSizeBounds)
+{
+    const Addr line = 0x1000;
+    {
+        SCOPED_TRACE("step bound");
+        constexpr Cycle kSteps = 0xffff;
+        constexpr Cycle kHits = 70000;
+        Trace t;
+        t.append(TraceRecord::read(line)); // Cold miss.
+        for (Cycle i = 0; i < kHits; ++i)
+            t.append(TraceRecord::read(line)); // Quiet hits.
+        t.appendInstrs(1);
+        HandProc h(t);
+        h.coldMiss();
+        // The retried access is one step, then whole references of two
+        // cycles each, up to the step bound.
+        const Cycle quiet = 1 + 2 * (kSteps - 1);
+        ASSERT_EQ(h.proc.inertCycles(h.now), quiet);
+        h.proc.fastForward(quiet, h.now);
+        h.now += quiet;
+        EXPECT_EQ(h.stats[0].reads, kSteps);
+        EXPECT_EQ(h.stats[0].busy, 1 + quiet);
+        // The bound is a boundary: the next reference's instruction
+        // cycle executes exactly, then a walk takes the access and the
+        // rest of the hits, up to the final record.
+        EXPECT_EQ(h.proc.inertCycles(h.now), 0u);
+        h.proc.tick(h.now++);
+        EXPECT_EQ(h.proc.inertCycles(h.now), 1 + 2 * (kHits - kSteps));
+
+        expectEnginesAgree(twoProc(t, Trace{}), plainConfig(),
+                           "plan-step-bound");
+    }
+    {
+        SCOPED_TRACE("cycle bound");
+        Trace t;
+        t.appendInstrs(1);
+        t.appendInstrs(kMaxInstrCount); // Too long to fold: a record.
+        t.append(TraceRecord::barrier(0));
+        ASSERT_EQ(t.size(), 3u);
+        HandProc h(t);
+        // One quiet cycle and the whole burst would pass the bound: the
+        // walk stops before the burst.
+        ASSERT_EQ(h.proc.inertCycles(h.now), 1u);
+        h.proc.tick(h.now++);
+        // A walk from the burst's start takes it whole.
+        ASSERT_EQ(h.proc.inertCycles(h.now), Cycle{kMaxInstrCount});
+        h.proc.fastForward(kMaxInstrCount, h.now);
+        h.now += kMaxInstrCount;
+        EXPECT_EQ(h.stats[0].busy, 1 + Cycle{kMaxInstrCount});
+        EXPECT_EQ(h.proc.inertCycles(h.now), 0u);
+    }
+}
+
+/** A replay may not pass the boundary inertCycles() reported: one
+ *  cycle more panics. */
+TEST(BurstBoundaryDeathTest, ReplayPastPlanEndPanics)
+{
+    Trace t;
+    t.appendInstrs(10);
+    t.append(TraceRecord::barrier(0));
+    HandProc h(t);
+    ASSERT_EQ(h.proc.inertCycles(0), 10u);
+    EXPECT_DEATH(h.proc.fastForward(11, 0),
+                 "proc 0 was asked to replay 11 cycles at 0 past the end "
+                 "of its quiet plan");
 }
 
 /** The run ends in the cycle the last trace retires, which the cycle
