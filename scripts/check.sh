@@ -69,8 +69,16 @@ stage "reproduction golden"
 #   build/bench/prefsim_repro --jobs "$(nproc)" --out results
 CACHE=$(mktemp -d)
 trap 'rm -rf "$CACHE"' EXIT
-"$BUILD"/bench/prefsim_repro --quiet --jobs "$JOBS" --out "$CACHE/results" \
-    --cache-dir "$CACHE/runs"
+# The cold run's peak RSS is printed for information (no gate); there
+# is no /usr/bin/time, so python3 reads it from getrusage.
+python3 - "$BUILD"/bench/prefsim_repro --quiet --jobs "$JOBS" \
+    --out "$CACHE/results" --cache-dir "$CACHE/runs" <<'EOF'
+import resource, subprocess, sys
+rc = subprocess.run(sys.argv[1:]).returncode
+rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss // 1024
+print(f"info: cold prefsim_repro peak RSS {rss} MB")
+sys.exit(rc)
+EOF
 diff -r results "$CACHE/results"
 echo "ok: prefsim_repro reproduces results/"
 # A warm cache re-renders every table by exact key without simulating.

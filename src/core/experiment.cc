@@ -1,5 +1,6 @@
 #include "core/experiment.hh"
 
+#include <memory>
 #include <sstream>
 
 namespace prefsim
@@ -55,9 +56,10 @@ runExperiment(const ExperimentSpec &spec)
 {
     WorkloadParams wp = spec.params;
     wp.restructured = spec.restructured;
-    const ParallelTrace base = generateWorkload(spec.workload, wp);
-    AnnotatedTrace annotated =
-        annotateTrace(base, spec.annotationParams(), spec.geometry);
+    const AnnotatedView annotated = annotateView(
+        std::make_shared<const ParallelTrace>(
+            generateWorkload(spec.workload, wp)),
+        spec.annotationParams(), spec.geometry);
 
     ExperimentResult result;
     result.spec = spec;

@@ -30,15 +30,15 @@ nanosSince(std::chrono::steady_clock::time_point start)
             .count());
 }
 
-/** The most records one processor of @p trace runs. A simulation's
+/** The most records one processor of @p view runs. A simulation's
  *  time grows with it, so it is the key that orders simulations
  *  longest-first. */
 std::size_t
-longestStream(const ParallelTrace &trace)
+longestStream(const TraceView &view)
 {
     std::size_t most = 0;
-    for (const Trace &t : trace.procs)
-        most = std::max(most, t.size());
+    for (std::size_t p = 0; p < view.numProcs(); ++p)
+        most = std::max(most, view.streamSize(p));
     return most;
 }
 
@@ -214,7 +214,7 @@ SweepEngine::executeBatch(const std::vector<ExperimentSpec> &specs)
 
     const auto runSim = [&](std::size_t i) {
         const SimNode &node = sims[i];
-        std::shared_ptr<const AnnotatedTrace> ann;
+        std::shared_ptr<const AnnotatedView> ann;
         {
             std::lock_guard<std::mutex> lock(mu_);
             ann = annotated_.at(node.annKey);
@@ -267,7 +267,7 @@ SweepEngine::executeBatch(const std::vector<ExperimentSpec> &specs)
             std::lock_guard<std::mutex> lock(mu_);
             trace = traces_.at(node.traceKey);
         }
-        produceAnnotation(*node.spec, node.annKey, *trace);
+        produceAnnotation(*node.spec, node.annKey, std::move(trace));
         for (const std::size_t s : node.sims)
             pool.submit([&runSim, s] { runSim(s); });
     };
@@ -400,7 +400,7 @@ SweepEngine::speedup(WorkloadKind kind, bool restructured,
                                   data_transfer);
 }
 
-const ParallelTrace &
+std::shared_ptr<const ParallelTrace>
 SweepEngine::produceTrace(const ExperimentSpec &spec, const std::string &key)
 {
     WorkloadParams wp = spec.params;
@@ -412,17 +412,17 @@ SweepEngine::produceTrace(const ExperimentSpec &spec, const std::string &key)
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.tracesGenerated;
     counters_.traceNanos += nanos;
-    return *(traces_[key] = std::move(trace));
+    return traces_[key] = std::move(trace);
 }
 
-const AnnotatedTrace &
+const AnnotatedView &
 SweepEngine::produceAnnotation(const ExperimentSpec &spec,
                                const std::string &key,
-                               const ParallelTrace &base)
+                               std::shared_ptr<const ParallelTrace> base)
 {
     const auto start = std::chrono::steady_clock::now();
-    auto ann = std::make_shared<const AnnotatedTrace>(
-        annotateTrace(base, spec.annotationParams(), spec.geometry));
+    auto ann = std::make_shared<const AnnotatedView>(annotateView(
+        std::move(base), spec.annotationParams(), spec.geometry));
     const std::uint64_t nanos = nanosSince(start);
     std::lock_guard<std::mutex> lock(mu_);
     ++counters_.annotationsRun;
@@ -433,14 +433,20 @@ SweepEngine::produceAnnotation(const ExperimentSpec &spec,
 const ParallelTrace &
 SweepEngine::baseTrace(WorkloadKind kind, bool restructured)
 {
+    return *sharedBaseTrace(kind, restructured);
+}
+
+std::shared_ptr<const ParallelTrace>
+SweepEngine::sharedBaseTrace(WorkloadKind kind, bool restructured)
+{
     const ExperimentSpec spec =
         makeSpec(kind, restructured, Strategy::NP, 8);
     const std::string key = traceStageKey(spec);
     const auto it = traces_.find(key);
-    return it != traces_.end() ? *it->second : produceTrace(spec, key);
+    return it != traces_.end() ? it->second : produceTrace(spec, key);
 }
 
-const AnnotatedTrace &
+const AnnotatedView &
 SweepEngine::annotated(WorkloadKind kind, bool restructured,
                        Strategy strategy)
 {
@@ -450,8 +456,9 @@ SweepEngine::annotated(WorkloadKind kind, bool restructured,
     const auto it = annotated_.find(key);
     if (it != annotated_.end())
         return *it->second;
-    // Off the pool, annotateTrace fans its processors out itself.
-    return produceAnnotation(spec, key, baseTrace(kind, restructured));
+    // Off the pool, annotateView fans its processors out itself.
+    return produceAnnotation(spec, key,
+                             sharedBaseTrace(kind, restructured));
 }
 
 void

@@ -175,9 +175,10 @@ class SweepEngine
     const ParallelTrace &baseTrace(WorkloadKind kind,
                                    bool restructured = false);
 
-    /** The strategy-annotated trace; cached and shared. */
-    const AnnotatedTrace &annotated(WorkloadKind kind, bool restructured,
-                                    Strategy strategy);
+    /** The strategy-annotated trace, a view of the base trace;
+     *  cached and shared. */
+    const AnnotatedView &annotated(WorkloadKind kind, bool restructured,
+                                   Strategy strategy);
 
     const WorkloadParams &params() const { return params_; }
     const CacheGeometry &geometry() const { return geometry_; }
@@ -229,12 +230,16 @@ class SweepEngine
     /** @name Stage producers, used by the DAG's workers and by the
      *  on-demand accessors alike: run one stage for @p spec, install
      *  the product under @p key and count it. Thread-safe. @{ */
-    const ParallelTrace &produceTrace(const ExperimentSpec &spec,
-                                      const std::string &key);
-    const AnnotatedTrace &produceAnnotation(const ExperimentSpec &spec,
-                                            const std::string &key,
-                                            const ParallelTrace &base);
+    std::shared_ptr<const ParallelTrace>
+    produceTrace(const ExperimentSpec &spec, const std::string &key);
+    const AnnotatedView &
+    produceAnnotation(const ExperimentSpec &spec, const std::string &key,
+                      std::shared_ptr<const ParallelTrace> base);
     /** @} */
+
+    /** baseTrace(), as the pointer an annotation view shares. */
+    std::shared_ptr<const ParallelTrace>
+    sharedBaseTrace(WorkloadKind kind, bool restructured);
 
     /** Try the disk cache; on success the result is installed. */
     bool tryLoadFromDisk(const ExperimentSpec &spec,
@@ -261,7 +266,8 @@ class SweepEngine
     /** Guards the stage maps and counters while workers run. */
     std::mutex mu_;
     std::map<std::string, std::shared_ptr<const ParallelTrace>> traces_;
-    std::map<std::string, std::shared_ptr<const AnnotatedTrace>>
+    /** Annotation views, each sharing its base trace in traces_. */
+    std::map<std::string, std::shared_ptr<const AnnotatedView>>
         annotated_;
     std::map<std::string, std::unique_ptr<ExperimentResult>> runs_;
 };

@@ -19,19 +19,6 @@ namespace prefsim
 namespace
 {
 
-/** A prefetch scheduled for insertion into record @c recordIdx. */
-struct PendingPrefetch
-{
-    /** Record the prefetch lands in (before it, or inside an Instr
-     *  batch split at @c offset). */
-    std::size_t recordIdx;
-    Addr addr;
-    /** Estimated cycles into the record (non-zero only for Instr, and
-     *  below its count). */
-    std::uint32_t offset;
-    bool exclusive;
-};
-
 /**
  * For every record index, the estimated start cycle of the next demand
  * access to the same line if that access is a *write* (kNoCycle when
@@ -78,7 +65,7 @@ nextWriteToSameLine(const Trace &in, const CacheGeometry &geom)
  * come out in (record, offset) order; ties keep covered-access order,
  * so earlier needs prefetch first.
  */
-std::vector<PendingPrefetch>
+PlacementList
 selectPrefetches(const Trace &in, const StrategyParams &params,
                  const CacheGeometry &geom, const SharingAnalysis *sharing,
                  AnnotateStats &stats)
@@ -99,7 +86,7 @@ selectPrefetches(const Trace &in, const StrategyParams &params,
     constexpr std::size_t kNoIndex = ~std::size_t{0};
     std::size_t last_sync = kNoIndex;
 
-    std::vector<PendingPrefetch> pending;
+    PlacementList pending;
     Cycle cycle = 0;
     for (std::size_t i = 0; i < in.size(); ++i) {
         const TraceRecord &r = in[i];
@@ -164,7 +151,7 @@ selectPrefetches(const Trace &in, const StrategyParams &params,
             ++stats.rtwExclusive;
         }
         prefsim_assert(pending.empty() ||
-                           std::tie(pending.back().recordIdx,
+                           std::tie(pending.back().record,
                                     pending.back().offset) <=
                                std::tie(j_final, offset),
                        "prefetch placements went backwards");
@@ -179,45 +166,6 @@ selectPrefetches(const Trace &in, const StrategyParams &params,
     return pending;
 }
 
-/** Append @p in with @p pending inserted to @p out, whose capacity the
- *  caller has reserved (in.size() + 2 * pending.size() bounds it: each
- *  prefetch adds itself and at most one split-off Instr record). */
-void
-emitAnnotated(const Trace &in, const std::vector<PendingPrefetch> &pending,
-              Trace &out)
-{
-    std::size_t next = 0;
-    for (std::size_t i = 0; i < in.size(); ++i) {
-        const TraceRecord &r = in[i];
-        std::uint32_t emitted = 0; // Instr cycles of record i emitted.
-        while (next < pending.size() && pending[next].recordIdx == i) {
-            const PendingPrefetch &p = pending[next];
-            if (p.offset > emitted) {
-                prefsim_assert(r.kind == RecordKind::Instr,
-                               "split offset in non-instr record");
-                out.appendInstrs(p.offset - emitted);
-                emitted = p.offset;
-            }
-            out.append(TraceRecord::prefetch(p.addr, p.exclusive));
-            ++next;
-        }
-        if (r.kind == RecordKind::Instr) {
-            prefsim_assert(emitted <= r.count, "instr split overflow");
-            // appendInstrs would re-coalesce the tail with the head if
-            // no prefetch separated them; emitting the remainder keeps
-            // the total count intact either way.
-            out.appendInstrs(r.count - emitted);
-        } else {
-            out.append(r);
-        }
-    }
-    while (next < pending.size()) {
-        out.append(TraceRecord::prefetch(pending[next].addr,
-                                         pending[next].exclusive));
-        ++next;
-    }
-}
-
 void
 addStats(AnnotateStats &into, const AnnotateStats &s)
 {
@@ -230,38 +178,27 @@ addStats(AnnotateStats &into, const AnnotateStats &s)
     into.demandRefs += s.demandRefs;
 }
 
-} // namespace
-
-AnnotatedTrace
-annotateTrace(const ParallelTrace &input, const StrategyParams &params,
-              const CacheGeometry &geom)
+/**
+ * Select every processor's placements in @p input, adding the pass
+ * accounting to @p total. Disabled params place nothing and return no
+ * lists (the verbatim view). Processors are planned concurrently
+ * (parallelFor, so serially when called on a ThreadPool worker); each
+ * index writes only its own slots, and counters are updated in a local
+ * and stored once, since neighbouring processors' slots share cache
+ * lines.
+ */
+std::vector<PlacementList>
+planPlacements(const ParallelTrace &input, const StrategyParams &params,
+               const CacheGeometry &geom, AnnotateStats &total)
 {
     if (params.enabled && params.distanceCycles == 0)
         prefsim_fatal("prefetch distance must be non-zero when enabled");
 
-    AnnotatedTrace result;
-    result.trace.name = input.name;
-    result.trace.numLocks = input.numLocks;
-    result.trace.numBarriers = input.numBarriers;
-
-    // Processors are annotated concurrently. Each index writes only its
-    // own slots, and this thread allocates every output buffer, so the
-    // traces do not land in the helper threads' malloc arenas (memory a
-    // thread frees into its own arena is not reused by the others).
-    // Counters and traces are updated in locals and stored once: slots
-    // of neighbouring processors share cache lines, and updating them in
-    // place ping-pongs those lines between the threads.
     const std::size_t n = input.numProcs();
     std::vector<AnnotateStats> stats(n);
-    std::vector<Trace> &out = result.trace.procs;
-    out.resize(n);
-
+    std::vector<PlacementList> placements;
     if (!params.enabled) {
-        for (std::size_t p = 0; p < n; ++p)
-            out[p].reserve(input.procs[p].size());
         parallelFor(n, [&](std::size_t p) {
-            const std::vector<TraceRecord> &in = input.procs[p].records();
-            out[p].records().assign(in.begin(), in.end());
             stats[p].demandRefs = input.procs[p].demandRefs();
         });
     } else {
@@ -272,25 +209,47 @@ annotateTrace(const ParallelTrace &input, const StrategyParams &params,
         if (params.prefetchWriteShared || params.privateLinesOnly)
             sharing =
                 std::make_unique<SharingAnalysis>(input, geom.lineBytes());
-
-        std::vector<std::vector<PendingPrefetch>> pending(n);
+        placements.resize(n);
         parallelFor(n, [&](std::size_t p) {
             AnnotateStats mine;
-            pending[p] = selectPrefetches(input.procs[p], params, geom,
-                                          sharing.get(), mine);
+            placements[p] = selectPrefetches(input.procs[p], params, geom,
+                                             sharing.get(), mine);
             stats[p] = mine;
-        });
-        for (std::size_t p = 0; p < n; ++p)
-            out[p].reserve(input.procs[p].size() + 2 * pending[p].size());
-        parallelFor(n, [&](std::size_t p) {
-            Trace mine = std::move(out[p]);
-            emitAnnotated(input.procs[p], pending[p], mine);
-            out[p] = std::move(mine);
         });
     }
     for (const AnnotateStats &s : stats)
-        addStats(result.stats, s);
-    return result;
+        addStats(total, s);
+    return placements;
+}
+
+} // namespace
+
+AnnotatedView
+annotateView(std::shared_ptr<const ParallelTrace> base,
+             const StrategyParams &params, const CacheGeometry &geom)
+{
+    AnnotatedView view;
+    view.trace.placements = planPlacements(*base, params, geom, view.stats);
+    // The view keeps its lists: copy each to its exact size on this
+    // thread, leaving the planning threads' growth slack behind.
+    for (PlacementList &l : view.trace.placements)
+        l.shrink_to_fit();
+    view.trace.base = std::move(base);
+    return view;
+}
+
+AnnotatedTrace
+annotateTrace(const ParallelTrace &input, const StrategyParams &params,
+              const CacheGeometry &geom)
+{
+    // The view borrows input for this call: an aliasing pointer with
+    // no owner.
+    AnnotatedTrace out;
+    const TraceView view{std::shared_ptr<const ParallelTrace>(
+                             std::shared_ptr<const ParallelTrace>(), &input),
+                         planPlacements(input, params, geom, out.stats)};
+    out.trace = view.materialize();
+    return out;
 }
 
 AnnotatedTrace

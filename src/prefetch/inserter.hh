@@ -23,10 +23,12 @@
 #define PREFSIM_PREFETCH_INSERTER_HH
 
 #include <cstdint>
+#include <memory>
 
 #include "common/cache_geometry.hh"
 #include "prefetch/strategy.hh"
 #include "trace/trace.hh"
+#include "trace/trace_view.hh"
 
 namespace prefsim
 {
@@ -67,13 +69,33 @@ struct AnnotatedTrace
     AnnotateStats stats;
 };
 
+/** An annotation as a view over its base trace, plus the pass
+ *  accounting. */
+struct AnnotatedView
+{
+    TraceView trace;
+    AnnotateStats stats;
+};
+
+/**
+ * Place prefetches into @p base according to @p params, for caches of
+ * geometry @p geom, without copying it: the view shares @p base and
+ * holds each processor's placements.
+ *
+ * With params.enabled == false nothing is placed and the view reads
+ * the base verbatim (NP). Processors are planned concurrently
+ * (parallelFor, so serially when called on a ThreadPool worker); the
+ * result is the same either way.
+ */
+AnnotatedView annotateView(std::shared_ptr<const ParallelTrace> base,
+                           const StrategyParams &params,
+                           const CacheGeometry &geom);
+
 /**
  * Produce a copy of @p input with prefetch records inserted according to
- * @p params, for caches of geometry @p geom.
+ * @p params: annotateView's placements, materialized.
  *
  * With params.enabled == false the trace is returned unmodified (NP).
- * Processors are annotated concurrently (parallelFor, so serially when
- * called on a ThreadPool worker); the result is the same either way.
  */
 AnnotatedTrace annotateTrace(const ParallelTrace &input,
                              const StrategyParams &params,

@@ -10,16 +10,43 @@ namespace prefsim
 
 Processor::Processor(ProcId id, const Trace &trace, MemorySystem &mem,
                      LockTable &locks, BarrierManager &barriers,
-                     ProcStats &stats, ReleaseAllFn release_all)
-    : id_(id), trace_(trace), mem_(mem), locks_(locks),
+                     ProcStats &stats, ReleaseAllFn release_all,
+                     const PlacementList *placements)
+    : id_(id), trace_(trace),
+      places_(placements ? placements->data() : nullptr),
+      num_places_(placements ? placements->size() : 0),
+      placed_(placements != nullptr), mem_(mem), locks_(locks),
       barriers_(barriers), stats_(stats),
       release_all_(std::move(release_all))
 {
-    if (trace_.empty()) {
+    const std::vector<TraceRecord> &records = trace_.records();
+    for (std::size_t i = 0; i < num_places_; ++i) {
+        const Placement &pl = places_[i];
+        const bool in_burst = pl.record < records.size() &&
+                              records[pl.record].kind == RecordKind::Instr &&
+                              pl.offset < records[pl.record].count;
+        prefsim_assert(pl.record <= records.size() &&
+                           (pl.offset == 0 || in_burst),
+                       "proc ", id_, " placement ", i, " (record ",
+                       pl.record, ", offset ", pl.offset,
+                       ") does not fit its trace");
+        prefsim_assert(i == 0 || places_[i - 1].record < pl.record ||
+                           (places_[i - 1].record == pl.record &&
+                            places_[i - 1].offset <= pl.offset),
+                       "proc ", id_, " placements are not sorted at ", i);
+    }
+    for (std::size_t i = records.size(); i-- > 0;) {
+        const TraceRecord &r = records[i];
+        if (!placed_ || r.kind != RecordKind::Instr || r.count != 0) {
+            final_ = i;
+            break;
+        }
+    }
+    if (num_places_ != 0)
+        next_record_ = places_[0].record;
+    if (!seek()) {
         state_ = State::Done;
         stats_.finishedAt = 0;
-    } else if (trace_[0].kind == RecordKind::Instr) {
-        instr_left_ = trace_[0].count;
     }
 }
 
@@ -34,17 +61,50 @@ constexpr Cycle kMaxPlanCycles = 0xffff'ffff;
 
 } // namespace
 
+bool
+Processor::seek()
+{
+    const std::vector<TraceRecord> &records = trace_.records();
+    for (;;) {
+        // A placement runs before the rest of the record it lands in.
+        on_placement_ =
+            index_ == next_record_ && emitted_ == places_[next_].offset;
+        if (on_placement_) {
+            cur_ = places_[next_].toRecord();
+            return true;
+        }
+        if (index_ == records.size())
+            return false;
+        cur_ = records[index_];
+        if (cur_.kind != RecordKind::Instr)
+            return true;
+        // A burst runs to the next placement inside it, or to its end.
+        instr_left_ =
+            (index_ == next_record_ ? places_[next_].offset : cur_.count) -
+            emitted_;
+        if (instr_left_ != 0 || !placed_)
+            return true;
+        ++index_; // An empty burst, which a placed stream drops.
+        emitted_ = 0;
+    }
+}
+
 void
 Processor::advance(Cycle now)
 {
-    ++index_;
     ++progress_;
     in_access_phase_ = false;
-    if (index_ < trace_.size()) {
-        if (trace_[index_].kind == RecordKind::Instr)
-            instr_left_ = trace_[index_].count;
-        return;
+    if (on_placement_) {
+        ++next_;
+        next_record_ = next_ < num_places_ ? places_[next_].record : kNoIndex;
+    } else if (cur_.kind == RecordKind::Instr && index_ == next_record_) {
+        emitted_ = places_[next_].offset; // The burst split here.
+    } else {
+        ++index_;
+        emitted_ = 0;
     }
+    if (seek())
+        return;
     state_ = State::Done;
     stats_.finishedAt = now + 1; // This cycle was the last retired.
     if (done_counter_)
@@ -54,9 +114,9 @@ Processor::advance(Cycle now)
 bool
 Processor::executeAccess(Cycle now)
 {
-    const TraceRecord &r = trace_[index_];
-    const bool is_write = r.kind == RecordKind::Write;
-    const AccessResult res = mem_.demandAccess(id_, r.addr, is_write, now);
+    const bool is_write = cur_.kind == RecordKind::Write;
+    const AccessResult res =
+        mem_.demandAccess(id_, cur_.addr, is_write, now);
     Cycle *bucket = &stats_.stallDemand;
     obs::Stall why = obs::Stall::Miss;
     switch (res) {
@@ -106,7 +166,7 @@ Processor::tick(Cycle now)
         ++*stall_bucket_;
         return;
       case State::SpinLock: {
-        const TraceRecord &r = trace_[index_];
+        const TraceRecord r = cur_;
         if (locks_.tryAcquire(r.sync, id_)) {
             ++stats_.busy;
             state_ = State::Running;
@@ -120,7 +180,7 @@ Processor::tick(Cycle now)
         return;
       }
       case State::StallPrefetch: {
-        const TraceRecord &r = trace_[index_];
+        const TraceRecord r = cur_;
         const PrefetchResult res = mem_.prefetchAccess(
             id_, r.addr, r.kind == RecordKind::PrefetchExcl, now);
         if (res == PrefetchResult::BufferFull) {
@@ -144,7 +204,7 @@ Processor::tick(Cycle now)
 
     // An exact tick moves the cursor off the plan's path bookkeeping.
     plan_.valid = false;
-    const TraceRecord &r = trace_[index_];
+    const TraceRecord r = cur_;
     switch (r.kind) {
       case RecordKind::Instr:
         ++stats_.busy;
@@ -279,7 +339,7 @@ Processor::barrierRelease(Cycle now)
 void
 Processor::walkPlan(Cycle now) const
 {
-    // Walk the trace from the live cursor, counting consecutive cycles
+    // Walk the stream from the live cursor, counting consecutive cycles
     // whose tick() provably has no cross-processor effect. Quiet-hit
     // predictions stay valid for the whole window: nothing another
     // processor does during it can evict or invalidate a line (those
@@ -292,6 +352,8 @@ Processor::walkPlan(Cycle now) const
     p.version = mem_.cacheVersion(id_);
     p.start = now;
     p.first = index_;
+    p.firstEmitted = emitted_;
+    p.placeStep = kNoIndex;
     p.steps.clear();
     p.hits.clear();
     p.at = 0;
@@ -300,8 +362,15 @@ Processor::walkPlan(Cycle now) const
     p.counted = PlanTotals{};
     const CacheGeometry &geom = mem_.geometry();
     const std::vector<TraceRecord> &records = trace_.records();
+    // The walk's one test per record: it stops at the next placement's
+    // record or at the final record, whichever comes first.
+    const std::size_t stop = std::min(next_record_, final_);
+    // An empty burst costs the one cycle tick() charges, unless the
+    // stream is placed and drops it (a step of no cycles).
+    const Cycle min_burst = placed_ ? 0 : 1;
     Cycle n = 0;
     std::size_t idx = index_;
+    std::uint32_t emitted = emitted_;
     bool access_phase = in_access_phase_;
     PlanTotals totals;
     const auto push = [&] {
@@ -310,21 +379,43 @@ Processor::walkPlan(Cycle now) const
     // A reference step takes at most two cycles, so every offset
     // stays within kMaxPlanCycles.
     while (n + 1 < kMaxPlanCycles && p.steps.size() < kMaxPlanSteps) {
-        if (idx + 1 == records.size()) {
-            // The final record executes in exact ticks, as a sync
-            // record does, so a replay never retires the trace.
+        if (idx >= stop) {
+            if (idx >= final_) {
+                // The final record executes in exact ticks, as a sync
+                // record does, so a replay never retires the stream.
+                break;
+            }
+            // The next placement: the Instr cycles before it in its
+            // record, then its instruction cycle, which ends the walk.
+            const std::uint32_t offset = places_[next_].offset;
+            if (emitted < offset) {
+                const Cycle burst =
+                    idx == index_ ? instr_left_ : offset - emitted;
+                if (burst > kMaxPlanCycles - n)
+                    break;
+                n += burst;
+                push();
+                emitted = offset;
+                continue;
+            }
+            if (!access_phase) {
+                ++n;
+                access_phase = true;
+                p.placeStep = p.steps.size();
+                push();
+            }
             break;
         }
         const TraceRecord &r = records[idx];
         if (r.kind == RecordKind::Instr) {
             const std::uint32_t left = idx == index_ ? instr_left_ : r.count;
-            // A count of zero still costs the one cycle tick() charges.
-            const Cycle burst = std::max<Cycle>(left, 1);
+            const Cycle burst = std::max<Cycle>(left, min_burst);
             if (burst > kMaxPlanCycles - n)
                 break; // A later plan starts at the burst.
             n += burst;
             push();
             ++idx;
+            emitted = 0;
             access_phase = false;
             continue;
         }
@@ -363,10 +454,12 @@ Processor::walkPlan(Cycle now) const
         ++n;
         push();
         ++idx;
+        emitted = 0;
         access_phase = false;
     }
     p.end = p.start + n;
     p.endIndex = idx;
+    p.endEmitted = emitted;
     p.endInAccess = access_phase;
 }
 
@@ -402,29 +495,34 @@ Processor::applyPlan(Cycle to)
     const std::size_t from = index_;
     PlanTotals reached = k > 0 ? p.steps[k - 1].totals : PlanTotals{};
     if (k < p.steps.size()) {
-        index_ = p.first + k;
-        const TraceRecord &r = trace_[index_];
+        if (k == p.placeStep) {
+            index_ = p.endIndex;
+            emitted_ = p.endEmitted;
+        } else {
+            index_ = p.first + k;
+            emitted_ = k == 0 ? p.firstEmitted : 0;
+        }
+        seek();
         const Cycle start = k > 0 ? p.steps[k - 1].end : 0;
         const bool started = k == 0 && p.startsInAccess;
-        if (r.kind == RecordKind::Instr) {
-            // A burst the replay stops inside keeps its rest; a fresh
-            // one its count (zero included).
-            instr_left_ = r.count != 0
-                              ? static_cast<std::uint32_t>(p.steps[k].end - to)
-                              : 0;
+        if (cur_.kind == RecordKind::Instr) {
+            // A burst the replay stops inside keeps its rest; an empty
+            // one stays empty.
+            if (instr_left_ != 0)
+                instr_left_ = static_cast<std::uint32_t>(p.steps[k].end - to);
             in_access_phase_ = false;
         } else {
             in_access_phase_ = started || to > start;
             if (to > start && !started) {
-                reached.reads += r.kind == RecordKind::Read ? 1 : 0;
-                reached.writes += r.kind == RecordKind::Write ? 1 : 0;
+                reached.reads += cur_.kind == RecordKind::Read ? 1 : 0;
+                reached.writes += cur_.kind == RecordKind::Write ? 1 : 0;
             }
         }
     } else {
         index_ = p.endIndex;
+        emitted_ = p.endEmitted;
+        seek();
         in_access_phase_ = p.endInAccess;
-        if (trace_[index_].kind == RecordKind::Instr)
-            instr_left_ = trace_[index_].count;
     }
     const std::uint64_t reads = reached.reads - p.counted.reads;
     const std::uint64_t writes = reached.writes - p.counted.writes;

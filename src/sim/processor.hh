@@ -23,20 +23,32 @@
 #include "sim/sim_stats.hh"
 #include "sim/sync.hh"
 #include "trace/trace.hh"
+#include "trace/trace_view.hh"
 
 namespace prefsim
 {
 
-/** One simulated CPU executing its trace. */
+/**
+ * One simulated CPU executing its stream: a base trace with, for an
+ * annotation, the prefetches placed into it (trace/trace_view.hh). The
+ * cursor walks both at once; a plain trace is a stream with no
+ * placements.
+ */
 class Processor
 {
   public:
     /** Invoked by the last barrier arriver to release the others. */
     using ReleaseAllFn = std::function<void(Cycle)>;
 
+    /**
+     * @param placements The prefetches placed into @p trace, sorted, or
+     * null to read it verbatim. With a list the stream is the one
+     * emitPlaced would write: Instr records of count 0 drop out.
+     */
     Processor(ProcId id, const Trace &trace, MemorySystem &mem,
               LockTable &locks, BarrierManager &barriers, ProcStats &stats,
-              ReleaseAllFn release_all);
+              ReleaseAllFn release_all,
+              const PlacementList *placements = nullptr);
 
     /** Execute (at most) one cycle of work at cycle @p now. */
     void tick(Cycle now);
@@ -61,8 +73,9 @@ class Processor
      * are inert; the walk stops at the first sync record, prefetch
      * access (it executes cycle-exactly even when it drops), or demand
      * access that would miss, upgrade, or swap. It stops before the
-     * trace's final record too, which always executes cycle-exactly,
-     * so a replay never retires a trace, and at the plan's size bounds
+     * stream's final base record too, which always executes
+     * cycle-exactly with any placements after it, so a replay never
+     * retires a stream, and at the plan's size bounds
      * (0xffff steps, 2^32 - 1 cycles), where the next tick executes
      * exactly like any other boundary's. Blocked and Done processors
      * return kNoCycle, and so do a spinner on a held lock and a
@@ -103,7 +116,7 @@ class Processor
             // processor's slot in the releasing cycle's rotation, so
             // it must force an exact cycle *now*, not merely rely on
             // the release cycle being exact.
-            return locks_.holder(trace_[index_].sync) == kNoProc
+            return locks_.holder(cur_.sync) == kNoProc
                        ? 0
                        : kNoCycle;
           case State::StallPrefetch:
@@ -167,7 +180,7 @@ class Processor
     bool spinning() const { return state_ == State::SpinLock; }
 
     /** The lock being spun on; only meaningful while spinning(). */
-    SyncId spinLockId() const { return trace_[index_].sync; }
+    SyncId spinLockId() const { return cur_.sync; }
 
     ProcId id() const { return id_; }
 
@@ -198,6 +211,11 @@ class Processor
      *  trace (Done, finished at the cycle after @p now). */
     void advance(Cycle now);
 
+    /** Load the record at the cursor into cur_ (and an Instr burst's
+     *  count into instr_left_), skipping the bursts a placed stream
+     *  drops. @return false past the stream's last record. */
+    bool seek();
+
     /** True when the plan's version is current; otherwise the plan is
      *  dropped. */
     bool
@@ -224,8 +242,17 @@ class Processor
      *  @return true if the record completed. */
     bool executeAccess(Cycle now);
 
+    /** No record or placement. */
+    static constexpr std::size_t kNoIndex = ~std::size_t{0};
+
     ProcId id_;
     const Trace &trace_;
+    /** The placements merged into trace_ (none when verbatim). */
+    const Placement *places_;
+    std::size_t num_places_;
+    /** A placed stream drops Instr records of count 0, as emitPlaced
+     *  does; a verbatim one charges them a cycle. */
+    bool placed_;
     MemorySystem &mem_;
     LockTable &locks_;
     BarrierManager &barriers_;
@@ -235,10 +262,21 @@ class Processor
     std::function<void(SyncId)> lock_release_;
 
     State state_ = State::Running;
-    std::size_t index_ = 0;       ///< Current record.
+    /** @name The cursor: the current record is placement next_ when
+     *  on_placement_, else base record index_ from emitted_ on. @{ */
+    std::size_t index_ = 0;       ///< Current base record.
+    std::size_t next_ = 0;        ///< First placement not yet retired.
+    std::size_t next_record_ = kNoIndex; ///< Its base record.
+    std::uint32_t emitted_ = 0;   ///< Instr cycles of index_ before cur_.
+    bool on_placement_ = false;
+    TraceRecord cur_;             ///< The current record.
+    /** @} */
     std::uint32_t instr_left_ = 0;///< Remaining count of an Instr record.
     bool in_access_phase_ = false;///< Ref record: instruction cycle done.
     std::uint64_t progress_ = 0;
+    /** The last base record the stream keeps (a placed stream drops
+     *  trailing empty bursts); kNoIndex when it keeps none. */
+    std::size_t final_ = kNoIndex;
 
     /** The statistics field every blocked cycle of the current wait
      *  goes to, chosen once at entry (a WaitMemory stall's demand vs.
@@ -258,11 +296,14 @@ class Processor
         std::uint16_t writes = 0;
     };
 
-    /** One record of a plan, the plan's first record plus its
-     *  position: an Instr burst (or the rest of one), a reference, or
-     *  the instruction cycle of a prefetch, which ends the plan. A
-     *  reference takes its two cycles, one when the plan starts in its
-     *  access phase, or one when the plan ends before its access. */
+    /** One record of a plan: an Instr burst (or the rest of one, or
+     *  the part before a placement), a reference, or the instruction
+     *  cycle of a prefetch, which ends the plan. Step k covers base
+     *  record first + k, except a placement's step, which shares its
+     *  base record with the burst before it. A reference takes its two
+     *  cycles, one when the plan starts in its access phase, or one
+     *  when the plan ends before its access. A placed stream's empty
+     *  burst is a step of no cycles. */
     struct PlanStep
     {
         std::uint32_t end;  ///< Offset just past the step.
@@ -288,8 +329,12 @@ class Processor
         std::uint64_t version = 0;
         Cycle start = 0;
         Cycle end = 0;
-        std::size_t first = 0;     ///< Trace index of the first step.
+        std::size_t first = 0;     ///< Base record of the first step.
+        std::uint32_t firstEmitted = 0; ///< Cursor's emitted_ at start.
         std::size_t endIndex = 0;  ///< Cursor record at end.
+        std::uint32_t endEmitted = 0;   ///< Cursor's emitted_ at end.
+        /** The placement's step, when the walk ended on one. */
+        std::size_t placeStep = kNoIndex;
         std::vector<PlanStep> steps;
         std::vector<CacheHit> hits;
         /** @name Replay cursor. @{ */

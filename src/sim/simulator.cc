@@ -19,6 +19,19 @@ constexpr Cycle kDeadlockWindow = 2'000'000;
 } // namespace
 
 Simulator::Simulator(const ParallelTrace &trace, const SimConfig &config)
+    : Simulator(trace, nullptr, config)
+{
+}
+
+Simulator::Simulator(const TraceView &view, const SimConfig &config)
+    : Simulator(*view.base, view.placed() ? &view.placements : nullptr,
+                config)
+{
+}
+
+Simulator::Simulator(const ParallelTrace &trace,
+                     const std::vector<PlacementList> *placements,
+                     const SimConfig &config)
     : config_(config),
       proc_stats_(trace.numProcs()),
       locks_(trace.numLocks),
@@ -28,6 +41,8 @@ Simulator::Simulator(const ParallelTrace &trace, const SimConfig &config)
         prefsim_fatal("cannot simulate a trace with zero processors");
     if (trace.numProcs() > 32)
         prefsim_fatal("at most 32 processors supported (word masks)");
+    prefsim_assert(!placements || placements->size() == trace.numProcs(),
+                   "a view needs one placement list per processor");
 
     mem_ = std::make_unique<MemorySystem>(
         static_cast<unsigned>(trace.numProcs()), config.geometry,
@@ -85,7 +100,7 @@ Simulator::Simulator(const ParallelTrace &trace, const SimConfig &config)
     for (ProcId p = 0; p < trace.numProcs(); ++p) {
         procs_.push_back(std::make_unique<Processor>(
             p, trace.procs[p], *mem_, locks_, barriers_, proc_stats_[p],
-            release_all));
+            release_all, placements ? &(*placements)[p] : nullptr));
         procs_.back()->setDoneCounter(&done_count_);
         if (local) {
             // A spinner on a held lock is dropped from the exact-cycle
@@ -558,6 +573,13 @@ SimStats
 simulate(const ParallelTrace &trace, const SimConfig &config)
 {
     Simulator sim(trace, config);
+    return sim.run();
+}
+
+SimStats
+simulate(const TraceView &view, const SimConfig &config)
+{
+    Simulator sim(view, config);
     return sim.run();
 }
 

@@ -4,8 +4,9 @@
  *
  * Wires processors, coherent caches, the split-transaction bus and the
  * synchronization managers together, and runs the selected simulation
- * core (SimEngine) to completion. Construction takes an (optionally
- * prefetch-annotated) ParallelTrace; run() returns the full SimStats.
+ * core (SimEngine) to completion. Construction takes a ParallelTrace,
+ * or a TraceView of one with prefetches placed into it; run() returns
+ * the full SimStats.
  */
 
 #ifndef PREFSIM_SIM_SIMULATOR_HH
@@ -25,6 +26,7 @@
 #include "sim/sim_stats.hh"
 #include "sim/sync.hh"
 #include "trace/trace.hh"
+#include "trace/trace_view.hh"
 
 namespace prefsim
 {
@@ -138,7 +140,7 @@ struct SimConfig
 };
 
 /**
- * One simulation run over a ParallelTrace.
+ * One simulation run over a ParallelTrace or a TraceView.
  */
 class Simulator
 {
@@ -149,6 +151,11 @@ class Simulator
      * The trace must outlive the simulator (it is not copied).
      */
     Simulator(const ParallelTrace &trace, const SimConfig &config);
+
+    /** Simulate @p view: its base with its placements merged in, as
+     *  view.materialize() would simulate. The view must outlive the
+     *  simulator. */
+    Simulator(const TraceView &view, const SimConfig &config);
 
     /** Run to completion and return the statistics. */
     SimStats run();
@@ -179,6 +186,12 @@ class Simulator
     }
 
   private:
+    /** The shared constructor: @p placements holds one list per
+     *  processor, or is null for a verbatim trace. */
+    Simulator(const ParallelTrace &trace,
+              const std::vector<PlacementList> *placements,
+              const SimConfig &config);
+
     /** True when every processor has retired its trace (O(1): the
      *  processors bump done_count_ as they finish). */
     bool
@@ -325,6 +338,7 @@ class Simulator
 
 /** Convenience one-shot: build a Simulator and run it. */
 SimStats simulate(const ParallelTrace &trace, const SimConfig &config);
+SimStats simulate(const TraceView &view, const SimConfig &config);
 
 } // namespace prefsim
 

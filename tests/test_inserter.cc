@@ -5,10 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
 #include <vector>
 
+#include "core/result_io.hh"
 #include "prefetch/cost_model.hh"
 #include "prefetch/inserter.hh"
+#include "trace/trace_view.hh"
+#include "trace/workload.hh"
 
 namespace prefsim
 {
@@ -313,6 +318,275 @@ TEST(Inserter, MetadataCopied)
     EXPECT_EQ(out.trace.numLocks, 3u);
     EXPECT_EQ(out.trace.numBarriers, 7u);
     EXPECT_EQ(out.trace.numProcs(), 2u);
+}
+
+/** A one-processor view of @p t with @p placements. */
+TraceView
+handView(Trace t, PlacementList placements)
+{
+    TraceView v;
+    v.base = std::make_shared<const ParallelTrace>(singleProc(std::move(t)));
+    v.placements.push_back(std::move(placements));
+    return v;
+}
+
+/** Instr(10), then a read: the base of the hand placements. */
+Trace
+burstThenRead()
+{
+    Trace t;
+    t.appendInstrs(10);
+    t.append(TraceRecord::read(0x1000));
+    return t;
+}
+
+TEST(AnnotationView, PlacementAtOffsetZeroGoesBeforeItsRecord)
+{
+    const TraceView v = handView(burstThenRead(), {{0, 0x2000, 0, false}});
+    const std::vector<TraceRecord> want = {TraceRecord::prefetch(0x2000),
+                                           TraceRecord::instr(10),
+                                           TraceRecord::read(0x1000)};
+    EXPECT_EQ(v.materialize().procs[0].records(), want);
+    EXPECT_EQ(v.streamSize(0), want.size());
+}
+
+TEST(AnnotationView, PlacementInsideABurstSplitsIt)
+{
+    // Two placements at one split point run in list order and split
+    // the burst once.
+    const TraceView v = handView(
+        burstThenRead(), {{0, 0x2000, 4, true}, {0, 0x3000, 4, false}});
+    const std::vector<TraceRecord> want = {
+        TraceRecord::instr(4), TraceRecord::prefetch(0x2000, true),
+        TraceRecord::prefetch(0x3000), TraceRecord::instr(6),
+        TraceRecord::read(0x1000)};
+    EXPECT_EQ(v.materialize().procs[0].records(), want);
+    EXPECT_EQ(v.streamSize(0), want.size());
+    EXPECT_EQ(v.totalPrefetches(), 2u);
+}
+
+TEST(AnnotationView, TrailingPlacementFollowsTheLastRecord)
+{
+    const TraceView v = handView(burstThenRead(), {{2, 0x2000, 0, false}});
+    const std::vector<TraceRecord> want = {TraceRecord::instr(10),
+                                           TraceRecord::read(0x1000),
+                                           TraceRecord::prefetch(0x2000)};
+    EXPECT_EQ(v.materialize().procs[0].records(), want);
+    EXPECT_EQ(v.streamSize(0), want.size());
+}
+
+TEST(AnnotationView, VerbatimViewCopiesTheBase)
+{
+    // Without placement lists the base is read verbatim, Instr(0) and
+    // unfolded bursts included; with lists it is written through
+    // emitPlaced, which folds and drops them.
+    Trace t;
+    t.records() = {TraceRecord::instr(0), TraceRecord::instr(3),
+                   TraceRecord::instr(4), TraceRecord::read(0x1000)};
+    TraceView v = handView(t, {});
+    v.placements.clear();
+    EXPECT_EQ(v.materialize().procs[0].records(), t.records());
+    EXPECT_EQ(v.streamSize(0), t.size());
+    v.placements.emplace_back();
+    const std::vector<TraceRecord> folded = {TraceRecord::instr(7),
+                                             TraceRecord::read(0x1000)};
+    EXPECT_EQ(v.materialize().procs[0].records(), folded);
+}
+
+TEST(AnnotationView, DontCrossSyncClampsBelowTheSync)
+{
+    // The read's natural placement lands in the burst before the lock;
+    // dontCrossSync moves it to just after the lock.
+    Trace t;
+    t.appendInstrs(300);
+    t.append(TraceRecord::lockAcquire(0));
+    t.appendInstrs(20);
+    t.append(TraceRecord::read(0x1000));
+    t.append(TraceRecord::lockRelease(0));
+    auto base = std::make_shared<const ParallelTrace>(singleProc(t));
+    StrategyParams params = strategyParams(Strategy::PREF);
+
+    const AnnotatedView natural = annotateView(base, params, kGeom);
+    ASSERT_EQ(natural.trace.placements[0].size(), 1u);
+    EXPECT_EQ(natural.trace.placements[0][0],
+              (Placement{0, 0x1000, 221, false}));
+
+    params.dontCrossSync = true;
+    const AnnotatedView clamped = annotateView(base, params, kGeom);
+    EXPECT_EQ(clamped.trace.placements,
+              (std::vector<PlacementList>{{{2, 0x1000, 0, false}}}));
+    const std::vector<TraceRecord> want = {
+        TraceRecord::instr(300), TraceRecord::lockAcquire(0),
+        TraceRecord::prefetch(0x1000), TraceRecord::instr(20),
+        TraceRecord::read(0x1000), TraceRecord::lockRelease(0)};
+    EXPECT_EQ(clamped.trace.materialize().procs[0].records(), want);
+    EXPECT_EQ(annotateTrace(*base, params, kGeom).trace.procs[0].records(),
+              want);
+}
+
+TEST(AnnotationView, PrivateLinesOnlyPlacesOnlyPrivateLines)
+{
+    const Addr priv = 0x40000000, shared = 0x100000;
+    ParallelTrace pt;
+    pt.name = "t";
+    pt.procs.resize(2);
+    pt.procs[0].appendInstrs(300);
+    pt.procs[0].append(TraceRecord::read(priv));
+    pt.procs[0].appendInstrs(300);
+    pt.procs[0].append(TraceRecord::read(shared));
+    pt.procs[1].append(TraceRecord::write(shared));
+    auto base = std::make_shared<const ParallelTrace>(pt);
+    StrategyParams params = strategyParams(Strategy::PREF);
+    params.privateLinesOnly = true;
+
+    const AnnotatedView view = annotateView(base, params, kGeom);
+    EXPECT_EQ(view.stats.droppedShared, 2u);
+    EXPECT_EQ(view.trace.placements,
+              (std::vector<PlacementList>{{{0, priv, 200, false}}, {}}));
+    const ParallelTrace copy = view.trace.materialize();
+    const std::vector<TraceRecord> want = {
+        TraceRecord::instr(200), TraceRecord::prefetch(priv),
+        TraceRecord::instr(100), TraceRecord::read(priv),
+        TraceRecord::instr(300), TraceRecord::read(shared)};
+    EXPECT_EQ(copy.procs[0].records(), want);
+    EXPECT_EQ(copy.procs[1].records(), pt.procs[1].records());
+    const AnnotatedTrace direct = annotateTrace(pt, params, kGeom);
+    EXPECT_EQ(direct.trace.procs[0].records(), want);
+    EXPECT_EQ(direct.stats.droppedShared, 2u);
+}
+
+/** fnv1a64 over the trace's metadata and every field of every record,
+ *  processor by processor. */
+std::uint64_t
+traceFingerprint(const ParallelTrace &t)
+{
+    std::string bytes = t.name + ";" + std::to_string(t.numLocks) + ";" +
+                        std::to_string(t.numBarriers) + ";";
+    auto put = [&](std::uint64_t v, unsigned width) {
+        for (unsigned i = 0; i < width; ++i)
+            bytes.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    };
+    for (const Trace &proc : t.procs) {
+        put(proc.size(), 8);
+        for (const TraceRecord &r : proc.records()) {
+            put(static_cast<std::uint8_t>(r.kind), 1);
+            put(r.sync, 2);
+            put(r.count, 4);
+            put(r.addr, 8);
+        }
+    }
+    return fnv1a64(bytes);
+}
+
+TEST(AnnotationView, MaterializeMatchesPinnedAnnotations)
+{
+    // Every source and strategy at 4 and 16 processors (2000 refs,
+    // seed 12345), pinned to the records annotateTrace produced when
+    // it still copied each annotation: a materialized view, and
+    // annotateTrace itself, must reproduce them record for record. The
+    // NP rows equal GeneratorGolden's base traces.
+    struct Golden
+    {
+        const char *source;
+        unsigned procs;
+        Strategy strategy;
+        std::uint64_t fingerprint;
+    };
+    static const Golden kGolden[] = {
+        {"topopt", 4, Strategy::NP, 0x68440abdb4f28b6cULL},
+        {"topopt", 4, Strategy::PREF, 0x3fc3bb669192e9efULL},
+        {"topopt", 4, Strategy::EXCL, 0x3fc3bb669192e9efULL},
+        {"topopt", 4, Strategy::LPD, 0x63dd502d0e20327cULL},
+        {"topopt", 4, Strategy::PWS, 0x3fc3bb669192e9efULL},
+        {"topopt-r", 4, Strategy::NP, 0x914499bd821dbce7ULL},
+        {"topopt-r", 4, Strategy::PREF, 0x3f5d3f5dacf7db77ULL},
+        {"topopt-r", 4, Strategy::EXCL, 0x3f5d3f5dacf7db77ULL},
+        {"topopt-r", 4, Strategy::LPD, 0xd724e799842a95e8ULL},
+        {"topopt-r", 4, Strategy::PWS, 0x3f5d3f5dacf7db77ULL},
+        {"pverify", 4, Strategy::NP, 0xb1bf4a63eccaf242ULL},
+        {"pverify", 4, Strategy::PREF, 0x58e592bce2dd1826ULL},
+        {"pverify", 4, Strategy::EXCL, 0xe668fb1614114b7cULL},
+        {"pverify", 4, Strategy::LPD, 0x3761252d7e05438fULL},
+        {"pverify", 4, Strategy::PWS, 0x6c3f66958d49d1aeULL},
+        {"pverify-r", 4, Strategy::NP, 0x6954622bcc318925ULL},
+        {"pverify-r", 4, Strategy::PREF, 0xdb01309438bced28ULL},
+        {"pverify-r", 4, Strategy::EXCL, 0xee7a0b4c7f2ca1dcULL},
+        {"pverify-r", 4, Strategy::LPD, 0xb48224a7e2921fe1ULL},
+        {"pverify-r", 4, Strategy::PWS, 0x3c147090325cf802ULL},
+        {"locusroute", 4, Strategy::NP, 0xd0c8c9305e8c7bc2ULL},
+        {"locusroute", 4, Strategy::PREF, 0xefd72d3163e99b85ULL},
+        {"locusroute", 4, Strategy::EXCL, 0xefd72d3163e99b85ULL},
+        {"locusroute", 4, Strategy::LPD, 0xfbc0ea5375508c06ULL},
+        {"locusroute", 4, Strategy::PWS, 0xefd72d3163e99b85ULL},
+        {"mp3d", 4, Strategy::NP, 0x4b05a3477e631ff3ULL},
+        {"mp3d", 4, Strategy::PREF, 0x805b4b18a8641441ULL},
+        {"mp3d", 4, Strategy::EXCL, 0x805b4b18a8641441ULL},
+        {"mp3d", 4, Strategy::LPD, 0x23d0948946604ac5ULL},
+        {"mp3d", 4, Strategy::PWS, 0xf1ec8699ccb39dd0ULL},
+        {"water", 4, Strategy::NP, 0x30d32324981e344fULL},
+        {"water", 4, Strategy::PREF, 0xb4ea4ca94f8bd6a3ULL},
+        {"water", 4, Strategy::EXCL, 0x109e84fdd0921d7fULL},
+        {"water", 4, Strategy::LPD, 0x70dc9162af186550ULL},
+        {"water", 4, Strategy::PWS, 0xb4ea4ca94f8bd6a3ULL},
+        {"topopt", 16, Strategy::NP, 0x205332fc688c48ceULL},
+        {"topopt", 16, Strategy::PREF, 0x5acc7648f9213038ULL},
+        {"topopt", 16, Strategy::EXCL, 0x5acc7648f9213038ULL},
+        {"topopt", 16, Strategy::LPD, 0x895df9898beff800ULL},
+        {"topopt", 16, Strategy::PWS, 0x5acc7648f9213038ULL},
+        {"topopt-r", 16, Strategy::NP, 0x5dc0a4fab9a706f3ULL},
+        {"topopt-r", 16, Strategy::PREF, 0x63839a52d92ad67fULL},
+        {"topopt-r", 16, Strategy::EXCL, 0x63839a52d92ad67fULL},
+        {"topopt-r", 16, Strategy::LPD, 0xee88f4cd5e25022aULL},
+        {"topopt-r", 16, Strategy::PWS, 0x63839a52d92ad67fULL},
+        {"pverify", 16, Strategy::NP, 0xb8204511c1abc55cULL},
+        {"pverify", 16, Strategy::PREF, 0xa2691729f13de9c6ULL},
+        {"pverify", 16, Strategy::EXCL, 0x9e8d2318708a3deeULL},
+        {"pverify", 16, Strategy::LPD, 0x72ca84a8950b12aeULL},
+        {"pverify", 16, Strategy::PWS, 0xcc0c26f3b23ab37aULL},
+        {"pverify-r", 16, Strategy::NP, 0x0d9c21bc42384d6cULL},
+        {"pverify-r", 16, Strategy::PREF, 0x13269da73eb947f0ULL},
+        {"pverify-r", 16, Strategy::EXCL, 0xeada27394136aba6ULL},
+        {"pverify-r", 16, Strategy::LPD, 0x4961b359cee09d7dULL},
+        {"pverify-r", 16, Strategy::PWS, 0x834cf01c1cd1af55ULL},
+        {"locusroute", 16, Strategy::NP, 0xfbc896ac10b50579ULL},
+        {"locusroute", 16, Strategy::PREF, 0xea8744537fe03ba5ULL},
+        {"locusroute", 16, Strategy::EXCL, 0xea8744537fe03ba5ULL},
+        {"locusroute", 16, Strategy::LPD, 0x3a4de308522f4b6eULL},
+        {"locusroute", 16, Strategy::PWS, 0x9a70e3d8d93035c6ULL},
+        {"mp3d", 16, Strategy::NP, 0x48d0a9d9aabdb965ULL},
+        {"mp3d", 16, Strategy::PREF, 0xf45ee7a0b1f87878ULL},
+        {"mp3d", 16, Strategy::EXCL, 0xf45ee7a0b1f87878ULL},
+        {"mp3d", 16, Strategy::LPD, 0x733e9c507b3f9173ULL},
+        {"mp3d", 16, Strategy::PWS, 0x5f5b12aca555d43cULL},
+        {"water", 16, Strategy::NP, 0x1c73b1b25aea4382ULL},
+        {"water", 16, Strategy::PREF, 0x2a5fbd66bc03a915ULL},
+        {"water", 16, Strategy::EXCL, 0x01fe37f5bcc46433ULL},
+        {"water", 16, Strategy::LPD, 0x824d5933e0cc5199ULL},
+        {"water", 16, Strategy::PWS, 0x2a5fbd66bc03a915ULL},
+    };
+    for (const Golden &g : kGolden) {
+        const std::string source = g.source;
+        const bool restructured = source.ends_with("-r");
+        WorkloadParams p;
+        p.numProcs = g.procs;
+        p.refsPerProc = 2000;
+        p.seed = 12345;
+        p.restructured = restructured;
+        auto base = std::make_shared<const ParallelTrace>(generateWorkload(
+            workloadFromName(restructured ? source.substr(0, source.size() - 2)
+                                       : source),
+            p));
+        const AnnotatedView view = annotateView(base, strategyParams(g.strategy), kGeom);
+        const AnnotatedTrace copy = annotateTrace(*base, g.strategy, kGeom);
+        SCOPED_TRACE(source + "/" + strategyName(g.strategy) + " procs=" +
+                     std::to_string(g.procs));
+        EXPECT_EQ(traceFingerprint(view.trace.materialize()), g.fingerprint);
+        EXPECT_EQ(traceFingerprint(copy.trace), g.fingerprint);
+        EXPECT_EQ(view.stats.inserted, copy.stats.inserted);
+        EXPECT_EQ(view.stats.demandRefs, copy.stats.demandRefs);
+        EXPECT_EQ(view.trace.totalPrefetches(),
+                  copy.trace.totalPrefetches());
+    }
 }
 
 TEST(InserterDeathTest, ZeroDistanceIsFatal)

@@ -26,6 +26,7 @@
 #include "prefetch/inserter.hh"
 #include "sim/simulator.hh"
 #include "sim_fingerprint.hh"
+#include "trace/trace_view.hh"
 
 namespace prefsim
 {
@@ -586,6 +587,108 @@ TEST_P(RandomProgramSuite, AnnotatedTraceSimulates)
     const SimStats s = simulate(ann.trace, cfg);
     EXPECT_GT(s.cycles, 0u);
     EXPECT_EQ(s.totalDemandRefs(), pt.totalDemandRefs());
+}
+
+/** @p count random placements into @p t: before a random record,
+ *  inside a random Instr burst, or after the last record. */
+PlacementList
+randomPlacements(const Trace &t, Rng &rng, std::size_t count)
+{
+    PlacementList out;
+    for (std::size_t i = 0; i < count; ++i) {
+        const std::size_t r = rng.below(t.size() + 1);
+        std::uint32_t offset = 0;
+        if (r < t.size() && t[r].kind == RecordKind::Instr &&
+            t[r].count > 0 && rng.chance(0.7))
+            offset = static_cast<std::uint32_t>(rng.below(t[r].count));
+        const Addr line = rng.chance(0.5) ? 0x100000 + rng.below(64) * 32
+                                          : 0x200000 + rng.below(64) * 32;
+        out.push_back({r, line + rng.below(8) * 4, offset, rng.chance(0.3)});
+    }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const Placement &a, const Placement &b) {
+                         return std::tie(a.record, a.offset) <
+                                std::tie(b.record, b.offset);
+                     });
+    return out;
+}
+
+/** @p pt with its bursts stored as a binary file may hold them: some
+ *  split into two unfolded records, and Instr(0) records scattered
+ *  through (one may end a processor's trace). */
+ParallelTrace
+withRawBursts(const ParallelTrace &pt, std::uint64_t seed)
+{
+    ParallelTrace out = pt;
+    for (std::size_t p = 0; p < pt.numProcs(); ++p) {
+        Rng rng(seed * 104729 + p);
+        std::vector<TraceRecord> &records = out.procs[p].records();
+        records.clear();
+        for (const TraceRecord &r : pt.procs[p].records()) {
+            if (rng.chance(0.1))
+                records.push_back(TraceRecord::instr(0));
+            if (r.kind == RecordKind::Instr && r.count > 1 &&
+                rng.chance(0.3)) {
+                const auto head =
+                    static_cast<std::uint32_t>(rng.range(1, r.count - 1));
+                records.push_back(TraceRecord::instr(head));
+                records.push_back(TraceRecord::instr(r.count - head));
+                continue;
+            }
+            records.push_back(r);
+        }
+        if (rng.chance(0.3))
+            records.push_back(TraceRecord::instr(0));
+    }
+    return out;
+}
+
+TEST_P(RandomProgramSuite, ViewSimulatesAsMaterialized)
+{
+    // A view must simulate exactly as its materialized copy, on both
+    // engines: random placements, the inserter's own, and the base
+    // verbatim, over folded and raw bases.
+    const std::uint64_t seed = GetParam();
+    const ParallelTrace plain = randomTrace(seed, 2 + seed % 4, 4, 60, 8);
+    const ParallelTrace raw = withRawBursts(plain, seed);
+    for (const ParallelTrace *pt : {&plain, &raw}) {
+        const auto base = std::make_shared<const ParallelTrace>(*pt);
+        std::vector<std::pair<std::string, TraceView>> views;
+        TraceView random{base, {}};
+        Rng rng(seed * 31337);
+        for (const Trace &t : pt->procs)
+            random.placements.push_back(
+                randomPlacements(t, rng, t.size() / 6));
+        views.emplace_back("random", std::move(random));
+        views.emplace_back("verbatim", TraceView{base, {}});
+        StrategyParams sync = strategyParams(Strategy::PWS);
+        sync.dontCrossSync = true;
+        for (const auto &[name, params] :
+             {std::pair<std::string, StrategyParams>{
+                  "PREF", strategyParams(Strategy::PREF)},
+              {"PWS+dontCrossSync", sync}}) {
+            views.emplace_back(
+                name, annotateView(base, params,
+                                   CacheGeometry::paperDefault())
+                          .trace);
+        }
+        for (const auto &[name, view] : views) {
+            const ParallelTrace copy = view.materialize();
+            for (const unsigned warmup : {0u, 1u}) {
+                SCOPED_TRACE(name + " seed=" + std::to_string(seed) +
+                             " warmup=" + std::to_string(warmup) +
+                             (pt == &raw ? " raw" : ""));
+                SimConfig cfg;
+                cfg.warmupEpisodes = warmup;
+                cfg.engine = SimEngine::CycleLoop;
+                const std::string want = fingerprint(simulate(copy, cfg));
+                EXPECT_EQ(fingerprint(simulate(view, cfg)), want);
+                cfg.engine = SimEngine::LocalClock;
+                EXPECT_EQ(fingerprint(simulate(copy, cfg)), want);
+                EXPECT_EQ(fingerprint(simulate(view, cfg)), want);
+            }
+        }
+    }
 }
 
 TEST_P(RandomProgramSuite, WideMachineEnginesAgree)

@@ -26,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
 #include <string>
 
@@ -34,6 +35,8 @@
 #include "prefetch/inserter.hh"
 #include "sim/simulator.hh"
 #include "sim_fingerprint.hh"
+#include "trace/trace_io_binary.hh"
+#include "trace/trace_view.hh"
 #include "trace/workload.hh"
 
 namespace prefsim
@@ -169,9 +172,9 @@ twoProc(Trace a, Trace b, unsigned locks = 0, unsigned barriers = 0)
  *  ticks it, queries its boundary and replays spans directly. */
 struct HandProc
 {
-    explicit HandProc(const Trace &t)
+    explicit HandProc(const Trace &t, const PlacementList *placements = nullptr)
         : mem(1, cfg.geometry, cfg.timing, cfg.prefetchBufferDepth, stats),
-          proc(0, t, mem, locks, barriers, stats[0], nullptr)
+          proc(0, t, mem, locks, barriers, stats[0], nullptr, placements)
     {
         mem.setWake([this](ProcId, bool retry) {
             proc.wake(retry, now);
@@ -542,6 +545,169 @@ TEST(BurstBoundary, PlanSizeBounds)
         h.now += kMaxInstrCount;
         EXPECT_EQ(h.stats[0].busy, 1 + Cycle{kMaxInstrCount});
         EXPECT_EQ(h.proc.inertCycles(h.now), 0u);
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* Views: a base trace plus placements                                 */
+/* ------------------------------------------------------------------ */
+
+/** Simulate @p view and its materialized copy on both engines: all
+ *  four runs must agree on the complete fingerprint. */
+void
+expectViewSimulatesAsCopy(const TraceView &view, SimConfig cfg,
+                          const std::string &what)
+{
+    const ParallelTrace copy = view.materialize();
+    cfg.engine = SimEngine::CycleLoop;
+    const std::string want = fingerprint(simulate(copy, cfg));
+    EXPECT_EQ(fingerprint(simulate(view, cfg)), want) << what << " cycle";
+    cfg.engine = SimEngine::LocalClock;
+    EXPECT_EQ(fingerprint(simulate(copy, cfg)), want) << what << " copy";
+    EXPECT_EQ(fingerprint(simulate(view, cfg)), want) << what << " local";
+}
+
+/** A view of @p base with @p placements, one list per processor. */
+TraceView
+viewOf(const ParallelTrace &base, std::vector<PlacementList> placements)
+{
+    TraceView v;
+    v.base = std::make_shared<const ParallelTrace>(base);
+    v.placements = std::move(placements);
+    return v;
+}
+
+/** Placements at a record's start, inside a burst (two at one split
+ *  point), in the final record, and after it: each view simulates as
+ *  its copy, and a walk takes a placement's burst head and its
+ *  instruction cycle. */
+TEST(ViewSimulation, HandPlacements)
+{
+    const Addr line = 0x1000, other = 0x2000;
+    Trace a;
+    a.append(TraceRecord::read(line)); // Cold miss.
+    a.appendInstrs(10);
+    a.append(TraceRecord::write(line));
+    a.appendInstrs(30);
+    a.append(TraceRecord::read(line));
+    Trace b;
+    b.appendInstrs(25);
+    b.append(TraceRecord::write(line + 4)); // Steals the line.
+    b.appendInstrs(5);
+    const ParallelTrace base = twoProc(a, b);
+    const struct
+    {
+        const char *name;
+        PlacementList placements;
+    } cases[] = {
+        {"record-start", {{2, other, 0, false}}},
+        {"mid-burst", {{1, other, 4, false}, {1, other + 32, 4, true}}},
+        {"burst-tail", {{3, other, 29, true}}},
+        {"final-record", {{4, other, 0, true}}},
+        {"trailing", {{5, other, 0, false}, {5, other + 32, 0, false}}},
+        {"everywhere",
+         {{0, other, 0, true}, {1, other + 32, 9, false},
+          {3, other + 64, 0, false}, {5, other + 96, 0, true}}},
+    };
+    for (const auto &c : cases) {
+        const TraceView v = viewOf(base, {c.placements, {}});
+        expectViewSimulatesAsCopy(v, plainConfig(), c.name);
+    }
+
+    // Driven by hand past the cold miss: the retried read hits, then
+    // the walk takes the burst's four cycles before the placement and
+    // the placement's instruction cycle, which ends it.
+    const PlacementList mid = {{1, other, 4, false}};
+    HandProc h(a, &mid);
+    h.coldMiss();
+    ASSERT_EQ(h.proc.inertCycles(h.now), 1u + 4u + 1u);
+    // A replay that stops at the placement leaves the cursor on it.
+    h.proc.fastForward(5, h.now);
+    h.now += 5;
+    EXPECT_EQ(h.proc.inertCycles(h.now), 1u);
+    h.proc.tick(h.now++); // The prefetch's instruction cycle.
+    EXPECT_EQ(h.proc.inertCycles(h.now), 0u);
+    h.proc.tick(h.now++); // Its access issues.
+    EXPECT_EQ(h.stats[0].prefetchesExecuted, 1u);
+    // The rest of the burst, the write (a quiet hit on the exclusive
+    // line) and the next burst, up to the final record.
+    EXPECT_EQ(h.proc.inertCycles(h.now), 6u + 2u + 30u);
+}
+
+/** A base read from a binary file keeps its records verbatim: Instr(0)
+ *  records and unfolded bursts. The NP view charges each Instr(0) a
+ *  cycle, as the base itself does; an annotation drops them, as its
+ *  materialized copy does. */
+TEST(ViewSimulation, BinaryBaseWithEmptyAndUnfoldedBursts)
+{
+    ParallelTrace raw;
+    raw.name = "raw";
+    raw.numBarriers = 1;
+    raw.procs.resize(2);
+    raw.procs[0].records() = {
+        TraceRecord::instr(0),      TraceRecord::instr(150),
+        TraceRecord::instr(90),     TraceRecord::read(0x1000),
+        TraceRecord::instr(0),      TraceRecord::write(0x2000),
+        TraceRecord::barrier(0),    TraceRecord::instr(200),
+        TraceRecord::instr(60),     TraceRecord::read(0x3000),
+        TraceRecord::read(0x1000),  TraceRecord::instr(0)};
+    raw.procs[1].records() = {
+        TraceRecord::read(0x1000), TraceRecord::write(0x1004),
+        TraceRecord::instr(3),     TraceRecord::instr(0),
+        TraceRecord::barrier(0),   TraceRecord::instr(0),
+        TraceRecord::instr(120),   TraceRecord::read(0x3000),
+        TraceRecord::instr(0)};
+    std::stringstream bytes;
+    writeTraceBinary(bytes, raw);
+    const ParallelTrace base = readTraceBinary(bytes);
+    ASSERT_EQ(base.procs[0].records(), raw.procs[0].records());
+    ASSERT_EQ(base.procs[1].records(), raw.procs[1].records());
+
+    for (const unsigned warmup : {0u, 1u}) {
+        SimConfig cfg = plainConfig();
+        cfg.warmupEpisodes = warmup;
+        const auto shared = std::make_shared<const ParallelTrace>(base);
+        for (const Strategy s : {Strategy::NP, Strategy::PREF}) {
+            const AnnotatedView view = annotateView(
+                shared, strategyParams(s), CacheGeometry::paperDefault());
+            ASSERT_EQ(view.trace.placed(), s != Strategy::NP);
+            expectViewSimulatesAsCopy(view.trace, cfg, strategyName(s));
+        }
+        // NP is the base itself.
+        const TraceView np = viewOf(base, {});
+        EXPECT_EQ(fingerprint(simulate(np, cfg)),
+                  fingerprint(simulate(base, cfg)));
+        // Placements in an Instr(0), inside an unfolded burst, and
+        // after a trailing Instr(0).
+        expectViewSimulatesAsCopy(
+            viewOf(base, {{{0, 0x4000, 0, false}, {2, 0x4020, 45, true},
+                           {12, 0x4040, 0, false}},
+                          {{3, 0x4060, 0, false}, {9, 0x4080, 0, true}}}),
+            cfg, "hand");
+        // An annotation with no placements still drops the empty bursts.
+        expectViewSimulatesAsCopy(viewOf(base, {{}, {}}), cfg, "empty-lists");
+    }
+}
+
+/** Every generator's annotations, simulated as views and as copies. */
+TEST(ViewSimulation, GeneratedAnnotations)
+{
+    WorkloadParams p;
+    p.numProcs = 4;
+    p.refsPerProc = 3000;
+    p.seed = 2026;
+    for (const WorkloadKind kind : allWorkloads()) {
+        const auto base =
+            std::make_shared<const ParallelTrace>(generateWorkload(kind, p));
+        for (const Strategy s : allStrategies()) {
+            const AnnotatedView view = annotateView(
+                base, strategyParams(s), CacheGeometry::paperDefault());
+            SimConfig cfg;
+            cfg.timing.dataTransfer = 8;
+            expectViewSimulatesAsCopy(view.trace, cfg,
+                                      workloadName(kind) + "/" +
+                                          strategyName(s));
+        }
     }
 }
 

@@ -173,13 +173,17 @@ longestStream(const ParallelTrace &trace)
 TEST(SweepOrder, ReadySimulationsStartLongestFirst)
 {
     // One worker runs the tasks in submission order, so the profile
-    // store's commit order is the start order.
+    // store's commit order is the start order. The key is the longest
+    // stream of each materialized annotation, the copy the engine held
+    // before annotations became views, so the order is the one it had.
     const std::unique_ptr<SweepEngine> engine = preAnnotatedGrid(1);
     std::vector<std::pair<std::size_t, std::string>> grid;
     for (WorkloadKind w : kGridWorkloads) {
         for (Strategy s : kGridStrategies) {
-            const std::size_t len =
-                longestStream(engine->annotated(w, false, s).trace);
+            const std::size_t len = longestStream(
+                annotateTrace(engine->baseTrace(w, false), s,
+                              engine->geometry())
+                    .trace);
             for (Cycle t : kGridTransfers)
                 grid.push_back({len, engine->makeSpec(w, false, s, t).label()});
         }
@@ -205,6 +209,33 @@ TEST(SweepOrder, ReadySimulationsStartLongestFirst)
     for (const obs::ProfileRun &run : engine->obs()->profile.snapshot())
         committed.push_back(run.label);
     EXPECT_EQ(committed, want);
+}
+
+TEST(SweepOrder, ViewCountsAreMaterializedSizes)
+{
+    // The start-order key counts a view's records from its placements;
+    // on every generated trace it must be the materialized size.
+    WorkloadParams params = tinyParams();
+    for (const unsigned procs : {4u, 16u}) {
+        params.numProcs = procs;
+        SweepEngine engine(params);
+        for (WorkloadKind w : allWorkloads()) {
+            for (const bool restructured : {false, true}) {
+                if (restructured && !hasRestructuredVariant(w))
+                    continue;
+                for (Strategy s : allStrategies()) {
+                    const TraceView &view =
+                        engine.annotated(w, restructured, s).trace;
+                    const ParallelTrace copy = view.materialize();
+                    for (std::size_t p = 0; p < procs; ++p) {
+                        EXPECT_EQ(view.streamSize(p), copy.procs[p].size())
+                            << workloadName(w) << (restructured ? "-r/" : "/")
+                            << strategyName(s) << " proc " << p;
+                    }
+                }
+            }
+        }
+    }
 }
 
 TEST(SweepOrder, WorkerCountChangesNoOutput)
