@@ -15,6 +15,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <string>
 
 #include "core/experiment.hh"
@@ -65,9 +66,10 @@ main(int argc, char **argv)
 
     WorkloadParams params = defaultWorkloadParams();
     params.restructured = restructured;
-    const ParallelTrace base = generateWorkload(kind, params);
-    const AnnotatedTrace ann =
-        annotateTrace(base, strategy, CacheGeometry::paperDefault());
+    const auto base = std::make_shared<const ParallelTrace>(
+        generateWorkload(kind, params));
+    const AnnotatedView ann = annotateView(base, strategyParams(strategy),
+                                           CacheGeometry::paperDefault());
 
     ObsContext obs;
     SimConfig cfg;
@@ -94,7 +96,7 @@ main(int argc, char **argv)
     const SimStats stats = sim.run();
     const std::uint64_t refs = stats.totalDemandRefs();
 
-    std::cout << "CPU-miss anatomy: " << base.name << " / "
+    std::cout << "CPU-miss anatomy: " << base->name << " / "
               << strategyName(strategy) << " @ T=" << transfer << "\n"
               << "  demand refs " << refs << ", CPU miss rate "
               << TextTable::percent(stats.cpuMissRate()) << ", cycles "

@@ -16,6 +16,7 @@
 
 #include <cstdlib>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,7 +67,8 @@ main(int argc, char **argv)
     if (args.size() < 3)
         usage();
 
-    const ParallelTrace trace = readTraceAutoFile(args[0]);
+    const auto trace =
+        std::make_shared<const ParallelTrace>(readTraceAutoFile(args[0]));
     const Strategy strategy = strategyFromName(args[1]);
     const Cycle transfer = std::strtoul(args[2].c_str(), nullptr, 10);
 
@@ -101,15 +103,15 @@ main(int argc, char **argv)
 
     const CacheGeometry geom(cache_kb * 1024, line, ways);
     if (!json) {
-        const TraceStats ts = computeTraceStats(trace, geom.lineBytes());
-        std::cout << "trace '" << trace.name << "': " << trace.numProcs()
+        const TraceStats ts = computeTraceStats(*trace, geom.lineBytes());
+        std::cout << "trace '" << trace->name << "': " << trace->numProcs()
                   << " procs, " << ts.totalRefs << " refs, footprint "
                   << ts.footprintBytes / 1024 << " KB ("
                   << ts.writeSharedFootprintBytes / 1024
                   << " KB write-shared)\n";
     }
 
-    const AnnotatedTrace ann = annotateTrace(trace, sp, geom);
+    const AnnotatedView ann = annotateView(trace, sp, geom);
     SimConfig cfg;
     cfg.geometry = geom;
     cfg.timing.dataTransfer = transfer;
@@ -119,7 +121,7 @@ main(int argc, char **argv)
 
     if (json) {
         writeJson(std::cout, s,
-                  trace.name + "/" + strategyName(strategy) + "@" +
+                  trace->name + "/" + strategyName(strategy) + "@" +
                       std::to_string(transfer));
         return 0;
     }

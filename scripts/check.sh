@@ -161,10 +161,11 @@ stage "simcore throughput smoke"
 # machinery works and the local-clock engine is not slower than the
 # reference loop. The budget is generous — it guards against a
 # pathological regression (e.g. inert spans that stopped forming), not
-# timing noise.
+# timing noise. This stage and the perf-regression gate pass
+# --history none, so a check run appends nothing to the trend log.
 SMOKE_START=$(date +%s)
 scripts/bench_perf.sh --refs 3000 --out "$CACHE/bench_smoke.json" \
-    --build "$BUILD"
+    --build "$BUILD" --history none
 SMOKE_ELAPSED=$(($(date +%s) - SMOKE_START))
 if [ "$SMOKE_ELAPSED" -gt 300 ]; then
     echo "FAIL: simcore smoke took ${SMOKE_ELAPSED}s (budget 300s)" >&2
@@ -191,7 +192,7 @@ BASE_REFS=$(grep -o '"refs_per_proc":[0-9]*' BENCH_simcore.json \
     | cut -d: -f2)
 GATE_START=$(date +%s)
 scripts/bench_perf.sh --refs "$BASE_REFS" \
-    --out "$CACHE/bench_fresh.json" --build "$BUILD"
+    --out "$CACHE/bench_fresh.json" --build "$BUILD" --history none
 GATE_ELAPSED=$(($(date +%s) - GATE_START))
 if [ "$GATE_ELAPSED" -gt 600 ]; then
     echo "FAIL: perf gate took ${GATE_ELAPSED}s (budget 600s)" >&2

@@ -181,11 +181,10 @@ addStats(AnnotateStats &into, const AnnotateStats &s)
 /**
  * Select every processor's placements in @p input, adding the pass
  * accounting to @p total. Disabled params place nothing and return no
- * lists (the verbatim view). Processors are planned concurrently
- * (parallelFor, so serially when called on a ThreadPool worker); each
- * index writes only its own slots, and counters are updated in a local
- * and stored once, since neighbouring processors' slots share cache
- * lines.
+ * lists. Processors are planned concurrently (parallelFor, so serially
+ * when called on a ThreadPool worker); each index writes only its own
+ * slots, and counters are updated in a local and stored once, since
+ * neighbouring processors' slots share cache lines.
  */
 std::vector<PlacementList>
 planPlacements(const ParallelTrace &input, const StrategyParams &params,
@@ -242,13 +241,10 @@ AnnotatedTrace
 annotateTrace(const ParallelTrace &input, const StrategyParams &params,
               const CacheGeometry &geom)
 {
-    // The view borrows input for this call: an aliasing pointer with
-    // no owner.
     AnnotatedTrace out;
-    const TraceView view{std::shared_ptr<const ParallelTrace>(
-                             std::shared_ptr<const ParallelTrace>(), &input),
-                         planPlacements(input, params, geom, out.stats)};
-    out.trace = view.materialize();
+    out.trace =
+        TraceView::borrow(input, planPlacements(input, params, geom, out.stats))
+            .materialize();
     return out;
 }
 

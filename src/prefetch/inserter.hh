@@ -82,8 +82,8 @@ struct AnnotatedView
  * geometry @p geom, without copying it: the view shares @p base and
  * holds each processor's placements.
  *
- * With params.enabled == false nothing is placed and the view reads
- * the base verbatim (NP). Processors are planned concurrently
+ * With params.enabled == false nothing is placed and the view is the
+ * base alone (NP). Processors are planned concurrently
  * (parallelFor, so serially when called on a ThreadPool worker); the
  * result is the same either way.
  */

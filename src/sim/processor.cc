@@ -14,9 +14,8 @@ Processor::Processor(ProcId id, const Trace &trace, MemorySystem &mem,
                      const PlacementList *placements)
     : id_(id), trace_(trace),
       places_(placements ? placements->data() : nullptr),
-      num_places_(placements ? placements->size() : 0),
-      placed_(placements != nullptr), mem_(mem), locks_(locks),
-      barriers_(barriers), stats_(stats),
+      num_places_(placements ? placements->size() : 0), mem_(mem),
+      locks_(locks), barriers_(barriers), stats_(stats),
       release_all_(std::move(release_all))
 {
     const std::vector<TraceRecord> &records = trace_.records();
@@ -37,7 +36,7 @@ Processor::Processor(ProcId id, const Trace &trace, MemorySystem &mem,
     }
     for (std::size_t i = records.size(); i-- > 0;) {
         const TraceRecord &r = records[i];
-        if (!placed_ || r.kind != RecordKind::Instr || r.count != 0) {
+        if (r.kind != RecordKind::Instr || r.count != 0) {
             final_ = i;
             break;
         }
@@ -82,9 +81,9 @@ Processor::seek()
         instr_left_ =
             (index_ == next_record_ ? places_[next_].offset : cur_.count) -
             emitted_;
-        if (instr_left_ != 0 || !placed_)
+        if (instr_left_ != 0)
             return true;
-        ++index_; // An empty burst, which a placed stream drops.
+        ++index_; // An empty burst takes no cycle.
         emitted_ = 0;
     }
 }
@@ -208,12 +207,8 @@ Processor::tick(Cycle now)
     switch (r.kind) {
       case RecordKind::Instr:
         ++stats_.busy;
-        if (instr_left_ > 1) {
-            --instr_left_;
-        } else {
-            instr_left_ = 0;
+        if (--instr_left_ == 0) // seek() skips empty bursts.
             advance(now);
-        }
         return;
 
       case RecordKind::Read:
@@ -365,9 +360,6 @@ Processor::walkPlan(Cycle now) const
     // The walk's one test per record: it stops at the next placement's
     // record or at the final record, whichever comes first.
     const std::size_t stop = std::min(next_record_, final_);
-    // An empty burst costs the one cycle tick() charges, unless the
-    // stream is placed and drops it (a step of no cycles).
-    const Cycle min_burst = placed_ ? 0 : 1;
     Cycle n = 0;
     std::size_t idx = index_;
     std::uint32_t emitted = emitted_;
@@ -408,8 +400,7 @@ Processor::walkPlan(Cycle now) const
         }
         const TraceRecord &r = records[idx];
         if (r.kind == RecordKind::Instr) {
-            const std::uint32_t left = idx == index_ ? instr_left_ : r.count;
-            const Cycle burst = std::max<Cycle>(left, min_burst);
+            const Cycle burst = idx == index_ ? instr_left_ : r.count;
             if (burst > kMaxPlanCycles - n)
                 break; // A later plan starts at the burst.
             n += burst;
@@ -506,10 +497,8 @@ Processor::applyPlan(Cycle to)
         const Cycle start = k > 0 ? p.steps[k - 1].end : 0;
         const bool started = k == 0 && p.startsInAccess;
         if (cur_.kind == RecordKind::Instr) {
-            // A burst the replay stops inside keeps its rest; an empty
-            // one stays empty.
-            if (instr_left_ != 0)
-                instr_left_ = static_cast<std::uint32_t>(p.steps[k].end - to);
+            // A burst the replay stops inside keeps its rest.
+            instr_left_ = static_cast<std::uint32_t>(p.steps[k].end - to);
             in_access_phase_ = false;
         } else {
             in_access_phase_ = started || to > start;

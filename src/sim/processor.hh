@@ -42,8 +42,9 @@ class Processor
 
     /**
      * @param placements The prefetches placed into @p trace, sorted, or
-     * null to read it verbatim. With a list the stream is the one
-     * emitPlaced would write: Instr records of count 0 drop out.
+     * null for none. An Instr record of count 0 takes no cycle, with
+     * or without placements, so a non-canonical trace (trace.hh)
+     * simulates as its canonical form.
      */
     Processor(ProcId id, const Trace &trace, MemorySystem &mem,
               LockTable &locks, BarrierManager &barriers, ProcStats &stats,
@@ -212,8 +213,8 @@ class Processor
     void advance(Cycle now);
 
     /** Load the record at the cursor into cur_ (and an Instr burst's
-     *  count into instr_left_), skipping the bursts a placed stream
-     *  drops. @return false past the stream's last record. */
+     *  count into instr_left_), skipping empty bursts. @return false
+     *  past the stream's last record. */
     bool seek();
 
     /** True when the plan's version is current; otherwise the plan is
@@ -247,12 +248,9 @@ class Processor
 
     ProcId id_;
     const Trace &trace_;
-    /** The placements merged into trace_ (none when verbatim). */
+    /** The placements merged into trace_. */
     const Placement *places_;
     std::size_t num_places_;
-    /** A placed stream drops Instr records of count 0, as emitPlaced
-     *  does; a verbatim one charges them a cycle. */
-    bool placed_;
     MemorySystem &mem_;
     LockTable &locks_;
     BarrierManager &barriers_;
@@ -274,8 +272,8 @@ class Processor
     std::uint32_t instr_left_ = 0;///< Remaining count of an Instr record.
     bool in_access_phase_ = false;///< Ref record: instruction cycle done.
     std::uint64_t progress_ = 0;
-    /** The last base record the stream keeps (a placed stream drops
-     *  trailing empty bursts); kNoIndex when it keeps none. */
+    /** The last base record the stream keeps (trailing empty bursts
+     *  drop out); kNoIndex when it keeps none. */
     std::size_t final_ = kNoIndex;
 
     /** The statistics field every blocked cycle of the current wait
@@ -302,8 +300,8 @@ class Processor
      *  record first + k, except a placement's step, which shares its
      *  base record with the burst before it. A reference takes its two
      *  cycles, one when the plan starts in its access phase, or one
-     *  when the plan ends before its access. A placed stream's empty
-     *  burst is a step of no cycles. */
+     *  when the plan ends before its access. An empty burst is a step
+     *  of no cycles. */
     struct PlanStep
     {
         std::uint32_t end;  ///< Offset just past the step.

@@ -18,30 +18,20 @@ constexpr Cycle kDeadlockWindow = 2'000'000;
 
 } // namespace
 
-Simulator::Simulator(const ParallelTrace &trace, const SimConfig &config)
-    : Simulator(trace, nullptr, config)
-{
-}
-
 Simulator::Simulator(const TraceView &view, const SimConfig &config)
-    : Simulator(*view.base, view.placed() ? &view.placements : nullptr,
-                config)
-{
-}
-
-Simulator::Simulator(const ParallelTrace &trace,
-                     const std::vector<PlacementList> *placements,
-                     const SimConfig &config)
     : config_(config),
-      proc_stats_(trace.numProcs()),
-      locks_(trace.numLocks),
-      barriers_(static_cast<unsigned>(trace.numProcs()))
+      proc_stats_(view.numProcs()),
+      locks_(view.base->numLocks),
+      barriers_(static_cast<unsigned>(view.numProcs()))
 {
+    const ParallelTrace &trace = *view.base;
+    const std::vector<PlacementList> &placements = view.placements;
     if (trace.numProcs() == 0)
         prefsim_fatal("cannot simulate a trace with zero processors");
     if (trace.numProcs() > 32)
         prefsim_fatal("at most 32 processors supported (word masks)");
-    prefsim_assert(!placements || placements->size() == trace.numProcs(),
+    prefsim_assert(placements.empty() ||
+                       placements.size() == trace.numProcs(),
                    "a view needs one placement list per processor");
 
     mem_ = std::make_unique<MemorySystem>(
@@ -100,7 +90,7 @@ Simulator::Simulator(const ParallelTrace &trace,
     for (ProcId p = 0; p < trace.numProcs(); ++p) {
         procs_.push_back(std::make_unique<Processor>(
             p, trace.procs[p], *mem_, locks_, barriers_, proc_stats_[p],
-            release_all, placements ? &(*placements)[p] : nullptr));
+            release_all, placements.empty() ? nullptr : &placements[p]));
         procs_.back()->setDoneCounter(&done_count_);
         if (local) {
             // A spinner on a held lock is dropped from the exact-cycle

@@ -146,16 +146,21 @@ class Simulator
 {
   public:
     /**
-     * @param trace The workload; prefetch records are honoured as-is.
+     * Simulate @p view: its base with its placements merged in, as
+     * view.materialize() would simulate.
      * @param config Hardware parameters.
-     * The trace must outlive the simulator (it is not copied).
+     * The view must outlive the simulator (its base and lists are read
+     * in place, not copied).
      */
-    Simulator(const ParallelTrace &trace, const SimConfig &config);
-
-    /** Simulate @p view: its base with its placements merged in, as
-     *  view.materialize() would simulate. The view must outlive the
-     *  simulator. */
     Simulator(const TraceView &view, const SimConfig &config);
+
+    /** Simulate @p trace as a view with no placements; its prefetch
+     *  records are honoured as-is. The trace must outlive the
+     *  simulator. */
+    Simulator(const ParallelTrace &trace, const SimConfig &config)
+        : Simulator(TraceView::borrow(trace), config)
+    {
+    }
 
     /** Run to completion and return the statistics. */
     SimStats run();
@@ -186,12 +191,6 @@ class Simulator
     }
 
   private:
-    /** The shared constructor: @p placements holds one list per
-     *  processor, or is null for a verbatim trace. */
-    Simulator(const ParallelTrace &trace,
-              const std::vector<PlacementList> *placements,
-              const SimConfig &config);
-
     /** True when every processor has retired its trace (O(1): the
      *  processors bump done_count_ as they finish). */
     bool

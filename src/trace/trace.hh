@@ -38,6 +38,14 @@ inline constexpr std::size_t kMaxTraceProcs = 32;
  *
  * Thin wrapper over a vector of TraceRecord with convenience counters,
  * so the prefetch pass and the simulator share one representation.
+ *
+ * A trace is *canonical* when it holds no Instr record of count 0 and
+ * no two adjacent Instr records that fold (foldsInstrs). append() and
+ * appendInstrs() keep a trace canonical, and every trace enters prefsim
+ * that way: the generators and the prefetch pass append, and both
+ * readers (trace_io.hh, trace_io_binary.hh) fold and drop as they
+ * parse. Only records written through records() directly can be
+ * otherwise; the simulator runs such a trace as its canonical form.
  */
 class Trace
 {

@@ -19,6 +19,8 @@
  *
  * The format exists so traces can be inspected, diffed, and fed to the
  * simulator from files (mirroring the paper's trace-driven methodology).
+ * The reader returns canonical traces (trace.hh): it drops "I 0" lines
+ * and folds adjacent batches, so a file need not be canonical itself.
  */
 
 #ifndef PREFSIM_TRACE_TRACE_IO_HH

@@ -161,32 +161,24 @@ readTraceBinary(std::istream &is)
             const auto kind = static_cast<RecordKind>(tag);
             switch (kind) {
               case RecordKind::Instr:
-                proc.records().push_back(
-                    TraceRecord::instr(static_cast<std::uint32_t>(
-                        getBounded(is, kMaxInstrCount, "instr count"))));
+                proc.appendInstrs(static_cast<std::uint32_t>(
+                    getBounded(is, kMaxInstrCount, "instr count")));
                 break;
               case RecordKind::Read:
               case RecordKind::Write:
               case RecordKind::Prefetch:
-              case RecordKind::PrefetchExcl: {
-                const Addr addr = prev + unzigzag(getVarint(is));
-                prev = addr;
-                TraceRecord r;
-                r.kind = kind;
-                r.addr = addr;
-                proc.records().push_back(r);
+              case RecordKind::PrefetchExcl:
+                prev += unzigzag(getVarint(is));
+                proc.append({kind, 0, 0, prev});
                 break;
-              }
               case RecordKind::LockAcquire:
               case RecordKind::LockRelease:
-              case RecordKind::Barrier: {
-                TraceRecord r;
-                r.kind = kind;
-                r.sync = static_cast<std::uint16_t>(
-                    getBounded(is, kMaxSyncId, "sync id"));
-                proc.records().push_back(r);
+              case RecordKind::Barrier:
+                proc.append({kind,
+                             static_cast<std::uint16_t>(
+                                 getBounded(is, kMaxSyncId, "sync id")),
+                             0, kNoAddr});
                 break;
-              }
               default:
                 throw std::runtime_error(
                     "binary trace: unknown record tag " +

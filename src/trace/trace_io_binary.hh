@@ -18,7 +18,10 @@
  *     Read/Write/Prefetch: zigzag-varint delta(addr, prevAddr)
  *     Lock/Unlock/Barrier: varint sync id
  *
- * readTraceAuto() sniffs the magic and accepts either format.
+ * Like the text reader, the reader returns canonical traces (trace.hh):
+ * it drops Instr records of count 0 and folds adjacent ones, so a
+ * processor may hold fewer records than its recordCount.
+ * readTraceAutoFile() sniffs the magic and accepts either format.
  */
 
 #ifndef PREFSIM_TRACE_TRACE_IO_BINARY_HH

@@ -51,7 +51,7 @@ std::size_t
 TraceView::streamSize(std::size_t p) const
 {
     std::size_t n = base->procs[p].size();
-    if (!placed())
+    if (placements.empty())
         return n;
     // Each placement adds itself, and each distinct split point inside
     // an Instr burst adds the head it splits off.
@@ -79,18 +79,17 @@ TraceView::materialize() const
     // fills a local and stores it once.
     const std::size_t n = numProcs();
     out.procs.resize(n);
-    for (std::size_t p = 0; p < n; ++p) {
-        out.procs[p].reserve(base->procs[p].size() +
-                             (placed() ? 2 * placements[p].size() : 0));
-    }
+    const auto placed = [&](std::size_t p) {
+        return placements.empty() ? 0 : placements[p].size();
+    };
+    for (std::size_t p = 0; p < n; ++p)
+        out.procs[p].reserve(base->procs[p].size() + 2 * placed(p));
     parallelFor(n, [&](std::size_t p) {
         Trace mine = std::move(out.procs[p]);
-        if (placed()) {
+        if (placed(p) != 0)
             emitPlaced(base->procs[p], placements[p], mine);
-        } else {
-            const std::vector<TraceRecord> &in = base->procs[p].records();
-            mine.records().assign(in.begin(), in.end());
-        }
+        else
+            mine.records() = base->procs[p].records();
         out.procs[p] = std::move(mine);
     });
     return out;

@@ -61,7 +61,7 @@ using PlacementList = std::vector<Placement>;
 /**
  * Write @p base with @p placements inserted to @p out, through
  * Trace::append: adjacent Instr records fold and Instr records of
- * count 0 are dropped. The stream of a placed view is this one.
+ * count 0 are dropped. A view's stream is this one.
  * base.size() + 2 * placements.size() records bound the output (each
  * placement adds itself and at most one split-off Instr record), so a
  * caller can reserve them.
@@ -71,22 +71,27 @@ void emitPlaced(const Trace &base, const PlacementList &placements,
 
 /**
  * A workload as the simulator reads it: a shared base trace plus the
- * prefetches placed into each processor's stream.
- *
- * A view with no placement lists is the base read verbatim (a plain
- * trace, or the NP annotation). A view with one list per processor,
- * even an empty one, is an annotation: it simulates exactly as
- * materialize() would, which writes every processor through
- * emitPlaced, so the base's Instr records of count 0 drop out of its
- * stream (folding adjacent Instr records changes no statistic).
+ * prefetches placed into each processor's stream. It simulates exactly
+ * as materialize() would (an empty Instr burst takes no cycle, and
+ * folding adjacent bursts changes no statistic).
  */
 struct TraceView
 {
     std::shared_ptr<const ParallelTrace> base;
-    /** One list per processor, or none (verbatim). */
+    /** One list per processor, or none when nothing is placed. */
     std::vector<PlacementList> placements;
 
-    bool placed() const { return !placements.empty(); }
+    /** A view of @p trace that borrows it: the caller keeps @p trace
+     *  alive while the view is used. */
+    static TraceView
+    borrow(const ParallelTrace &trace,
+           std::vector<PlacementList> placements = {})
+    {
+        return {std::shared_ptr<const ParallelTrace>(
+                    std::shared_ptr<const ParallelTrace>(), &trace),
+                std::move(placements)};
+    }
+
     std::size_t numProcs() const { return base->numProcs(); }
 
     /** Prefetch records of the base plus every placement. */
@@ -95,15 +100,14 @@ struct TraceView
     /**
      * Records in processor @p p's materialized stream, counted from
      * the placements alone: the base's records, plus each placement,
-     * plus each Instr burst a placement splits off. Exact when the
-     * base folds its Instr records and holds none of count 0, as every
-     * generated trace does; materializing a base read verbatim from a
-     * file may fold or drop some of its records.
+     * plus each Instr burst a placement splits off. Exact for a
+     * canonical base (trace.hh).
      */
     std::size_t streamSize(std::size_t p) const;
 
-    /** The view written out as a plain trace: the base verbatim, or
-     *  every processor through emitPlaced. */
+    /** The view written out as a plain trace: each processor with
+     *  placements through emitPlaced, the others as copies of the
+     *  base (the same stream for a canonical base). */
     ParallelTrace materialize() const;
 };
 

@@ -20,7 +20,8 @@
  *    suspicious otherwise (warning);
  *  - ref.alignment / ref.bounds: references word-aligned and within
  *    the simulator's address range;
- *  - instr.count: no empty instruction batches;
+ *  - instr.count: no empty instruction batches (only an in-memory
+ *    trace holds one: both readers drop them);
  *  - trace.structure: a non-empty processor set.
  *
  * The rule identifiers are catalogued in docs/verification.md; findings

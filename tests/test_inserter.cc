@@ -375,20 +375,25 @@ TEST(AnnotationView, TrailingPlacementFollowsTheLastRecord)
     EXPECT_EQ(v.streamSize(0), want.size());
 }
 
-TEST(AnnotationView, VerbatimViewCopiesTheBase)
+TEST(AnnotationView, UnplacedProcessorCopiesTheBase)
 {
-    // Without placement lists the base is read verbatim, Instr(0) and
-    // unfolded bursts included; with lists it is written through
-    // emitPlaced, which folds and drops them.
+    // A processor with no placements, with no lists or an empty one,
+    // materializes as a copy of its base records, Instr(0) and unfolded
+    // bursts included (it simulates as the canonical form either way);
+    // one with placements is written through emitPlaced, which folds
+    // and drops them.
     Trace t;
     t.records() = {TraceRecord::instr(0), TraceRecord::instr(3),
                    TraceRecord::instr(4), TraceRecord::read(0x1000)};
     TraceView v = handView(t, {});
+    EXPECT_EQ(v.materialize().procs[0].records(), t.records());
+    EXPECT_EQ(v.streamSize(0), t.size());
     v.placements.clear();
     EXPECT_EQ(v.materialize().procs[0].records(), t.records());
     EXPECT_EQ(v.streamSize(0), t.size());
-    v.placements.emplace_back();
+    v.placements.push_back({{3, 0x2000, 0, false}});
     const std::vector<TraceRecord> folded = {TraceRecord::instr(7),
+                                             TraceRecord::prefetch(0x2000),
                                              TraceRecord::read(0x1000)};
     EXPECT_EQ(v.materialize().procs[0].records(), folded);
 }

@@ -35,6 +35,7 @@
 #include "prefetch/inserter.hh"
 #include "sim/simulator.hh"
 #include "sim_fingerprint.hh"
+#include "trace/trace_io.hh"
 #include "trace/trace_io_binary.hh"
 #include "trace/trace_view.hh"
 #include "trace/workload.hh"
@@ -634,11 +635,11 @@ TEST(ViewSimulation, HandPlacements)
     EXPECT_EQ(h.proc.inertCycles(h.now), 6u + 2u + 30u);
 }
 
-/** A base read from a binary file keeps its records verbatim: Instr(0)
- *  records and unfolded bursts. The NP view charges each Instr(0) a
- *  cycle, as the base itself does; an annotation drops them, as its
- *  materialized copy does. */
-TEST(ViewSimulation, BinaryBaseWithEmptyAndUnfoldedBursts)
+/** A raw base (Instr(0) records, unfolded bursts) simulates exactly as
+ *  its canonical form, which both readers return: with no placement
+ *  lists, with empty ones, and with placements (the same ones on the
+ *  canonical records), on both engines. */
+TEST(ViewSimulation, RawBaseSimulatesAsCanonical)
 {
     ParallelTrace raw;
     raw.name = "raw";
@@ -657,35 +658,71 @@ TEST(ViewSimulation, BinaryBaseWithEmptyAndUnfoldedBursts)
         TraceRecord::barrier(0),   TraceRecord::instr(0),
         TraceRecord::instr(120),   TraceRecord::read(0x3000),
         TraceRecord::instr(0)};
-    std::stringstream bytes;
+    ParallelTrace canonical = raw;
+    canonical.procs[0].records() = {
+        TraceRecord::instr(240),  TraceRecord::read(0x1000),
+        TraceRecord::write(0x2000), TraceRecord::barrier(0),
+        TraceRecord::instr(260),  TraceRecord::read(0x3000),
+        TraceRecord::read(0x1000)};
+    canonical.procs[1].records() = {
+        TraceRecord::read(0x1000), TraceRecord::write(0x1004),
+        TraceRecord::instr(3),     TraceRecord::barrier(0),
+        TraceRecord::instr(120),   TraceRecord::read(0x3000)};
+    std::stringstream bytes, text;
     writeTraceBinary(bytes, raw);
-    const ParallelTrace base = readTraceBinary(bytes);
-    ASSERT_EQ(base.procs[0].records(), raw.procs[0].records());
-    ASSERT_EQ(base.procs[1].records(), raw.procs[1].records());
+    writeTrace(text, raw);
+    for (const ParallelTrace &read :
+         {readTraceBinary(bytes), readTrace(text)}) {
+        ASSERT_EQ(read.procs[0].records(), canonical.procs[0].records());
+        ASSERT_EQ(read.procs[1].records(), canonical.procs[1].records());
+    }
 
+    // Placements in an Instr(0), inside an unfolded burst, and after a
+    // trailing Instr(0); then the same positions in canonical records.
+    const std::vector<PlacementList> hand = {
+        {{0, 0x4000, 0, false}, {2, 0x4020, 45, true}, {12, 0x4040, 0, false}},
+        {{3, 0x4060, 0, false}, {9, 0x4080, 0, true}}};
+    const std::vector<PlacementList> hand_canonical = {
+        {{0, 0x4000, 0, false}, {0, 0x4020, 195, true}, {7, 0x4040, 0, false}},
+        {{3, 0x4060, 0, false}, {6, 0x4080, 0, true}}};
+    const struct
+    {
+        const char *name;
+        TraceView raw, canonical;
+    } cases[] = {
+        {"no-lists", viewOf(raw, {}), viewOf(canonical, {})},
+        {"empty-lists", viewOf(raw, {{}, {}}), viewOf(canonical, {{}, {}})},
+        {"hand", viewOf(raw, hand), viewOf(canonical, hand_canonical)},
+    };
+    const ParallelTrace hand_copy = cases[2].raw.materialize();
+    for (std::size_t p = 0; p < 2; ++p) {
+        ASSERT_EQ(hand_copy.procs[p].records(),
+                  cases[2].canonical.materialize().procs[p].records());
+    }
+
+    const auto shared = std::make_shared<const ParallelTrace>(raw);
     for (const unsigned warmup : {0u, 1u}) {
         SimConfig cfg = plainConfig();
         cfg.warmupEpisodes = warmup;
-        const auto shared = std::make_shared<const ParallelTrace>(base);
+        for (const auto &c : cases) {
+            const std::string what =
+                std::string(c.name) + " warmup=" + std::to_string(warmup);
+            cfg.engine = SimEngine::CycleLoop;
+            const std::string want = fingerprint(simulate(c.canonical, cfg));
+            EXPECT_EQ(fingerprint(simulate(c.raw, cfg)), want) << what;
+            cfg.engine = SimEngine::LocalClock;
+            EXPECT_EQ(fingerprint(simulate(c.canonical, cfg)), want) << what;
+            EXPECT_EQ(fingerprint(simulate(c.raw, cfg)), want) << what;
+            expectViewSimulatesAsCopy(c.raw, cfg, what);
+        }
+        // A plain trace is the view with no lists.
+        EXPECT_EQ(fingerprint(simulate(raw, cfg)),
+                  fingerprint(simulate(canonical, cfg)));
         for (const Strategy s : {Strategy::NP, Strategy::PREF}) {
             const AnnotatedView view = annotateView(
                 shared, strategyParams(s), CacheGeometry::paperDefault());
-            ASSERT_EQ(view.trace.placed(), s != Strategy::NP);
             expectViewSimulatesAsCopy(view.trace, cfg, strategyName(s));
         }
-        // NP is the base itself.
-        const TraceView np = viewOf(base, {});
-        EXPECT_EQ(fingerprint(simulate(np, cfg)),
-                  fingerprint(simulate(base, cfg)));
-        // Placements in an Instr(0), inside an unfolded burst, and
-        // after a trailing Instr(0).
-        expectViewSimulatesAsCopy(
-            viewOf(base, {{{0, 0x4000, 0, false}, {2, 0x4020, 45, true},
-                           {12, 0x4040, 0, false}},
-                          {{3, 0x4060, 0, false}, {9, 0x4080, 0, true}}}),
-            cfg, "hand");
-        // An annotation with no placements still drops the empty bursts.
-        expectViewSimulatesAsCopy(viewOf(base, {{}, {}}), cfg, "empty-lists");
     }
 }
 

@@ -356,6 +356,61 @@ TEST(TraceIoBinary, AutoDetectsBothFormats)
               pt.totalDemandRefs());
 }
 
+TEST(TraceIoBinary, BothReadersReturnTheCanonicalTrace)
+{
+    // Leading and trailing Instr(0), a burst split into two records,
+    // and two adjacent bursts whose sum does not fit one record.
+    ParallelTrace raw;
+    raw.name = "raw";
+    raw.numLocks = 1;
+    raw.procs.resize(2);
+    raw.procs[0].records() = {
+        TraceRecord::instr(0),  TraceRecord::instr(7),
+        TraceRecord::instr(5),  TraceRecord::read(0x40),
+        TraceRecord::instr(kMaxInstrCount - 2), TraceRecord::instr(3),
+        TraceRecord::write(0x80), TraceRecord::instr(0)};
+    raw.procs[1].records() = {
+        TraceRecord::lockAcquire(0), TraceRecord::instr(0),
+        TraceRecord::lockRelease(0), TraceRecord::instr(2),
+        TraceRecord::instr(0),       TraceRecord::instr(9)};
+    ParallelTrace folded = raw;
+    for (Trace &t : folded.procs) {
+        Trace f;
+        for (const TraceRecord &r : t.records())
+            f.append(r);
+        t = std::move(f);
+    }
+    // The overflow pair stays two records.
+    ASSERT_EQ(folded.procs[0].records(),
+              (std::vector<TraceRecord>{
+                  TraceRecord::instr(12), TraceRecord::read(0x40),
+                  TraceRecord::instr(kMaxInstrCount - 2),
+                  TraceRecord::instr(3), TraceRecord::write(0x80)}));
+
+    std::stringstream text, bin;
+    writeTrace(text, raw);
+    writeTraceBinary(bin, raw);
+    const std::string text_path =
+        testing::TempDir() + "/prefsim_raw_text.txt";
+    const std::string bin_path = testing::TempDir() + "/prefsim_raw_bin.trc";
+    writeTraceFile(text_path, raw);
+    writeTraceBinaryFile(bin_path, raw);
+    const std::pair<const char *, ParallelTrace> reads[] = {
+        {"text", readTrace(text)},
+        {"binary", readTraceBinary(bin)},
+        {"auto text", readTraceAutoFile(text_path)},
+        {"auto binary", readTraceAutoFile(bin_path)},
+    };
+    for (const auto &[what, back] : reads) {
+        SCOPED_TRACE(what);
+        EXPECT_EQ(back.name, raw.name);
+        EXPECT_EQ(back.numLocks, raw.numLocks);
+        ASSERT_EQ(back.numProcs(), folded.numProcs());
+        for (std::size_t p = 0; p < folded.numProcs(); ++p)
+            EXPECT_EQ(back.procs[p].records(), folded.procs[p].records());
+    }
+}
+
 TEST(TraceIoBinary, LargeDeltasAndAllKinds)
 {
     // Address deltas that go far negative and spread across regions.
