@@ -10,7 +10,9 @@
 # median sim-only time is what the report records. Trials run
 # round-robin across the four configurations, so host drift between
 # rounds lands on both engines of a ratio alike; each round prints its
-# own engine ratios.
+# own engine ratios. A "load:" line (1/5/15-minute load average and
+# nproc) before the first round and after the last shows whether the
+# host was quiet enough to trust the run.
 #
 # Usage: scripts/bench_perf.sh [--refs N] [--out FILE] [--build DIR]
 #        [--trials N] [--history FILE]
@@ -46,6 +48,22 @@ while [ $# -gt 0 ]; do
     esac
 done
 
+# --refs and --trials must be positive decimal integers, with no
+# leading zero (the shell's arithmetic reads 010 as octal): a zero trial
+# count would publish a report of NaN rates, and a non-number would
+# reach the shell's arithmetic or prefsim_repro.
+require_count() {
+    case "$2" in
+        ''|*[!0-9]*|0*)
+            echo "error: $1 wants a positive integer, got '$2'" >&2
+            echo "usage: scripts/bench_perf.sh [--refs N] [--out FILE]" \
+                 "[--build DIR] [--trials N] [--history FILE]" >&2
+            exit 1 ;;
+    esac
+}
+require_count --refs "$REFS"
+require_count --trials "$TRIALS"
+
 BENCH="$BUILD/bench/prefsim_repro"
 if [ ! -x "$BENCH" ]; then
     echo "error: $BENCH not built (cmake --build $BUILD)" >&2
@@ -69,10 +87,14 @@ run_trial() {
     i=$4
     metrics="$TMP/$label.$i.metrics.json"
     start=$(date +%s.%N)
-    if ! "$BENCH" fig2_exec_time --refs "$REFS" --procs "$procs" \
+    # Capture the status before testing it: inside "if ! cmd", $? is
+    # the negation's status, always 0.
+    status=0
+    "$BENCH" fig2_exec_time --refs "$REFS" --procs "$procs" \
         --engine "$engine" --no-cache --quiet --metrics-out "$metrics" \
-        > /dev/null; then
-        echo "error: $label trial $i crashed (exit $?)" >&2
+        > /dev/null || status=$?
+    if [ "$status" -ne 0 ]; then
+        echo "error: $label trial $i crashed (exit $status)" >&2
         exit 1
     fi
     end=$(date +%s.%N)
@@ -166,7 +188,15 @@ with_config() {
     "$fn" "${config%%:*}" "${rest%%:*}" "${rest#*:}" "$@"
 }
 
+# The "load:" line of the header: a loaded host spreads the trials more
+# than most changes move them.
+print_load() {
+    echo "load: $(cut -d' ' -f1-3 /proc/loadavg 2>/dev/null ||
+        echo unknown) nproc $(nproc 2>/dev/null || echo unknown)"
+}
+
 echo "== simcore throughput (refs=$REFS, report: $OUT)"
+print_load
 for config in $CONFIGS; do
     : > "$TMP/${config%%:*}.trials.txt"
 done
@@ -184,6 +214,7 @@ while [ "$i" -le "$TRIALS" ]; do
     }'
     i=$((i + 1))
 done
+print_load
 sep=
 for config in $CONFIGS; do
     printf '%s' "$sep" >> "$TMP/runs.json"

@@ -5,7 +5,7 @@
 #      paper scale diffed against results/, then re-rendered from its
 #      warm cache with no simulation) + example smoke + determinism +
 #      the engine differential (the local-clock core vs. the reference
-#      cycle loop, byte-compared on Figure 2 at 4/8/16 processors,
+#      cycle loop, byte-compared on Figure 2 at 3/4/8/16 processors,
 #      Figure 3, the cache, protocol and prefetch ablations and
 #      mowry_gupta) + simulation-core throughput smoke +
 #      the perf-regression gate (fresh bench_perf.sh vs the checked-in
@@ -117,11 +117,10 @@ stage "engine differential"
 # reference cycle loop (docs/simcore.md). The engine is deliberately
 # not part of the experiment cache key, so --no-cache is required: a
 # cached run would compare one engine's numbers against themselves.
-# Figure 2 runs at 3, 4, 8 and 16 processors (3 is not a power of two,
-# so it covers the rotation start by modulo, and it is the perf gate's
-# micro configuration); Figure 3 and the cache and
-# protocol ablations cover what the quiet plan replays (access masks,
-# first uses), what ends it (victim-buffer swaps and prefetch-data-buffer
+# Figure 2 runs at 3, 4, 8 and 16 processors (3 is the perf gate's
+# micro configuration); Figure 3 and the cache and protocol ablations
+# cover what the quiet plan replays (access masks, first uses), what
+# ends it (victim-buffer swaps and prefetch-data-buffer
 # promotions, which run exactly) and what invalidates it (remote
 # invalidations and downgrades, write-update); the prefetch ablation's
 # buffer depths of 1 to 32 stall processors on a full prefetch buffer,
@@ -173,6 +172,20 @@ if [ "$SMOKE_ELAPSED" -gt 300 ]; then
 fi
 grep -q '"schema":"prefsim-bench-simcore-v1"' "$CACHE/bench_smoke.json"
 echo "ok: simcore smoke in ${SMOKE_ELAPSED}s (budget 300s)"
+# A zero trial count has no median: the script must refuse it before
+# any run and publish no report.
+rm -f "$CACHE/bench_zero.json"
+if scripts/bench_perf.sh --trials 0 --refs 3000 \
+    --out "$CACHE/bench_zero.json" --build "$BUILD" --history none \
+    > /dev/null 2>&1; then
+    echo "FAIL: bench_perf.sh --trials 0 exited 0" >&2
+    exit 1
+fi
+if [ -e "$CACHE/bench_zero.json" ]; then
+    echo "FAIL: bench_perf.sh --trials 0 published a report" >&2
+    exit 1
+fi
+echo "ok: bench_perf.sh refuses --trials 0"
 
 stage "perf-regression gate"
 # A fresh full-scale bench_perf.sh run diffed against the checked-in

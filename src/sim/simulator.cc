@@ -80,10 +80,6 @@ Simulator::Simulator(const TraceView &view, const SimConfig &config)
             trace.numProcs() >= 32
                 ? ~std::uint32_t{0}
                 : (std::uint32_t{1} << trace.numProcs()) - 1;
-        eff_active_ = dirty_mask_;
-        const auto np = static_cast<unsigned>(trace.numProcs());
-        if ((np & (np - 1)) == 0)
-            proc_mask_ = np - 1; // Rotation start by mask, not modulo.
         mem_->setCatchUp([this](ProcId p) { hookTouch(p); });
     }
     procs_.reserve(trace.numProcs());
@@ -263,16 +259,9 @@ Simulator::stepCycle()
 void
 Simulator::refreshEff(ProcId p)
 {
-    const std::uint32_t bit = std::uint32_t{1} << p;
-    dirty_mask_ &= ~bit;
+    dirty_mask_ &= ~(std::uint32_t{1} << p);
     const Cycle inert = procs_[p]->inertCycles(local_[p]);
-    if (inert == kNoCycle) {
-        eff_[p] = kNoCycle;
-        eff_active_ &= ~bit;
-    } else {
-        eff_[p] = local_[p] + inert;
-        eff_active_ |= bit;
-    }
+    eff_[p] = inert == kNoCycle ? kNoCycle : local_[p] + inert;
 }
 
 void
@@ -310,11 +299,15 @@ Simulator::hookTouch(ProcId p)
         // skipped at its slot as provably quiet past the frontier.
         // When p's slot is still to come, its cycle-`cycle_` work
         // follows the mutation, so the replay stops at the frontier.
+        // Slot positions from the rotation's start slot, which
+        // runExactCycleLocal derives the same way (cycle_ does not
+        // move inside a rotation).
         const auto n = static_cast<unsigned>(procs_.size());
-        unsigned pos_p = static_cast<unsigned>(p) + n - rot_start_;
+        const auto start = static_cast<unsigned>(cycle_ % n);
+        unsigned pos_p = static_cast<unsigned>(p) + n - start;
         if (pos_p >= n)
             pos_p -= n;
-        unsigned pos_t = ticking_ + n - rot_start_;
+        unsigned pos_t = ticking_ + n - start;
         if (pos_t >= n)
             pos_t -= n;
         if (pos_p < pos_t)
@@ -352,27 +345,23 @@ Simulator::serviceSlot(unsigned idx)
 }
 
 void
-Simulator::runExactCycleLocal(bool bus_may_act)
+Simulator::runExactCycleLocal()
 {
-    if (bus_may_act)
-        mem_->tick(cycle_);
+    mem_->tick(cycle_);
     const auto n = static_cast<unsigned>(procs_.size());
-    const unsigned idx =
-        proc_mask_ != 0 ? static_cast<unsigned>(cycle_) & proc_mask_
-                        : static_cast<unsigned>(cycle_ % n);
-    rot_start_ = idx; // hookTouch derives slot positions from this.
+    const auto idx = static_cast<unsigned>(cycle_ % n);
     // Visit set: every processor whose boundary may be due this cycle.
-    // A clean boundary answers the due test in the branchless build
-    // below; a dirty one is stale (the bus tick above may have woken
-    // or touched its owner), so dirty processors are visited
-    // unconditionally and recomputed at their slot. The rotation then
-    // services only the visited slots — on the contended fig2 run
-    // fewer than two per exact cycle — instead of walking all n, which
-    // is the engine's edge over runExactCycle: a lagging processor
-    // past the frontier is skipped without even loading its state.
+    // A clean boundary answers the due test in the scan below (a
+    // sleeper's kNoCycle never passes it); a dirty one is stale (the
+    // bus tick above may have woken or touched its owner), so dirty
+    // processors are visited unconditionally and recomputed at their
+    // slot. The rotation then services only the visited slots — on the
+    // contended fig2 run fewer than two per exact cycle — instead of
+    // walking all n, which is the engine's edge over runExactCycle: a
+    // lagging processor past the frontier costs one compare here and
+    // its state is never loaded.
     std::uint32_t visit = dirty_mask_;
-    for (std::uint32_t m = eff_active_ & ~dirty_mask_; m != 0; m &= m - 1) {
-        const auto p = static_cast<unsigned>(std::countr_zero(m));
+    for (unsigned p = 0; p < n; ++p) {
         if (eff_[p] <= cycle_)
             visit |= std::uint32_t{1} << p;
     }
@@ -421,7 +410,6 @@ Simulator::stepLocal()
     // until a completion, a snoop or a sample boundary forces the quiet
     // replay (fastForward, via catchUp).
     const auto n = static_cast<ProcId>(procs_.size());
-    bool bus_due = true;
     for (;;) {
         // A frontier on a sample boundary, on entry or after a jump:
         // the frame must capture every processor's state as of the
@@ -445,12 +433,8 @@ Simulator::stepLocal()
             e = std::min(e, eff_[p]);
         prefsim_assert(e >= cycle_,
                        "local-clock boundary regressed past the frontier");
-        if (e == cycle_) {
-            // A boundary is due at the frontier, and the bus was ruled
-            // out above: it provably does nothing this cycle.
-            bus_due = false;
-            break;
-        }
+        if (e == cycle_)
+            break; // A boundary is due at the frontier.
         const Cycle target = std::min(bus_next, e);
         if (target == kNoCycle) {
             // Every processor is blocked and the bus is idle: nothing
@@ -466,7 +450,7 @@ Simulator::stepLocal()
         // frame forever.
         cycle_ = std::min(target, next_sample_);
     }
-    runExactCycleLocal(bus_due);
+    runExactCycleLocal();
     return !allDone();
 }
 

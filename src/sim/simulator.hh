@@ -229,14 +229,13 @@ class Simulator
     void closeExactCycle();
 
     /** Execute cycle_ exactly for the local-clock core: bus tick
-     *  (skipped when @p bus_may_act is false — only legal when the
-     *  bus provably does nothing this cycle: no completion due, nothing
-     *  grantable), then a rotation that services only the processors
+     *  (a no-op when no completion or grant is due), then a rotation
+     *  from slot cycle_ % numProcs that services only the processors
      *  with business this cycle — woken or hook-touched processors and
      *  local clocks whose side-effect boundary is due — catching each
      *  up to the frontier first. Lagging quiet processors are skipped
      *  entirely (the engine's speedup). */
-    void runExactCycleLocal(bool bus_may_act);
+    void runExactCycleLocal();
 
     /** Service one rotation slot of the current exact cycle: refresh a
      *  dirty boundary, run the due test, and when due catch the
@@ -321,17 +320,6 @@ class Simulator
     std::vector<Cycle> local_;
     std::vector<Cycle> eff_;
     std::uint32_t dirty_mask_ = 0;
-    /** Bit per processor whose eff_ is finite (kept by refreshEff):
-     *  the exact-cycle rotation's due-test scan iterates only these. */
-    std::uint32_t eff_active_ = 0;
-    /** numProcs - 1 when the processor count is a power of two (the
-     *  rotation start is then cycle_ & proc_mask_, skipping a 64-bit
-     *  modulo per exact cycle); 0 forces the modulo path. */
-    unsigned proc_mask_ = 0;
-    /** Service slot of processor 0 in the rotation currently running
-     *  (cycle_ % numProcs, cached so the snoop hook's slot-order test
-     *  needs no divisions). Only meaningful while ticking_ != kNoProc. */
-    unsigned rot_start_ = 0;
     /** @} */
 };
 

@@ -26,9 +26,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "mem/split_bus.hh"
 #include "obs/obs.hh"
@@ -1096,6 +1098,80 @@ TEST(BusEventQueries, AddressClassCompletesWithoutGrant)
     // after the (short) address-bus occupancy.
     EXPECT_EQ(h.bus.nextCompletionCycle(10), 10 + t.upgradeOccupancy);
     EXPECT_EQ(h.bus.nextGrantCycle(10), kNoCycle);
+}
+
+TEST(BusEventQueries, TickBeforeNextEventChangesNothing)
+{
+    // Every frontier jump, and every exact cycle that a processor
+    // boundary alone made exact, ticks the bus at cycles where neither
+    // a completion nor a grant is due. Such a tick must be a no-op.
+    // Drive a mixed stream (demand and prefetch data operations,
+    // writebacks, upgrades) from event to event, ticking every cycle
+    // in between, and check that nothing observable moves.
+    const auto observe = [](const BusProbe &h, Cycle now) {
+        const BusStats &s = h.bus.stats();
+        return std::vector<std::uint64_t>{
+            h.completions, s.busyCycles, s.opCount[0], s.opCount[1],
+            s.opCount[2], s.opCount[3], s.opCount[4], s.queueWaitDemand,
+            s.queueWaitPrefetch, s.grantsDemand, s.grantsPrefetch,
+            h.bus.queuedOps(), h.bus.activeTransfers(),
+            h.bus.nextCompletionCycle(now), h.bus.nextGrantCycle(now)};
+    };
+    const BusOpKind kinds[] = {BusOpKind::ReadShared,
+                               BusOpKind::ReadExclusive,
+                               BusOpKind::Upgrade, BusOpKind::WriteBack};
+    for (unsigned channels : {1u, 2u}) {
+        BusProbe h(BusTiming{40, 8, 2, channels});
+        std::uint64_t rng = 12345 + channels;
+        Cycle now = 0;
+        unsigned events = 0, quiet_ticks = 0, queued_and_active = 0;
+        for (unsigned step = 0; step < 5000; ++step) {
+            if (step < 300) {
+                // Zero to three requests at the current cycle; one in
+                // five is an ownerless writeback, one in three of the
+                // others a prefetch.
+                rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+                for (unsigned k = 0; k < (rng >> 60) % 4; ++k) {
+                    const auto r = rng >> (8 * k + 4);
+                    const bool owned = r % 5 != 4;
+                    Transaction t = h.make(
+                        owned ? kinds[(r >> 3) % 4] : BusOpKind::WriteBack,
+                        owned ? static_cast<ProcId>(r % 4) : kNoProc,
+                        0x40 * ((r >> 5) % 64));
+                    t.isPrefetch = owned && (r >> 11) % 3 == 0;
+                    t.issuedAt = now;
+                    h.bus.request(t, now);
+                }
+            }
+            const Cycle next = std::min(h.bus.nextCompletionCycle(now),
+                                        h.bus.nextGrantCycle(now));
+            if (next == kNoCycle) {
+                if (step >= 300)
+                    break;
+                ++now;
+                continue;
+            }
+            ASSERT_GE(next, now);
+            if (h.bus.queuedOps() != 0 && h.bus.activeTransfers() != 0)
+                ++queued_and_active;
+            for (Cycle c = now; c < next; ++c, ++quiet_ticks) {
+                const auto before = observe(h, c);
+                EXPECT_EQ(h.bus.tick(c), 0u) << "cycle " << c;
+                EXPECT_EQ(observe(h, c), before) << "cycle " << c;
+            }
+            // The event itself grants or completes.
+            const auto before = observe(h, next);
+            h.bus.tick(next);
+            EXPECT_NE(observe(h, next), before) << "cycle " << next;
+            ++events;
+            now = next + 1;
+        }
+        EXPECT_FALSE(h.bus.busy()) << "channels " << channels;
+        // The stream must have exercised the property, not skipped it.
+        EXPECT_GT(events, 200u);
+        EXPECT_GT(quiet_ticks, 500u);
+        EXPECT_GT(queued_and_active, 50u);
+    }
 }
 
 /* ------------------------------------------------------------------ */
